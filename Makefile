@@ -16,29 +16,20 @@
 #                      2-worker fleet, byte-identity) plus the pinned stateful
 #                      ref-vs-ovs regression
 #   make dist-demo     run a coordinator and two workers locally for a quick look
-#   make bench-matrix  campaign throughput metrics: cold + warm 2×2 campaign,
-#                      writes BENCH_matrix.json (cells/sec, cache-hit rate)
-#   make bench-scenario cold scenario exploration baselines (paths/sec at
-#                      1/2/4/8 workers over two seed scenarios), merged into
-#                      BENCH_matrix.json's scenario_cold object
-#   make bench-incremental before/after paths/sec for the incremental solver
-#                      stack on a FlowMod-class scenario (per-path solvers vs
-#                      assumption-stack sessions), merged into
-#                      BENCH_matrix.json's incremental object with speedups
-#   make bench-dist    fleet scaling points: the FlowMod matrix on a real TCP
-#                      fleet at 1/2/4 worker processes (paths/sec, lease-RTT
-#                      p50/p99), merged into BENCH_matrix.json's dist_scaling
-#                      object
 #   make bench         the paper's evaluation benches + parallel scaling benches
-#   make bench-solver  solver-stack scaling benches (parallel explore, clause
-#                      sharing, sharded-cache crosscheck) — run on multicore
-#                      hardware for meaningful numbers
+#   make bench-solver  solver-stack scaling benches (parallel explore,
+#                      incremental sessions, sharded-cache crosscheck) — run
+#                      on multicore hardware for meaningful numbers
 #   make bench-smoke   every scaling bench once (CI bit-rot guard, no timing value)
 #   make check         build + vet + test (what CI should run)
+#
+# Performance numbers come from the repository benchmark, not from these
+# targets: `bash bench/run.sh` runs its workloads and prints end-to-end and
+# per-layer metrics (see bench/README.md).
 
 GO ?= go
 
-.PHONY: build vet test race e2e-dist e2e-matrix e2e-serve e2e-scenario dist-demo bench bench-matrix bench-scenario bench-incremental bench-dist bench-solver bench-smoke check
+.PHONY: build vet test race e2e-dist e2e-matrix e2e-serve e2e-scenario dist-demo bench bench-solver bench-smoke check
 
 build:
 	$(GO) build ./...
@@ -63,78 +54,6 @@ e2e-serve:
 
 e2e-scenario:
 	$(GO) test -run 'TestScenarioDeterminismAcrossLayouts|TestScenarioExposesStatefulInconsistency' -v .
-
-# Campaign throughput trajectory: run the same small campaign cold (store
-# empty) then warm (all cells cached); both passes merge their metrics into
-# BENCH_matrix.json as its "cold" and "warm" objects (cells/sec over
-# explored cells, cache-hit rate). Timings are only meaningful on quiet
-# multicore hardware, but the JSON schema is what perf tracking keys on.
-bench-matrix:
-	$(GO) build -o /tmp/soft-bench-matrix-bin ./cmd/soft
-	@rm -f BENCH_matrix.json; \
-	store=$$(mktemp -d /tmp/soft-bench-matrix.XXXXXX); \
-	/tmp/soft-bench-matrix-bin matrix -agents ref,modified \
-		-tests "Packet Out,Stats Request" -store $$store \
-		-code-version bench -bench-json BENCH_matrix.json >/dev/null && \
-	/tmp/soft-bench-matrix-bin matrix -agents ref,modified \
-		-tests "Packet Out,Stats Request" -store $$store \
-		-code-version bench -bench-json BENCH_matrix.json >/dev/null; \
-	status=$$?; rm -rf $$store; exit $$status
-	@cat BENCH_matrix.json
-
-# Cold scenario exploration baselines: paths/sec for two seed scenarios at
-# 1/2/4/8 workers, each run engine-cold (no store involved — the metric is
-# raw multi-message exploration throughput). Results merge into
-# BENCH_matrix.json's "scenario_cold" object keyed "<scenario>/w<N>".
-bench-scenario:
-	$(GO) build -o /tmp/soft-bench-scenario-bin ./cmd/soft
-	@for sc in "Add Modify" "Netplugin VXLAN"; do \
-		for w in 1 2 4 8; do \
-			/tmp/soft-bench-scenario-bin explore -scenario "$$sc" -workers $$w \
-				-bench-json BENCH_matrix.json -o /dev/null || exit 1; \
-		done; \
-	done
-	@cat BENCH_matrix.json
-
-# Incremental-solver before/after: the FlowMod test (the heaviest Table 2
-# workload the benches run) explored with per-path solvers
-# (-incremental=false, the old engine) and with assumption-stack sessions
-# (the default). Models are off so the metric is raw engine throughput.
-# Both halves merge into BENCH_matrix.json's "incremental" object keyed
-# "FlowMod/w<N>"; the speedup field appears once a key has both halves.
-# Run on quiet hardware.
-bench-incremental:
-	$(GO) build -o /tmp/soft-bench-incremental-bin ./cmd/soft
-	@for w in 1 4; do \
-		/tmp/soft-bench-incremental-bin explore -test FlowMod -models=false -workers $$w \
-			-incremental=false -bench-json BENCH_matrix.json -o /dev/null || exit 1; \
-		/tmp/soft-bench-incremental-bin explore -test FlowMod -models=false -workers $$w \
-			-bench-json BENCH_matrix.json -o /dev/null || exit 1; \
-	done
-	@cat BENCH_matrix.json
-
-# Distributed scaling points: the same FlowMod exploration matrix driven
-# through a real TCP fleet at 1, 2, and 4 worker processes. Crosscheck and
-# model extraction are off so the metric is shard exploration throughput;
-# determinism makes every width's report byte-identical, so only the
-# timing and lease-RTT quantiles differ across the three dist_scaling/w<N>
-# objects merged into BENCH_matrix.json. Run on quiet multicore hardware.
-BENCH_DIST_ADDR ?= 127.0.0.1:7479
-bench-dist:
-	$(GO) build -o /tmp/soft-bench-dist-bin ./cmd/soft
-	@for w in 1 2 4; do \
-		echo "== fleet width $$w =="; \
-		/tmp/soft-bench-dist-bin matrix -agents ref,modified -tests FlowMod \
-			-crosscheck=false -models=false -addr $(BENCH_DIST_ADDR) -shard-depth 4 \
-			-bench-dist $$w -bench-json BENCH_matrix.json -o /dev/null & \
-		pid=$$!; sleep 0.3; \
-		i=0; while [ $$i -lt $$w ]; do \
-			i=$$((i+1)); \
-			/tmp/soft-bench-dist-bin work -addr $(BENCH_DIST_ADDR) -name bench-w$$i & \
-		done; \
-		wait $$pid || exit 1; wait; \
-	done
-	@cat BENCH_matrix.json
 
 # A 10-second look at distributed exploration on one machine: coordinator on
 # an ephemeral-ish port, two workers, result on stdout-adjacent files under
@@ -164,6 +83,5 @@ bench-smoke:
 	$(GO) build -o /tmp/soft-bench-smoke-bin ./cmd/soft
 	@/tmp/soft-bench-smoke-bin explore -scenario "Add Modify" -incremental=false -o /dev/null
 	@/tmp/soft-bench-smoke-bin explore -scenario "Add Modify" -incremental -o /dev/null
-	@/tmp/soft-bench-smoke-bin explore -scenario "Add Modify" -merge -o /dev/null
 
 check: build vet test

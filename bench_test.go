@@ -130,53 +130,22 @@ func BenchmarkExploreParallelOVSPacketOut(b *testing.B) {
 	}
 }
 
-// BenchmarkExploreParallelClauseSharing measures the learned-clause
-// exchange against the share-nothing baseline on the heaviest explore
-// workload, across worker counts. Results are byte-identical either way;
-// the interesting number is paths/sec on multicore hardware.
-func BenchmarkExploreParallelClauseSharing(b *testing.B) {
-	t, ok := harness.TestByName("FlowMod")
-	if !ok {
-		b.Fatal("unknown test FlowMod")
-	}
-	for _, w := range []int{1, 4, 8} {
-		for _, sharing := range []bool{false, true} {
-			w, sharing := w, sharing
-			b.Run(fmt.Sprintf("workers-%d/sharing-%t", w, sharing), func(b *testing.B) {
-				b.ReportAllocs()
-				var paths int
-				var imports int64
-				for i := 0; i < b.N; i++ {
-					r := harness.Explore(refswitch.New(), t, harness.Options{
-						MaxPaths: 2000, Workers: w, ClauseSharing: sharing,
-					})
-					paths = len(r.Paths)
-					imports = r.SolverStats.ClauseImports
-				}
-				b.ReportMetric(float64(paths), "paths")
-				b.ReportMetric(float64(imports), "imports")
-			})
-		}
-	}
-}
-
 // BenchmarkExploreParallelIncremental is the incremental-solver before/
 // after on the heaviest explore workload: per-path solvers (mode-baseline)
-// vs one assumption-stack session per worker (mode-incremental) vs
-// sessions plus diamond merging (mode-merge). Results are byte-identical
-// across all three; paths/sec is the number the ROADMAP tracks.
+// vs one assumption-stack session per worker (mode-incremental). Results
+// are byte-identical across both; paths/sec is the number the ROADMAP
+// tracks.
 func BenchmarkExploreParallelIncremental(b *testing.B) {
 	t, ok := harness.TestByName("FlowMod")
 	if !ok {
 		b.Fatal("unknown test FlowMod")
 	}
 	modes := []struct {
-		name               string
-		incremental, merge bool
+		name        string
+		incremental bool
 	}{
-		{"mode-baseline", false, false},
-		{"mode-incremental", true, false},
-		{"mode-merge", true, true},
+		{"mode-baseline", false},
+		{"mode-incremental", true},
 	}
 	for _, w := range []int{1, 4} {
 		for _, m := range modes {
@@ -186,8 +155,7 @@ func BenchmarkExploreParallelIncremental(b *testing.B) {
 				var paths int
 				for i := 0; i < b.N; i++ {
 					r := harness.Explore(refswitch.New(), t, harness.Options{
-						MaxPaths: 2000, Workers: w,
-						Incremental: m.incremental, Merge: m.merge,
+						MaxPaths: 2000, Workers: w, Incremental: m.incremental,
 					})
 					paths = len(r.Paths)
 				}
@@ -200,35 +168,27 @@ func BenchmarkExploreParallelIncremental(b *testing.B) {
 	}
 }
 
-// BenchmarkCrossCheckParallel scales phase 2 across worker counts and the
-// two cache modes: one sharded single-flight cache shared by every worker,
-// versus per-worker copy-on-write clones. The shared cache solves each
-// distinct query once per run; clones trade duplicated solving for zero
-// cross-worker contention.
+// BenchmarkCrossCheckParallel scales phase 2 across worker counts. Every
+// worker shares one sharded single-flight cache, so each distinct query is
+// solved once per run.
 func BenchmarkCrossCheckParallel(b *testing.B) {
 	t, _ := harness.TestByName("Packet Out")
 	ref, ov := benchAgents()
 	ga := group.Paths(harness.Explore(ref, t, harness.Options{}).Serialized())
 	gb := group.Paths(harness.Explore(ov, t, harness.Options{}).Serialized())
 	for _, w := range []int{1, 2, 4, 8} {
-		for _, private := range []bool{false, true} {
-			w, private := w, private
-			name := fmt.Sprintf("workers-%d/shared-cache", w)
-			if private {
-				name = fmt.Sprintf("workers-%d/private-caches", w)
+		w := w
+		b.Run(fmt.Sprintf("workers-%d", w), func(b *testing.B) {
+			b.ReportAllocs()
+			var found int
+			for i := 0; i < b.N; i++ {
+				rep := crosscheck.RunOpts(context.Background(), ga, gb, crosscheck.Opts{
+					Solver: solver.New(), Workers: w,
+				})
+				found = len(rep.Inconsistencies)
 			}
-			b.Run(name, func(b *testing.B) {
-				b.ReportAllocs()
-				var found int
-				for i := 0; i < b.N; i++ {
-					rep := crosscheck.RunOpts(context.Background(), ga, gb, crosscheck.Opts{
-						Solver: solver.New(), Workers: w, PrivateCaches: private,
-					})
-					found = len(rep.Inconsistencies)
-				}
-				b.ReportMetric(float64(found), "inconsistencies")
-			})
-		}
+			b.ReportMetric(float64(found), "inconsistencies")
+		})
 	}
 }
 

@@ -80,15 +80,14 @@ func runMatrixRemote(ctx context.Context, cfg *config, agents, tests []string) (
 	}
 	cl := NewCampaignClient(cfg.campaignURL)
 	spec := CampaignJobSpec{
-		Tenant:        cfg.tenant,
-		Agents:        agents,
-		Tests:         tests,
-		MaxPaths:      cfg.maxPaths,
-		MaxDepth:      cfg.maxDepth,
-		Models:        cfg.models,
-		ClauseSharing: cfg.clauseSharing,
-		CrossCheck:    !cfg.noCrossCheck,
-		CodeVersion:   cfg.codeVersion,
+		Tenant:      cfg.tenant,
+		Agents:      agents,
+		Tests:       tests,
+		MaxPaths:    cfg.maxPaths,
+		MaxDepth:    cfg.maxDepth,
+		Models:      cfg.models,
+		CrossCheck:  !cfg.noCrossCheck,
+		CodeVersion: cfg.codeVersion,
 	}
 	// With a local tracer active, thread the trace through the service:
 	// the job is submitted traced (the id rides the spec and the

@@ -69,11 +69,10 @@ func runDiff(e *env, args []string) error {
 	budget := fs.Duration("budget", 0, "time budget for the check (0 = unlimited)")
 	reproduce := fs.Bool("reproduce", false, "render a reproducer message per inconsistency")
 	workers := fs.Int("workers", 0, "parallel crosscheck workers (0 = GOMAXPROCS, 1 = sequential)")
-	sharedCache := fs.Bool("shared-cache", true, "workers share one sharded query cache (false: per-worker copy-on-write clones)")
 	storeDir := fs.String("store", "", "result-store directory: cache each file's grouping construction, keyed by result content and code version")
 	codeVersion := fs.String("code-version", "", "override the grouping cache's code version (default: the binary's VCS build stamp; match soft matrix -code-version)")
 	timeout := fs.Duration("timeout", 0, "hard wall-clock limit; on expiry the partial report is still printed")
-	verbose := fs.Bool("v", false, "report solver statistics (queries, cache hits, clause exchange)")
+	verbose := fs.Bool("v", false, "report solver statistics (queries, cache hits)")
 	if err := parse(fs, args); err != nil {
 		return err
 	}
@@ -109,8 +108,7 @@ func runDiff(e *env, args []string) error {
 		defer cancel()
 	}
 	rep, err := soft.CrossCheck(ctx, ga, gb,
-		soft.WithBudget(*budget), soft.WithWorkers(*workers),
-		soft.WithSharedCache(*sharedCache))
+		soft.WithBudget(*budget), soft.WithWorkers(*workers))
 	if err != nil {
 		return usageError{err}
 	}

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"github.com/soft-testing/soft"
-	"github.com/soft-testing/soft/internal/bitblast"
 )
 
 func exploreCmd() *command {
@@ -29,14 +28,11 @@ func runExplore(e *env, args []string) error {
 	maxPaths := fs.Int("max-paths", 0, "cap on explored paths (0 = default)")
 	models := fs.Bool("models", true, "extract a concrete input example per path")
 	workers := fs.Int("workers", 0, "parallel exploration workers (0 = GOMAXPROCS, 1 = sequential)")
-	clauseSharing := fs.Bool("clause-sharing", false, "share short learned clauses between path solvers (results are byte-identical either way)")
 	incremental := fs.Bool("incremental", true, "keep one assumption-stack solver session per worker instead of a fresh solver per path (results are byte-identical either way)")
-	merge := fs.Bool("merge", false, "enable diamond state merging on top of incremental solving (implies -incremental; results are byte-identical either way)")
 	canonicalCut := fs.Bool("canonical-cut", false, "make max-paths truncation canonical: keep the canonically smallest paths so truncated runs are reproducible across worker counts")
 	timeout := fs.Duration("timeout", 0, "wall-clock limit; on expiry the partial result is still written")
 	progress := fs.Bool("progress", false, "report exploration progress on stderr")
-	verbose := fs.Bool("v", false, "report solver statistics (queries, cache hits, clause exchange) on stderr")
-	benchJSON := fs.String("bench-json", "", "merge this run's cold paths/sec and solver stats into a bench JSON file, keyed by the scenario or test name")
+	verbose := fs.Bool("v", false, "report solver statistics (queries, cache hits, sessions) on stderr")
 	traceOut := fs.String("trace", "", "write a Chrome-trace-event JSON of this run's spans to this file (load in Perfetto; results are byte-identical either way)")
 	if err := parse(fs, args); err != nil {
 		return err
@@ -82,9 +78,7 @@ func runExplore(e *env, args []string) error {
 		soft.WithMaxPaths(*maxPaths),
 		soft.WithModels(*models),
 		soft.WithWorkers(*workers),
-		soft.WithClauseSharing(*clauseSharing),
 		soft.WithIncrementalSolver(*incremental),
-		soft.WithStateMerging(*merge),
 		soft.WithCanonicalCut(*canonicalCut),
 	}
 	if *progress {
@@ -107,9 +101,6 @@ func runExplore(e *env, args []string) error {
 	if *traceOut != "" {
 		flushTrace = startTrace(*traceOut)
 	}
-	// Snapshot the process-global solve-latency histogram around the run so
-	// the bench file records this run's quantiles, not the process's.
-	latBefore := bitblast.MSolveLatency.Snapshot()
 	res, err := soft.Explore(ctx, a, t, opts...)
 	if flushTrace != nil {
 		if ferr := flushTrace(); ferr != nil && err == nil {
@@ -119,7 +110,6 @@ func runExplore(e *env, args []string) error {
 	if err != nil {
 		return err
 	}
-	solveLat := bitblast.MSolveLatency.Snapshot().Sub(latBefore)
 
 	mark := ""
 	if res.Cancelled {
@@ -132,17 +122,6 @@ func runExplore(e *env, args []string) error {
 		res.InstrPct, res.BranchPct, mark)
 	if *verbose {
 		fmt.Fprintf(e.stderr, "soft explore: %s\n", describeStats(res.SolverStats, res.BranchQueries))
-	}
-	if *benchJSON != "" {
-		// Scenario runs key by scenario name, Table 1 runs by test name —
-		// one namespace, the way the Makefile bench targets mix them.
-		benchName := *scenarioName
-		if benchName == "" {
-			benchName = t.Name
-		}
-		if err := mergeScenarioBench(*benchJSON, benchName, *workers, *incremental || *merge, *merge, res, solveLat); err != nil {
-			return err
-		}
 	}
 
 	if *out == "" {

@@ -53,7 +53,6 @@ func runSubmit(e *env, args []string) error {
 	testsFlag := fs.String("tests", "", "comma-separated Table 1 test names (default: the whole suite; see 'soft tests')")
 	maxPaths := fs.Int("max-paths", 0, "cap on explored paths per cell (0 = default); campaign truncation is canonical")
 	models := fs.Bool("models", true, "extract a concrete input example per path")
-	clauseSharing := fs.Bool("clause-sharing", false, "enable learned-clause sharing inside each cell's exploration")
 	crossCheck := fs.Bool("crosscheck", true, "run phase 2 over every agent pair per test")
 	codeVersion := fs.String("code-version", "", "override the job's cache-key code version (default: the service's)")
 	watch := fs.Bool("watch", false, "stream progress and wait for the job to finish")
@@ -85,14 +84,13 @@ func runSubmit(e *env, args []string) error {
 	ctx := context.Background()
 	cl := soft.NewCampaignClient(*service)
 	job, err := cl.Submit(ctx, soft.CampaignJobSpec{
-		Tenant:        *tenant,
-		Agents:        agents,
-		Tests:         tests,
-		MaxPaths:      *maxPaths,
-		Models:        *models,
-		ClauseSharing: *clauseSharing,
-		CrossCheck:    *crossCheck,
-		CodeVersion:   *codeVersion,
+		Tenant:      *tenant,
+		Agents:      agents,
+		Tests:       tests,
+		MaxPaths:    *maxPaths,
+		Models:      *models,
+		CrossCheck:  *crossCheck,
+		CodeVersion: *codeVersion,
 	})
 	if err != nil {
 		return err

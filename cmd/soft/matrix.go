@@ -2,21 +2,16 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 
 	"github.com/soft-testing/soft"
-	"github.com/soft-testing/soft/internal/bitblast"
-	"github.com/soft-testing/soft/internal/dist"
-	"github.com/soft-testing/soft/internal/obs"
 	"github.com/soft-testing/soft/internal/store"
 )
 
@@ -65,9 +60,7 @@ func runMatrix(e *env, args []string) error {
 	workers := fs.Int("workers", 0, "in-process parallelism: exploration workers per cell (fleetless) and crosscheck solver workers (0 = GOMAXPROCS)")
 	maxPaths := fs.Int("max-paths", 0, "cap on explored paths per cell (0 = default); campaign truncation is canonical")
 	models := fs.Bool("models", true, "extract a concrete input example per path")
-	clauseSharing := fs.Bool("clause-sharing", false, "enable learned-clause sharing inside each cell's exploration")
 	incremental := fs.Bool("incremental", true, "explore cells on per-worker assumption-stack solver sessions (results are byte-identical either way)")
-	merge := fs.Bool("merge", false, "enable diamond state merging inside each cell's exploration (implies -incremental)")
 	storeDir := fs.String("store", "", "result-store directory: cache cell results and groupings, skip unchanged cells on re-runs")
 	codeVersion := fs.String("code-version", "", "override the cache key's code version (default: the binary's VCS build stamp)")
 	storeMigrate := fs.Bool("store-migrate", false, "re-stamp a store recorded under a different code version instead of refusing it")
@@ -79,9 +72,6 @@ func runMatrix(e *env, args []string) error {
 	budget := fs.Duration("budget", 0, "time budget per pair check (0 = unlimited; a budget can make checks partial and reports non-reproducible)")
 	resultsDir := fs.String("results-dir", "", "also write each cell's results file into this directory")
 	out := fs.String("o", "", "write the canonical campaign report to this file (byte-identical across reruns)")
-	benchJSON := fs.String("bench-json", "", "merge this run's throughput metrics (cells/sec, cache-hit rate) into this JSON file as its cold or warm pass")
-	benchPass := fs.String("bench-pass", "auto", "which -bench-json pass this run is: cold, warm, or auto (classify by cache hits)")
-	benchDist := fs.Int("bench-dist", 0, "record this fleet run's scaling metrics (paths/sec, lease-RTT quantiles) under dist_scaling/w<N> of -bench-json instead of a cold/warm pass (N = worker process count)")
 	traceOut := fs.String("trace", "", "write a Chrome-trace-event JSON of this campaign's spans to this file (load in Perfetto; results are byte-identical either way)")
 	timeout := fs.Duration("timeout", 0, "wall-clock limit; on expiry the campaign aborts")
 	progress := fs.Bool("progress", false, "report fleet lifecycle and cell/check progress on stderr")
@@ -122,14 +112,6 @@ func runMatrix(e *env, args []string) error {
 	if err != nil {
 		return usageError{err}
 	}
-	switch *benchPass {
-	case "auto", "cold", "warm":
-	default:
-		return usagef("invalid -bench-pass %q (want cold, warm, or auto)", *benchPass)
-	}
-	if *benchDist > 0 && *benchJSON == "" {
-		return usagef("-bench-dist needs -bench-json: the scaling point has nowhere to go")
-	}
 	if *service != "" {
 		// A service-side campaign owns its own store and fleet; the
 		// client-side equivalents would silently do nothing.
@@ -154,9 +136,7 @@ func runMatrix(e *env, args []string) error {
 		soft.WithWorkers(*workers),
 		soft.WithMaxPaths(*maxPaths),
 		soft.WithModels(*models),
-		soft.WithClauseSharing(*clauseSharing),
 		soft.WithIncrementalSolver(*incremental),
-		soft.WithStateMerging(*merge),
 		soft.WithShardDepth(depth),
 		soft.WithAdaptiveShards(adaptive),
 		soft.WithLeaseTimeout(*leaseTimeout),
@@ -218,12 +198,6 @@ func runMatrix(e *env, args []string) error {
 	if *traceOut != "" {
 		flushTrace = startTrace(*traceOut)
 	}
-	// Snapshot the process-global solve-latency and lease-RTT histograms
-	// around the run so the bench file records this campaign's quantiles,
-	// not the process's.
-	latBefore := bitblast.MSolveLatency.Snapshot()
-	rttBefore := dist.LeaseRTTSnapshot()
-	start := time.Now()
 	rep, err := soft.RunMatrix(ctx, agents, tests, opts...)
 	if flushTrace != nil {
 		if ferr := flushTrace(); ferr != nil && err == nil {
@@ -233,8 +207,6 @@ func runMatrix(e *env, args []string) error {
 	if err != nil {
 		return err
 	}
-	solveLat := bitblast.MSolveLatency.Snapshot().Sub(latBefore)
-	leaseRTT := dist.LeaseRTTSnapshot().Sub(rttBefore)
 
 	// Human-readable summary: deterministic content plus run annotations
 	// (cache markers) that describe this run, not the result.
@@ -304,15 +276,6 @@ func runMatrix(e *env, args []string) error {
 			return err
 		}
 	}
-	if *benchJSON != "" {
-		if *benchDist > 0 {
-			if err := mergeDistBench(*benchJSON, *benchDist, rep, time.Since(start), solveLat, leaseRTT); err != nil {
-				return err
-			}
-		} else if err := writeBenchJSON(*benchJSON, *benchPass, rep, time.Since(start), solveLat); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
@@ -341,367 +304,4 @@ func writeResultFile(path string, c *soft.MatrixCell) error {
 		return err
 	}
 	return f.Close()
-}
-
-// benchMetrics is one pass of the BENCH_matrix.json schema: the campaign
-// throughput numbers tracked across PRs. CellsPerSec measures exploration
-// throughput, so cached cells are excluded from its numerator — a cold
-// pass that found stale cache entries must not look faster than one that
-// explored everything. A fully cached pass (explored = 0) reports store
-// lookup throughput over all cells instead.
-type benchMetrics struct {
-	Cells        int     `json:"cells"`
-	Explored     int     `json:"explored"`
-	Cached       int     `json:"cached"`
-	Checks       int     `json:"checks"`
-	Paths        int     `json:"paths"`
-	ElapsedSec   float64 `json:"elapsed_sec"`
-	CellsPerSec  float64 `json:"cells_per_sec"`
-	CacheHitRate float64 `json:"cache_hit_rate"`
-	// SolverStats breaks the pass's solver work down (see benchSolverStats);
-	// fully cached passes legitimately report all zeros.
-	SolverStats *benchSolverStats `json:"solver_stats,omitempty"`
-}
-
-// benchSolverStats is the solver-side view of one bench pass: how the
-// satisfiability decisions were made (assumption-stack session vs
-// from-scratch per-path solver), how much structure was reused (activation
-// cache, merge memo, hash-cons table), and the clause-exchange volume.
-type benchSolverStats struct {
-	Queries           int64 `json:"queries"`
-	CacheHits         int64 `json:"cache_hits"`
-	AssumptionSolves  int64 `json:"assumption_solves"`
-	FullSolves        int64 `json:"full_solves"`
-	ConstraintsReused int64 `json:"constraints_reused"`
-	MergeHits         int64 `json:"merge_hits"`
-	InternHits        int64 `json:"intern_hits"`
-	ClauseExports     int64 `json:"clause_exports"`
-	ClauseImports     int64 `json:"clause_imports"`
-	// SolveLatencyP50Ns/P99Ns summarize the run's SAT solve-latency
-	// histogram (power-of-two buckets: the quantile is an upper bound
-	// within 2× of the true value). Zero when the pass did no local
-	// solving — fully cached and service-side runs.
-	SolveLatencyP50Ns int64 `json:"solve_latency_p50_ns,omitempty"`
-	SolveLatencyP99Ns int64 `json:"solve_latency_p99_ns,omitempty"`
-}
-
-func toBenchSolverStats(st soft.SolverStats, lat obs.HistogramSnapshot) *benchSolverStats {
-	b := &benchSolverStats{
-		Queries:           st.Queries,
-		CacheHits:         st.CacheHits,
-		AssumptionSolves:  st.AssumptionSolves,
-		FullSolves:        st.FullSolves,
-		ConstraintsReused: st.ConstraintsReused,
-		MergeHits:         st.MergeHits,
-		InternHits:        st.InternHits,
-		ClauseExports:     st.ClauseExports,
-		ClauseImports:     st.ClauseImports,
-	}
-	if lat.Count() > 0 {
-		b.SolveLatencyP50Ns = lat.Quantile(0.5)
-		b.SolveLatencyP99Ns = lat.Quantile(0.99)
-	}
-	return b
-}
-
-// benchFile is the whole BENCH_matrix.json: both passes of the cold/warm
-// pair, merged across the two `soft matrix -bench-json` invocations that
-// produce them. (The old single-object schema recorded only whichever
-// pass ran last — the warm numbers silently replaced the cold ones.)
-type benchFile struct {
-	Schema string        `json:"schema"`
-	Cold   *benchMetrics `json:"cold,omitempty"`
-	Warm   *benchMetrics `json:"warm,omitempty"`
-	Mixed  *benchMetrics `json:"mixed,omitempty"`
-	// ScenarioCold holds cold engine baselines from
-	// `soft explore -scenario X -workers N -bench-json`, keyed
-	// "<scenario>/w<N>" — raw paths/sec with no store in the loop (the
-	// ROADMAP "honest performance trajectory" numbers). Only default-mode
-	// runs (incremental solving, no merging) land here; explicit baseline
-	// and merge runs go to the Incremental object instead. Additive to the
-	// v2 schema: files without it parse unchanged.
-	ScenarioCold map[string]*scenarioBenchMetrics `json:"scenario_cold,omitempty"`
-	// ScenarioFamilies aggregates ScenarioCold per scenario across worker
-	// counts: total paths and elapsed, and one paths/sec over the sums.
-	// Individual sub-millisecond runs are pure timer noise — the family
-	// aggregate is the number worth tracking for fast scenarios.
-	ScenarioFamilies map[string]*scenarioFamilyMetrics `json:"scenario_families,omitempty"`
-	// Incremental holds before/after pairs for the incremental solver
-	// stack, keyed "<scenario>/w<N>": the same scenario run with
-	// -incremental=false (baseline) and -incremental (or -merge), with the
-	// speedup computed once both halves are in.
-	Incremental map[string]*incrementalBenchMetrics `json:"incremental,omitempty"`
-	// DistScaling holds fleet scaling points from
-	// `soft matrix -addr ... -bench-dist N -bench-json`, keyed "w<N>" by
-	// worker process count: campaign paths/sec plus the coordinator's
-	// lease round-trip quantiles at that fleet width. Additive to the v2
-	// schema: files without it parse unchanged.
-	DistScaling map[string]*distBenchMetrics `json:"dist_scaling,omitempty"`
-}
-
-// scenarioBenchMetrics is one cold scenario exploration: pure engine
-// throughput, no cache anywhere. PathsPerSec stays zero for runs faster
-// than benchMinElapsed — a ratio over a sub-millisecond denominator is
-// timer noise, not a throughput measurement (see ScenarioFamilies).
-type scenarioBenchMetrics struct {
-	Workers     int     `json:"workers"`
-	Paths       int     `json:"paths"`
-	ElapsedSec  float64 `json:"elapsed_sec"`
-	PathsPerSec float64 `json:"paths_per_sec,omitempty"`
-	// TooFast marks a run under benchMinElapsed whose paths/sec was
-	// deliberately not reported.
-	TooFast     bool              `json:"too_fast,omitempty"`
-	SolverStats *benchSolverStats `json:"solver_stats,omitempty"`
-}
-
-// scenarioFamilyMetrics aggregates every recorded worker count of one
-// scenario: noise-resistant totals for scenarios whose individual runs are
-// too fast to time.
-type scenarioFamilyMetrics struct {
-	Runs        int     `json:"runs"`
-	Paths       int     `json:"paths"`
-	ElapsedSec  float64 `json:"elapsed_sec"`
-	PathsPerSec float64 `json:"paths_per_sec,omitempty"`
-}
-
-// incrementalBenchMetrics is one before/after cell of the incremental
-// bench: the same scenario and worker count run with the per-path solver
-// baseline and with the assumption-stack session stack.
-type incrementalBenchMetrics struct {
-	Workers                int     `json:"workers"`
-	Paths                  int     `json:"paths"`
-	BaselinePathsPerSec    float64 `json:"baseline_paths_per_sec,omitempty"`
-	IncrementalPathsPerSec float64 `json:"incremental_paths_per_sec,omitempty"`
-	// Speedup is incremental over baseline, present once both halves ran.
-	Speedup float64 `json:"speedup,omitempty"`
-}
-
-// distBenchMetrics is one fleet-width point of the distributed scaling
-// bench: the same FlowMod matrix driven through a real TCP fleet at N
-// worker processes. Determinism makes every point's report byte-identical;
-// only the timing moves.
-type distBenchMetrics struct {
-	Workers     int     `json:"workers"`
-	Cells       int     `json:"cells"`
-	Explored    int     `json:"explored"`
-	Paths       int     `json:"paths"`
-	ElapsedSec  float64 `json:"elapsed_sec"`
-	PathsPerSec float64 `json:"paths_per_sec,omitempty"`
-	// LeaseRTTP50Ns/P99Ns summarize the coordinator's grant-to-first-
-	// result round trip per shard (power-of-two buckets: quantiles are
-	// upper bounds within 2×). Zero when the run granted no leases.
-	LeaseRTTP50Ns int64             `json:"lease_rtt_p50_ns,omitempty"`
-	LeaseRTTP99Ns int64             `json:"lease_rtt_p99_ns,omitempty"`
-	Leases        int64             `json:"leases,omitempty"`
-	SolverStats   *benchSolverStats `json:"solver_stats,omitempty"`
-}
-
-// mergeDistBench merges one fleet-width scaling point into the bench file
-// (same read-modify-write shape as writeBenchJSON, same schema).
-func mergeDistBench(path string, workers int, rep *soft.MatrixReport, elapsed time.Duration, solveLat, leaseRTT obs.HistogramSnapshot) error {
-	paths := 0
-	for i := range rep.Cells {
-		paths += rep.Cells[i].Paths
-	}
-	m := &distBenchMetrics{
-		Workers:     workers,
-		Cells:       len(rep.Cells),
-		Explored:    rep.CacheMisses,
-		Paths:       paths,
-		ElapsedSec:  elapsed.Seconds(),
-		SolverStats: toBenchSolverStats(rep.SolverStats, solveLat),
-	}
-	if s := elapsed.Seconds(); s > 0 && elapsed >= benchMinElapsed {
-		m.PathsPerSec = float64(paths) / s
-	}
-	if n := leaseRTT.Count(); n > 0 {
-		m.Leases = n
-		m.LeaseRTTP50Ns = leaseRTT.Quantile(0.5)
-		m.LeaseRTTP99Ns = leaseRTT.Quantile(0.99)
-	}
-
-	var f benchFile
-	if existing, err := os.ReadFile(path); err == nil {
-		var parsed benchFile
-		if json.Unmarshal(existing, &parsed) == nil && parsed.Schema == benchSchema {
-			f = parsed
-		}
-	}
-	f.Schema = benchSchema
-	if f.DistScaling == nil {
-		f.DistScaling = map[string]*distBenchMetrics{}
-	}
-	f.DistScaling[fmt.Sprintf("w%d", workers)] = m
-	data, err := json.MarshalIndent(&f, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// benchMinElapsed is the shortest run whose paths/sec is worth reporting;
-// anything faster is dominated by timer granularity and scheduler jitter.
-const benchMinElapsed = time.Millisecond
-
-// mergeScenarioBench merges one cold scenario run into the bench file
-// (same read-modify-write shape as writeBenchJSON, same schema).
-// Default-mode runs (incremental, no merge) refresh scenario_cold and the
-// family aggregates; every run also lands in its half of the incremental
-// before/after object.
-func mergeScenarioBench(path, scenarioName string, workers int, incremental, merge bool, res *soft.Result, solveLat obs.HistogramSnapshot) error {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	pathsPerSec := 0.0
-	tooFast := res.Elapsed < benchMinElapsed
-	if s := res.Elapsed.Seconds(); s > 0 && !tooFast {
-		pathsPerSec = float64(len(res.Paths)) / s
-	}
-
-	var f benchFile
-	if existing, err := os.ReadFile(path); err == nil {
-		var parsed benchFile
-		if json.Unmarshal(existing, &parsed) == nil && parsed.Schema == benchSchema {
-			f = parsed
-		}
-	}
-	f.Schema = benchSchema
-	key := fmt.Sprintf("%s/w%d", scenarioName, workers)
-
-	if incremental && !merge {
-		if f.ScenarioCold == nil {
-			f.ScenarioCold = map[string]*scenarioBenchMetrics{}
-		}
-		f.ScenarioCold[key] = &scenarioBenchMetrics{
-			Workers:     workers,
-			Paths:       len(res.Paths),
-			ElapsedSec:  res.Elapsed.Seconds(),
-			PathsPerSec: pathsPerSec,
-			TooFast:     tooFast,
-			SolverStats: toBenchSolverStats(res.SolverStats, solveLat),
-		}
-		f.ScenarioFamilies = aggregateFamilies(f.ScenarioCold)
-	}
-
-	if f.Incremental == nil {
-		f.Incremental = map[string]*incrementalBenchMetrics{}
-	}
-	inc := f.Incremental[key]
-	if inc == nil {
-		inc = &incrementalBenchMetrics{Workers: workers}
-		f.Incremental[key] = inc
-	}
-	inc.Paths = len(res.Paths)
-	if incremental {
-		inc.IncrementalPathsPerSec = pathsPerSec
-	} else {
-		inc.BaselinePathsPerSec = pathsPerSec
-	}
-	if inc.BaselinePathsPerSec > 0 && inc.IncrementalPathsPerSec > 0 {
-		inc.Speedup = inc.IncrementalPathsPerSec / inc.BaselinePathsPerSec
-	}
-
-	data, err := json.MarshalIndent(&f, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// aggregateFamilies recomputes the per-scenario totals from every recorded
-// scenario_cold entry (keys are "<scenario>/w<N>").
-func aggregateFamilies(cold map[string]*scenarioBenchMetrics) map[string]*scenarioFamilyMetrics {
-	if len(cold) == 0 {
-		return nil
-	}
-	fams := map[string]*scenarioFamilyMetrics{}
-	for key, m := range cold {
-		name := key
-		if i := strings.LastIndex(key, "/w"); i >= 0 {
-			name = key[:i]
-		}
-		fam := fams[name]
-		if fam == nil {
-			fam = &scenarioFamilyMetrics{}
-			fams[name] = fam
-		}
-		fam.Runs++
-		fam.Paths += m.Paths
-		fam.ElapsedSec += m.ElapsedSec
-	}
-	for _, fam := range fams {
-		if fam.ElapsedSec > 0 {
-			fam.PathsPerSec = float64(fam.Paths) / fam.ElapsedSec
-		}
-	}
-	return fams
-}
-
-const benchSchema = "soft-bench-matrix v2"
-
-// classifyBenchPass resolves -bench-pass=auto from the run's cache
-// counters: no hits is a cold pass, no misses (with at least one hit) a
-// warm one, anything else mixed.
-func classifyBenchPass(pass string, rep *soft.MatrixReport) string {
-	if pass != "auto" {
-		return pass
-	}
-	switch {
-	case rep.CacheHits == 0:
-		return "cold"
-	case rep.CacheMisses == 0 && rep.CacheHits > 0:
-		return "warm"
-	default:
-		return "mixed"
-	}
-}
-
-func writeBenchJSON(path, pass string, rep *soft.MatrixReport, elapsed time.Duration, solveLat obs.HistogramSnapshot) error {
-	paths := 0
-	for i := range rep.Cells {
-		paths += rep.Cells[i].Paths
-	}
-	m := &benchMetrics{
-		Cells:      len(rep.Cells),
-		Explored:   rep.CacheMisses,
-		Cached:     rep.CacheHits,
-		Checks:     len(rep.Checks),
-		Paths:      paths,
-		ElapsedSec: elapsed.Seconds(),
-	}
-	if s := elapsed.Seconds(); s > 0 {
-		if rep.CacheMisses > 0 {
-			m.CellsPerSec = float64(rep.CacheMisses) / s
-		} else {
-			m.CellsPerSec = float64(len(rep.Cells)) / s
-		}
-	}
-	if len(rep.Cells) > 0 {
-		m.CacheHitRate = float64(rep.CacheHits) / float64(len(rep.Cells))
-	}
-	m.SolverStats = toBenchSolverStats(rep.SolverStats, solveLat)
-
-	// Merge with the passes already on disk so cold and warm runs build one
-	// file between them; a file in the old flat schema is replaced.
-	var f benchFile
-	if existing, err := os.ReadFile(path); err == nil {
-		var parsed benchFile
-		if json.Unmarshal(existing, &parsed) == nil && parsed.Schema == benchSchema {
-			f = parsed
-		}
-	}
-	f.Schema = benchSchema
-	switch classifyBenchPass(pass, rep) {
-	case "cold":
-		f.Cold = m
-	case "warm":
-		f.Warm = m
-	default:
-		f.Mixed = m
-	}
-	data, err := json.MarshalIndent(&f, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

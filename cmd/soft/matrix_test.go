@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"net"
 	"os"
 	"path/filepath"
@@ -11,21 +10,19 @@ import (
 
 // TestMatrixCLI drives a fleetless 2×2 campaign through the CLI: cold run
 // with a store, warm re-run hitting every cell, byte-identical canonical
-// reports, per-cell results files matching `soft explore`, and a bench
-// JSON with a full cache-hit rate on the warm pass.
+// reports, and per-cell results files matching `soft explore`.
 func TestMatrixCLI(t *testing.T) {
 	dir := t.TempDir()
 	storeDir := filepath.Join(dir, "store")
 	cellsDir := filepath.Join(dir, "cells")
 	coldReport := filepath.Join(dir, "cold.report")
 	warmReport := filepath.Join(dir, "warm.report")
-	benchFile := filepath.Join(dir, "bench.json")
 
 	args := []string{
 		"matrix", "-agents", "ref,modified", "-tests", "Packet Out,Stats Request",
 		"-store", storeDir, "-code-version", "cli-test",
 	}
-	stdout, stderr, code := runCLI(t, append(args, "-results-dir", cellsDir, "-o", coldReport, "-bench-json", benchFile)...)
+	stdout, stderr, code := runCLI(t, append(args, "-results-dir", cellsDir, "-o", coldReport)...)
 	if code != 0 {
 		t.Fatalf("cold soft matrix: exit %d, stderr:\n%s", code, stderr)
 	}
@@ -59,7 +56,7 @@ func TestMatrixCLI(t *testing.T) {
 	}
 
 	// Warm run: every cell cached, canonical report byte-identical.
-	stdout, stderr, code = runCLI(t, append(args, "-o", warmReport, "-bench-json", benchFile, "-v")...)
+	stdout, stderr, code = runCLI(t, append(args, "-o", warmReport, "-v")...)
 	if code != 0 {
 		t.Fatalf("warm soft matrix: exit %d, stderr:\n%s", code, stderr)
 	}
@@ -82,37 +79,6 @@ func TestMatrixCLI(t *testing.T) {
 	}
 	if !strings.HasPrefix(string(cold), "soft-matrix v1\n") {
 		t.Fatalf("report does not start with the versioned magic line:\n%s", cold[:60])
-	}
-
-	// Both passes of the campaign must coexist in the bench file: the warm
-	// run merges alongside the cold numbers instead of overwriting them.
-	type benchPass struct {
-		Cells        int     `json:"cells"`
-		Explored     int     `json:"explored"`
-		Cached       int     `json:"cached"`
-		CacheHitRate float64 `json:"cache_hit_rate"`
-		CellsPerSec  float64 `json:"cells_per_sec"`
-	}
-	var bench struct {
-		Schema string     `json:"schema"`
-		Cold   *benchPass `json:"cold"`
-		Warm   *benchPass `json:"warm"`
-	}
-	data, err := os.ReadFile(benchFile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(data, &bench); err != nil {
-		t.Fatalf("bench json: %v\n%s", err, data)
-	}
-	if bench.Schema != "soft-bench-matrix v2" {
-		t.Errorf("bench schema = %q", bench.Schema)
-	}
-	if bench.Cold == nil || bench.Cold.Explored != 4 || bench.Cold.CacheHitRate != 0 || bench.Cold.CellsPerSec <= 0 {
-		t.Errorf("cold bench pass wrong or overwritten: %+v", bench.Cold)
-	}
-	if bench.Warm == nil || bench.Warm.Cells != 4 || bench.Warm.Cached != 4 || bench.Warm.CacheHitRate != 1.0 || bench.Warm.CellsPerSec <= 0 {
-		t.Errorf("warm bench pass wrong: %+v", bench.Warm)
 	}
 
 	// A different code version against the same store is refused up front
@@ -147,7 +113,6 @@ func TestMatrixCLIUsageErrors(t *testing.T) {
 		{"matrix", "-agents", "no-such-agent"},
 		{"matrix", "-tests", "No Such Test"},
 		{"matrix", "-shard-depth", "banana"},
-		{"matrix", "-bench-pass", "tepid"},
 		{"matrix", "-service", "http://127.0.0.1:1", "-store", "somewhere"},
 		{"matrix", "-service", "http://127.0.0.1:1", "-addr", ":0"},
 		{"matrix", "extra-arg"},

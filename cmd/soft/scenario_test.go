@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,8 +9,7 @@ import (
 
 // TestScenarioCLI drives the scenario surface of the CLI: the listing,
 // explore -scenario (with determinism across worker counts on the byte
-// level), the bench-JSON merge, and a matrix with scenario columns warmed
-// through a store.
+// level), and a matrix with scenario columns warmed through a store.
 func TestScenarioCLI(t *testing.T) {
 	dir := t.TempDir()
 
@@ -28,13 +26,17 @@ func TestScenarioCLI(t *testing.T) {
 	// explore -scenario, sequential vs parallel: byte-identical results.
 	seqOut := filepath.Join(dir, "seq.results")
 	parOut := filepath.Join(dir, "par.results")
-	bench := filepath.Join(dir, "bench.json")
 	if _, stderr, code := runCLI(t, "explore", "-scenario", "Add Delete Probe", "-workers", "1", "-o", seqOut); code != 0 {
 		t.Fatalf("explore -scenario -workers 1: exit %d\n%s", code, stderr)
 	}
-	if _, stderr, code := runCLI(t, "explore", "-scenario", "Add Delete Probe", "-workers", "4",
-		"-bench-json", bench, "-o", parOut); code != 0 {
+	_, stderr, code = runCLI(t, "explore", "-scenario", "Add Delete Probe", "-workers", "4", "-v", "-o", parOut)
+	if code != 0 {
 		t.Fatalf("explore -scenario -workers 4: exit %d\n%s", code, stderr)
+	}
+	// The default explore mode is incremental: the run must have been
+	// answered by assumption solves, never per-path full solves.
+	if !strings.Contains(stderr, "assumption solves, 0 full solves") {
+		t.Fatalf("explore -scenario -v: solver stats not from an incremental run:\n%s", stderr)
 	}
 	seq, err := os.ReadFile(seqOut)
 	if err != nil {
@@ -48,71 +50,12 @@ func TestScenarioCLI(t *testing.T) {
 		t.Fatal("scenario exploration differs between -workers 1 and -workers 4")
 	}
 
-	// A baseline run of the same scenario fills the other half of the
-	// incremental before/after object.
-	if _, stderr, code := runCLI(t, "explore", "-scenario", "Add Delete Probe", "-workers", "4",
-		"-incremental=false", "-bench-json", bench, "-o", os.DevNull); code != 0 {
-		t.Fatalf("explore -incremental=false: exit %d\n%s", code, stderr)
-	}
-
-	var benchDoc struct {
-		Schema       string `json:"schema"`
-		ScenarioCold map[string]struct {
-			SolverStats *struct {
-				AssumptionSolves int64 `json:"assumption_solves"`
-				FullSolves       int64 `json:"full_solves"`
-			} `json:"solver_stats"`
-		} `json:"scenario_cold"`
-		ScenarioFamilies map[string]struct {
-			Runs  int `json:"runs"`
-			Paths int `json:"paths"`
-		} `json:"scenario_families"`
-		Incremental map[string]struct {
-			Workers int `json:"workers"`
-		} `json:"incremental"`
-	}
-	data, err := os.ReadFile(bench)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(data, &benchDoc); err != nil {
-		t.Fatalf("bench JSON: %v\n%s", err, data)
-	}
-	coldEntry, ok := benchDoc.ScenarioCold["Add Delete Probe/w4"]
-	if !ok {
-		t.Fatalf("bench JSON misses scenario_cold[\"Add Delete Probe/w4\"]:\n%s", data)
-	}
-	// The default explore mode is incremental: the run must have been
-	// answered by assumption solves, never per-path full solves.
-	if coldEntry.SolverStats == nil || coldEntry.SolverStats.AssumptionSolves == 0 || coldEntry.SolverStats.FullSolves != 0 {
-		t.Fatalf("scenario_cold solver_stats not from an incremental run:\n%s", data)
-	}
-	if fam, ok := benchDoc.ScenarioFamilies["Add Delete Probe"]; !ok || fam.Runs == 0 || fam.Paths == 0 {
-		t.Fatalf("bench JSON misses scenario_families[\"Add Delete Probe\"]:\n%s", data)
-	}
-	if inc, ok := benchDoc.Incremental["Add Delete Probe/w4"]; !ok || inc.Workers != 4 {
-		t.Fatalf("bench JSON misses incremental[\"Add Delete Probe/w4\"]:\n%s", data)
-	}
-
 	// Flag validation.
 	if _, stderr, code := runCLI(t, "explore", "-scenario", "no such"); code != 2 || !strings.Contains(stderr, "unknown scenario") {
 		t.Fatalf("explore -scenario bogus: exit %d\n%s", code, stderr)
 	}
 	if _, stderr, code := runCLI(t, "explore", "-scenario", "Add Modify", "-test", "Packet Out"); code != 2 || !strings.Contains(stderr, "mutually exclusive") {
 		t.Fatalf("explore -scenario -test: exit %d\n%s", code, stderr)
-	}
-	// -bench-json also accepts plain Table 1 test runs, keyed by test name
-	// (the bench-incremental Makefile target records FlowMod this way).
-	if _, stderr, code := runCLI(t, "explore", "-test", "Concrete", "-workers", "1",
-		"-bench-json", bench, "-o", os.DevNull); code != 0 {
-		t.Fatalf("explore -test -bench-json: exit %d\n%s", code, stderr)
-	}
-	testBench, err := os.ReadFile(bench)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(testBench), `"Concrete/w1"`) {
-		t.Fatalf("bench JSON misses test-keyed entry \"Concrete/w1\":\n%s", testBench)
 	}
 	if _, stderr, code := runCLI(t, "matrix", "-scenarios", "no such"); code != 2 || !strings.Contains(stderr, "unknown scenario") {
 		t.Fatalf("matrix -scenarios bogus: exit %d\n%s", code, stderr)

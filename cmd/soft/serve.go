@@ -29,7 +29,6 @@ func runServe(e *env, args []string) error {
 	maxPaths := fs.Int("max-paths", 0, "cap on explored paths (0 = default); distributed truncation is canonical")
 	models := fs.Bool("models", true, "extract a concrete input example per path")
 	incremental := fs.Bool("incremental", true, "workers keep one assumption-stack solver session per exploration worker (results are byte-identical either way)")
-	merge := fs.Bool("merge", false, "workers use diamond state merging (implies -incremental; results are byte-identical either way)")
 	shardDepth := fs.String("shard-depth", "", "frontier split depth: an integer (forks deeper than this become worker shards), or \"auto\" for progress-driven balancing")
 	leaseTimeout := fs.Duration("lease-timeout", 0, "re-offer a shard not completed in this long (0 = default, negative = never)")
 	canonicalCut := fs.Bool("canonical-cut", true, "keep the canonically smallest max-paths paths instead of the first to complete")
@@ -39,7 +38,7 @@ func runServe(e *env, args []string) error {
 	traceOut := fs.String("trace", "", "write a Chrome-trace-event JSON of this run's spans — coordinator and workers merged — to this file (results are byte-identical either way)")
 	logFormat := logFormatFlag(fs)
 	progress := fs.Bool("progress", false, "report lease grants and exploration progress on stderr")
-	verbose := fs.Bool("v", false, "report aggregated solver statistics (queries, cache hits, clause exchange) on stderr")
+	verbose := fs.Bool("v", false, "report aggregated solver statistics (queries, cache hits, sessions) on stderr")
 	if err := parse(fs, args); err != nil {
 		return err
 	}
@@ -103,7 +102,6 @@ func runServe(e *env, args []string) error {
 		soft.WithMaxPaths(*maxPaths),
 		soft.WithModels(*models),
 		soft.WithIncrementalSolver(*incremental),
-		soft.WithStateMerging(*merge),
 		soft.WithShardDepth(depth),
 		soft.WithAdaptiveShards(adaptive),
 		soft.WithLeaseTimeout(*leaseTimeout),

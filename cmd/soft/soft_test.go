@@ -58,8 +58,8 @@ func TestExploreDiffE2E(t *testing.T) {
 		}
 	}
 
-	// The diff report must be byte-identical across worker counts and cache
-	// modes (the summary line carries wall-clock time, so compare from the
+	// The diff report must be byte-identical across worker counts (the
+	// summary line carries wall-clock time, so compare from the
 	// first inconsistency on).
 	body := func(out string) string {
 		if i := strings.Index(out, "\n"); i >= 0 {
@@ -74,7 +74,7 @@ func TestExploreDiffE2E(t *testing.T) {
 	for _, args := range [][]string{
 		{"diff", "-workers", "1", refOut, modOut},
 		{"diff", "-workers", "4", refOut, modOut},
-		{"diff", "-workers", "4", "-shared-cache=false", "-v", refOut, modOut},
+		{"diff", "-workers", "4", "-v", refOut, modOut},
 	} {
 		out2, stderr2, code2 := runCLI(t, args...)
 		if code2 != 0 {
@@ -117,22 +117,22 @@ func normalizeElapsed(t *testing.T, data []byte) []byte {
 	return bytes.Join(lines, []byte("\n"))
 }
 
-// TestExploreDeterminismFlags is the CLI acceptance check for the shared
-// solver stack: `soft explore` output must be byte-identical (modulo the
-// elapsed line) across every combination of -workers and -clause-sharing.
+// TestExploreDeterminismFlags is the CLI acceptance check for the solver
+// stack: `soft explore` output must be byte-identical (modulo the elapsed
+// line) across every combination of -workers and -incremental.
 func TestExploreDeterminismFlags(t *testing.T) {
 	dir := t.TempDir()
 	var want []byte
 	for _, workers := range []string{"1", "4"} {
-		for _, sharing := range []string{"false", "true"} {
-			out := filepath.Join(dir, "w"+workers+"s"+sharing+".txt")
+		for _, incremental := range []string{"false", "true"} {
+			out := filepath.Join(dir, "w"+workers+"i"+incremental+".txt")
 			_, stderr, code := runCLI(t, "explore", "-agent", "ref", "-test", "Packet Out",
-				"-workers", workers, "-clause-sharing="+sharing, "-v", "-o", out)
+				"-workers", workers, "-incremental="+incremental, "-v", "-o", out)
 			if code != 0 {
-				t.Fatalf("soft explore -workers %s -clause-sharing=%s: exit %d, stderr:\n%s",
-					workers, sharing, code, stderr)
+				t.Fatalf("soft explore -workers %s -incremental=%s: exit %d, stderr:\n%s",
+					workers, incremental, code, stderr)
 			}
-			if !strings.Contains(stderr, "solver:") || !strings.Contains(stderr, "clause exchange:") {
+			if !strings.Contains(stderr, "solver:") || !strings.Contains(stderr, "sessions:") {
 				t.Errorf("-v did not report solver statistics: %q", stderr)
 			}
 			data, err := os.ReadFile(out)
@@ -145,7 +145,7 @@ func TestExploreDeterminismFlags(t *testing.T) {
 				continue
 			}
 			if !bytes.Equal(data, want) {
-				t.Fatalf("-workers %s -clause-sharing=%s produced different result bytes", workers, sharing)
+				t.Fatalf("-workers %s -incremental=%s produced different result bytes", workers, incremental)
 			}
 		}
 	}

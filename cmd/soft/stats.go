@@ -8,8 +8,8 @@ import (
 )
 
 // describeStats renders one stage's solver statistics for -v output: how
-// hard the solver worked, how much the query cache saved, and how many
-// learned clauses crossed the inter-worker exchange. branchQueries < 0
+// hard the solver worked, how much the query cache saved, and how much the
+// incremental sessions reused. branchQueries < 0
 // omits the exploration-only frontier counter (crosscheck has none).
 func describeStats(st soft.SolverStats, branchQueries int64) string {
 	s := fmt.Sprintf("solver: %d queries, %d cache hits", st.Queries, st.CacheHits)
@@ -23,13 +23,8 @@ func describeStats(st soft.SolverStats, branchQueries int64) string {
 		s += fmt.Sprintf("; sessions: %d assumption solves, %d full solves, %d constraints reused",
 			st.AssumptionSolves, st.FullSolves, st.ConstraintsReused)
 	}
-	if st.MergeHits > 0 {
-		s += fmt.Sprintf(", %d merge hits", st.MergeHits)
-	}
 	if st.InternHits > 0 {
 		s += fmt.Sprintf("; intern: %d hits", st.InternHits)
 	}
-	s += fmt.Sprintf("; clause exchange: %d exported, %d imported",
-		st.ClauseExports, st.ClauseImports)
 	return s
 }

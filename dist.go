@@ -34,7 +34,7 @@ type DistResult = harness.MergedResult
 // meaning, so no result is returned.
 //
 // Serve blocks until the run completes. Options: WithMaxPaths,
-// WithMaxDepth, WithModels, WithClauseSharing (forwarded to workers),
+// WithMaxDepth, WithModels, WithIncrementalSolver (forwarded to workers),
 // WithShardDepth, WithAdaptiveShards (progress-driven shard balancing),
 // WithLeaseTimeout, WithCanonicalCut, WithProgress, WithLog.
 //
@@ -61,9 +61,7 @@ func ServeListener(ctx context.Context, ln net.Listener, agent, test string, opt
 		MaxPaths:       cfg.maxPaths,
 		MaxDepth:       cfg.maxDepth,
 		WantModels:     cfg.models,
-		ClauseSharing:  cfg.clauseSharing,
 		Incremental:    cfg.incremental,
-		Merge:          cfg.merge,
 		NoCanonicalCut: !cfg.canonicalCutOr(true),
 		ShardDepth:     cfg.shardDepth,
 		AdaptiveShards: cfg.adaptiveShards,

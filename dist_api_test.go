@@ -103,7 +103,7 @@ func TestServeMatchesExplore(t *testing.T) {
 	if st == nil {
 		t.Fatal("no final progress event carried solver statistics")
 	}
-	if st.ClauseExports != res.SolverStats.ClauseExports || st.Queries != res.SolverStats.Queries {
+	if st.AssumptionSolves != res.SolverStats.AssumptionSolves || st.Queries != res.SolverStats.Queries {
 		t.Fatalf("final event stats %+v differ from merged result stats %+v", *st, res.SolverStats)
 	}
 }

@@ -27,33 +27,12 @@ import (
 // pre-order traversal of each asserted expression, before any auxiliary
 // Tseitin variables for that expression — never by gate-allocation order.
 // Two Blasters asserting the same expression sequence therefore emit
-// byte-identical CNF (TestCanonicalCNF pins this), and Blasters attached to
-// a shared Space additionally agree on the absolute indices of all shared
-// input bits, the invariant inter-worker clause exchange relies on.
+// byte-identical CNF (TestCanonicalCNF pins this).
 type Blaster struct {
 	S     *sat.Solver
 	vars  map[string][]sat.Lit // bitvector variable -> bit literals (LSB first)
 	memo  map[*sym.Expr][]sat.Lit
 	ltrue sat.Lit // literal constrained to true
-
-	// space, when non-nil, supplies canonical indices for named variables
-	// and Tseitin gates. While synced, this Blaster's variable layout is a
-	// lazy mirror of the space's: local index == canonical index for every
-	// variable below sharedLimit (== the local variable count), with index
-	// gaps left unconstrained for structure other paths own. The first
-	// fallback to private numbering (shared region full, or a hash
-	// collision claiming an index twice) freezes sharedLimit: indices below
-	// it stay canonical, everything above is private.
-	space       *Space
-	sharedLimit int
-	synced      bool
-	usedShared  []bool // canonical indices already claimed by this Blaster
-
-	// nodeHash/nodeSeq form the encoding stack for canonical gate
-	// numbering: the structural hash of each expression node being encoded,
-	// and the ordinal of the next gate within that node.
-	nodeHash []uint64
-	nodeSeq  []int
 
 	// Clauses counts CNF clauses added; Aux counts auxiliary variables.
 	Clauses int
@@ -72,69 +51,8 @@ func New() *Blaster {
 	return b
 }
 
-// NewShared creates a Blaster whose variables follow sp's canonical
-// numbering and whose SAT core exchanges short learned clauses through sp's
-// ring. A nil space degrades to New.
-func NewShared(sp *Space) *Blaster {
-	b := New()
-	if sp == nil {
-		return b
-	}
-	b.space = sp
-	b.synced = true
-	b.sharedLimit = b.S.NumVars() // just the constant-true variable so far
-	b.S.Share(sp.ring, b.sharedLimit)
-	return b
-}
-
-// claimShared makes the canonical index range [base, base+w) usable in this
-// Blaster: inside the mirrored prefix it checks the indices are unclaimed
-// (a structural-hash collision would otherwise alias two distinct gates,
-// corrupting local answers); beyond it, a still-synced Blaster grows its
-// mirror, allocating gap variables that stay unconstrained. Returns false
-// — and freezes the mirror — when the range cannot be claimed.
-func (b *Blaster) claimShared(base, w int) bool {
-	if base+w > b.sharedLimit {
-		if !b.synced {
-			return false
-		}
-		for b.S.NumVars() < base+w {
-			b.S.NewVar()
-		}
-		b.sharedLimit = b.S.NumVars()
-		b.S.SetShareLimit(b.sharedLimit)
-	}
-	for len(b.usedShared) < base+w {
-		b.usedShared = append(b.usedShared, false)
-	}
-	for i := base; i < base+w; i++ {
-		if b.usedShared[i] {
-			b.synced = false
-			return false
-		}
-	}
-	for i := base; i < base+w; i++ {
-		b.usedShared[i] = true
-	}
-	return true
-}
-
 func (b *Blaster) newLit() sat.Lit {
 	b.Aux++
-	if b.space != nil && len(b.nodeHash) > 0 {
-		// Canonical gate numbering: key the auxiliary variable by the node
-		// being encoded and the gate's ordinal within it.
-		top := len(b.nodeSeq) - 1
-		k := gateKey{hash: b.nodeHash[top], ord: b.nodeSeq[top]}
-		b.nodeSeq[top]++
-		if v, ok := b.space.reserveGate(k); ok {
-			if b.claimShared(v, 1) {
-				return sat.MkLit(v, false)
-			}
-		} else {
-			b.synced = false
-		}
-	}
 	return sat.MkLit(b.S.NewVar(), false)
 }
 
@@ -151,30 +69,13 @@ func (b *Blaster) constLit(v bool) sat.Lit {
 }
 
 // VarBits returns (creating on first use) the bit literals of the named
-// bitvector variable. With a shared Space the bits are the variable's
-// canonical indices when the name was registered before this Blaster was
-// created; names first seen later are registered for future Blasters but
-// numbered privately here (and so excluded from clause exchange).
+// bitvector variable.
 func (b *Blaster) VarBits(name string, w int) []sat.Lit {
 	if bits, ok := b.vars[name]; ok {
 		if len(bits) != w {
 			panic(fmt.Sprintf("bitblast: variable %q used with widths %d and %d", name, len(bits), w))
 		}
 		return bits
-	}
-	if b.space != nil {
-		if base, ok := b.space.reserve(name, w); ok {
-			if b.claimShared(base, w) {
-				bits := make([]sat.Lit, w)
-				for i := range bits {
-					bits[i] = sat.MkLit(base+i, false)
-				}
-				b.vars[name] = bits
-				return bits
-			}
-		} else {
-			b.synced = false
-		}
 	}
 	bits := make([]sat.Lit, w)
 	for i := range bits {
@@ -319,8 +220,6 @@ func (b *Blaster) enc(e *sym.Expr) []sat.Lit {
 	if bits, ok := b.memo[e]; ok {
 		return bits
 	}
-	b.pushNode(e)
-	defer b.popNode()
 	var bits []sat.Lit
 	switch e.Op {
 	case sym.OpConst:
@@ -410,8 +309,6 @@ func (b *Blaster) enc1(e *sym.Expr) sat.Lit {
 	if bits, ok := b.memo[e]; ok {
 		return bits[0]
 	}
-	b.pushNode(e)
-	defer b.popNode()
 	var l sat.Lit
 	switch e.Op {
 	case sym.OpBool:
@@ -450,26 +347,6 @@ func (b *Blaster) enc1(e *sym.Expr) sat.Lit {
 	}
 	b.memo[e] = []sat.Lit{l}
 	return l
-}
-
-// pushNode/popNode maintain the encoding stack so newLit can attribute
-// auxiliary variables to the expression node whose encoding allocates them.
-// The gates of a node are emitted deterministically from its children's
-// literals, so (node hash, ordinal) is a stable cross-worker key.
-func (b *Blaster) pushNode(e *sym.Expr) {
-	if b.space == nil {
-		return
-	}
-	b.nodeHash = append(b.nodeHash, e.Hash())
-	b.nodeSeq = append(b.nodeSeq, 0)
-}
-
-func (b *Blaster) popNode() {
-	if b.space == nil {
-		return
-	}
-	b.nodeHash = b.nodeHash[:len(b.nodeHash)-1]
-	b.nodeSeq = b.nodeSeq[:len(b.nodeSeq)-1]
 }
 
 // andGate returns a literal g with g <-> x AND y.

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"github.com/soft-testing/soft/internal/sat"
 	"github.com/soft-testing/soft/internal/sym"
 )
 
@@ -64,95 +63,6 @@ func TestCanonicalCNF(t *testing.T) {
 	}
 }
 
-// TestCanonicalCNFShared repeats the check for Space-attached blasters: on
-// top of identical CNF, every worker must map the named variables to the
-// same absolute indices (the clause-exchange invariant).
-func TestCanonicalCNFShared(t *testing.T) {
-	sp := NewSpace(0)
-	// Register the variables deterministically before spawning workers, as
-	// the engine's first path would.
-	seed := NewShared(sp)
-	seed.Assert(testExpr())
-	ref := cnfFingerprint(seed)
-	wantVars := map[string][]sat.Lit{}
-	for n, bits := range seed.vars {
-		wantVars[n] = bits
-	}
-
-	const workers = 8
-	var wg sync.WaitGroup
-	errs := make(chan error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			b := NewShared(sp)
-			b.Assert(testExpr())
-			if g := cnfFingerprint(b); g != ref {
-				errs <- fmt.Errorf("shared blaster CNF differs:\n--- ref\n%s\n--- got\n%s", ref, g)
-				return
-			}
-			for n, bits := range b.vars {
-				if !reflect.DeepEqual(bits, wantVars[n]) {
-					errs <- fmt.Errorf("variable %q numbered %v, want canonical %v", n, bits, wantVars[n])
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-}
-
-// TestSharedSpaceCrossBlasterNumbering: blasters encoding overlapping
-// expressions agree on the canonical indices of everything they both
-// touch — names registered by one blaster are numbered identically in
-// later ones, and a still-synced blaster lazily mirrors indices the space
-// handed out after its creation.
-func TestSharedSpaceCrossBlasterNumbering(t *testing.T) {
-	sp := NewSpace(0)
-	first := NewShared(sp)
-	first.Assert(sym.EqConst(sym.Var("a", 8), 1)) // registers a at base 1
-
-	second := NewShared(sp)
-	second.Assert(sym.EqConst(sym.Var("b", 8), 2)) // registers b after a's block
-
-	if got := second.vars["b"][0].Var(); got <= 8 {
-		t.Fatalf("b numbered from %d, want an index after a's canonical block 1..8", got)
-	}
-	// first is still synced, so touching b grows its mirror to the same
-	// canonical base instead of numbering it privately.
-	first.Assert(sym.EqConst(sym.Var("b", 8), 3))
-	if got, want := first.vars["b"][0].Var(), second.vars["b"][0].Var(); got != want {
-		t.Fatalf("b numbered %d in first blaster, %d in second", got, want)
-	}
-	// A third blaster sees both names at the same canonical indices.
-	third := NewShared(sp)
-	third.Assert(sym.LAnd(sym.EqConst(sym.Var("a", 8), 1), sym.EqConst(sym.Var("b", 8), 2)))
-	if got := third.vars["a"][0].Var(); got != 1 {
-		t.Fatalf("a numbered from %d, want canonical base 1", got)
-	}
-	if got, want := third.vars["b"][0].Var(), second.vars["b"][0].Var(); got != want {
-		t.Fatalf("b numbered %d in third blaster, %d in second", got, want)
-	}
-	if !third.Solve() {
-		t.Fatal("a==1 && b==2 must be satisfiable")
-	}
-	// All three blasters remain independently solvable and correct.
-	if !first.Solve() {
-		t.Fatal("a==1 && b==3 must be satisfiable")
-	}
-	if m := first.CanonicalModel(); m["a"] != 1 || m["b"] != 3 {
-		t.Fatalf("first blaster model %v, want a=1 b=3", m)
-	}
-	if !second.Solve() {
-		t.Fatal("b==2 must be satisfiable")
-	}
-}
-
 // TestCanonicalModel: the canonical witness is the numerically smallest
 // model (variables minimized in name order) and does not depend on the
 // solving history that preceded its extraction.
@@ -193,36 +103,5 @@ func TestCanonicalModel(t *testing.T) {
 	}
 	if !b1.SolveAssuming(sym.EqConst(x, 42)) {
 		t.Fatal("x==42 must remain satisfiable")
-	}
-}
-
-// TestSharedBlasterEndToEnd: two shared blasters with overlapping
-// constraints solve correctly with clause exchange active, and answers
-// match unshared blasters on the same constraints.
-func TestSharedBlasterEndToEnd(t *testing.T) {
-	x := sym.Var("x", 8)
-	conds := []*sym.Expr{
-		sym.LAnd(sym.Ult(x, sym.Const(8, 50)), sym.Ugt(x, sym.Const(8, 40))),
-		sym.LAnd(sym.Ult(x, sym.Const(8, 50)), sym.Ugt(x, sym.Const(8, 60))),
-		sym.EqConst(sym.And(x, sym.Const(8, 0x0f)), 0x05),
-	}
-	want := make([]bool, len(conds))
-	for i, c := range conds {
-		b := New()
-		b.Assert(c)
-		want[i] = b.Solve()
-	}
-	sp := NewSpace(0)
-	for round := 0; round < 3; round++ {
-		for i, c := range conds {
-			b := NewShared(sp)
-			b.Assert(c)
-			if got := b.Solve(); got != want[i] {
-				t.Fatalf("round %d cond %d: shared answer %t, want %t", round, i, got, want[i])
-			}
-			if got := b.Solve(); got != want[i] {
-				t.Fatalf("round %d cond %d: re-solve flipped to %t", round, i, got)
-			}
-		}
 	}
 }

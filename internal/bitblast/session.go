@@ -2,7 +2,6 @@ package bitblast
 
 import (
 	"sort"
-	"strconv"
 	"time"
 
 	"github.com/soft-testing/soft/internal/sat"
@@ -44,8 +43,7 @@ type Session struct {
 	// acts caches the activation literal per asserted conjunct. Keys are
 	// canonical (hash-consed) nodes, so sibling paths hit by pointer; the
 	// hash index below catches structurally equal nodes that escaped
-	// interning (table cap) and doubles as the collision guard for the
-	// canonical activation-variable names.
+	// interning (table cap).
 	acts    map[*sym.Expr]sat.Lit
 	actHash map[uint64]*sym.Expr
 
@@ -72,13 +70,10 @@ type Session struct {
 	AssumptionSolves  int64
 }
 
-// NewSession creates a Session. With a non-nil Space the session's variable
-// numbering is canonical and its SAT core joins the space's learned-clause
-// exchange, exactly as NewShared; activation variables are registered in the
-// space (named by conjunct hash) so the canonical mirror stays intact.
-func NewSession(sp *Space) *Session {
+// NewSession creates a Session over a fresh Blaster.
+func NewSession() *Session {
 	return &Session{
-		b:        NewShared(sp),
+		b:        New(),
 		acts:     make(map[*sym.Expr]sat.Lit),
 		actHash:  make(map[uint64]*sym.Expr),
 		varsOf:   make(map[*sym.Expr][]varRef),
@@ -183,7 +178,7 @@ func (s *Session) actFor(e *sym.Expr) sat.Lit {
 	if lit == s.b.constLit(true) || lit == s.b.constLit(false) {
 		a = lit
 	} else {
-		a = s.newActLit(e)
+		a = s.b.newLit()
 		s.b.addClause(a.Not(), lit)
 	}
 	s.acts[e] = a
@@ -191,27 +186,6 @@ func (s *Session) actFor(e *sym.Expr) sat.Lit {
 		s.actHash[e.Hash()] = e
 	}
 	return a
-}
-
-// newActLit allocates the activation variable for conjunct e. With a shared
-// space the variable is registered under a canonical name derived from e's
-// structural hash, keeping the blaster's index mirror synced (a private
-// allocation while synced would alias a later canonical claim). A hash
-// collision between distinct conjuncts, or a full shared region, falls back
-// to private numbering after desyncing — exactly VarBits' degradation path.
-func (s *Session) newActLit(e *sym.Expr) sat.Lit {
-	b := s.b
-	if b.space != nil && b.synced {
-		if prev, ok := s.actHash[e.Hash()]; !ok || sym.Equal(prev, e) {
-			name := "!act/" + strconv.FormatUint(e.Hash(), 16)
-			if base, ok := b.space.reserve(name, 1); ok && b.claimShared(base, 1) {
-				return sat.MkLit(base, false)
-			}
-		}
-		b.synced = false
-	}
-	b.Aux++
-	return sat.MkLit(b.S.NewVar(), false)
 }
 
 // solve runs one satisfiability decision under the current stack plus extra
@@ -244,43 +218,6 @@ func (s *Session) SolveAssuming(es ...*sym.Expr) bool {
 		extra[i] = s.b.enc1(e)
 	}
 	return s.solve(extra...)
-}
-
-// SolveSubset decides satisfiability of an arbitrary subset of previously
-// asserted conjuncts plus extra assumption expressions — the relaxed
-// queries state merging issues. Every conjunct must have been asserted on
-// some path of this session (its guard is served from the cache).
-func (s *Session) SolveSubset(conjuncts []*sym.Expr, extra ...*sym.Expr) bool {
-	s.AssumptionSolves++
-	MAssumptionSolves.Inc()
-	MAssumptionDepth.Observe(int64(len(s.stack)))
-	lits := make([]sat.Lit, 0, len(conjuncts)+len(extra))
-	for _, c := range conjuncts {
-		lits = s.appendActs(lits, c)
-	}
-	for _, e := range extra {
-		s.touchVars(e)
-		lits = append(lits, s.b.enc1(e))
-	}
-	start := time.Now()
-	ok := s.b.S.Solve(lits...)
-	MSolveLatency.ObserveSince(start)
-	if !ok && !s.b.S.Okay() {
-		panic("bitblast: incremental session database became unsatisfiable (engine bug)")
-	}
-	return ok
-}
-
-// appendActs appends the activation literals guarding e (decomposing
-// top-level conjunctions like assert does).
-func (s *Session) appendActs(lits []sat.Lit, e *sym.Expr) []sat.Lit {
-	if e.Op == sym.OpLAnd {
-		for _, k := range e.Kids {
-			lits = s.appendActs(lits, k)
-		}
-		return lits
-	}
-	return append(lits, s.actFor(e))
 }
 
 // Model extracts the assignment of every variable the current path

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -49,12 +50,11 @@ func newTestServer(t *testing.T, dir string) *Server {
 func referenceBytes(t *testing.T, spec JobSpec) []byte {
 	t.Helper()
 	rep, err := sched.RunMatrix(context.Background(), spec.Agents, spec.Tests, sched.Options{
-		MaxPaths:      spec.MaxPaths,
-		MaxDepth:      spec.MaxDepth,
-		Models:        spec.Models,
-		ClauseSharing: spec.ClauseSharing,
-		CrossCheck:    spec.CrossCheck,
-		Workers:       4,
+		MaxPaths:   spec.MaxPaths,
+		MaxDepth:   spec.MaxDepth,
+		Models:     spec.Models,
+		CrossCheck: spec.CrossCheck,
+		Workers:    4,
 	})
 	if err != nil {
 		t.Fatalf("reference RunMatrix: %v", err)
@@ -195,6 +195,90 @@ func TestJournalReplayResumesRunningJobs(t *testing.T) {
 	}
 	if s.nextSeq <= 7 {
 		t.Fatalf("nextSeq = %d, must advance past replayed seq 7", s.nextSeq)
+	}
+}
+
+// TestJournalUpgradeDropsClauseSharing pins the upgrade path for the
+// removed clause-sharing option: a journal record an older daemon wrote
+// with "clause_sharing": true must replay and finish with the same report
+// bytes as a record without it, while a new submission that still carries
+// the field is refused with a 400 naming it.
+func TestJournalUpgradeDropsClauseSharing(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jr, err := openJournal(st.Dir() + "/campaignd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := JobSpec{
+		Agents:      []string{"ref", "modified"},
+		Tests:       []string{"Packet Out"},
+		Models:      true,
+		CrossCheck:  true,
+		CodeVersion: "test-v1",
+		Tenant:      "default",
+	}
+	for seq, sharing := range map[uint64]bool{1: true, 2: false} {
+		data, err := json.Marshal(&Job{ID: jobID(seq), Seq: seq, Spec: spec, State: StateRunning, SubmittedUnix: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sharing {
+			var rec map[string]any
+			if err := json.Unmarshal(data, &rec); err != nil {
+				t.Fatal(err)
+			}
+			rec["spec"].(map[string]any)["clause_sharing"] = true
+			if data, err = json.Marshal(rec); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Contains(data, []byte(`"clause_sharing":true`)) {
+				t.Fatalf("forged record lacks the old field: %s", data)
+			}
+		}
+		if err := jr.writeAtomic(jr.jobPath(jobID(seq)), data); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	s, err := New(Config{Store: st, CodeVersion: "test-v1", Workers: 4})
+	if err != nil {
+		t.Fatalf("New over an old journal: %v", err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer func() { cancel(); s.Close() }()
+	s.Start(ctx)
+	reports := make([][]byte, 2)
+	for i := range reports {
+		id := jobID(uint64(i + 1))
+		waitState(t, s, id, StateDone)
+		got, ok, err := s.Report(id)
+		if err != nil || !ok {
+			t.Fatalf("Report(%s): ok=%t err=%v", id, ok, err)
+		}
+		reports[i] = got
+	}
+	if !bytes.Equal(reports[0], reports[1]) {
+		t.Fatal("the record with clause_sharing produced a different report")
+	}
+	if want := referenceBytes(t, spec); !bytes.Equal(reports[0], want) {
+		t.Fatal("replayed report differs from an uninterrupted run")
+	}
+
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	body := `{"agents":["ref"],"tests":["Packet Out"],"models":true,"clause_sharing":true}`
+	resp, err := http.Post(ts.URL+apiPrefix+"/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "clause_sharing") {
+		t.Fatalf("submit with clause_sharing: HTTP %d %s, want a 400 naming the field", resp.StatusCode, msg)
 	}
 }
 

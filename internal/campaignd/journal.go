@@ -44,11 +44,10 @@ type JobSpec struct {
 	Agents []string `json:"agents"`
 	Tests  []string `json:"tests"`
 
-	MaxPaths      int  `json:"max_paths,omitempty"`
-	MaxDepth      int  `json:"max_depth,omitempty"`
-	Models        bool `json:"models"`
-	ClauseSharing bool `json:"clause_sharing,omitempty"`
-	CrossCheck    bool `json:"crosscheck"`
+	MaxPaths   int  `json:"max_paths,omitempty"`
+	MaxDepth   int  `json:"max_depth,omitempty"`
+	Models     bool `json:"models"`
+	CrossCheck bool `json:"crosscheck"`
 
 	// CodeVersion overrides the cache-key code version for this job's
 	// store lookups; empty uses the daemon's version.

@@ -563,22 +563,21 @@ func (s *Server) execute(ctx context.Context, j *Job) {
 	}
 	sp := obs.StartSpan("job:" + j.ID)
 	rep, err := sched.RunMatrix(ctx, spec.Agents, spec.Tests, sched.Options{
-		TraceID:       traceID,
-		MaxPaths:      spec.MaxPaths,
-		MaxDepth:      spec.MaxDepth,
-		Models:        spec.Models,
-		ClauseSharing: spec.ClauseSharing,
-		Workers:       s.cfg.Workers,
-		Fleet:         s.cfg.Fleet,
-		ShardDepth:    s.cfg.ShardDepth,
-		Adaptive:      s.cfg.Adaptive,
-		SplitAfter:    s.cfg.SplitAfter,
-		Store:         s.cfg.Store,
-		CodeVersion:   cv,
-		CrossCheck:    spec.CrossCheck,
-		Budget:        0, // budgets break report determinism; never set one here
-		Progress:      func(done, total int) { s.progress(j, done, total) },
-		Log:           s.cfg.Log,
+		TraceID:     traceID,
+		MaxPaths:    spec.MaxPaths,
+		MaxDepth:    spec.MaxDepth,
+		Models:      spec.Models,
+		Workers:     s.cfg.Workers,
+		Fleet:       s.cfg.Fleet,
+		ShardDepth:  s.cfg.ShardDepth,
+		Adaptive:    s.cfg.Adaptive,
+		SplitAfter:  s.cfg.SplitAfter,
+		Store:       s.cfg.Store,
+		CodeVersion: cv,
+		CrossCheck:  spec.CrossCheck,
+		Budget:      0, // budgets break report determinism; never set one here
+		Progress:    func(done, total int) { s.progress(j, done, total) },
+		Log:         s.cfg.Log,
 	})
 	sp.End()
 	if tr != nil {

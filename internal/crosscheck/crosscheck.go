@@ -137,12 +137,6 @@ type Opts struct {
 	// Workers fans the independent (i, j) queries out over this many
 	// goroutines (0 = GOMAXPROCS, 1 = sequential).
 	Workers int
-	// PrivateCaches gives each worker a copy-on-write Clone of the solver
-	// instead of sharing its sharded cache: zero cross-worker contention,
-	// but structurally equal queries claimed by different workers are
-	// solved once per worker rather than once per run. The report is
-	// identical either way; only the work distribution changes.
-	PrivateCaches bool
 	// Progress, when set, is called as each group pair is claimed, with
 	// (done, total) counts. With Workers > 1 it runs on worker goroutines
 	// and must be safe for concurrent use.
@@ -197,17 +191,11 @@ func RunOpts(ctx context.Context, a, b *group.Result, o Opts) *Report {
 	// next unclaimed pair, so with one worker the scan order — and the
 	// budget cutoff prefix — matches the historical sequential loop.
 	statsBefore := s.Stats()
-	workerSolvers := make([]*solver.Solver, workers)
 	found := make([]*Inconsistency, total)
 	var next, queries, done atomic.Int64
 	var partial, cancelled atomic.Bool
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		ws := s
-		if o.PrivateCaches && workers > 1 {
-			ws = s.Clone() // copy-on-write: O(shards), keeps the warm cache
-		}
-		workerSolvers[w] = ws
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -240,7 +228,7 @@ func RunOpts(ctx context.Context, a, b *group.Result, o Opts) *Report {
 					continue
 				}
 				queries.Add(1)
-				res, model := ws.Check(ga.Cond, gb.Cond, diff)
+				res, model := s.Check(ga.Cond, gb.Cond, diff)
 				if res != solver.Sat {
 					continue
 				}
@@ -269,11 +257,6 @@ func RunOpts(ctx context.Context, a, b *group.Result, o Opts) *Report {
 	rep.Partial = partial.Load()
 	rep.Cancelled = cancelled.Load()
 	rep.SolverStats = s.Stats().Sub(statsBefore)
-	for _, ws := range workerSolvers {
-		if ws != s {
-			rep.SolverStats.Add(ws.Stats()) // clones start from zeroed stats
-		}
-	}
 	rep.Elapsed = time.Since(start)
 	return rep
 }

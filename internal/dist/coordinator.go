@@ -32,16 +32,14 @@ type Config struct {
 	AgentName string
 	TestName  string
 
-	// MaxPaths/MaxDepth/WantModels/ClauseSharing/Incremental/Merge mirror
-	// harness.Options and are forwarded to every worker; the limits and
-	// models flag must agree across shards for the merged result to be
-	// canonical (the solver-mode flags never change results, only speed).
-	MaxPaths      int
-	MaxDepth      int
-	WantModels    bool
-	ClauseSharing bool
-	Incremental   bool
-	Merge         bool
+	// MaxPaths/MaxDepth/WantModels/Incremental mirror harness.Options and
+	// are forwarded to every worker; the limits and models flag must agree
+	// across shards for the merged result to be canonical (the solver-mode
+	// flag never changes results, only speed).
+	MaxPaths    int
+	MaxDepth    int
+	WantModels  bool
+	Incremental bool
 	// NoCanonicalCut opts out of canonical MaxPaths truncation (see
 	// JobConfig.NoCanonicalCut).
 	NoCanonicalCut bool
@@ -104,9 +102,7 @@ func Serve(ctx context.Context, ln net.Listener, cfg Config) (*harness.MergedRes
 		MaxPaths:       cfg.MaxPaths,
 		MaxDepth:       cfg.MaxDepth,
 		WantModels:     cfg.WantModels,
-		ClauseSharing:  cfg.ClauseSharing,
 		Incremental:    cfg.Incremental,
-		Merge:          cfg.Merge,
 		NoCanonicalCut: cfg.NoCanonicalCut,
 		ShardDepth:     cfg.ShardDepth,
 		Adaptive:       cfg.AdaptiveShards,

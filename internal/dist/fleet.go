@@ -13,6 +13,7 @@ import (
 	"github.com/soft-testing/soft/internal/agents"
 	"github.com/soft-testing/soft/internal/harness"
 	"github.com/soft-testing/soft/internal/obs"
+	"github.com/soft-testing/soft/internal/symexec"
 )
 
 // FleetConfig parameterizes a persistent worker fleet.
@@ -658,7 +659,7 @@ func (f *Fleet) split(j *jobRun, s *shard) {
 	}
 	f.mu.Unlock()
 	f.log.Info("shard split",
-		"job", j.id, "shard", s.id, "prefix", fmtPrefix(s.prefix),
+		"job", j.id, "shard", s.id, "prefix", symexec.FormatDecisions(s.prefix),
 		"sub_shards", len(childPrefixes), "stub_paths", len(sub.Paths),
 		obs.TraceAttr(j.traceID))
 	f.reportProgress(j)
@@ -753,7 +754,7 @@ func (f *Fleet) handle(conn net.Conn) {
 		}
 		f.log.Info("lease granted",
 			"job", g.job.id, "lease", g.id, "worker", h.name,
-			"shards", len(g.shards), "prefix", fmtPrefix(prefixes[0]),
+			"shards", len(g.shards), "prefix", symexec.FormatDecisions(prefixes[0]),
 			obs.TraceAttr(g.job.traceID))
 		if err := writeFrame(conn, msgLease, encodeLease(lease{
 			job: g.job.id, id: g.id, prefixes: prefixes,
@@ -828,21 +829,4 @@ func (f *Fleet) handle(conn net.Conn) {
 		curSpan = obs.Span{}
 		cur = nil
 	}
-}
-
-// fmtPrefix renders a decision prefix compactly for logs ("tff", "·" for
-// the root).
-func fmtPrefix(p []bool) string {
-	if len(p) == 0 {
-		return "·"
-	}
-	b := make([]byte, len(p))
-	for i, v := range p {
-		if v {
-			b[i] = 't'
-		} else {
-			b[i] = 'f'
-		}
-	}
-	return string(b)
 }

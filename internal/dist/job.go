@@ -17,18 +17,15 @@ type JobConfig struct {
 	AgentName string
 	TestName  string
 
-	// MaxPaths/MaxDepth/WantModels/ClauseSharing/Incremental/Merge mirror
-	// harness.Options and are forwarded to every worker. The limits and
-	// models flag must agree across shards for the merged result to be
-	// canonical; the solver-mode flags are forwarded so every shard runs
-	// the configured speed mode (determinism makes the bytes identical
-	// either way).
-	MaxPaths      int
-	MaxDepth      int
-	WantModels    bool
-	ClauseSharing bool
-	Incremental   bool
-	Merge         bool
+	// MaxPaths/MaxDepth/WantModels/Incremental mirror harness.Options and
+	// are forwarded to every worker. The limits and models flag must agree
+	// across shards for the merged result to be canonical; the solver-mode
+	// flag is forwarded so every shard runs the configured speed mode
+	// (determinism makes the bytes identical either way).
+	MaxPaths    int
+	MaxDepth    int
+	WantModels  bool
+	Incremental bool
 	// NoCanonicalCut opts out of canonical MaxPaths truncation. Distributed
 	// runs default to the canonical cut (the zero value): without it a
 	// truncated run's path selection would depend on which shards finished
@@ -208,18 +205,16 @@ type jobRun struct {
 // jobMsgFor renders the job announcement frame for j.
 func (j *jobRun) jobMsg() jobMsg {
 	return jobMsg{
-		id:            j.id,
-		agent:         j.cfg.AgentName,
-		test:          j.cfg.TestName,
-		maxPaths:      j.cfg.MaxPaths,
-		maxDepth:      j.cfg.MaxDepth,
-		models:        j.cfg.WantModels,
-		clauseSharing: j.cfg.ClauseSharing,
-		incremental:   j.cfg.Incremental,
-		merge:         j.cfg.Merge,
-		canonicalCut:  !j.cfg.NoCanonicalCut,
-		traced:        j.traced,
-		traceID:       j.traceID,
+		id:           j.id,
+		agent:        j.cfg.AgentName,
+		test:         j.cfg.TestName,
+		maxPaths:     j.cfg.MaxPaths,
+		maxDepth:     j.cfg.MaxDepth,
+		models:       j.cfg.WantModels,
+		incremental:  j.cfg.Incremental,
+		canonicalCut: !j.cfg.NoCanonicalCut,
+		traced:       j.traced,
+		traceID:      j.traceID,
 	}
 }
 
@@ -256,13 +251,11 @@ func (j *jobRun) removePending(s *shard) {
 // must share (prefix and split-sink vary per call).
 func (j *jobRun) exploreOptions() harness.Options {
 	return harness.Options{
-		MaxPaths:      j.cfg.MaxPaths,
-		MaxDepth:      j.cfg.MaxDepth,
-		WantModels:    j.cfg.WantModels,
-		ClauseSharing: j.cfg.ClauseSharing,
-		Incremental:   j.cfg.Incremental,
-		Merge:         j.cfg.Merge,
-		CanonicalCut:  !j.cfg.NoCanonicalCut,
-		Workers:       1,
+		MaxPaths:     j.cfg.MaxPaths,
+		MaxDepth:     j.cfg.MaxDepth,
+		WantModels:   j.cfg.WantModels,
+		Incremental:  j.cfg.Incremental,
+		CanonicalCut: !j.cfg.NoCanonicalCut,
+		Workers:      1,
 	}
 }

@@ -80,8 +80,10 @@ import (
 // lease frames carry a trace id (and the lease its coordinator-side
 // parent span id), and traced workers ship their buffered span segments
 // back on the new trace frame so the coordinator can merge one
-// cross-process timeline.
-const protocolVersion = 5
+// cross-process timeline. Version 6 dropped the clause-sharing and merge
+// flags from job frames and the clause-exchange and merge-hit counters
+// from solver statistics.
+const protocolVersion = 6
 
 // maxFrame bounds a frame (type byte + payload). It matches the results
 // reader's line buffer: anything bigger is a corrupt or hostile peer.
@@ -333,9 +335,7 @@ type jobMsg struct {
 	agent, test        string
 	maxPaths, maxDepth int
 	models             bool
-	clauseSharing      bool
 	incremental        bool
-	merge              bool
 	canonicalCut       bool
 
 	// traced marks the job as span-traced at submission; traceID is the
@@ -353,9 +353,7 @@ func encodeJob(j jobMsg) []byte {
 	e.i64(int64(j.maxPaths))
 	e.i64(int64(j.maxDepth))
 	e.boolean(j.models)
-	e.boolean(j.clauseSharing)
 	e.boolean(j.incremental)
-	e.boolean(j.merge)
 	e.boolean(j.canonicalCut)
 	e.boolean(j.traced)
 	e.u64(j.traceID)
@@ -372,9 +370,7 @@ func decodeJob(p []byte) (jobMsg, error) {
 		maxDepth: int(d.i64()),
 	}
 	j.models = d.boolean()
-	j.clauseSharing = d.boolean()
 	j.incremental = d.boolean()
-	j.merge = d.boolean()
 	j.canonicalCut = d.boolean()
 	j.traced = d.boolean()
 	j.traceID = d.u64()
@@ -476,12 +472,9 @@ func (e *enc) stats(st solver.Stats) {
 	e.i64(st.ClausesTotal)
 	e.i64(st.AuxVarsTotal)
 	e.i64(st.FastPathConst)
-	e.i64(st.ClauseExports)
-	e.i64(st.ClauseImports)
 	e.i64(st.AssumptionSolves)
 	e.i64(st.FullSolves)
 	e.i64(st.ConstraintsReused)
-	e.i64(st.MergeHits)
 	e.i64(st.InternHits)
 }
 
@@ -496,13 +489,10 @@ func (d *dec) stats() solver.Stats {
 		ClausesTotal:  d.i64(),
 		AuxVarsTotal:  d.i64(),
 		FastPathConst: d.i64(),
-		ClauseExports: d.i64(),
-		ClauseImports: d.i64(),
 
 		AssumptionSolves:  d.i64(),
 		FullSolves:        d.i64(),
 		ConstraintsReused: d.i64(),
-		MergeHits:         d.i64(),
 		InternHits:        d.i64(),
 	}
 }

@@ -103,7 +103,7 @@ func FuzzHelloJobRoundTrip(f *testing.F) {
 	f.Add(uint64(1), "worker/1", uint64(0), "ref", "Packet Out", int64(100), int64(64), true, false, true, false, uint64(0))
 	f.Add(uint64(0), "", uint64(7), "", "", int64(0), int64(0), false, false, false, true, uint64(0xdead))
 	f.Add(^uint64(0), "ünïcödé\nworker", ^uint64(0), "agent \"q\"", "test\ttab", int64(-5), int64(1<<40), true, true, true, true, ^uint64(0))
-	f.Fuzz(func(t *testing.T, version uint64, name string, jobID uint64, agent, test string, maxPaths, maxDepth int64, models, sharing, cut, traced bool, traceID uint64) {
+	f.Fuzz(func(t *testing.T, version uint64, name string, jobID uint64, agent, test string, maxPaths, maxDepth int64, models, incremental, cut, traced bool, traceID uint64) {
 		h, err := decodeHello(encodeHello(hello{version: version, name: name}))
 		if err != nil {
 			t.Fatalf("decodeHello of own output: %v", err)
@@ -114,7 +114,7 @@ func FuzzHelloJobRoundTrip(f *testing.F) {
 		j := jobMsg{
 			id: jobID, agent: agent, test: test,
 			maxPaths: int(maxPaths), maxDepth: int(maxDepth),
-			models: models, clauseSharing: sharing, canonicalCut: cut,
+			models: models, incremental: incremental, canonicalCut: cut,
 			traced: traced, traceID: traceID,
 		}
 		gj, err := decodeJob(encodeJob(j))
@@ -184,8 +184,6 @@ func buildShard(covMap *coverage.Map, out1, out2 string, crashed bool, bound, mo
 			ClausesTotal:  stats / 6,
 			AuxVarsTotal:  stats / 7,
 			FastPathConst: stats / 8,
-			ClauseExports: stats / 9,
-			ClauseImports: stats / 10,
 		},
 	}
 	sh.Paths = append(sh.Paths,

@@ -13,6 +13,7 @@ import (
 	"github.com/soft-testing/soft/internal/agents"
 	"github.com/soft-testing/soft/internal/harness"
 	"github.com/soft-testing/soft/internal/obs"
+	"github.com/soft-testing/soft/internal/symexec"
 )
 
 // WorkerConfig parameterizes one worker process.
@@ -169,18 +170,16 @@ func Work(ctx context.Context, addr string, cfg WorkerConfig) error {
 			total := 0
 			for i, prefix := range l.prefixes {
 				base := total
-				sp := obs.StartSpan("shard:" + fmtPrefix(prefix))
+				sp := obs.StartSpan("shard:" + symexec.FormatDecisions(prefix))
 				res := harness.ExploreContext(ctx, job.agent, job.test, harness.Options{
-					MaxPaths:      job.cfg.maxPaths,
-					MaxDepth:      job.cfg.maxDepth,
-					WantModels:    job.cfg.models,
-					ClauseSharing: job.cfg.clauseSharing,
-					Incremental:   job.cfg.incremental,
-					Merge:         job.cfg.merge,
-					CanonicalCut:  job.cfg.canonicalCut,
-					Workers:       cfg.Workers,
-					Prefix:        prefix,
-					Progress:      func(n int) { progress(base + n) },
+					MaxPaths:     job.cfg.maxPaths,
+					MaxDepth:     job.cfg.maxDepth,
+					WantModels:   job.cfg.models,
+					Incremental:  job.cfg.incremental,
+					CanonicalCut: job.cfg.canonicalCut,
+					Workers:      cfg.Workers,
+					Prefix:       prefix,
+					Progress:     func(n int) { progress(base + n) },
 				})
 				if res.Cancelled || ctx.Err() != nil {
 					// Never ship a partial subtree; the coordinator re-leases.

@@ -31,10 +31,6 @@ type Options struct {
 	// GOMAXPROCS, 1 = sequential). Exhaustive explorations produce
 	// identical results for every worker count.
 	Workers int
-	// ClauseSharing enables the bounded learned-clause exchange between the
-	// per-path SAT cores (see symexec.Engine.ClauseSharing). Exhaustive
-	// results are byte-identical with sharing on or off.
-	ClauseSharing bool
 	// CanonicalCut makes MaxPaths truncation canonical: the run keeps the
 	// MaxPaths canonically smallest paths instead of the first MaxPaths to
 	// complete, so truncated results serialize to the same bytes for every
@@ -46,9 +42,6 @@ type Options struct {
 	// (see symexec.Engine.Incremental). Results are byte-identical either
 	// way; the public soft API and CLI enable it by default.
 	Incremental bool
-	// Merge enables diamond state merging on top of Incremental (see
-	// symexec.Engine.Merge). Answer-preserving and off by default.
-	Merge bool
 	// Prefix seeds exploration at the subtree below the given decision
 	// prefix (a distributed shard; see symexec.Engine.Prefix).
 	Prefix []bool
@@ -170,21 +163,19 @@ func ExploreContext(ctx context.Context, a agents.Agent, t Test, o Options) *Res
 	internHitsBefore, _ := sym.InternStats()
 
 	eng := &symexec.Engine{
-		Solver:        s,
-		Strategy:      o.Strategy,
-		MaxPaths:      o.MaxPaths,
-		MaxDepth:      o.MaxDepth,
-		WantModels:    o.WantModels,
-		CovMap:        a.CovMap(),
-		Workers:       o.Workers,
-		ClauseSharing: o.ClauseSharing,
-		CanonicalCut:  o.CanonicalCut,
-		Incremental:   o.Incremental,
-		Merge:         o.Merge,
-		Prefix:        o.Prefix,
-		ShardDepth:    o.ShardDepth,
-		ShardSink:     o.ShardSink,
-		Progress:      o.Progress,
+		Solver:       s,
+		Strategy:     o.Strategy,
+		MaxPaths:     o.MaxPaths,
+		MaxDepth:     o.MaxDepth,
+		WantModels:   o.WantModels,
+		CovMap:       a.CovMap(),
+		Workers:      o.Workers,
+		CanonicalCut: o.CanonicalCut,
+		Incremental:  o.Incremental,
+		Prefix:       o.Prefix,
+		ShardDepth:   o.ShardDepth,
+		ShardSink:    o.ShardSink,
+		Progress:     o.Progress,
 	}
 	res := eng.RunContext(ctx, func(ctx *symexec.Context) {
 		in := a.NewInstance()
@@ -215,12 +206,9 @@ func ExploreContext(ctx context.Context, a agents.Agent, t Test, o Options) *Res
 		out.Cov = res.Cov
 	}
 	out.SolverStats = s.Stats().Sub(statsBefore)
-	out.SolverStats.ClauseExports = res.ClauseExports
-	out.SolverStats.ClauseImports = res.ClauseImports
 	out.SolverStats.AssumptionSolves = res.AssumptionSolves
 	out.SolverStats.FullSolves = res.FullSolves
 	out.SolverStats.ConstraintsReused = res.ConstraintsReused
-	out.SolverStats.MergeHits = res.MergeHits
 	internHitsAfter, _ := sym.InternStats()
 	out.SolverStats.InternHits = int64(internHitsAfter - internHitsBefore)
 	for _, p := range res.Paths {

@@ -2,6 +2,7 @@ package harness_test
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -13,57 +14,31 @@ import (
 )
 
 // The harness-level acceptance sweep for the incremental solver stack:
-// whatever combination of assumption-stack sessions, diamond merging,
-// clause sharing, and worker count explores an (agent, test) cell, the
-// serialized results file — the artifact vendors exchange — must be
-// byte-for-byte the file a plain sequential run writes, and the crosscheck
-// verdicts derived from it must match exactly.
+// whether assumption-stack sessions or a fresh solver per path explore an
+// (agent, test) cell, on any worker count, the serialized results file —
+// the artifact vendors exchange — must be byte-for-byte the file a plain
+// sequential run writes, and the crosscheck verdicts derived from it must
+// match exactly.
 
 // solverMode is one cell of the sweep grid.
 type solverMode struct {
-	name               string
-	incremental, merge bool
-	clauseSharing      bool
-	workers            int
+	name        string
+	incremental bool
+	workers     int
 }
 
 func sweepModes() []solverMode {
 	var modes []solverMode
 	for _, workers := range []int{1, 4} {
 		for _, inc := range []bool{false, true} {
-			for _, sharing := range []bool{false, true} {
-				modes = append(modes, solverMode{
-					name:          modeName(inc, false, sharing, workers),
-					incremental:   inc,
-					clauseSharing: sharing,
-					workers:       workers,
-				})
+			name := fmt.Sprintf("w%d", workers)
+			if inc {
+				name += "+inc"
 			}
+			modes = append(modes, solverMode{name: name, incremental: inc, workers: workers})
 		}
-		// Merge implies incremental; one merge cell per worker count keeps
-		// the grid honest without doubling it.
-		modes = append(modes, solverMode{
-			name: modeName(true, true, false, workers), incremental: true,
-			merge: true, workers: workers,
-		})
 	}
 	return modes
-}
-
-func modeName(inc, merge, sharing bool, workers int) string {
-	var sb strings.Builder
-	sb.WriteString("w")
-	sb.WriteByte(byte('0' + workers))
-	if inc {
-		sb.WriteString("+inc")
-	}
-	if merge {
-		sb.WriteString("+merge")
-	}
-	if sharing {
-		sb.WriteString("+share")
-	}
-	return sb.String()
 }
 
 // serializeResult renders a result to the results-file bytes with the
@@ -88,11 +63,9 @@ func TestExploreByteIdentityAcrossSolverModes(t *testing.T) {
 	}))
 	for _, mode := range sweepModes() {
 		got := serializeResult(t, harness.Explore(refswitch.New(), tt, harness.Options{
-			WantModels:    true,
-			Workers:       mode.workers,
-			Incremental:   mode.incremental,
-			Merge:         mode.merge,
-			ClauseSharing: mode.clauseSharing,
+			WantModels:  true,
+			Workers:     mode.workers,
+			Incremental: mode.incremental,
 		}))
 		if !bytes.Equal(got, want) {
 			t.Fatalf("mode %s: serialized result diverged from the sequential baseline", mode.name)
@@ -116,21 +89,15 @@ func TestCrossCheckByteIdentityAcrossSolverModes(t *testing.T) {
 	if !ok {
 		t.Fatal("Stats Request test missing")
 	}
-	run := func(incremental, merge bool) string {
-		opts := harness.Options{
-			WantModels: true, Workers: 1,
-			Incremental: incremental, Merge: merge,
-		}
+	run := func(incremental bool) string {
+		opts := harness.Options{WantModels: true, Workers: 1, Incremental: incremental}
 		ra := harness.Explore(refswitch.New(), tt, opts)
 		rb := harness.Explore(ovs.New(), tt, opts)
 		rep := crosscheck.Run(group.Paths(ra.Serialized()), group.Paths(rb.Serialized()), nil, 0)
 		return renderReport(rep)
 	}
-	want := run(false, false)
-	if got := run(true, false); got != want {
+	want := run(false)
+	if got := run(true); got != want {
 		t.Fatalf("crosscheck verdicts diverged under incremental exploration:\n--- want\n%s--- got\n%s", want, got)
-	}
-	if got := run(true, true); got != want {
-		t.Fatalf("crosscheck verdicts diverged under merge exploration:\n--- want\n%s--- got\n%s", want, got)
 	}
 }

@@ -56,33 +56,6 @@ func TestParallelExploreDeterminism(t *testing.T) {
 	}
 }
 
-// TestClauseSharingExploreDeterminism is the shared-solver acceptance
-// property on the real agent models: serialized phase-1 results must be
-// byte-identical across every combination of worker count and clause
-// sharing. Downstream phases consume only these bytes, so this implies
-// identical inconsistency reports too.
-func TestClauseSharingExploreDeterminism(t *testing.T) {
-	tt, ok := TestByName("Packet Out")
-	if !ok {
-		t.Fatal("missing test Packet Out")
-	}
-	want := serializeCanonical(t, Explore(refswitch.New(), tt, Options{WantModels: true, Workers: 1}))
-	for _, workers := range []int{1, 4} {
-		for _, sharing := range []bool{false, true} {
-			r := Explore(refswitch.New(), tt, Options{
-				WantModels: true, Workers: workers, ClauseSharing: sharing,
-			})
-			if got := serializeCanonical(t, r); !bytes.Equal(got, want) {
-				t.Fatalf("workers=%d clause-sharing=%t produced different bytes (%d paths)",
-					workers, sharing, len(r.Paths))
-			}
-			if !sharing && (r.SolverStats.ClauseExports != 0 || r.SolverStats.ClauseImports != 0) {
-				t.Fatalf("sharing off but exchange traffic reported: %+v", r.SolverStats)
-			}
-		}
-	}
-}
-
 // TestParallelExploreRace hammers parallel exploration on both real agent
 // models concurrently — the go test -race target for the full stack: wire
 // parsing, flow table, coverage sets, blaster, and the work-stealing

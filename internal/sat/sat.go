@@ -68,10 +68,6 @@ type Stats struct {
 	Conflicts    int64
 	Learnt       int64
 	Restarts     int64
-	// ClauseExports/ClauseImports count learned clauses this solver
-	// published to and adopted from its clause exchange.
-	ClauseExports int64
-	ClauseImports int64
 }
 
 // Solver is a CDCL SAT solver. The zero value is not usable; create with New.
@@ -92,31 +88,15 @@ type Solver struct {
 	varInc   float64
 	order    *varHeap
 	phase    []bool // saved phases
-	// touched marks variables that occur in at least one clause. Shared
-	// canonical numbering (bitblast.Space) leaves index gaps for variables
-	// other workers own, and unconstrained gap variables must not soak up
-	// branch decisions; an untouched variable can never affect
-	// satisfiability, and it reads as false from Value either way.
+	// touched marks variables that occur in at least one clause.
+	// Unconstrained variables must not soak up branch decisions; an
+	// untouched variable can never affect satisfiability, and it reads as
+	// false from Value either way.
 	touched []bool
 
 	seen          []bool
 	model         []lbool // snapshot of the last satisfying assignment
 	unsatisfiable bool
-
-	// Clause-sharing state (nil exch = sharing off). shareLimit is the
-	// number of leading variables whose numbering is canonical across every
-	// solver attached to the same Exchange; only clauses confined to that
-	// region cross solver boundaries. importing suppresses recursive imports
-	// while a candidate clause's implication check is itself solving.
-	exch       *Exchange
-	shareLimit int
-	exCursor   uint64
-	importing  bool
-	// sharedSeen records the packed form of every clause this solver has
-	// exported or already processed as an import candidate: a clause it
-	// exported is in its own database, and re-validating a value twice
-	// (two workers publishing the same lesson) is wasted work either way.
-	sharedSeen map[uint64]struct{}
 
 	Stats Stats
 }
@@ -436,11 +416,11 @@ func (s *Solver) pickBranchVar() int {
 		if !ok {
 			return -1
 		}
-		// Unconstrained variables (index gaps under shared numbering, or
-		// input bits no clause mentions) are skipped: no clause can become
-		// unsatisfied by leaving them unassigned, and they default to false
-		// in the model either way. markTouched re-enters them if a later
-		// AddClause makes them relevant.
+		// Unconstrained variables (input bits no clause mentions) are
+		// skipped: no clause can become unsatisfied by leaving them
+		// unassigned, and they default to false in the model either way.
+		// markTouched re-enters them if a later AddClause makes them
+		// relevant.
 		if s.assign[v] == lUndef && s.touched[v] {
 			return v
 		}
@@ -459,122 +439,6 @@ func luby(i int64) int64 {
 			k = 0 // restart subsequence search for the reduced index
 		}
 	}
-}
-
-// Share attaches the solver to a clause exchange. sharedVars is the size of
-// the canonically numbered variable prefix (bitblast.Space guarantees every
-// attached solver gives those indices the same meaning); only clauses whose
-// literals all lie below it are exported or imported. The cursor starts at
-// zero so a freshly attached solver first adopts whatever the ring already
-// holds.
-func (s *Solver) Share(x *Exchange, sharedVars int) {
-	s.exch = x
-	s.shareLimit = sharedVars
-	s.sharedSeen = make(map[uint64]struct{})
-}
-
-// SetShareLimit widens (or narrows) the canonically numbered prefix. The
-// bitblast layer grows it as the solver's variable space is lazily mirrored
-// onto the shared numbering, and freezes it if the local layout diverges.
-func (s *Solver) SetShareLimit(sharedVars int) { s.shareLimit = sharedVars }
-
-// shareable reports whether a learnt clause may be published: at most two
-// literals, all over the canonically numbered shared prefix.
-func (s *Solver) shareable(lits []Lit) bool {
-	if s.exch == nil || len(lits) == 0 || len(lits) > 2 {
-		return false
-	}
-	for _, l := range lits {
-		if l.Var() >= s.shareLimit {
-			return false
-		}
-	}
-	return true
-}
-
-// markShared records a packed clause as seen by this solver; false means it
-// was already seen (own export, duplicate publish, or processed candidate).
-func (s *Solver) markShared(p uint64) bool {
-	if _, dup := s.sharedSeen[p]; dup {
-		return false
-	}
-	s.sharedSeen[p] = struct{}{}
-	return true
-}
-
-// importShared drains the exchange and adopts the candidate clauses that
-// survive validation. A candidate learnt elsewhere is implied by the
-// EXPORTER's clause database — its path condition — not necessarily by this
-// solver's, so each one is re-established locally before adoption:
-//
-//  1. Fast check against this solver's own level-0 assignment: a clause
-//     already satisfied at level 0 is redundant (skip); one with every
-//     literal false contradicts this solver's forced assignments (reject).
-//  2. Implication check: assume the negation of every literal and solve.
-//     UNSAT means DB ∧ ¬C is contradictory, i.e. the clause is a logical
-//     consequence of this solver's own database — adopting it can never
-//     change any answer, only shortcut future conflicts. SAT means the
-//     clause is not locally valid and is rejected.
-//
-// Runs only at decision level 0, between queries. The validation solves
-// overwrite the model snapshot on SAT (a rejected candidate), so the
-// pre-import model is restored on exit: callers like the canonical-model
-// minimizer depend on a failed outer Solve leaving the previous model
-// intact, and imports must be transparent to that invariant.
-func (s *Solver) importShared() {
-	if s.exch == nil || s.importing || s.unsatisfiable {
-		return
-	}
-	if s.exch.head.Load() == s.exCursor {
-		return // nothing new on the ring: keep the hot path allocation-free
-	}
-	s.importing = true
-	savedModel := append([]lbool(nil), s.model...)
-	defer func() {
-		s.model = savedModel
-		s.importing = false
-	}()
-	s.exCursor = s.exch.collect(s.exCursor, func(a, b Lit, unit bool) {
-		if s.unsatisfiable {
-			return
-		}
-		if p := packClause(a, b, unit); !s.markShared(p) {
-			return // exported by us, or already processed: present or rejected once
-		}
-		lits := []Lit{a}
-		if !unit {
-			lits = append(lits, b)
-		}
-		neg := make([]Lit, 0, 2)
-		for _, l := range lits {
-			if l.Var() >= s.shareLimit || l.Var() >= s.nVars {
-				return
-			}
-			switch s.litValue(l) {
-			case lTrue:
-				return // already satisfied at level 0: redundant here
-			case lUndef:
-				neg = append(neg, l.Not())
-			}
-		}
-		if len(neg) == 0 {
-			// Every literal is false under this solver's forced assignments:
-			// the clause contradicts this path, so it cannot be adopted.
-			s.exch.rejected.Add(1)
-			return
-		}
-		if s.Solve(neg...) {
-			// Not implied by this solver's database: unsound here. Reject.
-			s.exch.rejected.Add(1)
-			return
-		}
-		if s.unsatisfiable {
-			return // the implication check exposed level-0 unsatisfiability
-		}
-		s.AddClause(lits...)
-		s.exch.imported.Add(1)
-		s.Stats.ClauseImports++
-	})
 }
 
 // DumpCNF returns the solver's variable count and clause database — level-0
@@ -603,10 +467,6 @@ func (s *Solver) Solve(assumptions ...Lit) bool {
 		return false
 	}
 	s.cancelUntil(0)
-	s.importShared()
-	if s.unsatisfiable {
-		return false
-	}
 
 	maxLearnts := float64(len(s.clauses))/3 + 100
 	restartN := int64(0)
@@ -623,22 +483,6 @@ func (s *Solver) Solve(assumptions ...Lit) bool {
 				return false
 			}
 			learnt, bj := s.analyze(confl)
-			if s.shareable(learnt) {
-				// A conflict clause is a resolvent of database clauses only
-				// (decisions and assumptions never enter the derivation), so
-				// it is implied by this solver's clause set and safe to offer
-				// to peers — each importer re-validates on its own side.
-				// Marking it seen keeps the solver from re-importing its own
-				// lesson off the ring later.
-				b, unit := Lit(0), true
-				if len(learnt) == 2 {
-					b, unit = learnt[1], false
-				}
-				if p := packClause(learnt[0], b, unit); s.markShared(p) {
-					s.exch.publishPacked(p)
-					s.Stats.ClauseExports++
-				}
-			}
 			s.cancelUntil(bj)
 			var c *clause
 			if len(learnt) > 1 {

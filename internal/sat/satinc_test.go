@@ -114,56 +114,3 @@ func TestIncrementalAssumptionStacksMatchFresh(t *testing.T) {
 		}
 	}
 }
-
-// TestIncrementalAssumptionStacksWithExchange is the same property with a
-// learned-clause exchange in the loop: two persistent solvers over the
-// same instance share an exchange, so each solve may import resolvents the
-// other learned under a different assumption stack. Imports are re-derived
-// facts about the shared clause database — answers must stay exactly those
-// of a fresh, exchange-free solver.
-func TestIncrementalAssumptionStacksWithExchange(t *testing.T) {
-	rng := rand.New(rand.NewSource(74))
-	n := 80
-	if testing.Short() {
-		n = 20
-	}
-	for i := 0; i < n; i++ {
-		nVars := 4 + rng.Intn(6)
-		nClauses := 4 + rng.Intn(30)
-		clauses := make([][]int, nClauses)
-		for j := range clauses {
-			cl := make([]int, 1+rng.Intn(3))
-			for k := range cl {
-				v := 1 + rng.Intn(nVars)
-				if rng.Intn(2) == 1 {
-					v = -v
-				}
-				cl[k] = v
-			}
-			clauses[j] = cl
-		}
-		x := NewExchange(64)
-		a, okA := buildSolver(nVars, clauses)
-		b, okB := buildSolver(nVars, clauses)
-		if !okA || !okB {
-			if okA != okB {
-				t.Fatalf("instance %d: AddClause verdicts diverged on identical input", i)
-			}
-			continue
-		}
-		a.Share(x, nVars)
-		b.Share(x, nVars)
-		for trial := 0; trial < 8; trial++ {
-			s := a
-			if trial%2 == 1 {
-				s = b
-			}
-			asm, units := randomStack(rng, nVars)
-			want := bruteForceSat(nVars, append(append([][]int{}, clauses...), units...))
-			if got := s.Solve(asm...); got != want {
-				t.Fatalf("instance %d trial %d: shared(asm=%v)=%v brute=%v clauses=%v",
-					i, trial, asm, got, want, clauses)
-			}
-		}
-	}
-}

@@ -66,8 +66,9 @@
 //
 // Exploration results are keyed by SHA-256 over the canonical rendering of
 // (agent name, test name, code version, MaxPaths, MaxDepth, models,
-// clause sharing, canonical cut) — every input that can change exploration
-// output. The code version defaults to the binary's VCS build stamp
+// canonical cut) — every input that can change exploration output. The
+// rendering still carries a constant "clausesharing=false" for an option
+// that no longer exists, so stores written before its removal stay warm. The code version defaults to the binary's VCS build stamp
 // (store.DefaultCodeVersion) and should be pinned explicitly in
 // deployments. Grouping constructions are keyed by the SHA-256 of the
 // source result's serialized bytes with the wall-clock line zeroed

@@ -20,20 +20,18 @@ import (
 
 // Options tunes a campaign run.
 type Options struct {
-	// MaxPaths/MaxDepth/Models/ClauseSharing are the engine configuration
-	// every cell shares (zero limits take the harness defaults). Campaign
-	// explorations always use the canonical MaxPaths cut, so truncated
-	// cells are byte-identical across layouts too.
-	MaxPaths      int
-	MaxDepth      int
-	Models        bool
-	ClauseSharing bool
-	// Incremental/Merge select the exploration solver mode (see
-	// harness.Options). They never change results, so they are deliberately
+	// MaxPaths/MaxDepth/Models are the engine configuration every cell
+	// shares (zero limits take the harness defaults). Campaign explorations
+	// always use the canonical MaxPaths cut, so truncated cells are
+	// byte-identical across layouts too.
+	MaxPaths int
+	MaxDepth int
+	Models   bool
+	// Incremental selects the exploration solver mode (see
+	// harness.Options). It never changes results, so it is deliberately
 	// NOT part of the store cache key — a cached cell answers for every
 	// solver mode.
 	Incremental bool
-	Merge       bool
 
 	// Workers is the in-process parallelism: exploration workers for
 	// fleetless cells, solver workers for the crosscheck phase (0 =
@@ -280,7 +278,7 @@ func RunMatrix(ctx context.Context, agentNames, testNames []string, o Options) (
 			Scenario: defHash[cell.Test],
 			Config: store.Config{
 				MaxPaths: o.MaxPaths, MaxDepth: o.MaxDepth,
-				Models: o.Models, ClauseSharing: o.ClauseSharing, CanonicalCut: true,
+				Models: o.Models, CanonicalCut: true,
 			},
 		}
 		if o.Store != nil {
@@ -304,8 +302,7 @@ func RunMatrix(ctx context.Context, agentNames, testNames []string, o Options) (
 			merged, err := o.Fleet.Run(runCtx, dist.JobConfig{
 				AgentName: cell.Agent, TestName: cell.Test,
 				MaxPaths: o.MaxPaths, MaxDepth: o.MaxDepth,
-				WantModels: o.Models, ClauseSharing: o.ClauseSharing,
-				Incremental: o.Incremental, Merge: o.Merge,
+				WantModels: o.Models, Incremental: o.Incremental,
 				ShardDepth: o.ShardDepth, Adaptive: o.Adaptive, SplitAfter: o.SplitAfter,
 				TraceID: o.TraceID,
 			})
@@ -325,8 +322,7 @@ func RunMatrix(ctx context.Context, agentNames, testNames []string, o Options) (
 			test, _ := harness.TestByName(cell.Test)
 			res := harness.ExploreContext(runCtx, agent, test, harness.Options{
 				MaxPaths: o.MaxPaths, MaxDepth: o.MaxDepth,
-				WantModels: o.Models, ClauseSharing: o.ClauseSharing,
-				Incremental: o.Incremental, Merge: o.Merge,
+				WantModels: o.Models, Incremental: o.Incremental,
 				CanonicalCut: true, Workers: o.Workers,
 			})
 			if res.Cancelled || runCtx.Err() != nil {

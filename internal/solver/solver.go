@@ -54,24 +54,17 @@ type Stats struct {
 	ClausesTotal  int64
 	AuxVarsTotal  int64
 	FastPathConst int64 // queries answered by simplification alone
-	// ClauseExports/ClauseImports count learned clauses crossing the
-	// inter-worker exchange during exploration with clause sharing on (the
-	// exploration engine fills them in; plain Check queries never share).
-	ClauseExports int64
-	ClauseImports int64
 	// The incremental-exploration counters below are filled in by the
 	// harness from the engine's run (plain Check queries always pay a full
 	// solve): AssumptionSolves/FullSolves split satisfiability decisions by
 	// whether an assumption-stack session or a from-scratch per-path solver
 	// served them, ConstraintsReused counts path conjuncts served from a
-	// session's activation cache instead of being re-bitblasted, MergeHits
-	// counts frontier queries answered by the state-merging memo, and
+	// session's activation cache instead of being re-bitblasted, and
 	// InternHits counts expression constructions answered by the hash-cons
 	// table (process-wide, windowed to the run).
 	AssumptionSolves  int64
 	FullSolves        int64
 	ConstraintsReused int64
-	MergeHits         int64
 	InternHits        int64
 }
 
@@ -88,12 +81,9 @@ func (s *Stats) Add(other Stats) {
 	s.ClausesTotal += other.ClausesTotal
 	s.AuxVarsTotal += other.AuxVarsTotal
 	s.FastPathConst += other.FastPathConst
-	s.ClauseExports += other.ClauseExports
-	s.ClauseImports += other.ClauseImports
 	s.AssumptionSolves += other.AssumptionSolves
 	s.FullSolves += other.FullSolves
 	s.ConstraintsReused += other.ConstraintsReused
-	s.MergeHits += other.MergeHits
 	s.InternHits += other.InternHits
 }
 
@@ -110,13 +100,10 @@ func (s Stats) Sub(earlier Stats) Stats {
 		ClausesTotal:  s.ClausesTotal - earlier.ClausesTotal,
 		AuxVarsTotal:  s.AuxVarsTotal - earlier.AuxVarsTotal,
 		FastPathConst: s.FastPathConst - earlier.FastPathConst,
-		ClauseExports: s.ClauseExports - earlier.ClauseExports,
-		ClauseImports: s.ClauseImports - earlier.ClauseImports,
 
 		AssumptionSolves:  s.AssumptionSolves - earlier.AssumptionSolves,
 		FullSolves:        s.FullSolves - earlier.FullSolves,
 		ConstraintsReused: s.ConstraintsReused - earlier.ConstraintsReused,
-		MergeHits:         s.MergeHits - earlier.MergeHits,
 		InternHits:        s.InternHits - earlier.InternHits,
 	}
 }
@@ -138,27 +125,10 @@ type cacheEntry struct {
 // when they touch the same 1/16th of the key space.
 const numShards = 16
 
-// shard is one cache partition. live holds entries written since the last
-// Clone; frozen is a chain of read-only maps inherited through Clone
-// (newest first). Frozen maps are never written again, so clones can share
-// them without copying or locking.
+// shard is one cache partition.
 type shard struct {
-	mu     sync.Mutex
-	live   map[string]*cacheEntry
-	frozen []map[string]*cacheEntry
-}
-
-// lookup finds a cache entry under the shard lock.
-func (sh *shard) lookup(key string) *cacheEntry {
-	if e, ok := sh.live[key]; ok {
-		return e
-	}
-	for _, m := range sh.frozen {
-		if e, ok := m[key]; ok {
-			return e
-		}
-	}
-	return nil
+	mu   sync.Mutex
+	live map[string]*cacheEntry
 }
 
 // Solver answers satisfiability queries.
@@ -170,8 +140,7 @@ func (sh *shard) lookup(key string) *cacheEntry {
 // one goroutine solves, the others reuse its result and count a cache hit,
 // which keeps CacheHits accounting exact under any interleaving. Statistics
 // are atomic counters. Results are deterministic — the same query always
-// yields the same answer and the same canonical model, cached or not,
-// shared or cloned.
+// yields the same answer and the same canonical model, cached or not.
 type Solver struct {
 	shards [numShards]shard
 
@@ -199,33 +168,6 @@ func New() *Solver {
 		s.shards[i].live = make(map[string]*cacheEntry)
 	}
 	return s
-}
-
-// Clone returns an independent Solver with the same configuration, a
-// copy-on-write snapshot of s's query cache, and zeroed statistics. The
-// snapshot is O(shards), not O(entries): each shard's live map is frozen
-// (it becomes read-only and shared by parent and clone) and both sides
-// start new live maps, so per-worker clones keep the warm cache without
-// sharing a lock afterwards. When DisableCache is set there is nothing
-// worth carrying over and the cache snapshot is skipped entirely.
-func (s *Solver) Clone() *Solver {
-	c := New()
-	c.DisableCache = s.DisableCache
-	c.DisableSimplify = s.DisableSimplify
-	if s.DisableCache {
-		return c
-	}
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		if len(sh.live) > 0 {
-			sh.frozen = append([]map[string]*cacheEntry{sh.live}, sh.frozen...)
-			sh.live = make(map[string]*cacheEntry)
-		}
-		c.shards[i].frozen = append([]map[string]*cacheEntry(nil), sh.frozen...)
-		sh.mu.Unlock()
-	}
-	return c
 }
 
 // Stats returns a snapshot of the accumulated statistics.
@@ -320,7 +262,7 @@ func (s *Solver) Check(constraints ...*sym.Expr) (Result, sym.Assignment) {
 	key := e.String()
 	sh := s.shardFor(key)
 	sh.mu.Lock()
-	if ent := sh.lookup(key); ent != nil {
+	if ent := sh.live[key]; ent != nil {
 		sh.mu.Unlock()
 		<-ent.done // single-flight: wait out an in-progress solve
 		if !ent.failed {

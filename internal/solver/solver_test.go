@@ -81,35 +81,6 @@ func TestCache(t *testing.T) {
 	}
 }
 
-func TestClone(t *testing.T) {
-	s := New()
-	s.DisableSimplify = true
-	x := sym.Var("x", 16)
-	q := sym.Ult(x, sym.Const(16, 10))
-	s.Check(q)
-
-	c := s.Clone()
-	if !c.DisableSimplify {
-		t.Fatal("Clone lost configuration")
-	}
-	if st := c.Stats(); st.Queries != 0 {
-		t.Fatalf("Clone stats not zeroed: %+v", st)
-	}
-	// The warmed cache carries over: the clone answers the original query
-	// without solving again.
-	c.Check(q)
-	if st := c.Stats(); st.CacheHits != 1 {
-		t.Fatalf("clone CacheHits = %d, want 1 (warm cache)", st.CacheHits)
-	}
-	// And the caches are independent afterwards.
-	q2 := sym.Ult(x, sym.Const(16, 20))
-	c.Check(q2)
-	s.Check(q2)
-	if st := s.Stats(); st.CacheHits != 0 {
-		t.Fatalf("original saw clone's cache entry (hits=%d)", st.CacheHits)
-	}
-}
-
 func TestCacheDisabled(t *testing.T) {
 	s := New()
 	s.DisableCache = true

@@ -128,52 +128,3 @@ func TestCheckPanicDoesNotPoisonCache(t *testing.T) {
 		t.Fatalf("solver unusable after panic: %v %v", r, m)
 	}
 }
-
-// TestCloneStress: concurrent clones taking copy-on-write snapshots while
-// the parent keeps solving must neither race nor lose entries.
-func TestCloneStress(t *testing.T) {
-	x := sym.Var("x", 16)
-	parent := New()
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		g := g
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 20; i++ {
-				parent.Check(sym.EqConst(x, uint64(g*100+i)))
-				c := parent.Clone()
-				if r, m := c.Check(sym.EqConst(x, uint64(g*100+i))); r != Sat || m["x"] != uint64(g*100+i) {
-					t.Errorf("clone lost warm entry for x==%d", g*100+i)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// TestCloneSkipsCopyWhenCacheDisabled pins the satellite fix: cloning a
-// DisableCache solver must not snapshot (or resurrect) cache state.
-func TestCloneSkipsCopyWhenCacheDisabled(t *testing.T) {
-	s := New()
-	x := sym.Var("x", 8)
-	s.Check(sym.EqConst(x, 1)) // warm an entry while caching is on
-	s.DisableCache = true
-	c := s.Clone()
-	if !c.DisableCache {
-		t.Fatal("Clone lost DisableCache")
-	}
-	for i := range c.shards {
-		if len(c.shards[i].frozen) != 0 || len(c.shards[i].live) != 0 {
-			t.Fatal("Clone of a DisableCache solver carried cache state")
-		}
-	}
-	// And it still answers correctly, uncached.
-	if r, m := c.Check(sym.EqConst(x, 1)); r != Sat || m["x"] != 1 {
-		t.Fatalf("clone answered %v %v", r, m)
-	}
-	if st := c.Stats(); st.CacheHits != 0 {
-		t.Fatalf("CacheHits = %d on a cache-disabled clone", st.CacheHits)
-	}
-}

@@ -56,11 +56,10 @@ var (
 // Config is the engine-configuration component of a result key: every
 // option that can change exploration output (or how much of it exists).
 type Config struct {
-	MaxPaths      int
-	MaxDepth      int
-	Models        bool
-	ClauseSharing bool
-	CanonicalCut  bool
+	MaxPaths     int
+	MaxDepth     int
+	Models       bool
+	CanonicalCut bool
 }
 
 // Key identifies one cached exploration result.
@@ -82,11 +81,13 @@ type Key struct {
 }
 
 // String renders the key canonically — the exact bytes that are hashed.
+// "clausesharing=false" is a literal: the option it recorded is gone, and
+// keeping its rendering keeps every existing store warm.
 func (k Key) String() string {
-	s := fmt.Sprintf("agent=%q test=%q code=%q maxpaths=%d maxdepth=%d models=%t clausesharing=%t canonicalcut=%t",
+	s := fmt.Sprintf("agent=%q test=%q code=%q maxpaths=%d maxdepth=%d models=%t clausesharing=false canonicalcut=%t",
 		k.Agent, k.Test, k.CodeVersion,
 		k.Config.MaxPaths, k.Config.MaxDepth,
-		k.Config.Models, k.Config.ClauseSharing, k.Config.CanonicalCut)
+		k.Config.Models, k.Config.CanonicalCut)
 	// Appended (not interleaved) so keys for the built-in suite render
 	// exactly as they always did and stay warm across this change.
 	if k.Scenario != "" {

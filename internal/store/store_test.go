@@ -80,14 +80,13 @@ func TestKeyInvalidation(t *testing.T) {
 	}
 
 	mutations := map[string]func(*Key){
-		"agent":          func(k *Key) { k.Agent = "ovs" },
-		"test":           func(k *Key) { k.Test = "FlowMod" },
-		"code version":   func(k *Key) { k.CodeVersion = "v2" },
-		"max paths":      func(k *Key) { k.Config.MaxPaths = 101 },
-		"max depth":      func(k *Key) { k.Config.MaxDepth = 65 },
-		"models":         func(k *Key) { k.Config.Models = false },
-		"clause sharing": func(k *Key) { k.Config.ClauseSharing = true },
-		"canonical cut":  func(k *Key) { k.Config.CanonicalCut = false },
+		"agent":         func(k *Key) { k.Agent = "ovs" },
+		"test":          func(k *Key) { k.Test = "FlowMod" },
+		"code version":  func(k *Key) { k.CodeVersion = "v2" },
+		"max paths":     func(k *Key) { k.Config.MaxPaths = 101 },
+		"max depth":     func(k *Key) { k.Config.MaxDepth = 65 },
+		"models":        func(k *Key) { k.Config.Models = false },
+		"canonical cut": func(k *Key) { k.Config.CanonicalCut = false },
 	}
 	for name, mutate := range mutations {
 		k2 := baseKey()

@@ -45,49 +45,6 @@
 //     when someone is starving. Exploration terminates when every worker is
 //     idle and the pool is empty.
 //
-// # Shared solver stack
-//
-// With Engine.ClauseSharing, workers stop being fully share-nothing at the
-// solver level and start trading learned clauses. Three mechanisms make
-// that sound and deterministic:
-//
-//   - Canonical variable numbering (bitblast.Space). SAT variable indices
-//     are a function of what is encoded, not of allocation order: named
-//     input variables get one contiguous index range fixed at first
-//     registration, and each Tseitin gate is keyed by (structural hash of
-//     its expression node, gate ordinal) — a node's gates are emitted
-//     deterministically from its children's literals, so every synced
-//     blaster maps the same structure to the same indices. A path blaster
-//     lazily mirrors the space's layout, leaving index gaps for structure
-//     other paths own; gap variables are unconstrained and are skipped by
-//     the CDCL branching heuristic.
-//
-//   - Bounded lock-free clause exchange (sat.Exchange). When a worker's
-//     CDCL core learns a clause of at most two literals entirely over its
-//     canonically numbered prefix, it publishes the clause to a fixed-size
-//     atomic ring (overwriting the oldest entry when full — sharing is
-//     best-effort). Publishing never blocks and the ring is the only
-//     cross-worker state on the solving path.
-//
-//   - Importer-side validation. A clause learned on path A is implied by
-//     A's clause database (conflict resolution never uses decisions or
-//     assumptions as axioms), but NOT necessarily by path B's. An importer
-//     therefore first checks the candidate against its own level-0
-//     assignment, then proves it locally: assume the negation of every
-//     literal and solve — UNSAT means the clause is a consequence of the
-//     importer's own database, so adopting it cannot change any answer,
-//     only shortcut future conflicts. Candidates that fail are dropped.
-//     Soundness never depends on the canonical numbering; a stale or
-//     colliding index mapping only wastes a candidate.
-//
-// Because adopted clauses are locally implied, every satisfiability answer
-// — and hence the explored path set — is identical with sharing on or off.
-// Witness models are kept identical too by extracting the canonical model
-// (bitblast.CanonicalModel): the numerically smallest satisfying
-// assignment, a pure function of the path condition rather than of the
-// CDCL search trajectory. Sequential runs may also enable sharing; clauses
-// then flow between successive paths of the same run.
-//
 // # Incremental solving along the path tree
 //
 // Engine.Incremental (the default) replaces the fresh-solver-per-path
@@ -101,31 +58,17 @@
 // activity instead of re-blasting and re-learning it per path; that reuse
 // is where the paths/sec win on conflict-rich workloads comes from
 // (internal/sym's hash-consed interning makes the per-conjunct cache a
-// pointer lookup on the hot path). Activation variables live in the
-// canonical numbering as named "!act/"-prefixed space variables, so
-// sessions compose with clause sharing and the canonical-model guarantee
-// unchanged.
+// pointer lookup on the hot path).
 //
 // Sessions preserve answers exactly: assumptions are decided on the same
-// formula a fresh solver would decide, learned clauses are resolvents of
-// database clauses only (never of assumptions), and witnesses are still
-// canonical models. The determinism sweep tests (incremental_test.go here,
-// incremental_sweep_test.go in harness) pin byte-identical output across
-// incremental on/off, merge on/off, and worker counts.
-//
-// Engine.Merge (off by default, implies Incremental) adds veritesting-style
-// diamond state-merging on top: at a frontier query the engine first solves
-// a *relaxed* query with the newest branch decision dropped — exactly the
-// constraint of the diamond formed by the two siblings that disagree on
-// that decision. A relaxed UNSAT kills the arm on both siblings, so the
-// verdict is memoized engine-wide (mergeMemo) and the second sibling's
-// query becomes a map lookup; a relaxed SAT says nothing and the exact
-// query proceeds as usual. Memo keys store the full conjunct-hash sequence,
-// so a hash collision can never smuggle a wrong "unsatisfiable" verdict in.
-// Merging only ever removes solver work, never paths, so output stays
-// byte-identical; whether it wins depends on the diamond density of the
-// workload (on FlowMod the relaxed queries currently cost slightly more
-// than they save — measure before enabling).
+// formula a fresh solver would decide, and learned clauses are resolvents of
+// database clauses only (never of assumptions). Witness models stay
+// identical too because the engine extracts the canonical model
+// (bitblast.CanonicalModel): the numerically smallest satisfying
+// assignment, a pure function of the path condition rather than of the
+// CDCL search trajectory. The determinism sweep tests (incremental_test.go
+// here, incremental_sweep_test.go in harness) pin byte-identical output
+// across incremental on/off and worker counts.
 //
 // # Determinism
 //
@@ -142,11 +85,10 @@
 // harness's parallel_test.go pin, and the foundation of the paper's
 // no-false-positive guarantee under concurrency.
 //
-// The determinism guarantee extends across solver configuration: clause
-// sharing on or off, shared or private caches, any worker count — an
-// exhaustive run serializes to the same bytes (pinned by
-// TestClauseSharingDeterminism here and the harness and CLI determinism
-// tests downstream).
+// The determinism guarantee extends across solver configuration:
+// incremental sessions on or off, any worker count — an exhaustive run
+// serializes to the same bytes (pinned by TestIncrementalDeterminism here
+// and the harness and CLI determinism tests downstream).
 //
 // MaxPaths truncation comes in two flavors. The default keeps the first
 // MaxPaths paths that happen to complete — cheap, but *which* paths those

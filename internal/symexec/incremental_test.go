@@ -8,30 +8,19 @@ import (
 
 // TestIncrementalDeterminism is the acceptance property for the incremental
 // solver stack: exhaustive exploration must produce byte-identical results
-// across incremental on/off × state merging on/off × clause sharing on/off
-// × workers 1/4. Assumption-stack sessions, guarded constraint reuse, and
-// merge-memo verdicts may only change how fast the tree burns down — never
-// an answer, a model, or a counter the result serializes.
+// across incremental on/off × workers 1/4. Assumption-stack sessions and
+// guarded constraint reuse may only change how fast the tree burns down —
+// never an answer, a model, or a counter the result serializes.
 func TestIncrementalDeterminism(t *testing.T) {
 	for name, h := range parallelHandlers() {
 		t.Run(name, func(t *testing.T) {
 			want := fingerprint((&Engine{Workers: 1, WantModels: true}).Run(h))
 			for _, workers := range []int{1, 4} {
 				for _, incremental := range []bool{false, true} {
-					for _, merge := range []bool{false, true} {
-						for _, sharing := range []bool{false, true} {
-							e := &Engine{
-								Workers:       workers,
-								WantModels:    true,
-								Incremental:   incremental,
-								Merge:         merge,
-								ClauseSharing: sharing,
-							}
-							if got := fingerprint(e.Run(h)); got != want {
-								t.Fatalf("workers=%d incremental=%t merge=%t sharing=%t diverged:\n--- want\n%s--- got\n%s",
-									workers, incremental, merge, sharing, want, got)
-							}
-						}
+					e := &Engine{Workers: workers, WantModels: true, Incremental: incremental}
+					if got := fingerprint(e.Run(h)); got != want {
+						t.Fatalf("workers=%d incremental=%t diverged:\n--- want\n%s--- got\n%s",
+							workers, incremental, want, got)
 					}
 				}
 			}
@@ -74,35 +63,5 @@ func TestIncrementalSessionReuse(t *testing.T) {
 	}
 	if res.FullSolves == 0 {
 		t.Fatal("non-incremental run reported no full solves")
-	}
-}
-
-// TestMergeMemoHits checks diamond state merging fires on a diamond-shaped
-// workload: sibling paths that disagree only on an outcome-irrelevant
-// decision issue identical relaxed queries, so the second sibling's
-// infeasible arm must be answered from the memo.
-func TestMergeMemoHits(t *testing.T) {
-	h := func(ctx *Context) {
-		x := ctx.NewSym("x", 8)
-		lt10 := ctx.Branch(sym.Ult(x, sym.Const(8, 10)))
-		// The diamond pivot: the newest decision before the next frontier,
-		// irrelevant to that frontier's feasibility. Dropping it makes the
-		// two siblings' relaxed queries identical.
-		ctx.Branch(sym.EqConst(sym.Extract(x, 0, 0), 1))
-		if lt10 {
-			// The false arm is infeasible from x<10 alone: the first sibling
-			// proves the relaxed query (x<10 ∧ x≥20) unsatisfiable and the
-			// second sibling's arm dies on the memo.
-			ctx.Branch(sym.Ult(x, sym.Const(8, 20)))
-		}
-		ctx.Emit("done")
-	}
-	res := (&Engine{Workers: 1, Merge: true, WantModels: true}).Run(h)
-	if res.MergeHits == 0 {
-		t.Fatal("merge mode explored a diamond workload without a single memo hit")
-	}
-	want := fingerprint((&Engine{Workers: 1, WantModels: true}).Run(h))
-	if got := fingerprint(res); got != want {
-		t.Fatalf("merge run diverged:\n--- want\n%s--- got\n%s", want, got)
 	}
 }

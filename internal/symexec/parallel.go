@@ -2,6 +2,7 @@ package symexec
 
 import (
 	"context"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
@@ -133,7 +134,13 @@ type workerState struct {
 // cancel.Done() and calls frontier.halt(), which wakes blocked stealers and
 // makes every worker exit at its next loop check. Paths already completed
 // are kept, so a cancelled run returns the partial set explored so far.
-func (e *Engine) runParallel(cancel context.Context, h Handler, workers int, share *bitblast.Space, merge *mergeMemo, res *Result) {
+//
+// A panic on a worker takes the same halt path: the worker records the
+// first *pathPanic, halts the frontier, and exits; once every worker has
+// stopped, the panic is re-raised here, on the caller's goroutine, where
+// it can be recovered (a panic escaping a worker goroutine would kill the
+// process).
+func (e *Engine) runParallel(cancel context.Context, h Handler, workers int, res *Result) {
 	f := newFrontier(workers)
 	f.global = append(f.global, e.rootItem())
 
@@ -147,6 +154,7 @@ func (e *Engine) runParallel(cancel context.Context, h Handler, workers int, sha
 	}
 	var completed, dropped, leftover, progressDone atomic.Int64
 	var cancelled atomic.Bool
+	var failure atomic.Pointer[pathPanic]
 	if done := cancel.Done(); done != nil {
 		stop := make(chan struct{})
 		defer close(stop)
@@ -164,8 +172,8 @@ func (e *Engine) runParallel(cancel context.Context, h Handler, workers int, sha
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		ws := &workerState{inputs: make(map[string]*sym.Expr)}
-		if e.incremental() {
-			ws.sess = bitblast.NewSession(share)
+		if e.Incremental {
+			ws.sess = bitblast.NewSession()
 		}
 		if e.CovMap != nil {
 			ws.cov = e.CovMap.NewSet()
@@ -177,6 +185,17 @@ func (e *Engine) runParallel(cancel context.Context, h Handler, workers int, sha
 		go func() {
 			defer wg.Done()
 			defer func() { leftover.Add(int64(local.Len())) }()
+			defer func() {
+				if r := recover(); r != nil {
+					p, ok := r.(*pathPanic)
+					if !ok {
+						// Outside runOne (strategy or callback code).
+						p = &pathPanic{value: r, stack: debug.Stack()}
+					}
+					failure.CompareAndSwap(nil, p)
+					f.halt()
+				}
+			}()
 			enqueue := func(it *workItem) {
 				// Forks stay local unless someone is starving; donation is
 				// a heuristic, so a stale idleCount read is harmless.
@@ -211,7 +230,7 @@ func (e *Engine) runParallel(cancel context.Context, h Handler, workers int, sha
 				if cut != nil && cut.prune(it.decisions) {
 					continue
 				}
-				ctx := e.newContext(it, enqueue, &ws.counters, ws.sess, share, merge)
+				ctx := e.newContext(it, enqueue, &ws.counters, ws.sess)
 				outcome := runOne(ctx, h)
 				for name, v := range ctx.inputs {
 					ws.inputs[name] = v
@@ -255,6 +274,9 @@ func (e *Engine) runParallel(cancel context.Context, h Handler, workers int, sha
 		}()
 	}
 	wg.Wait()
+	if p := failure.Load(); p != nil {
+		panic(p)
+	}
 
 	for _, ws := range states {
 		res.Paths = append(res.Paths, ws.paths...)

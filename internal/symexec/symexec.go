@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"time"
 
@@ -49,23 +50,19 @@ type pathSolver interface {
 type pathCounters struct {
 	branchQueries int64
 	fullSolves    int64 // from-scratch solves on per-path blasters
-	mergeHits     int64 // frontier queries answered by the merge memo
 }
 
 // Context is the per-path execution context handed to the Handler. It is
 // valid only for the duration of one handler invocation. A Context holds no
 // reference to locked engine state: forks go through the enqueue callback
 // and feasibility queries run against the worker-private solver, so
-// parallel workers execute paths without locking on the hot path (the
-// merge memo, consulted only at frontier queries, is the one exception).
+// parallel workers execute paths without locking on the hot path.
 type Context struct {
 	maxDepth  int
 	enqueue   func(*workItem)
 	counters  *pathCounters
 	blaster   pathSolver
 	sess      *bitblast.Session // non-nil iff blaster is the worker's session
-	merge     *mergeMemo        // non-nil iff state merging is on
-	lastDec   int               // pc index of the newest branch-decision conjunct, -1 if none
 	decisions []bool            // prescribed prefix (replay), then grown by new decisions
 	sites     []coverage.BranchID
 	depth     int // next decision index
@@ -200,32 +197,8 @@ func (c *Context) BranchSite(site coverage.BranchID, cond *sym.Expr) bool {
 	}
 }
 
-// branchFeasible decides one frontier arm's feasibility. With state merging
-// the exact query is first relaxed by dropping the newest branch-decision
-// conjunct — the pivot of a diamond: sibling paths that differ only in that
-// decision and meet again at the same frontier node issue the *same*
-// relaxed query, which is exactly the ite/or-merged constraint of the
-// diamond. An unsatisfiable relaxed query proves both siblings' exact
-// queries unsatisfiable (it is strictly weaker), so the verdict is memoized
-// engine-wide and the sibling's arm dies without touching the solver. A
-// satisfiable relaxed query proves nothing and falls through to the exact
-// solve, so answers — and therefore Results — are identical with merging
-// on or off.
+// branchFeasible decides one frontier arm's feasibility.
 func (c *Context) branchFeasible(q *sym.Expr) bool {
-	if c.merge != nil && c.sess != nil && c.lastDec >= 0 {
-		keep := make([]*sym.Expr, 0, len(c.pc)-1)
-		keep = append(keep, c.pc[:c.lastDec]...)
-		keep = append(keep, c.pc[c.lastDec+1:]...)
-		hash, key := mergeKey(keep, q)
-		if c.merge.knownUnsat(hash, key) {
-			c.counters.mergeHits++
-			return false
-		}
-		if !c.sess.SolveSubset(keep, q) {
-			c.merge.recordUnsat(hash, key)
-			return false
-		}
-	}
 	if c.sess == nil {
 		c.counters.fullSolves++
 	}
@@ -240,7 +213,6 @@ func (c *Context) take(site coverage.BranchID, cond *sym.Expr, taken bool) {
 		eff = sym.LNot(cond)
 	}
 	c.pc = append(c.pc, eff)
-	c.lastDec = len(c.pc) - 1
 	c.blaster.Assert(eff)
 	c.coverBranch(site, taken)
 }
@@ -309,10 +281,6 @@ type Result struct {
 	Cancelled bool
 	// BranchQueries counts frontier feasibility decisions.
 	BranchQueries int64
-	// ClauseExports/ClauseImports count learned clauses published to and
-	// adopted from the inter-path exchange (zero unless ClauseSharing).
-	ClauseExports int64
-	ClauseImports int64
 	// AssumptionSolves counts satisfiability decisions served by incremental
 	// sessions (assumption-stack solves); FullSolves counts decisions that
 	// paid a from-scratch per-path solver. Exactly one of the two grows per
@@ -322,9 +290,6 @@ type Result struct {
 	// ConstraintsReused counts path conjuncts served from a session's
 	// already-encoded activation cache instead of being re-bitblasted.
 	ConstraintsReused int64
-	// MergeHits counts frontier feasibility queries answered by the
-	// state-merging memo without any solving (zero unless Engine.Merge).
-	MergeHits int64
 }
 
 // AvgConstraintSize returns the mean constraint size across paths.
@@ -418,16 +383,6 @@ type Engine struct {
 	// GOMAXPROCS; 1 forces sequential exploration. Exhaustive runs produce
 	// identical Results for every worker count (see doc.go).
 	Workers int
-	// ClauseSharing wires every path's SAT core into one bounded
-	// learned-clause exchange: input variables get canonical indices from a
-	// shared bitblast.Space, short learned clauses (≤ 2 literals over shared
-	// inputs) are published to a lock-free ring, and importers adopt a
-	// candidate only after proving it implied by their own clause database.
-	// Sharing therefore never changes an answer, and witness models are
-	// canonical (see bitblast.CanonicalModel), so exhaustive Results stay
-	// byte-identical with sharing on or off — it only shortcuts repeated
-	// conflict work across structurally similar paths. See doc.go.
-	ClauseSharing bool
 	// Incremental gives each worker one persistent bitblast.Session instead
 	// of a fresh blaster per path attempt: a path's conjuncts are encoded
 	// once, guarded by activation literals, and a child path's solve pushes
@@ -438,12 +393,6 @@ type Engine struct {
 	// with the mode on or off; it only changes how fast the tree burns
 	// down. See doc.go.
 	Incremental bool
-	// Merge enables veritesting-style diamond state merging: frontier
-	// feasibility queries are first relaxed by dropping the newest branch
-	// decision, and relaxed-unsatisfiable verdicts are memoized engine-wide
-	// so the sibling path's mirrored query is answered without solving.
-	// Answer-preserving (see Context.branchFeasible); implies Incremental.
-	Merge bool
 	// Progress, when set, is invoked after each completed path with the
 	// cumulative number of paths kept so far. With Workers > 1 it is called
 	// from worker goroutines and must be safe for concurrent use; counts are
@@ -493,28 +442,12 @@ func (e *Engine) RunContext(ctx context.Context, h Handler) *Result {
 	if e.CovMap != nil {
 		res.Cov = e.CovMap.NewSet()
 	}
-	var share *bitblast.Space
-	if e.ClauseSharing {
-		// One space per run: canonical input numbering plus the clause ring.
-		// Sequential runs share too — clauses learned on one path shortcut
-		// conflicts on later paths of the same handler.
-		share = bitblast.NewSpace(0)
-	}
-	var merge *mergeMemo
-	if e.Merge {
-		merge = newMergeMemo()
-	}
 
 	start := time.Now()
 	if workers == 1 {
-		e.runSequential(ctx, h, share, merge, res)
+		e.runSequential(ctx, h, res)
 	} else {
-		e.runParallel(ctx, h, workers, share, merge, res)
-	}
-	if share != nil {
-		st := share.Stats()
-		res.ClauseExports = st.Exported
-		res.ClauseImports = st.Imported
+		e.runParallel(ctx, h, workers, res)
 	}
 	canonicalizePaths(res.Paths)
 	if res.Cancelled {
@@ -524,22 +457,14 @@ func (e *Engine) RunContext(ctx context.Context, h Handler) *Result {
 	return res
 }
 
-// incremental reports whether workers run persistent sessions (Merge needs
-// droppable per-conjunct assumptions, so it implies Incremental).
-func (e *Engine) incremental() bool { return e.Incremental || e.Merge }
-
 // newContext builds the execution context for one path attempt. A non-nil
 // sess is the worker's persistent incremental session, reset for the new
-// path; otherwise the path gets a fresh blaster. With clause sharing either
-// back end joins the run's shared space (a nil share degrades to private
-// numbering).
-func (e *Engine) newContext(it *workItem, enqueue func(*workItem), counters *pathCounters, sess *bitblast.Session, share *bitblast.Space, merge *mergeMemo) *Context {
+// path; otherwise the path gets a fresh blaster.
+func (e *Engine) newContext(it *workItem, enqueue func(*workItem), counters *pathCounters, sess *bitblast.Session) *Context {
 	ctx := &Context{
 		maxDepth:  e.MaxDepth,
 		enqueue:   enqueue,
 		counters:  counters,
-		merge:     merge,
-		lastDec:   -1,
 		decisions: it.decisions,
 		inputs:    make(map[string]*sym.Expr),
 	}
@@ -547,7 +472,7 @@ func (e *Engine) newContext(it *workItem, enqueue func(*workItem), counters *pat
 		sess.Reset()
 		ctx.blaster, ctx.sess = sess, sess
 	} else {
-		ctx.blaster = bitblast.NewShared(share)
+		ctx.blaster = bitblast.New()
 	}
 	if e.CovMap != nil {
 		ctx.cov = e.CovMap.NewSet()
@@ -560,7 +485,6 @@ func (e *Engine) newContext(it *workItem, enqueue func(*workItem), counters *pat
 func addSolveCounters(res *Result, c *pathCounters, sess *bitblast.Session) {
 	res.BranchQueries += c.branchQueries
 	res.FullSolves += c.fullSolves
-	res.MergeHits += c.mergeHits
 	if sess != nil {
 		res.AssumptionSolves += sess.AssumptionSolves
 		res.ConstraintsReused += sess.ConstraintsReused
@@ -586,8 +510,8 @@ func (e *Engine) completePath(ctx *Context) *Path {
 		if ctx.blaster.Solve() {
 			// Canonical extraction keeps the model a pure function of the
 			// path condition: the same path yields the same witness bytes
-			// whatever the worker count, encoding layout, or clause imports
-			// did to the CDCL search trajectory.
+			// whatever the worker count or encoding layout did to the CDCL
+			// search trajectory.
 			p.Model = ctx.blaster.CanonicalModel()
 		}
 	}
@@ -597,15 +521,15 @@ func (e *Engine) completePath(ctx *Context) *Path {
 // runSequential is the single-threaded exploration loop. cancel is the
 // run's context.Context (named to keep ctx free for the per-path execution
 // Context).
-func (e *Engine) runSequential(cancel context.Context, h Handler, share *bitblast.Space, merge *mergeMemo, res *Result) {
+func (e *Engine) runSequential(cancel context.Context, h Handler, res *Result) {
 	e.queue = e.Strategy
 	if e.queue == nil {
 		e.queue = NewInterleaved(1)
 	}
 	e.counters = pathCounters{}
 	var sess *bitblast.Session
-	if e.incremental() {
-		sess = bitblast.NewSession(share)
+	if e.Incremental {
+		sess = bitblast.NewSession()
 	}
 	cut := e.newCanonCut()
 
@@ -634,7 +558,7 @@ func (e *Engine) runSequential(cancel context.Context, h Handler, share *bitblas
 		if cut != nil && cut.prune(it.decisions) {
 			continue
 		}
-		ctx := e.newContext(it, enqueue, &e.counters, sess, share, merge)
+		ctx := e.newContext(it, enqueue, &e.counters, sess)
 		outcome := runOne(ctx, h)
 		for name, v := range ctx.inputs {
 			res.Inputs[name] = v
@@ -745,12 +669,51 @@ const (
 	pathDepthTruncated
 )
 
+// pathPanic is the value the engine panics with when a handler (or the
+// engine itself) panics on a path for any reason other than the engine's
+// own path aborts. It names the path by the branch decisions taken before
+// the panic, so the failure can be replayed with Engine.Prefix. Under
+// parallel exploration the panic is caught on the worker, every worker is
+// stopped, and it is re-raised on the goroutine that called Run, where the
+// caller can recover it; stack keeps the worker's stack at the panic site.
+type pathPanic struct {
+	decisions []bool
+	value     any
+	stack     []byte
+}
+
+func (p *pathPanic) Error() string {
+	return fmt.Sprintf("symexec: panic on path %s: %v\n\npath goroutine stack:\n%s",
+		FormatDecisions(p.decisions), p.value, p.stack)
+}
+
+// FormatDecisions renders a decision prefix compactly for messages and logs
+// ("tff"; "·" for the root).
+func FormatDecisions(p []bool) string {
+	if len(p) == 0 {
+		return "·"
+	}
+	b := make([]byte, len(p))
+	for i, v := range p {
+		if v {
+			b[i] = 't'
+		} else {
+			b[i] = 'f'
+		}
+	}
+	return string(b)
+}
+
 func runOne(ctx *Context, h Handler) (out pathOutcome) {
 	defer func() {
 		if r := recover(); r != nil {
 			ab, ok := r.(abortPanic)
 			if !ok {
-				panic(r) // genuine bug in handler or engine
+				// Genuine bug in handler or engine: name the path. The
+				// decisions slice may run ahead of depth during replay, or
+				// lag it by one when the panic hit a frontier query.
+				taken := ctx.decisions[:min(ctx.depth, len(ctx.decisions))]
+				panic(&pathPanic{decisions: append([]bool(nil), taken...), value: r, stack: debug.Stack()})
 			}
 			switch ab.kind {
 			case abortCrash:

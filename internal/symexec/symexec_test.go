@@ -3,6 +3,7 @@ package symexec
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"testing"
 
 	"github.com/soft-testing/soft/internal/coverage"
@@ -363,17 +364,34 @@ func TestInputRegistry(t *testing.T) {
 	}
 }
 
+// TestWidthConflictPanics: a handler bug panics out of Run on the caller's
+// goroutine — also when it fires on a parallel worker, where an unrecovered
+// panic would kill the process — naming the path it fired on.
 func TestWidthConflictPanics(t *testing.T) {
-	e := &Engine{}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on width conflict")
-		}
-	}()
-	e.Run(func(ctx *Context) {
-		ctx.NewSym("a", 8)
-		ctx.NewSym("a", 16)
-	})
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			defer func() {
+				r := recover()
+				p, ok := r.(*pathPanic)
+				if !ok {
+					t.Fatalf("recovered %T %v, want *pathPanic", r, r)
+				}
+				if got := FormatDecisions(p.decisions); got != "t" {
+					t.Errorf("panic names path %q, want %q", got, "t")
+				}
+				if msg := p.Error(); !strings.Contains(msg, "panic on path t:") || !strings.Contains(msg, `input "a" redeclared`) {
+					t.Errorf("panic message lacks the path or the cause: %s", msg)
+				}
+			}()
+			(&Engine{Workers: workers}).Run(func(ctx *Context) {
+				x := ctx.NewSym("x", 8)
+				if ctx.Branch(sym.Ult(x, sym.Const(8, 10))) {
+					ctx.NewSym("a", 8)
+					ctx.NewSym("a", 16)
+				}
+			})
+		})
+	}
 }
 
 // TestExponentialPathFamily checks the engine handles a path-explosion-

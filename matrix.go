@@ -68,7 +68,7 @@ func CodeVersion() string { return store.DefaultCodeVersion() }
 //
 // Cancelling ctx aborts the campaign with ctx's error (a partial campaign
 // has no deterministic meaning). Options: WithMaxPaths, WithMaxDepth,
-// WithModels, WithClauseSharing, WithWorkers, WithBudget, WithStore,
+// WithModels, WithIncrementalSolver, WithWorkers, WithBudget, WithStore,
 // WithCodeVersion, WithFleetListener, WithShardDepth, WithAdaptiveShards,
 // WithLeaseTimeout, WithCrossCheck, WithCampaignService, WithTenant,
 // WithScenarios, WithProgress, WithLog.
@@ -92,19 +92,17 @@ func RunMatrix(ctx context.Context, agents, tests []string, opts ...Option) (*Ma
 		return runMatrixRemote(ctx, cfg, agents, tests)
 	}
 	o := sched.Options{
-		MaxPaths:      cfg.maxPaths,
-		MaxDepth:      cfg.maxDepth,
-		Models:        cfg.models,
-		ClauseSharing: cfg.clauseSharing,
-		Incremental:   cfg.incremental,
-		Merge:         cfg.merge,
-		Workers:       cfg.workers,
-		ShardDepth:    cfg.shardDepth,
-		Adaptive:      cfg.adaptiveShards,
-		CodeVersion:   cfg.codeVersion,
-		CrossCheck:    !cfg.noCrossCheck,
-		Budget:        cfg.budget,
-		Log:           cfg.log,
+		MaxPaths:    cfg.maxPaths,
+		MaxDepth:    cfg.maxDepth,
+		Models:      cfg.models,
+		Incremental: cfg.incremental,
+		Workers:     cfg.workers,
+		ShardDepth:  cfg.shardDepth,
+		Adaptive:    cfg.adaptiveShards,
+		CodeVersion: cfg.codeVersion,
+		CrossCheck:  !cfg.noCrossCheck,
+		Budget:      cfg.budget,
+		Log:         cfg.log,
 	}
 	if cfg.storeDir != "" {
 		st, err := store.Open(cfg.storeDir)

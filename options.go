@@ -16,18 +16,15 @@ import (
 type Option func(*config)
 
 type config struct {
-	maxPaths      int
-	maxDepth      int
-	workers       int
-	models        bool
-	budget        time.Duration
-	strategy      Strategy
-	solver        *Solver
-	progress      func(Event)
-	clauseSharing bool
-	sharedCache   bool
-	incremental   bool
-	merge         bool
+	maxPaths    int
+	maxDepth    int
+	workers     int
+	models      bool
+	budget      time.Duration
+	strategy    Strategy
+	solver      *Solver
+	progress    func(Event)
+	incremental bool
 
 	canonicalCut    bool
 	canonicalCutSet bool
@@ -50,7 +47,7 @@ type config struct {
 }
 
 func newConfig(opts []Option) *config {
-	cfg := &config{sharedCache: true, incremental: true}
+	cfg := &config{incremental: true}
 	for _, o := range opts {
 		o(cfg)
 	}
@@ -103,15 +100,6 @@ func WithModels(want bool) Option { return func(c *config) { c.models = want } }
 // pipeline stages; nil means a fresh solver per call.
 func WithSolver(s *Solver) Option { return func(c *config) { c.solver = s } }
 
-// WithClauseSharing enables learned-clause sharing between the SAT cores
-// of an exploration's paths (Explore and ExploreHandler; CrossCheck
-// ignores it): input variables get one canonical numbering, short learned
-// clauses flow through a bounded lock-free ring, and every import is
-// re-validated against the importer's own clause database. Results are
-// byte-identical with sharing on or off — sharing only cuts repeated
-// conflict work on structurally similar paths. Default off.
-func WithClauseSharing(on bool) Option { return func(c *config) { c.clauseSharing = on } }
-
 // WithIncrementalSolver controls the assumption-stack solver sessions used
 // by exploration (Explore, ExploreHandler, Serve, and RunMatrix cells;
 // CrossCheck ignores it). On — the default — each exploration worker keeps
@@ -122,23 +110,6 @@ func WithClauseSharing(on bool) Option { return func(c *config) { c.clauseSharin
 // the switch exists to benchmark the win and to fall back to per-path
 // solvers if a workload ever regresses.
 func WithIncrementalSolver(on bool) Option { return func(c *config) { c.incremental = on } }
-
-// WithStateMerging enables diamond state merging on top of the incremental
-// sessions (it implies WithIncrementalSolver for the run): at each branch
-// frontier the engine first asks a relaxed query that drops the newest
-// branch decision, and a relaxed UNSAT — which covers both diamond
-// siblings at once — is memoized engine-wide so the matching sibling's arm
-// is pruned without any solver call. Answer-preserving; off by default.
-func WithStateMerging(on bool) Option { return func(c *config) { c.merge = on } }
-
-// WithSharedCache controls how CrossCheck workers use the solver's query
-// cache (Explore ignores it — path feasibility runs on path-private SAT
-// cores). True, the default, shares one sharded single-flight cache across
-// all workers: structurally equal queries are solved once per run. False
-// hands each worker a copy-on-write clone — zero cross-worker contention
-// at the cost of re-solving overlapping queries per worker. The report is
-// identical either way.
-func WithSharedCache(on bool) Option { return func(c *config) { c.sharedCache = on } }
 
 // WithCanonicalCut controls how a MaxPaths cap truncates exploration. On,
 // the run keeps the MaxPaths canonically smallest paths (lexicographic
@@ -286,8 +257,8 @@ type Event struct {
 	// 0 for PhaseExplore, where the path count is not known in advance).
 	Total int
 	// Stats carries the stage's solver statistics (queries, cache hits,
-	// learned-clause exports/imports). It is set only on the final event a
-	// stage emits, after its work completed; nil on incremental events.
+	// solve time). It is set only on the final event a stage emits, after
+	// its work completed; nil on incremental events.
 	Stats *SolverStats
 }
 

@@ -117,8 +117,7 @@ type (
 	Solver = solver.Solver
 
 	// SolverStats aggregates solver work for one pipeline stage: queries,
-	// cache hits, solve time, and — with clause sharing on — learned-clause
-	// exports and imports. Carried by Result.SolverStats, Report.SolverStats
+	// cache hits, and solve time. Carried by Result.SolverStats, Report.SolverStats
 	// and the final progress Event of each stage.
 	SolverStats = solver.Stats
 
@@ -176,16 +175,14 @@ func Explore(ctx context.Context, a Agent, t Test, opts ...Option) (*Result, err
 	}
 	cfg := newConfig(opts)
 	ho := harness.Options{
-		MaxPaths:      cfg.maxPaths,
-		MaxDepth:      cfg.maxDepth,
-		Strategy:      cfg.strategy,
-		WantModels:    cfg.models,
-		Solver:        cfg.solver,
-		Workers:       cfg.workers,
-		ClauseSharing: cfg.clauseSharing,
-		Incremental:   cfg.incremental,
-		Merge:         cfg.merge,
-		CanonicalCut:  cfg.canonicalCutOr(false),
+		MaxPaths:     cfg.maxPaths,
+		MaxDepth:     cfg.maxDepth,
+		Strategy:     cfg.strategy,
+		WantModels:   cfg.models,
+		Solver:       cfg.solver,
+		Workers:      cfg.workers,
+		Incremental:  cfg.incremental,
+		CanonicalCut: cfg.canonicalCutOr(false),
 	}
 	agent, test := a.Name(), t.Name
 	var pq *progressQueue
@@ -198,7 +195,7 @@ func Explore(ctx context.Context, a Agent, t Test, opts ...Option) (*Result, err
 	res := harness.ExploreContext(ctx, a, t, ho)
 	if pq != nil {
 		// Final event: the stage's solver statistics, for observability of
-		// cache and clause-sharing efficacy without a profiler. Total stays
+		// cache and session efficacy without a profiler. Total stays
 		// 0 per the PhaseExplore contract (the workload is never known in
 		// advance, and a truncated run completed only part of it).
 		pq.close(Event{
@@ -220,16 +217,14 @@ func ExploreHandler(ctx context.Context, h Handler, opts ...Option) (*HandlerRes
 	}
 	cfg := newConfig(opts)
 	eng := &symexec.Engine{
-		Solver:        cfg.solver,
-		Strategy:      cfg.strategy,
-		MaxPaths:      cfg.maxPaths,
-		MaxDepth:      cfg.maxDepth,
-		WantModels:    cfg.models,
-		Workers:       cfg.workers,
-		ClauseSharing: cfg.clauseSharing,
-		Incremental:   cfg.incremental,
-		Merge:         cfg.merge,
-		CanonicalCut:  cfg.canonicalCutOr(false),
+		Solver:       cfg.solver,
+		Strategy:     cfg.strategy,
+		MaxPaths:     cfg.maxPaths,
+		MaxDepth:     cfg.maxDepth,
+		WantModels:   cfg.models,
+		Workers:      cfg.workers,
+		Incremental:  cfg.incremental,
+		CanonicalCut: cfg.canonicalCutOr(false),
 	}
 	var pq *progressQueue
 	if cfg.progress != nil {
@@ -247,10 +242,7 @@ func ExploreHandler(ctx context.Context, h Handler, opts ...Option) (*HandlerRes
 		pq.close(Event{
 			Phase: PhaseExplore,
 			Done:  len(res.Paths),
-			Stats: &SolverStats{
-				ClauseExports: res.ClauseExports,
-				ClauseImports: res.ClauseImports,
-			},
+			Stats: &SolverStats{},
 		})
 	}
 	return res, nil
@@ -281,10 +273,9 @@ func CrossCheck(ctx context.Context, a, b *Grouped, opts ...Option) (*Report, er
 	}
 	cfg := newConfig(opts)
 	co := crosscheck.Opts{
-		Solver:        cfg.solver,
-		Budget:        cfg.budget,
-		Workers:       cfg.workers,
-		PrivateCaches: !cfg.sharedCache,
+		Solver:  cfg.solver,
+		Budget:  cfg.budget,
+		Workers: cfg.workers,
 	}
 	var maxDone, lastTotal atomic.Int64
 	var pq *progressQueue

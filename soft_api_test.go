@@ -305,8 +305,8 @@ func TestCrossCheckProgressAndCancellation(t *testing.T) {
 }
 
 // TestProgressEventStats: each stage's final progress event carries its
-// solver statistics, so embedders can observe cache and clause-sharing
-// efficacy without a profiler.
+// solver statistics, so embedders can observe cache and session efficacy
+// without a profiler.
 func TestProgressEventStats(t *testing.T) {
 	ctx := context.Background()
 	ref, _ := AgentByName("ref")
@@ -314,7 +314,7 @@ func TestProgressEventStats(t *testing.T) {
 	test, _ := TestByName("Packet Out")
 
 	var lastExplore *SolverStats
-	ra, err := Explore(ctx, ref, test, WithModels(true), WithClauseSharing(true),
+	ra, err := Explore(ctx, ref, test, WithModels(true),
 		WithProgress(func(ev Event) {
 			if ev.Stats != nil {
 				lastExplore = ev.Stats
@@ -327,7 +327,7 @@ func TestProgressEventStats(t *testing.T) {
 		t.Fatal("explore emitted no stats event")
 	}
 	if lastExplore.Queries != ra.SolverStats.Queries ||
-		lastExplore.ClauseExports != ra.SolverStats.ClauseExports {
+		lastExplore.AssumptionSolves != ra.SolverStats.AssumptionSolves {
 		t.Fatalf("stats event %+v does not match Result.SolverStats %+v", lastExplore, ra.SolverStats)
 	}
 
