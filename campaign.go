@@ -130,8 +130,8 @@ func runMatrixRemote(ctx context.Context, cfg *config, agents, tests []string) (
 			if tr := obs.Active(); tr != nil {
 				tr.MergeBundle(b)
 			}
-		} else if cfg.log != nil {
-			fmt.Fprintf(cfg.log, "soft: campaign trace download failed: %v\n", terr)
+		} else if cfg.logger != nil {
+			cfg.logger.Warn("campaign trace download failed", "job", final.ID, "err", terr)
 		}
 	}
 	return ReadMatrixReport(data)

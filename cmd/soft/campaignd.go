@@ -33,7 +33,7 @@ func runCampaignd(e *env, args []string) error {
 	maxActive := fs.Int("max-active", 0, "concurrently running jobs (0 = default 2); queued jobs wait fair-share across tenants")
 	retain := fs.Int("retain", 0, "keep only the newest N terminal job records, pruning older ones at startup and as jobs finish (0 = keep all)")
 	workers := fs.Int("workers", 0, "in-process parallelism per job (0 = GOMAXPROCS)")
-	shardDepth := fs.String("shard-depth", "", "fleet frontier split depth: an integer, or \"auto\" for progress-driven balancing")
+	shardDepth := fs.Int("shard-depth", 0, "fleet frontier split depth: forks deeper than this become worker shards (0 = default)")
 	leaseTimeout := fs.Duration("lease-timeout", 0, "re-offer a fleet shard not completed in this long (0 = default, negative = never)")
 	pprofFlag := fs.Bool("pprof", false, "also mount net/http/pprof under /debug/pprof/ on the API address")
 	logFormat := logFormatFlag(fs)
@@ -47,9 +47,8 @@ func runCampaignd(e *env, args []string) error {
 	if *storeDir == "" {
 		return usagef("a -store directory is required: it holds the job journal and cell cache that make the service durable")
 	}
-	depth, adaptive, err := parseShardDepth(*shardDepth)
-	if err != nil {
-		return usageError{err}
+	if *shardDepth < 0 {
+		return usagef("-shard-depth must not be negative (got %d)", *shardDepth)
 	}
 	logger, err := newCLILogger(e.stderr, *logFormat)
 	if err != nil {
@@ -74,15 +73,12 @@ func runCampaignd(e *env, args []string) error {
 		MaxActive:   *maxActive,
 		Retain:      *retain,
 		Workers:     *workers,
-		ShardDepth:  depth,
-		Adaptive:    adaptive,
+		ShardDepth:  *shardDepth,
 	}
 	if *verbose {
-		// Structured lifecycle lines (campaignd and fleet) go through the
-		// slog handler; the sched layer's per-cell lines keep the legacy
-		// plain writer.
+		// Lifecycle lines from campaignd, each job's sched layer, and the
+		// fleet all go through the one slog handler.
 		cfg.Logger = logger
-		cfg.Log = e.stderr
 	}
 
 	var fleetLn net.Listener
@@ -95,7 +91,6 @@ func runCampaignd(e *env, args []string) error {
 		fleet := dist.NewFleet(fleetLn, dist.FleetConfig{
 			LeaseTimeout: *leaseTimeout,
 			Logger:       cfg.Logger,
-			Log:          cfg.Log,
 		})
 		defer fleet.Close()
 		cfg.Fleet = fleet

@@ -6,12 +6,12 @@ import (
 	"net"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
 
 	"github.com/soft-testing/soft"
+	"github.com/soft-testing/soft/internal/obs"
 	"github.com/soft-testing/soft/internal/store"
 )
 
@@ -35,22 +35,6 @@ func splitList(s string) []string {
 	return out
 }
 
-// parseShardDepth understands the -shard-depth flag's three forms: "" (the
-// dist default), "auto" (adaptive balancing), or an integer depth.
-func parseShardDepth(s string) (depth int, adaptive bool, err error) {
-	switch s {
-	case "", "0":
-		return 0, false, nil
-	case "auto":
-		return 0, true, nil
-	}
-	d, err := strconv.Atoi(s)
-	if err != nil || d < 0 {
-		return 0, false, fmt.Errorf("invalid -shard-depth %q (want an integer or \"auto\")", s)
-	}
-	return d, false, nil
-}
-
 func runMatrix(e *env, args []string) error {
 	fs := newFlags(e, "matrix")
 	agentsFlag := fs.String("agents", "", "comma-separated agent names (default: all registered; see 'soft agents')")
@@ -66,7 +50,7 @@ func runMatrix(e *env, args []string) error {
 	storeMigrate := fs.Bool("store-migrate", false, "re-stamp a store recorded under a different code version instead of refusing it")
 	service := fs.String("service", "", "run the campaign on this campaign service (base URL; see 'soft campaignd') instead of in-process")
 	tenant := fs.String("tenant", "", "tenant name for -service jobs (default \"default\")")
-	shardDepth := fs.String("shard-depth", "", "fleet frontier split depth: an integer, or \"auto\" for progress-driven balancing")
+	shardDepth := fs.Int("shard-depth", 0, "fleet frontier split depth: forks deeper than this become worker shards (0 = default)")
 	leaseTimeout := fs.Duration("lease-timeout", 0, "re-offer a fleet shard not completed in this long (0 = default, negative = never)")
 	crossCheck := fs.Bool("crosscheck", true, "run phase 2 over every agent pair per test (false: explore and cache cells only)")
 	budget := fs.Duration("budget", 0, "time budget per pair check (0 = unlimited; a budget can make checks partial and reports non-reproducible)")
@@ -108,9 +92,8 @@ func runMatrix(e *env, args []string) error {
 			}
 		}
 	}
-	depth, adaptive, err := parseShardDepth(*shardDepth)
-	if err != nil {
-		return usageError{err}
+	if *shardDepth < 0 {
+		return usagef("-shard-depth must not be negative (got %d)", *shardDepth)
 	}
 	if *service != "" {
 		// A service-side campaign owns its own store and fleet; the
@@ -137,8 +120,7 @@ func runMatrix(e *env, args []string) error {
 		soft.WithMaxPaths(*maxPaths),
 		soft.WithModels(*models),
 		soft.WithIncrementalSolver(*incremental),
-		soft.WithShardDepth(depth),
-		soft.WithAdaptiveShards(adaptive),
+		soft.WithShardDepth(*shardDepth),
 		soft.WithLeaseTimeout(*leaseTimeout),
 		soft.WithCrossCheck(*crossCheck),
 		soft.WithBudget(*budget),
@@ -180,7 +162,7 @@ func runMatrix(e *env, args []string) error {
 		opts = append(opts, soft.WithFleetListener(ln))
 	}
 	if *progress {
-		opts = append(opts, soft.WithLog(e.stderr))
+		opts = append(opts, soft.WithLogger(obs.NewLogger(e.stderr, obs.LogText)))
 		var mu sync.Mutex
 		var last time.Time
 		opts = append(opts, soft.WithProgress(func(ev soft.Event) {
@@ -241,11 +223,10 @@ func runMatrix(e *env, args []string) error {
 		fmt.Fprintf(e.stderr, "soft matrix: result store: %d hits, %d misses; grouping cache: %d hits, %d misses\n",
 			rep.CacheHits, rep.CacheMisses, rep.GroupCacheHits, rep.GroupCacheMisses)
 		if fsStats := rep.FleetStats; fsStats != nil {
-			fmt.Fprintf(e.stderr, "soft matrix: fleet: %d workers (%d rejected), %d jobs, %d leases (%d batched, %d shards), %d re-queues, %d expirations, %d splits (+%d shards), %d stale results\n",
+			fmt.Fprintf(e.stderr, "soft matrix: fleet: %d workers (%d rejected), %d jobs, %d leases (%d batched, %d shards), %d re-queues, %d expirations, %d stale results\n",
 				fsStats.WorkersJoined, fsStats.WorkersRejected, fsStats.JobsCompleted,
 				fsStats.Leases, fsStats.BatchedLeases, fsStats.ShardsLeased,
-				fsStats.Requeues, fsStats.Expirations, fsStats.Splits, fsStats.SplitShards,
-				fsStats.StaleResults)
+				fsStats.Requeues, fsStats.Expirations, fsStats.StaleResults)
 		}
 		fmt.Fprintf(e.stderr, "soft matrix: %s\n", describeStats(rep.SolverStats, rep.BranchQueries))
 		fmt.Fprintf(e.stderr, "soft matrix: campaign completed in %s\n", rep.Elapsed.Round(time.Millisecond))

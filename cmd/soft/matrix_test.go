@@ -107,12 +107,17 @@ func TestMatrixCLI(t *testing.T) {
 	}
 }
 
-// TestMatrixCLIUsageErrors pins exit code 2 for bad arguments.
+// TestMatrixCLIUsageErrors pins exit code 2 for bad arguments. The
+// -shard-depth rows also cover serve: the flag is a plain non-negative
+// integer on every command that takes it, and the message names it.
 func TestMatrixCLIUsageErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"matrix", "-agents", "no-such-agent"},
 		{"matrix", "-tests", "No Such Test"},
 		{"matrix", "-shard-depth", "banana"},
+		{"matrix", "-shard-depth", "auto"},
+		{"matrix", "-shard-depth", "-1"},
+		{"serve", "-shard-depth", "auto"},
 		{"matrix", "-service", "http://127.0.0.1:1", "-store", "somewhere"},
 		{"matrix", "-service", "http://127.0.0.1:1", "-addr", ":0"},
 		{"matrix", "extra-arg"},
@@ -121,31 +126,12 @@ func TestMatrixCLIUsageErrors(t *testing.T) {
 		if code != 2 {
 			t.Errorf("soft %v: exit %d, want 2 (stderr %q)", args, code, stderr)
 		}
-		if !strings.Contains(stderr, "soft matrix:") {
+		if !strings.Contains(stderr, "soft "+args[0]+":") {
 			t.Errorf("soft %v error not prefixed: %q", args, stderr)
 		}
-	}
-}
-
-// TestServeShardDepthAuto pins the -shard-depth flag forms: "auto" is
-// accepted (the run itself is covered by dist/sched tests), garbage is a
-// usage error.
-func TestServeShardDepthAuto(t *testing.T) {
-	_, stderr, code := runCLI(t, "serve", "-shard-depth", "x7")
-	if code != 2 || !strings.Contains(stderr, "shard-depth") {
-		t.Fatalf("bad -shard-depth: exit %d, stderr %q", code, stderr)
-	}
-	// "auto" must pass flag validation; an unknown agent then stops the
-	// run before any socket work.
-	_, stderr, code = runCLI(t, "serve", "-shard-depth", "auto", "-agent", "no-such-agent")
-	if code != 2 || !strings.Contains(stderr, "unknown agent") {
-		t.Fatalf("-shard-depth auto rejected: exit %d, stderr %q", code, stderr)
-	}
-	if d, a, err := parseShardDepth("auto"); err != nil || !a || d != 0 {
-		t.Fatalf("parseShardDepth(auto) = (%d, %t, %v)", d, a, err)
-	}
-	if d, a, err := parseShardDepth("5"); err != nil || a || d != 5 {
-		t.Fatalf("parseShardDepth(5) = (%d, %t, %v)", d, a, err)
+		if args[1] == "-shard-depth" && !strings.Contains(stderr, "shard-depth") {
+			t.Errorf("soft %v error does not name the flag: %q", args, stderr)
+		}
 	}
 }
 

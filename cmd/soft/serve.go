@@ -29,7 +29,7 @@ func runServe(e *env, args []string) error {
 	maxPaths := fs.Int("max-paths", 0, "cap on explored paths (0 = default); distributed truncation is canonical")
 	models := fs.Bool("models", true, "extract a concrete input example per path")
 	incremental := fs.Bool("incremental", true, "workers keep one assumption-stack solver session per exploration worker (results are byte-identical either way)")
-	shardDepth := fs.String("shard-depth", "", "frontier split depth: an integer (forks deeper than this become worker shards), or \"auto\" for progress-driven balancing")
+	shardDepth := fs.Int("shard-depth", 0, "frontier split depth: forks deeper than this become worker shards (0 = default)")
 	leaseTimeout := fs.Duration("lease-timeout", 0, "re-offer a shard not completed in this long (0 = default, negative = never)")
 	canonicalCut := fs.Bool("canonical-cut", true, "keep the canonically smallest max-paths paths instead of the first to complete")
 	timeout := fs.Duration("timeout", 0, "wall-clock limit; on expiry the run aborts (distributed partial results are not deterministic)")
@@ -55,9 +55,8 @@ func runServe(e *env, args []string) error {
 	if _, ok := soft.TestByName(*testName); !ok {
 		return usagef("unknown test %q (run 'soft tests')", *testName)
 	}
-	depth, adaptive, err := parseShardDepth(*shardDepth)
-	if err != nil {
-		return usageError{err}
+	if *shardDepth < 0 {
+		return usagef("-shard-depth must not be negative (got %d)", *shardDepth)
 	}
 	logger, err := newCLILogger(e.stderr, *logFormat)
 	if err != nil {
@@ -102,8 +101,7 @@ func runServe(e *env, args []string) error {
 		soft.WithMaxPaths(*maxPaths),
 		soft.WithModels(*models),
 		soft.WithIncrementalSolver(*incremental),
-		soft.WithShardDepth(depth),
-		soft.WithAdaptiveShards(adaptive),
+		soft.WithShardDepth(*shardDepth),
 		soft.WithLeaseTimeout(*leaseTimeout),
 		soft.WithCanonicalCut(*canonicalCut),
 	}

@@ -35,8 +35,8 @@ type DistResult = harness.MergedResult
 //
 // Serve blocks until the run completes. Options: WithMaxPaths,
 // WithMaxDepth, WithModels, WithIncrementalSolver (forwarded to workers),
-// WithShardDepth, WithAdaptiveShards (progress-driven shard balancing),
-// WithLeaseTimeout, WithCanonicalCut, WithProgress, WithLog.
+// WithShardDepth, WithLeaseTimeout, WithCanonicalCut, WithProgress,
+// WithLogger.
 //
 // Serve runs exactly one (agent, test) job and then shuts its fleet down;
 // campaigns that drain a whole matrix over one persistent fleet use
@@ -55,7 +55,7 @@ func Serve(ctx context.Context, addr, agent, test string, opts ...Option) (*Dist
 // The listener is closed when the run ends.
 func ServeListener(ctx context.Context, ln net.Listener, agent, test string, opts ...Option) (*DistResult, error) {
 	cfg := newConfig(opts)
-	dc := dist.Config{
+	job := dist.JobConfig{
 		AgentName:      agent,
 		TestName:       test,
 		MaxPaths:       cfg.maxPaths,
@@ -64,19 +64,18 @@ func ServeListener(ctx context.Context, ln net.Listener, agent, test string, opt
 		Incremental:    cfg.incremental,
 		NoCanonicalCut: !cfg.canonicalCutOr(true),
 		ShardDepth:     cfg.shardDepth,
-		AdaptiveShards: cfg.adaptiveShards,
-		LeaseTimeout:   cfg.leaseTimeout,
-		Logger:         cfg.logger,
-		Log:            cfg.log,
 	}
 	var pq *progressQueue
 	if cfg.progress != nil {
 		pq = newProgressQueue(cfg.progress)
-		dc.Progress = func(done int) {
+		job.Progress = func(done int) {
 			pq.send(Event{Phase: PhaseExplore, Agent: agent, Test: test, Done: done})
 		}
 	}
-	res, err := dist.Serve(ctx, ln, dc)
+	// A single-job fleet: it serves this one job, then shuts down.
+	fleet := dist.NewFleet(ln, dist.FleetConfig{LeaseTimeout: cfg.leaseTimeout, Logger: cfg.logger})
+	res, err := fleet.Run(ctx, job)
+	fleet.Close()
 	if err != nil {
 		if pq != nil {
 			pq.close()
@@ -105,13 +104,12 @@ func ServeListener(ctx context.Context, ln net.Listener, agent, test string, opt
 //
 // The agent under test must be registered in this process (RegisterAgent;
 // the built-in agents register on import). Options: WithWorkers,
-// WithWorkerName, WithLog.
+// WithWorkerName, WithLogger.
 func Work(ctx context.Context, addr string, opts ...Option) error {
 	cfg := newConfig(opts)
 	return dist.Work(ctx, addr, dist.WorkerConfig{
 		Name:    cfg.workerName,
 		Workers: cfg.workers,
 		Logger:  cfg.logger,
-		Log:     cfg.log,
 	})
 }

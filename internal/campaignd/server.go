@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"sync"
 	"time"
@@ -33,12 +32,9 @@ type Config struct {
 	// MaxActive bounds concurrently running jobs (default 2). Queued jobs
 	// beyond it wait under fair-share scheduling across tenants.
 	MaxActive int
-	// Workers / ShardDepth / Adaptive / SplitAfter configure each job's
-	// sched.Options (see there).
+	// Workers / ShardDepth configure each job's sched.Options (see there).
 	Workers    int
 	ShardDepth int
-	Adaptive   bool
-	SplitAfter time.Duration
 	// Retain, when positive, bounds the journal: only the newest Retain
 	// terminal job records (done, failed, cancelled) are kept; older ones
 	// are pruned — journal record and report included — at startup and as
@@ -46,12 +42,9 @@ type Config struct {
 	Retain int
 	// Logger, when set, receives one structured line per service
 	// lifecycle event, each carrying job/tenant/state ids (and the trace
-	// id for traced jobs).
+	// id for traced jobs). Each job's sched layer logs its cell and check
+	// lines through it too. Nil discards them.
 	Logger *slog.Logger
-	// Log is the legacy plain-writer form: when Logger is nil and Log is
-	// set, lines render through the text slog handler onto Log. It is
-	// also what each job's sched layer logs to.
-	Log io.Writer
 }
 
 // Event is one progress report on a job's event stream (and the SSE wire
@@ -138,13 +131,12 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	log := cfg.Logger
-	if log == nil {
-		log = obs.NewLogger(cfg.Log, obs.LogText) // nil Log → no-op logger
+	if cfg.Logger == nil {
+		cfg.Logger = obs.NopLogger()
 	}
 	s := &Server{
 		cfg:        cfg,
-		log:        log.With("component", "campaignd"),
+		log:        cfg.Logger.With("component", "campaignd"),
 		jr:         jr,
 		jobs:       map[string]*Job{},
 		queues:     map[string][]*Job{},
@@ -570,14 +562,12 @@ func (s *Server) execute(ctx context.Context, j *Job) {
 		Workers:     s.cfg.Workers,
 		Fleet:       s.cfg.Fleet,
 		ShardDepth:  s.cfg.ShardDepth,
-		Adaptive:    s.cfg.Adaptive,
-		SplitAfter:  s.cfg.SplitAfter,
 		Store:       s.cfg.Store,
 		CodeVersion: cv,
 		CrossCheck:  spec.CrossCheck,
 		Budget:      0, // budgets break report determinism; never set one here
 		Progress:    func(done, total int) { s.progress(j, done, total) },
-		Log:         s.cfg.Log,
+		Logger:      s.cfg.Logger.With("job", j.ID),
 	})
 	sp.End()
 	if tr != nil {

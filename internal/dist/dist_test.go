@@ -42,34 +42,30 @@ func singleProcessBytes(t *testing.T, o harness.Options) []byte {
 	return buf.Bytes()
 }
 
-// serveAsync starts a coordinator on a fresh localhost listener and returns
-// the address plus a channel carrying the merged result.
+// serveAsync runs one job on a fresh localhost fleet and shuts the fleet
+// down when the job ends, the way soft.Serve does. It returns the fleet's
+// address plus a channel carrying the merged result.
 type serveOutcome struct {
 	res *harness.MergedResult
 	err error
 }
 
-func serveAsync(t *testing.T, ctx context.Context, cfg Config) (string, <-chan serveOutcome) {
+func serveAsync(t *testing.T, ctx context.Context, fc FleetConfig, jc JobConfig) (string, <-chan serveOutcome) {
 	t.Helper()
-	if cfg.AgentName == "" {
-		cfg.AgentName = "ref"
+	if jc.AgentName == "" {
+		jc.AgentName = "ref"
 	}
-	if cfg.TestName == "" {
-		cfg.TestName = "Packet Out"
+	if jc.TestName == "" {
+		jc.TestName = "Packet Out"
 	}
-	if cfg.DrainTimeout == 0 {
-		cfg.DrainTimeout = 200 * time.Millisecond
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
+	f, addr := newTestFleet(t, fc)
 	out := make(chan serveOutcome, 1)
 	go func() {
-		res, err := Serve(ctx, ln, cfg)
+		res, err := f.Run(ctx, jc)
+		f.Close()
 		out <- serveOutcome{res, err}
 	}()
-	return ln.Addr().String(), out
+	return addr, out
 }
 
 func waitServe(t *testing.T, out <-chan serveOutcome) *harness.MergedResult {
@@ -77,11 +73,11 @@ func waitServe(t *testing.T, out <-chan serveOutcome) *harness.MergedResult {
 	select {
 	case o := <-out:
 		if o.err != nil {
-			t.Fatalf("Serve: %v", o.err)
+			t.Fatalf("Run: %v", o.err)
 		}
 		return o.res
 	case <-time.After(2 * time.Minute):
-		t.Fatal("Serve did not complete")
+		t.Fatal("job did not complete")
 		return nil
 	}
 }
@@ -116,7 +112,7 @@ func TestDistributedExploreDeterminism(t *testing.T) {
 	want := singleProcessBytes(t, harness.Options{WantModels: true, Workers: 4})
 
 	ctx := context.Background()
-	addr, out := serveAsync(t, ctx, Config{WantModels: true})
+	addr, out := serveAsync(t, ctx, FleetConfig{}, JobConfig{WantModels: true})
 	w1 := startWorker(ctx, addr, 2)
 	w2 := startWorker(ctx, addr, 2)
 	res := waitServe(t, out)
@@ -167,7 +163,7 @@ func TestDistributedWorkerCrashReLease(t *testing.T) {
 	want := singleProcessBytes(t, harness.Options{WantModels: true, Workers: 4})
 
 	ctx := context.Background()
-	addr, out := serveAsync(t, ctx, Config{WantModels: true})
+	addr, out := serveAsync(t, ctx, FleetConfig{}, JobConfig{WantModels: true})
 	flakyWorker(t, addr) // connects, leases, disconnects
 	w := startWorker(ctx, addr, 2)
 	res := waitServe(t, out)
@@ -184,7 +180,7 @@ func TestDistributedLeaseTimeout(t *testing.T) {
 	want := singleProcessBytes(t, harness.Options{WantModels: true, Workers: 4})
 
 	ctx := context.Background()
-	addr, out := serveAsync(t, ctx, Config{WantModels: true, LeaseTimeout: 300 * time.Millisecond})
+	addr, out := serveAsync(t, ctx, FleetConfig{LeaseTimeout: 300 * time.Millisecond}, JobConfig{WantModels: true})
 
 	// Hung worker: takes a lease and never answers.
 	conn, err := net.Dial("tcp", addr)
@@ -226,7 +222,7 @@ func TestDistributedCanonicalTruncation(t *testing.T) {
 	}
 
 	ctx := context.Background()
-	addr, out := serveAsync(t, ctx, Config{WantModels: true, MaxPaths: cap})
+	addr, out := serveAsync(t, ctx, FleetConfig{}, JobConfig{WantModels: true, MaxPaths: cap})
 	w1 := startWorker(ctx, addr, 2)
 	w2 := startWorker(ctx, addr, 2)
 	res := waitServe(t, out)
@@ -242,18 +238,18 @@ func TestDistributedCanonicalTruncation(t *testing.T) {
 	}
 }
 
-// TestDistributedCancellation: cancelling the coordinator's context aborts
-// the run with the context error rather than hanging or emitting a result.
+// TestDistributedCancellation: cancelling the job's context aborts the run
+// with the context error rather than hanging or emitting a result.
 func TestDistributedCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	_, out := serveAsync(t, ctx, Config{WantModels: true})
+	_, out := serveAsync(t, ctx, FleetConfig{}, JobConfig{WantModels: true})
 	cancel() // no workers ever connect; pending shards can never finish
 	select {
 	case o := <-out:
 		if o.err == nil {
-			t.Fatal("cancelled Serve returned a result")
+			t.Fatal("cancelled job returned a result")
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatal("cancelled Serve did not return")
+		t.Fatal("cancelled job did not return")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net"
 	"sync"
@@ -27,13 +26,10 @@ type FleetConfig struct {
 	// (default 5s).
 	DrainTimeout time.Duration
 	// Logger, when set, receives one structured line per lifecycle event
-	// (worker connects, job submissions, lease grants, re-leases,
-	// splits, shard completions), every line carrying its job/lease/
-	// shard/worker/trace ids.
+	// (worker connects, job submissions, lease grants, re-leases, shard
+	// completions), every line carrying its job/lease/shard/worker/trace
+	// ids. Nil discards them.
 	Logger *slog.Logger
-	// Log is the legacy plain-writer form: when Logger is nil and Log is
-	// set, lines render through the text slog handler onto Log.
-	Log io.Writer
 }
 
 // FleetStats counts fleet lifecycle events across every job served. All
@@ -54,20 +50,16 @@ type FleetStats struct {
 	// Expirations those returned on lease timeout.
 	Requeues    int
 	Expirations int
-	// Splits counts adaptive shard splits; SplitShards the sub-shards they
-	// created.
-	Splits      int
-	SplitShards int
-	// StaleResults counts shard results dropped because another worker (or
-	// a completed split) already covered the subtree.
+	// StaleResults counts shard results dropped because another worker
+	// already completed the shard.
 	StaleResults int
 }
 
 // Fleet is a persistent distributed-exploration coordinator: workers
 // connect once and stay hot while any number of jobs — (agent, test)
 // exploration cells — are run through the same fleet, concurrently or in
-// sequence. It is the campaign scheduler's transport layer; Serve wraps it
-// for the single-job case.
+// sequence. It is the transport layer of both the campaign scheduler and
+// the single-job soft.Serve.
 //
 // The zero value is not usable; create fleets with NewFleet. All methods
 // are safe for concurrent use; Run may be called from many goroutines at
@@ -83,7 +75,6 @@ type Fleet struct {
 	nextJobID   uint64
 	nextLeaseID uint64
 	conns       map[net.Conn]bool
-	waiting     int // handlers blocked waiting for a lease
 	closed      bool
 	stats       FleetStats
 	// pidByWorker assigns each worker name a stable trace pid (the
@@ -108,7 +99,7 @@ func NewFleet(ln net.Listener, cfg FleetConfig) *Fleet {
 	}
 	log := cfg.Logger
 	if log == nil {
-		log = obs.NewLogger(cfg.Log, obs.LogText) // nil Log → no-op logger
+		log = obs.NopLogger()
 	}
 	f := &Fleet{
 		cfg:         cfg,
@@ -201,27 +192,24 @@ func (f *Fleet) Run(ctx context.Context, cfg JobConfig) (*harness.MergedResult, 
 	if cfg.ShardDepth == 0 {
 		cfg.ShardDepth = DefaultShardDepth
 	}
-	if cfg.SplitAfter == 0 {
-		cfg.SplitAfter = DefaultSplitAfter
-	}
 	start := time.Now()
-
-	// The job context also bounds work the fleet starts on the job's
-	// behalf (adaptive split explorations): when Run returns, any split
-	// still in flight is cancelled rather than orphaned.
-	jctx, jcancel := context.WithCancel(ctx)
-	defer jcancel()
-	j := &jobRun{cfg: cfg, ctx: jctx, agent: agent, test: test}
+	j := &jobRun{cfg: cfg, agent: agent}
 
 	// Split the frontier: the split run explores every path reachable
 	// through prefixes of length <= ShardDepth itself and diverts each
 	// deeper fork — the root of an unexplored subtree — into the shard
 	// queue.
 	var prefixes [][]bool
-	opts := j.exploreOptions()
-	opts.ShardDepth = cfg.ShardDepth
-	opts.ShardSink = func(p []bool) { prefixes = append(prefixes, p) }
-	j.local = harness.ExploreContext(jctx, agent, test, opts)
+	j.local = harness.ExploreContext(ctx, agent, test, harness.Options{
+		MaxPaths:     cfg.MaxPaths,
+		MaxDepth:     cfg.MaxDepth,
+		WantModels:   cfg.WantModels,
+		Incremental:  cfg.Incremental,
+		CanonicalCut: !cfg.NoCanonicalCut,
+		Workers:      1,
+		ShardDepth:   cfg.ShardDepth,
+		ShardSink:    func(p []bool) { prefixes = append(prefixes, p) },
+	})
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -247,7 +235,6 @@ func (f *Fleet) Run(ctx context.Context, cfg JobConfig) (*harness.MergedResult, 
 	for _, p := range prefixes {
 		j.addShard(p) // registered pending
 	}
-	j.roots = append([]*shard(nil), j.shards...)
 	// A shallow tree can produce no shards at all — the split explored
 	// everything locally. The job is then already complete; the wait loop
 	// below must not expect a worker to finish it.
@@ -290,8 +277,8 @@ func (f *Fleet) Run(ctx context.Context, cfg JobConfig) (*harness.MergedResult, 
 	var shards []*harness.Shard
 	if err == nil {
 		shards = append(shards, j.local.Shard())
-		for _, s := range j.roots {
-			s.collect(&shards)
+		for _, s := range j.shards {
+			shards = append(shards, s.result)
 		}
 	}
 	f.removeJobLocked(j)
@@ -407,9 +394,7 @@ func (f *Fleet) next(conn net.Conn) (*grant, bool) {
 			mShardsLeased.Add(int64(n))
 			return g, true
 		}
-		f.waiting++
 		f.cond.Wait()
-		f.waiting--
 	}
 }
 
@@ -443,9 +428,8 @@ func (f *Fleet) release(g *grant) {
 }
 
 // completeShard records one shard result from a lease. First completion
-// wins per shard: results for subtrees already covered elsewhere
-// (re-lease duplicates, lost split races) are dropped — determinism makes
-// the copies identical anyway.
+// wins per shard: a result for a shard already done (a re-lease duplicate)
+// is dropped — determinism makes the copies identical anyway.
 func (f *Fleet) completeShard(g *grant, idx int, result *harness.Shard) {
 	j := g.job
 	f.mu.Lock()
@@ -463,12 +447,8 @@ func (f *Fleet) completeShard(g *grant, idx int, result *harness.Shard) {
 		g.done -= retire
 		j.liveDone -= retire
 	}
-	accepted := false
-	switch {
-	case s.status == shardDone || s.status == shardCancelled || s.covered() || s.redundant():
-		f.stats.StaleResults++
-		mStaleResults.Inc()
-	default:
+	accepted := s.status != shardDone
+	if accepted {
 		mLeaseRTT.Observe(int64(time.Since(s.leasedAt)))
 		if s.status == shardPending {
 			// The lease expired and the shard went back to the queue, but
@@ -480,10 +460,9 @@ func (f *Fleet) completeShard(g *grant, idx int, result *harness.Shard) {
 		s.result = result
 		j.donePaths += len(result.Paths)
 		mPathsDone.Add(int64(len(result.Paths)))
-		// The accepted result covers the whole subtree; pending split
-		// children are now redundant.
-		j.cancelSubtree(s)
-		accepted = true
+	} else {
+		f.stats.StaleResults++
+		mStaleResults.Inc()
 	}
 	if !j.completed && j.failed == nil && j.doneLocked() {
 		j.completed = true
@@ -550,7 +529,7 @@ func (f *Fleet) reportProgress(j *jobRun) {
 	j.cfg.Progress(hi)
 }
 
-// watch expires stale leases and triggers adaptive splits.
+// watch expires stale leases.
 func (f *Fleet) watch() {
 	tick := time.NewTicker(100 * time.Millisecond)
 	defer tick.Stop()
@@ -560,110 +539,37 @@ func (f *Fleet) watch() {
 			f.mu.Unlock()
 			return
 		}
+		if f.cfg.LeaseTimeout <= 0 {
+			f.mu.Unlock()
+			continue
+		}
 		now := time.Now()
-		requeued := 0
 		// Expired shards are logged per job so every line carries the
 		// owning job's ids rather than one anonymous fleet-wide count.
 		expiredByJob := make(map[*jobRun]int)
-		var splits []*shard
-		var splitJobs []*jobRun
 		for _, j := range f.jobs {
 			for _, s := range j.shards {
-				if s.status != shardLeased {
+				if s.status != shardLeased || !now.After(s.deadline) {
 					continue
 				}
-				if f.cfg.LeaseTimeout > 0 && now.After(s.deadline) {
-					s.status = shardPending
-					// The old grant keeps its reference; if its result
-					// still arrives first it wins as before.
-					j.pending = append(j.pending, s)
-					requeued++
-					expiredByJob[j]++
-					f.stats.Expirations++
-					mExpirations.Inc()
-					continue
-				}
-				// Adaptive split: a shard that is slow while workers starve
-				// is speculatively subdivided so the idle capacity can race
-				// the original lease over the same subtree.
-				if j.cfg.Adaptive && f.waiting > 0 && len(j.pending) == 0 &&
-					!s.splitting && !s.split &&
-					len(s.prefix) < maxSplitPrefix &&
-					now.Sub(s.leasedAt) > j.cfg.SplitAfter {
-					s.splitting = true
-					// Registered under f.mu (closed is still false here), so
-					// Close's drain wait observes the split goroutine; the
-					// job context cancels its exploration promptly.
-					f.wg.Add(1)
-					splits = append(splits, s)
-					splitJobs = append(splitJobs, j)
-				}
+				s.status = shardPending
+				// The old grant keeps its reference; if its result still
+				// arrives first it wins as before.
+				j.pending = append(j.pending, s)
+				expiredByJob[j]++
+				f.stats.Expirations++
+				mExpirations.Inc()
 			}
 		}
 		f.mu.Unlock()
-		if requeued > 0 {
+		if len(expiredByJob) > 0 {
 			for j, n := range expiredByJob {
 				f.log.Info("re-queued expired shards",
 					"job", j.id, "shards", n, obs.TraceAttr(j.traceID))
 			}
 			f.cond.Broadcast()
 		}
-		for i, s := range splits {
-			go f.split(splitJobs[i], s)
-		}
 	}
-}
-
-// split subdivides a slow shard: the coordinator explores the subtree's
-// shallow slice itself (the stub) and queues each deeper fork as a child
-// shard. The original lease keeps running — whichever alternative
-// completes first covers the subtree, and byte-identical determinism makes
-// the outcome independent of who wins.
-func (f *Fleet) split(j *jobRun, s *shard) {
-	defer f.wg.Done()
-	var childPrefixes [][]bool
-	opts := j.exploreOptions()
-	opts.Prefix = s.prefix
-	opts.ShardDepth = len(s.prefix) + 1
-	opts.ShardSink = func(p []bool) { childPrefixes = append(childPrefixes, p) }
-	sub := harness.ExploreContext(j.ctx, j.agent, j.test, opts)
-
-	f.mu.Lock()
-	s.splitting = false
-	if sub.Cancelled || j.failed != nil || j.completed ||
-		s.covered() || s.redundant() || s.status == shardCancelled {
-		f.mu.Unlock()
-		return
-	}
-	s.split = true
-	s.stub = sub.Shard()
-	j.donePaths += len(sub.Paths)
-	mPathsDone.Add(int64(len(sub.Paths)))
-	for _, p := range childPrefixes {
-		c := j.addShard(p) // registered pending
-		c.parent = s
-		s.children = append(s.children, c)
-	}
-	// A pending parent has no worker racing for it; its stub + children
-	// replace it outright.
-	if s.status == shardPending {
-		s.status = shardCancelled
-		j.removePending(s)
-	}
-	f.stats.Splits++
-	f.stats.SplitShards += len(childPrefixes)
-	mSplits.Inc()
-	if !j.completed && j.failed == nil && j.doneLocked() {
-		// A shallow subtree can be fully covered by the stub alone.
-		j.completed = true
-	}
-	f.mu.Unlock()
-	f.log.Info("shard split",
-		"job", j.id, "shard", s.id, "prefix", symexec.FormatDecisions(s.prefix),
-		"sub_shards", len(childPrefixes), "stub_paths", len(sub.Paths),
-		obs.TraceAttr(j.traceID))
-	f.reportProgress(j)
-	f.cond.Broadcast()
 }
 
 // handle drives one worker connection through the protocol.

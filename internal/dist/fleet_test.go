@@ -139,82 +139,6 @@ func TestFleetLeaseBatching(t *testing.T) {
 	}
 }
 
-// idleWorker handshakes, accepts job announcements and one lease, then
-// goes silent while keeping the connection open — a worker that is alive
-// but making no progress. Returns a closer.
-func idleWorker(t *testing.T, addr string) func() {
-	t.Helper()
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatalf("idle worker dial: %v", err)
-	}
-	if err := writeFrame(conn, msgHello, encodeHello(hello{version: protocolVersion, name: "idle"})); err != nil {
-		t.Fatalf("idle worker hello: %v", err)
-	}
-	if mt, _, err := readFrame(conn); err != nil || mt != msgWelcome {
-		t.Fatalf("idle worker welcome: type %d err %v", mt, err)
-	}
-	if mt, _, err := readFrame(conn); err != nil || mt != msgJob {
-		t.Fatalf("idle worker job: type %d err %v", mt, err)
-	}
-	if mt, _, err := readFrame(conn); err != nil || mt != msgLease {
-		t.Fatalf("idle worker lease: type %d err %v", mt, err)
-	}
-	return func() { conn.Close() }
-}
-
-// TestFleetAdaptiveSplit pins the progress-driven balancer: a worker that
-// holds a lease without progressing triggers a speculative split once real
-// workers starve, the sub-shards drain through the live worker, and the
-// job completes — byte-identically — without the slow worker's result and
-// without waiting for its lease to expire.
-func TestFleetAdaptiveSplit(t *testing.T) {
-	want := agentBytes(t, "ref", harness.Options{WantModels: true, Workers: 4})
-
-	// A long lease timeout isolates the property: only the splitter can
-	// rescue the held shards within the test's lifetime.
-	f, addr := newTestFleet(t, FleetConfig{LeaseTimeout: time.Hour})
-	ctx := context.Background()
-
-	type outcome struct {
-		res *harness.MergedResult
-		err error
-	}
-	ch := make(chan outcome, 1)
-	go func() {
-		res, err := f.Run(ctx, JobConfig{
-			AgentName: "ref", TestName: "Packet Out", WantModels: true,
-			Adaptive: true, SplitAfter: 50 * time.Millisecond,
-		})
-		ch <- outcome{res, err}
-	}()
-
-	// The idle worker joins first and returns once it holds its (batched)
-	// lease, so some shards are definitely stuck behind it before the live
-	// worker exists.
-	closeIdle := idleWorker(t, addr)
-	defer closeIdle()
-	w := startWorker(ctx, addr, 2)
-
-	select {
-	case o := <-ch:
-		if o.err != nil {
-			t.Fatalf("Run: %v", o.err)
-		}
-		if got := serializeCanonical(t, o.res); !bytes.Equal(got, want) {
-			t.Fatal("adaptive-split result differs from single-process reference")
-		}
-	case <-time.After(2 * time.Minute):
-		t.Fatal("job did not complete; the splitter never rescued the held shards")
-	}
-	st := f.Stats()
-	if st.Splits == 0 {
-		t.Errorf("no adaptive splits happened (stats %+v)", st)
-	}
-	f.Close()
-	waitWorkers(t, w)
-}
-
 // TestFleetZeroShards: a split depth beyond the tree's deepest fork
 // yields no shards at all — the coordinator explored everything locally —
 // and the job must complete immediately, workerless, with the same bytes.
@@ -252,7 +176,6 @@ func TestCompleteRemovesExpiredShardFromQueue(t *testing.T) {
 	f.cond = sync.NewCond(&f.mu)
 	j := &jobRun{}
 	s := j.addShard([]bool{true, false})
-	j.roots = []*shard{s}
 	g := &grant{id: 1, job: j, shards: []*shard{s}}
 	// The lease was granted, then expired: the watch loop re-queued it.
 	s.status = shardPending

@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"context"
 	"sync"
 	"time"
 
@@ -33,25 +32,13 @@ type JobConfig struct {
 	// runs.
 	NoCanonicalCut bool
 
-	// ShardDepth bounds the initial frontier split (default
+	// ShardDepth bounds the frontier split (default
 	// DefaultShardDepth).
 	ShardDepth int
-	// Adaptive enables progress-driven shard balancing: a leased shard that
-	// has not completed within SplitAfter while workers are starving is
-	// speculatively re-split into deeper sub-shards (plus a coordinator-
-	// explored stub), and whichever side completes first — the original
-	// worker's whole-subtree result, or the stub plus all sub-shards — is
-	// used. Determinism makes both byte-identical, so splitting only
-	// changes who explores what, never the result.
-	Adaptive bool
-	// SplitAfter is the adaptive splitter's slowness threshold (default
-	// DefaultSplitAfter; only meaningful with Adaptive set).
-	SplitAfter time.Duration
 
 	// Progress, when set, receives the cumulative completed-path count
 	// (coordinator-local paths plus live shard progress). Counts are a
-	// monotone high-water mark and may slightly overcount during
-	// speculative splits (the count is advisory; results are exact).
+	// monotone high-water mark (the count is advisory; results are exact).
 	Progress func(done int)
 
 	// TraceID is the campaign's correlation id, threaded through log
@@ -60,25 +47,13 @@ type JobConfig struct {
 	TraceID uint64
 }
 
-// DefaultSplitAfter is how long a leased shard may run without completing
-// before the adaptive splitter speculatively subdivides it (when workers
-// are starving). Splitting is safe at any threshold — results are
-// byte-identical with or without it — so the default only trades
-// duplicated work against tail latency on unbalanced subtrees.
-const DefaultSplitAfter = 1500 * time.Millisecond
-
-// maxSplitPrefix bounds how deep adaptive splitting may push a shard
-// prefix; beyond this the subtree is explored as-is.
-const maxSplitPrefix = 24
-
 // shardStatus tracks one shard through the lease state machine.
 type shardStatus int
 
 const (
 	shardPending shardStatus = iota
 	shardLeased
-	shardDone      // result accepted
-	shardCancelled // covered by a parent result or a completed split
+	shardDone // result accepted
 )
 
 // shard is one unexplored subtree of a job's execution tree, identified by
@@ -91,73 +66,6 @@ type shard struct {
 	result   *harness.Shard
 	leasedAt time.Time
 	deadline time.Time // lease expiry (zero when LeaseTimeout disabled)
-
-	// Adaptive split state: a split shard is covered either by its own
-	// result (the original worker finished first) or by stub — the
-	// coordinator-explored shallow paths of the subtree — plus all
-	// children. Exactly one of the two alternatives enters the merge.
-	splitting bool // a split exploration is in flight
-	split     bool
-	stub      *harness.Shard
-	children  []*shard
-	parent    *shard
-}
-
-// redundant reports that an ancestor's own result already covers s's
-// subtree, so a result for s is stale however s itself looks (a leased
-// child cannot be cancelled, only ignored on arrival).
-func (s *shard) redundant() bool {
-	for p := s.parent; p != nil; p = p.parent {
-		if p.result != nil {
-			return true
-		}
-	}
-	return false
-}
-
-// covered reports whether s's subtree is fully accounted for: by its own
-// result, or (after a split) by the stub plus every child's subtree.
-func (s *shard) covered() bool {
-	if s.result != nil {
-		return true
-	}
-	if !s.split {
-		return false
-	}
-	for _, c := range s.children {
-		if !c.covered() {
-			return false
-		}
-	}
-	return true
-}
-
-// collect appends the shard payloads that reconstruct s's subtree for the
-// merge: s's own result when present, otherwise the split stub plus each
-// child's collection. Called only when s.covered().
-func (s *shard) collect(out *[]*harness.Shard) {
-	if s.result != nil {
-		*out = append(*out, s.result)
-		return
-	}
-	*out = append(*out, s.stub)
-	for _, c := range s.children {
-		c.collect(out)
-	}
-}
-
-// cancelSubtree marks every pending descendant of s cancelled and pulls it
-// from the queue (s's own result makes their exploration redundant).
-// Leased descendants keep running; their results are dropped as redundant
-// on arrival.
-func (j *jobRun) cancelSubtree(s *shard) {
-	for _, c := range s.children {
-		if c.status == shardPending {
-			c.status = shardCancelled
-			j.removePending(c)
-		}
-		j.cancelSubtree(c)
-	}
 }
 
 // grant is one lease: a batch of shards from one job handed to one worker
@@ -174,15 +82,11 @@ type grant struct {
 type jobRun struct {
 	id    uint64
 	cfg   JobConfig
-	ctx   context.Context
 	agent agents.Agent
-	test  harness.Test
 	local *harness.Result
 
-	roots     []*shard
-	shards    []*shard // every shard ever created, roots and split children
-	pending   []*shard
-	nextShard uint64
+	shards  []*shard // one per frontier prefix, in split order
+	pending []*shard
 
 	// traced/traceID freeze the job's trace context at submission time
 	// (whether a tracer was active, and the correlation id).
@@ -197,7 +101,7 @@ type jobRun struct {
 	// removal, so no callback can still be in flight once Run returns.
 	cbMu       sync.RWMutex
 	localPaths int
-	donePaths  int // paths in accepted results and split stubs
+	donePaths  int // paths in accepted results
 	liveDone   int // live progress across active grants
 	progressHi int
 }
@@ -220,17 +124,16 @@ func (j *jobRun) jobMsg() jobMsg {
 
 // addShard creates a shard for prefix and registers it (pending).
 func (j *jobRun) addShard(prefix []bool) *shard {
-	s := &shard{id: j.nextShard, prefix: prefix}
-	j.nextShard++
+	s := &shard{id: uint64(len(j.shards)), prefix: prefix}
 	j.shards = append(j.shards, s)
 	j.pending = append(j.pending, s)
 	return s
 }
 
-// doneLocked reports whether every root subtree is covered.
+// doneLocked reports whether every shard has a result.
 func (j *jobRun) doneLocked() bool {
-	for _, s := range j.roots {
-		if !s.covered() {
+	for _, s := range j.shards {
+		if s.result == nil {
 			return false
 		}
 	}
@@ -244,18 +147,5 @@ func (j *jobRun) removePending(s *shard) {
 			j.pending = append(j.pending[:i], j.pending[i+1:]...)
 			return
 		}
-	}
-}
-
-// exploreOptions renders the harness options every exploration of this job
-// must share (prefix and split-sink vary per call).
-func (j *jobRun) exploreOptions() harness.Options {
-	return harness.Options{
-		MaxPaths:     j.cfg.MaxPaths,
-		MaxDepth:     j.cfg.MaxDepth,
-		WantModels:   j.cfg.WantModels,
-		Incremental:  j.cfg.Incremental,
-		CanonicalCut: !j.cfg.NoCanonicalCut,
-		Workers:      1,
 	}
 }

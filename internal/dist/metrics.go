@@ -16,14 +16,13 @@ var (
 	mShardsLeased    = obs.NewCounter("soft_fleet_shards_leased_total")
 	mRequeues        = obs.NewCounter("soft_fleet_requeues_total")
 	mExpirations     = obs.NewCounter("soft_fleet_expirations_total")
-	mSplits          = obs.NewCounter("soft_fleet_splits_total")
 	mStaleResults    = obs.NewCounter("soft_fleet_stale_results_total")
 	// mWorkersConnected tracks live worker connections (welcomed minus
 	// departed) for the `soft top` dashboard.
 	mWorkersConnected = obs.NewGauge("soft_fleet_workers_connected")
 	// mPathsDone counts paths banked into jobs (coordinator-local split
-	// paths, accepted shard results, split stubs): the numerator of the
-	// dashboard's paths/sec rate.
+	// paths and accepted shard results): the numerator of the dashboard's
+	// paths/sec rate.
 	mPathsDone = obs.NewCounter("soft_fleet_paths_completed_total")
 	// mLeaseRTT is the grant-to-first-accepted-result round trip per shard.
 	mLeaseRTT = obs.NewHistogram("soft_fleet_lease_rtt_ns")

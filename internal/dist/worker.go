@@ -3,7 +3,6 @@ package dist
 import (
 	"context"
 	"fmt"
-	"io"
 	"log/slog"
 	"net"
 	"os"
@@ -26,11 +25,8 @@ type WorkerConfig struct {
 	// frontier, so a distributed run parallelizes at two levels.
 	Workers int
 	// Logger, when set, receives one structured line per job join and
-	// lease, each carrying worker/job/lease/trace ids.
+	// lease, each carrying worker/job/lease/trace ids. Nil discards them.
 	Logger *slog.Logger
-	// Log is the legacy plain-writer form: when Logger is nil and Log is
-	// set, lines render through the text slog handler onto Log.
-	Log io.Writer
 }
 
 // progressInterval throttles streamed progress frames.
@@ -101,7 +97,7 @@ func Work(ctx context.Context, addr string, cfg WorkerConfig) error {
 	}
 	log := cfg.Logger
 	if log == nil {
-		log = obs.NewLogger(cfg.Log, obs.LogText) // nil Log → no-op logger
+		log = obs.NopLogger()
 	}
 	log = log.With("component", "worker", "worker", cfg.Name)
 	log.Info("connected", "addr", addr)

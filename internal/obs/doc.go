@@ -78,9 +78,11 @@
 // handler). Field names are shared across processes so one grep
 // reassembles a distributed run:
 //
-//   - component: the emitting subsystem ("dist", "campaignd")
+//   - component: the emitting subsystem ("dist", "worker", "sched",
+//     "campaignd")
 //   - job, lease, shard: the dist work-unit ids, outermost first
 //   - worker: the worker's self-reported name
+//   - agent, test (agent_a, agent_b for a pair check): campaign cells
 //   - tenant, state: campaign-service job lifecycle fields
 //   - trace: the hex trace id (TraceAttr; omitted when untraced)
 //

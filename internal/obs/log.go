@@ -2,7 +2,6 @@ package obs
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"log/slog"
 )
@@ -67,10 +66,4 @@ func TraceAttr(id uint64) slog.Attr {
 		return slog.Attr{}
 	}
 	return slog.String("trace", FormatTraceID(id))
-}
-
-// Logf adapts a structured logger to printf-style call sites that have
-// no ids to attach (legacy surfaces mid-migration).
-func Logf(l *slog.Logger, format string, args ...any) {
-	l.Info(fmt.Sprintf(format, args...))
 }

@@ -45,22 +45,13 @@
 // per leased prefix. A hello whose protocol version differs is refused
 // with an explicit reject frame naming the wanted version.
 //
-// # Adaptive shard balancing
+// # Lease batching
 //
-// The fixed `-shard-depth` split cannot know which subtrees are deep. The
-// fleet's balancer fixes both failure modes at run time:
-//
-//   - Split slow subtrees: a leased shard that has not completed within
-//     SplitAfter while workers starve is speculatively re-split — the
-//     coordinator explores the subtree's shallow slice itself (the stub)
-//     and queues each deeper fork as a new shard. The original lease keeps
-//     running; whichever alternative completes first (the whole-subtree
-//     result, or the stub plus all sub-shards) covers the subtree, and
-//     byte-identical determinism makes the choice invisible in the output.
-//
-//   - Coalesce trivial ones: when pending shards far outnumber workers,
-//     leases batch several prefixes, amortizing round trips and result
-//     frames over subtrees too small to matter individually.
+// The fleet splits each cell's frontier once, at a fixed `-shard-depth`.
+// When pending shards far outnumber workers, a lease batches several
+// prefixes, amortizing round trips and result frames over subtrees too
+// small to matter individually; when work is scarce each shard ships
+// alone so it can be re-leased independently.
 //
 // # Cache keying
 //

@@ -3,7 +3,7 @@ package sched
 import (
 	"context"
 	"fmt"
-	"io"
+	"log/slog"
 	"runtime"
 	"sync"
 	"time"
@@ -41,11 +41,8 @@ type Options struct {
 	// Fleet, when set, runs every non-cached cell as a job on this
 	// persistent worker fleet; nil explores in-process.
 	Fleet *dist.Fleet
-	// ShardDepth / Adaptive / SplitAfter configure fleet jobs (see
-	// dist.JobConfig).
+	// ShardDepth configures fleet jobs (see dist.JobConfig).
 	ShardDepth int
-	Adaptive   bool
-	SplitAfter time.Duration
 
 	// Store, when set, caches cell results and grouping constructions;
 	// CodeVersion pins the code component of the cache key (default
@@ -64,8 +61,10 @@ type Options struct {
 	// Progress, when set, is called after each completed cell and each
 	// completed pair check with (done, total) counts over cells + checks.
 	Progress func(done, total int)
-	// Log, when set, receives one line per cell and check.
-	Log io.Writer
+	// Logger, when set, receives one structured line per cell and check,
+	// carrying agent/test (or agent_a/agent_b/test) attributes. Nil
+	// discards them.
+	Logger *slog.Logger
 
 	// TraceID is the campaign's trace correlation id, forwarded to every
 	// fleet job so coordinator, worker, and daemon log lines (and the
@@ -236,18 +235,11 @@ func RunMatrix(ctx context.Context, agentNames, testNames []string, o Options) (
 		progressMu.Unlock()
 		o.Progress(d, totalWork)
 	}
-	// Cell goroutines log concurrently in fleet mode; serialize writes (the
-	// fleet's own logger has its internal mutex, so interleaving with it is
-	// at line granularity either way).
-	var logMu sync.Mutex
-	logf := func(format string, args ...any) {
-		if o.Log == nil {
-			return
-		}
-		logMu.Lock()
-		defer logMu.Unlock()
-		fmt.Fprintf(o.Log, "sched: "+format+"\n", args...)
+	log := o.Logger
+	if log == nil {
+		log = obs.NopLogger()
 	}
+	log = log.With("component", "sched", obs.TraceAttr(o.TraceID))
 
 	// Phase 1: the cells. With a fleet, all cells run concurrently as jobs
 	// and the fleet interleaves their shards over the shared workers;
@@ -287,13 +279,14 @@ func RunMatrix(ctx context.Context, agentNames, testNames []string, o Options) (
 				// A corrupt or unreadable entry is a miss, not a campaign
 				// failure: re-explore and overwrite it (PutResult is
 				// atomic), per the store's self-healing contract.
-				logf("cell %s / %s: %v (re-exploring)", cell.Agent, cell.Test, err)
+				log.Warn("cell cache entry unreadable (re-exploring)",
+					"agent", cell.Agent, "test", cell.Test, "err", err)
 			}
 			if ok {
 				cell.Result = res
 				cell.CacheHit = true
 				cell.Elapsed = time.Since(cellStart)
-				logf("cell %s / %s: cached (%d paths)", cell.Agent, cell.Test, len(res.Paths))
+				log.Info("cell cached", "agent", cell.Agent, "test", cell.Test, "paths", len(res.Paths))
 				return
 			}
 		}
@@ -303,8 +296,7 @@ func RunMatrix(ctx context.Context, agentNames, testNames []string, o Options) (
 				AgentName: cell.Agent, TestName: cell.Test,
 				MaxPaths: o.MaxPaths, MaxDepth: o.MaxDepth,
 				WantModels: o.Models, Incremental: o.Incremental,
-				ShardDepth: o.ShardDepth, Adaptive: o.Adaptive, SplitAfter: o.SplitAfter,
-				TraceID: o.TraceID,
+				ShardDepth: o.ShardDepth, TraceID: o.TraceID,
 			})
 			if err != nil {
 				fail(err)
@@ -336,8 +328,8 @@ func RunMatrix(ctx context.Context, agentNames, testNames []string, o Options) (
 			cell.BranchQueries = res.BranchQueries
 		}
 		cell.Elapsed = time.Since(cellStart)
-		logf("cell %s / %s: %d paths in %s", cell.Agent, cell.Test,
-			len(cell.Result.Paths), cell.Elapsed.Round(time.Millisecond))
+		log.Info("cell explored", "agent", cell.Agent, "test", cell.Test,
+			"paths", len(cell.Result.Paths), "elapsed", cell.Elapsed.Round(time.Millisecond))
 		if o.Store != nil {
 			if err := o.Store.PutResult(key, cell.Result); err != nil {
 				fail(err)
@@ -412,7 +404,8 @@ func RunMatrix(ctx context.Context, agentNames, testNames []string, o Options) (
 				g, ok, err := o.Store.GetGroups(cell.ResultHash, o.CodeVersion)
 				if err != nil {
 					// Corrupt groups entry: rebuild and overwrite.
-					logf("cell %s / %s: %v (re-grouping)", cell.Agent, cell.Test, err)
+					log.Warn("cell groups entry unreadable (re-grouping)",
+						"agent", cell.Agent, "test", cell.Test, "err", err)
 				}
 				if ok {
 					grouped[i], groupHit[i] = g, true
@@ -469,9 +462,9 @@ func RunMatrix(ctx context.Context, agentNames, testNames []string, o Options) (
 						GroupCacheHits: hits,
 					})
 					rep.SolverStats.Add(check.SolverStats)
-					logf("check %s: %s vs %s: %d inconsistencies (%d queries)",
-						test, agentNames[ai], agentNames[bi],
-						len(check.Inconsistencies), check.Queries)
+					log.Info("check done",
+						"test", test, "agent_a", agentNames[ai], "agent_b", agentNames[bi],
+						"inconsistencies", len(check.Inconsistencies), "queries", check.Queries)
 					step()
 				}
 			}

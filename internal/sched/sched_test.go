@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -11,6 +12,7 @@ import (
 	"github.com/soft-testing/soft/internal/agents/refswitch"
 	"github.com/soft-testing/soft/internal/dist"
 	"github.com/soft-testing/soft/internal/harness"
+	"github.com/soft-testing/soft/internal/obs"
 	"github.com/soft-testing/soft/internal/store"
 )
 
@@ -243,9 +245,22 @@ func TestMatrixStore(t *testing.T) {
 		t.Fatalf("cold run claims group cache hits: %d", cold.GroupCacheHits)
 	}
 
-	warm, err := RunMatrix(context.Background(), testAgents, testTests, base)
+	var logBuf bytes.Buffer
+	warmOpts := base
+	warmOpts.Logger = obs.NewLogger(&logBuf, obs.LogText)
+	warm, err := RunMatrix(context.Background(), testAgents, testTests, warmOpts)
 	if err != nil {
 		t.Fatalf("warm run: %v", err)
+	}
+	cachedLine := false
+	for _, line := range strings.Split(logBuf.String(), "\n") {
+		if strings.Contains(line, `msg="cell cached"`) &&
+			strings.Contains(line, "agent=ref") && strings.Contains(line, `test="Packet Out"`) {
+			cachedLine = true
+		}
+	}
+	if !cachedLine {
+		t.Errorf("warm run logged no cell-cached line with agent/test attributes:\n%s", logBuf.String())
 	}
 	if warm.CacheHits != 4 || warm.CacheMisses != 0 {
 		t.Fatalf("warm run: hits=%d misses=%d, want 4/0", warm.CacheHits, warm.CacheMisses)

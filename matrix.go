@@ -24,7 +24,7 @@ type (
 	// MatrixCheck is one crosschecked agent pair on one test.
 	MatrixCheck = sched.PairCheck
 	// FleetStats counts worker-fleet lifecycle events (connections,
-	// leases, re-leases, adaptive splits, coalesced batches).
+	// leases, coalesced batches, re-leases, stale results).
 	FleetStats = dist.FleetStats
 )
 
@@ -69,9 +69,9 @@ func CodeVersion() string { return store.DefaultCodeVersion() }
 // Cancelling ctx aborts the campaign with ctx's error (a partial campaign
 // has no deterministic meaning). Options: WithMaxPaths, WithMaxDepth,
 // WithModels, WithIncrementalSolver, WithWorkers, WithBudget, WithStore,
-// WithCodeVersion, WithFleetListener, WithShardDepth, WithAdaptiveShards,
-// WithLeaseTimeout, WithCrossCheck, WithCampaignService, WithTenant,
-// WithScenarios, WithProgress, WithLog.
+// WithCodeVersion, WithFleetListener, WithShardDepth, WithLeaseTimeout,
+// WithCrossCheck, WithCampaignService, WithTenant, WithScenarios,
+// WithProgress, WithLogger.
 func RunMatrix(ctx context.Context, agents, tests []string, opts ...Option) (*MatrixReport, error) {
 	cfg := newConfig(opts)
 	if len(agents) == 0 {
@@ -98,11 +98,10 @@ func RunMatrix(ctx context.Context, agents, tests []string, opts ...Option) (*Ma
 		Incremental: cfg.incremental,
 		Workers:     cfg.workers,
 		ShardDepth:  cfg.shardDepth,
-		Adaptive:    cfg.adaptiveShards,
 		CodeVersion: cfg.codeVersion,
 		CrossCheck:  !cfg.noCrossCheck,
 		Budget:      cfg.budget,
-		Log:         cfg.log,
+		Logger:      cfg.logger,
 	}
 	if cfg.storeDir != "" {
 		st, err := store.Open(cfg.storeDir)
@@ -120,7 +119,6 @@ func RunMatrix(ctx context.Context, agents, tests []string, opts ...Option) (*Ma
 		fleet := dist.NewFleet(cfg.fleetLn, dist.FleetConfig{
 			LeaseTimeout: cfg.leaseTimeout,
 			Logger:       cfg.logger,
-			Log:          cfg.log,
 		})
 		defer fleet.Close()
 		o.Fleet = fleet

@@ -1,7 +1,6 @@
 package soft
 
 import (
-	"io"
 	"log/slog"
 	"net"
 	"time"
@@ -29,9 +28,7 @@ type config struct {
 	canonicalCut    bool
 	canonicalCutSet bool
 	shardDepth      int
-	adaptiveShards  bool
 	leaseTimeout    time.Duration
-	log             io.Writer
 	logger          *slog.Logger
 	workerName      string
 
@@ -129,15 +126,6 @@ func WithCanonicalCut(on bool) Option {
 // the split. 0 means the dist default.
 func WithShardDepth(d int) Option { return func(c *config) { c.shardDepth = d } }
 
-// WithAdaptiveShards enables progress-driven shard balancing (Serve and
-// RunMatrix): a leased subtree that reports slow progress while workers
-// starve is speculatively re-split into deeper sub-shards, and trivially
-// small shards ride batched leases. Balancing never changes results —
-// every layout is byte-identical — it only improves how evenly unbalanced
-// execution trees spread over the fleet. `soft serve -shard-depth=auto`
-// sets this.
-func WithAdaptiveShards(on bool) Option { return func(c *config) { c.adaptiveShards = on } }
-
 // WithStore enables the campaign result store (RunMatrix): cell results
 // and grouping constructions are cached content-addressed in this
 // directory, keyed by (agent, test, engine config, code version), so a
@@ -198,18 +186,12 @@ func WithLeaseTimeout(d time.Duration) Option {
 	return func(c *config) { c.leaseTimeout = d }
 }
 
-// WithLog streams distributed lifecycle lines (worker connects, lease
-// grants, re-leases, shard completions) from Serve and Work to w. Lines
-// render through the structured text handler; WithLogger chooses the
-// handler (JSON output, level filtering) explicitly and wins over
-// WithLog when both are set.
-func WithLog(w io.Writer) Option { return func(c *config) { c.log = w } }
-
-// WithLogger routes distributed lifecycle logging (Serve, Work, and
-// RunMatrix fleets) through an explicit slog.Logger. Every line carries
-// the job/lease/shard/worker ids as attributes, plus the trace id when
-// the run is traced — the cross-process correlation key. Build a handler
-// with obs.NewLogger (text or JSON) or bring any slog backend.
+// WithLogger routes lifecycle logging (Serve, Work, RunMatrix cells and
+// checks, and RunMatrix fleets) through an explicit slog.Logger. Every
+// line carries the job/lease/shard/worker or agent/test ids as
+// attributes, plus the trace id when the run is traced — the
+// cross-process correlation key. Build a handler with obs.NewLogger (text
+// or JSON) or bring any slog backend. Without it nothing is logged.
 func WithLogger(l *slog.Logger) Option { return func(c *config) { c.logger = l } }
 
 // WithWorkerName labels a Work process in coordinator logs (default
