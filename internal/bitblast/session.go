@@ -8,11 +8,14 @@ import (
 	"github.com/soft-testing/soft/internal/sym"
 )
 
-// Session is an incremental Blaster for exploring a path tree: one SAT core
-// and one encoding memo persist across many path attempts, with each path's
+// Session is an incremental Blaster for a stream of related queries: one SAT
+// core and one encoding memo persist across many queries, with each query's
 // constraints activated through assumption literals instead of being
 // re-blasted and re-asserted from scratch (the MiniSat solve-with-assumptions
-// idiom).
+// idiom). The exploration engine keeps one per worker across the paths of a
+// path tree; the crosscheck keeps one per worker across the group-pair
+// queries of a pair check (through solver.CheckIn), where every group
+// condition recurs in many queries.
 //
 // Every asserted conjunct c is encoded once, guarded by a fresh activation
 // variable a_c via the clause (¬a_c ∨ lit(c)), and cached. Asserting c on a
@@ -20,7 +23,8 @@ import (
 // path is one Solve(a_1..a_k, extras...) call. Sibling paths in the decision
 // tree — which share their whole constraint prefix — therefore share CNF,
 // learned clauses, and VSIDS activity, which is where the paths/sec win
-// comes from.
+// comes from; crosscheck queries sharing a group condition share its
+// encoding the same way.
 //
 // Answer preservation: assumptions are exact (sat.Solver decides the same
 // formula a fresh solver would), learned clauses are resolvents of database
@@ -35,8 +39,8 @@ import (
 // unconditionally unsatisfiable; Session panics if it does, as that would
 // silently poison every later path.
 //
-// A Session is not safe for concurrent use: the engine creates one per
-// worker.
+// A Session is not safe for concurrent use: the engine and the crosscheck
+// create one per worker.
 type Session struct {
 	b *Blaster
 
@@ -63,8 +67,9 @@ type Session struct {
 
 	// ConstraintsNew / ConstraintsReused count conjunct encodings performed
 	// vs served from the activation cache; AssumptionSolves counts
-	// engine-level satisfiability decisions. The engine aggregates these
-	// into solver.Stats.
+	// satisfiability decisions (Solve and SolveAssuming calls, not the
+	// minimization probes of CanonicalModel). The engine and the solver
+	// façade aggregate these into solver.Stats.
 	ConstraintsNew    int64
 	ConstraintsReused int64
 	AssumptionSolves  int64
@@ -97,6 +102,10 @@ func (s *Session) Reset() {
 
 // StackLen returns the number of activation literals currently assumed.
 func (s *Session) StackLen() int { return len(s.stack) }
+
+// Encoded returns the CNF clauses and auxiliary variables the session has
+// added so far, over every query it served.
+func (s *Session) Encoded() (clauses, aux int) { return s.b.Clauses, s.b.Aux }
 
 // touchVars registers e's named variables in the underlying blaster (fixing
 // canonical indices on first use, like Blaster.reserveVars) and records them

@@ -10,6 +10,12 @@
 // with VLAN = x), the query additionally requires some embedded pair to
 // evaluate differently, preserving the paper's no-false-positive property
 // (§3.4) for symbolic outputs.
+//
+// Each of A's group conditions appears in |B| queries and each of B's in
+// |A|, so every worker answers its queries on one incremental
+// bitblast.Session: a group condition is encoded once per worker, behind an
+// activation literal, and each query after that is one solve under
+// assumptions.
 package crosscheck
 
 import (
@@ -20,6 +26,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/soft-testing/soft/internal/bitblast"
 	"github.com/soft-testing/soft/internal/group"
 	"github.com/soft-testing/soft/internal/solver"
 	"github.com/soft-testing/soft/internal/sym"
@@ -88,9 +95,9 @@ type Report struct {
 	// also set).
 	Cancelled bool
 	// SolverStats aggregates the solver work this crosscheck performed
-	// (across every worker and cache clone): queries, cache hits, solve
-	// time. Timing fields are wall-clock dependent; the counters are what
-	// `soft diff -v` reports.
+	// across every worker: queries, cache hits, solve time, and the
+	// sessions' assumption solves and reused conjuncts. Timing fields are
+	// wall-clock dependent; the counters are what `soft diff -v` reports.
 	SolverStats solver.Stats
 }
 
@@ -157,11 +164,14 @@ func RunParallel(a, b *group.Result, s *solver.Solver, budget time.Duration, wor
 }
 
 // RunOpts is the full-control entry point: crosscheck a against b under
-// ctx. Each (i, j) group pair is an independent satisfiability query, so
-// workers share only the solver's query cache. Inconsistencies are
-// reported in (i, j) row-major order — the same order a sequential run
-// produces — and because the solver is deterministic per query, a full
-// (non-partial) parallel report is identical to a sequential one.
+// ctx. Each (i, j) group pair is an independent satisfiability query.
+// Every worker owns one bitblast.Session for the whole run, so the group
+// conditions it meets are encoded once; workers share only the solver's
+// query cache. Inconsistencies are reported in (i, j) row-major order — the
+// same order a sequential run produces — and because the solver's answer
+// and canonical model are a function of the query alone (not of the
+// session or the worker), a full (non-partial) parallel report is
+// identical to a sequential one.
 // Cancelling ctx stops the scan at the next pair boundary and marks the
 // report Partial and Cancelled.
 func RunOpts(ctx context.Context, a, b *group.Result, o Opts) *Report {
@@ -199,6 +209,7 @@ func RunOpts(ctx context.Context, a, b *group.Result, o Opts) *Report {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			sess := bitblast.NewSession()
 			for {
 				k := int(next.Add(1) - 1)
 				if k >= total {
@@ -228,7 +239,7 @@ func RunOpts(ctx context.Context, a, b *group.Result, o Opts) *Report {
 					continue
 				}
 				queries.Add(1)
-				res, model := s.Check(ga.Cond, gb.Cond, diff)
+				res, model := s.CheckIn(sess, ga.Cond, gb.Cond, diff)
 				if res != solver.Sat {
 					continue
 				}

@@ -181,6 +181,25 @@ func TestRootCausesFewerThanInconsistencies(t *testing.T) {
 	}
 }
 
+// TestSessionCounters: every query that misses the cache and the fast
+// path is one assumption solve on a worker's session, and the sessions
+// serve group conditions encoded for earlier queries from their activation
+// caches.
+func TestSessionCounters(t *testing.T) {
+	ga := grouped(t, refswitch.New(), "Packet Out")
+	gb := grouped(t, ovs.New(), "Packet Out")
+	for _, workers := range []int{1, 2} {
+		st := RunParallel(ga, gb, nil, 0, workers).SolverStats
+		if st.ConstraintsReused == 0 {
+			t.Errorf("workers=%d: no constraint reused: %+v", workers, st)
+		}
+		if want := st.Queries - st.CacheHits - st.FastPathConst; st.AssumptionSolves != want {
+			t.Errorf("workers=%d: AssumptionSolves = %d, want Queries-CacheHits-FastPathConst = %d",
+				workers, st.AssumptionSolves, want)
+		}
+	}
+}
+
 func TestInconsistencyString(t *testing.T) {
 	inc := Inconsistency{AIndex: 1, BIndex: 2, ACanonical: "a\nb", BCanonical: "c"}
 	s := inc.String()

@@ -2,13 +2,17 @@
 // satisfiability checking and model (test case) extraction over sym
 // expressions. It wraps the bit-blasting encoder and the CDCL SAT core —
 // the reproduction's substitute for STP — and adds what the SOFT pipeline
-// needs around a raw decision procedure: simplification before encoding, a
-// sharded query cache (crosschecking issues many structurally equal
-// queries, often from many workers at once), and per-query statistics
-// matching what the paper's evaluation reports.
+// needs around a raw decision procedure: simplification before encoding,
+// incremental solving through caller-owned bitblast sessions (crosschecking
+// asks each group condition in many queries; a worker's session encodes it
+// once), a sharded query cache keyed by the simplified query's structure
+// (crosschecking may issue structurally equal queries, often from many
+// workers at once), and per-query statistics matching what the paper's
+// evaluation reports.
 package solver
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -45,23 +49,26 @@ func (r Result) String() string {
 
 // Stats aggregates solver work across queries.
 type Stats struct {
-	Queries       int64
-	CacheHits     int64
-	SatQueries    int64
-	UnsatQueries  int64
-	SolveTime     time.Duration
-	MaxQuerySize  int64 // largest constraint (boolean operation count)
+	Queries      int64
+	CacheHits    int64
+	SatQueries   int64
+	UnsatQueries int64
+	SolveTime    time.Duration
+	MaxQuerySize int64 // largest constraint (boolean operation count)
+	// ClausesTotal and AuxVarsTotal count the CNF clauses and auxiliary
+	// variables the queries' encodings actually added: a conjunct a session
+	// had already encoded for an earlier query adds nothing.
 	ClausesTotal  int64
 	AuxVarsTotal  int64
 	FastPathConst int64 // queries answered by simplification alone
-	// The incremental-exploration counters below are filled in by the
-	// harness from the engine's run (plain Check queries always pay a full
-	// solve): AssumptionSolves/FullSolves split satisfiability decisions by
-	// whether an assumption-stack session or a from-scratch per-path solver
-	// served them, ConstraintsReused counts path conjuncts served from a
-	// session's activation cache instead of being re-bitblasted, and
+	// AssumptionSolves/FullSolves split satisfiability decisions by whether
+	// an assumption-stack session or a from-scratch per-path solver served
+	// them, and ConstraintsReused counts conjuncts served from a session's
+	// activation cache instead of being re-bitblasted. Every query that
+	// misses the cache and the fast path is one assumption solve; for an
+	// exploration the harness fills all three from the engine's run.
 	// InternHits counts expression constructions answered by the hash-cons
-	// table (process-wide, windowed to the run).
+	// table (process-wide, windowed to an exploration run).
 	AssumptionSolves  int64
 	FullSolves        int64
 	ConstraintsReused int64
@@ -108,34 +115,60 @@ func (s Stats) Sub(earlier Stats) Stats {
 	}
 }
 
-// cacheEntry is a single-flight cache slot: the first goroutine to claim a
-// key solves it and closes done; later goroutines for the same key block on
-// done instead of duplicating the solve. failed marks an entry whose solve
-// panicked — waiters treat it as a miss instead of reading bogus zero
-// values (and instead of blocking forever on a never-closed channel).
+// cacheEntry is a single-flight cache slot for the simplified query key:
+// the first goroutine to claim a key solves it and closes done; later
+// goroutines for a structurally equal key block on done instead of
+// duplicating the solve. failed marks an entry whose solve panicked —
+// waiters treat it as a miss instead of reading bogus zero values (and
+// instead of blocking forever on a never-closed channel).
 type cacheEntry struct {
+	key    *sym.Expr
 	done   chan struct{}
 	failed bool
 	res    Result
 	model  sym.Assignment
 }
 
-// numShards is the cache fan-out. Queries hash to a shard by FNV-1a of
-// their canonical string, so concurrent crosscheck workers contend only
-// when they touch the same 1/16th of the key space.
+// numShards is the cache fan-out. Queries pick a shard by their structural
+// hash, so concurrent crosscheck workers contend only when they touch the
+// same 1/16th of the key space.
 const numShards = 16
 
-// shard is one cache partition.
+// shard is one cache partition. live maps a structural hash to the entries
+// of the distinct queries sharing it (almost always one); sym.Equal picks
+// the entry whose key matches.
 type shard struct {
 	mu   sync.Mutex
-	live map[string]*cacheEntry
+	live map[uint64][]*cacheEntry
+}
+
+// lookup returns the entry whose key is structurally equal to e, or nil.
+// The caller holds sh.mu.
+func (sh *shard) lookup(e *sym.Expr) *cacheEntry {
+	for _, ent := range sh.live[e.Hash()] {
+		if sym.Equal(ent.key, e) {
+			return ent
+		}
+	}
+	return nil
+}
+
+// evict drops ent from its hash list. The caller holds sh.mu.
+func (sh *shard) evict(ent *cacheEntry) {
+	h := ent.key.Hash()
+	sh.live[h] = slices.DeleteFunc(sh.live[h], func(x *cacheEntry) bool { return x == ent })
+	if len(sh.live[h]) == 0 {
+		delete(sh.live, h)
+	}
 }
 
 // Solver answers satisfiability queries.
 //
-// Concurrency: a Solver is safe for concurrent use — every query runs on a
-// private bitblast/CDCL instance; the cache is sharded 16 ways and each
-// shard's lock is held only around map access, never during solving.
+// Concurrency: a Solver is safe for concurrent use — a query solves on the
+// caller's own session (CheckIn; each crosscheck worker owns one) or on a
+// throwaway one (Check), never on state other goroutines touch; the cache
+// is sharded 16 ways and each shard's lock is held only around map access,
+// never during solving.
 // Concurrent structurally equal queries are deduplicated (single-flight):
 // one goroutine solves, the others reuse its result and count a cache hit,
 // which keeps CacheHits accounting exact under any interleaving. Statistics
@@ -159,13 +192,16 @@ type Solver struct {
 	clausesTotal  atomic.Int64
 	auxVarsTotal  atomic.Int64
 	fastPathConst atomic.Int64
+
+	assumptionSolves  atomic.Int64
+	constraintsReused atomic.Int64
 }
 
 // New returns a Solver with caching and simplification enabled.
 func New() *Solver {
 	s := &Solver{}
 	for i := range s.shards {
-		s.shards[i].live = make(map[string]*cacheEntry)
+		s.shards[i].live = make(map[uint64][]*cacheEntry)
 	}
 	return s
 }
@@ -182,6 +218,9 @@ func (s *Solver) Stats() Stats {
 		ClausesTotal:  s.clausesTotal.Load(),
 		AuxVarsTotal:  s.auxVarsTotal.Load(),
 		FastPathConst: s.fastPathConst.Load(),
+
+		AssumptionSolves:  s.assumptionSolves.Load(),
+		ConstraintsReused: s.constraintsReused.Load(),
 	}
 }
 
@@ -196,6 +235,8 @@ func (s *Solver) ResetStats() {
 	s.clausesTotal.Store(0)
 	s.auxVarsTotal.Store(0)
 	s.fastPathConst.Store(0)
+	s.assumptionSolves.Store(0)
+	s.constraintsReused.Store(0)
 }
 
 func (s *Solver) noteResult(r Result) {
@@ -215,16 +256,6 @@ func (s *Solver) bumpMaxQuery(sz int64) {
 	}
 }
 
-// shardFor picks the cache shard for a key by FNV-1a, inlined to avoid
-// copying the (potentially large) canonical query string on the hot path.
-func (s *Solver) shardFor(key string) *shard {
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h = (h ^ uint32(key[i])) * 16777619
-	}
-	return &s.shards[h%numShards]
-}
-
 // Check decides satisfiability of the conjunction of the given boolean
 // expressions. When satisfiable it returns the canonical model: a witness
 // assigning every variable that occurs in the constraints, minimized so the
@@ -232,6 +263,16 @@ func (s *Solver) shardFor(key string) *shard {
 // constraints under the model yields true (the soundness property
 // TestModelsSatisfy verifies).
 func (s *Solver) Check(constraints ...*sym.Expr) (Result, sym.Assignment) {
+	return s.CheckIn(nil, constraints...)
+}
+
+// CheckIn is Check solved on sess, an incremental session the caller owns
+// and must not use concurrently (nil solves on a throwaway one). On a cache
+// miss the query's conjuncts are asserted behind activation literals, so a
+// conjunct sess encoded for an earlier query is reused, not re-encoded, and
+// the query is one solve under assumptions. The answer and the canonical
+// model are the same whatever session solves the query.
+func (s *Solver) CheckIn(sess *bitblast.Session, constraints ...*sym.Expr) (Result, sym.Assignment) {
 	e := sym.LAnd(constraints...)
 	if !s.DisableSimplify {
 		e = sym.Simplify(e)
@@ -254,15 +295,14 @@ func (s *Solver) Check(constraints ...*sym.Expr) (Result, sym.Assignment) {
 	}
 
 	if s.DisableCache {
-		res, model := s.solve(e)
+		res, model := s.solve(sess, e)
 		s.noteResult(res)
 		return res, cloneModel(model)
 	}
 
-	key := e.String()
-	sh := s.shardFor(key)
+	sh := &s.shards[e.Hash()%numShards]
 	sh.mu.Lock()
-	if ent := sh.live[key]; ent != nil {
+	if ent := sh.lookup(e); ent != nil {
 		sh.mu.Unlock()
 		<-ent.done // single-flight: wait out an in-progress solve
 		if !ent.failed {
@@ -274,12 +314,12 @@ func (s *Solver) Check(constraints ...*sym.Expr) (Result, sym.Assignment) {
 		// The claimant panicked (e.g. a malformed query). Solve uncached:
 		// a query that panics does so for every caller, and the panic must
 		// surface here too rather than hang or alias a zero result.
-		res, model := s.solve(e)
+		res, model := s.solve(sess, e)
 		s.noteResult(res)
 		return res, cloneModel(model)
 	}
-	ent := &cacheEntry{done: make(chan struct{})}
-	sh.live[key] = ent
+	ent := &cacheEntry{key: e, done: make(chan struct{})}
+	sh.live[e.Hash()] = append(sh.live[e.Hash()], ent)
 	sh.mu.Unlock()
 
 	done := false
@@ -289,38 +329,44 @@ func (s *Solver) Check(constraints ...*sym.Expr) (Result, sym.Assignment) {
 			// Checks retry, and release the waiters before unwinding.
 			ent.failed = true
 			sh.mu.Lock()
-			if sh.live[key] == ent {
-				delete(sh.live, key)
-			}
+			sh.evict(ent)
 			sh.mu.Unlock()
 			close(ent.done)
 		}
 	}()
-	ent.res, ent.model = s.solve(e)
+	ent.res, ent.model = s.solve(sess, e)
 	done = true
 	close(ent.done)
 	s.noteResult(ent.res)
 	return ent.res, cloneModel(ent.model)
 }
 
-// solve runs the bitblast + CDCL decision procedure for one query.
-func (s *Solver) solve(e *sym.Expr) (Result, sym.Assignment) {
+// solve runs the bitblast + CDCL decision procedure for one query on sess
+// (nil: a throwaway session) and accounts the session work it caused.
+func (s *Solver) solve(sess *bitblast.Session, e *sym.Expr) (Result, sym.Assignment) {
+	if sess == nil {
+		sess = bitblast.NewSession()
+	}
 	start := time.Now()
-	b := bitblast.New()
-	b.Assert(e)
-	satisfiable := b.Solve()
+	clauses, aux := sess.Encoded()
+	solves, reused := sess.AssumptionSolves, sess.ConstraintsReused
+	sess.Reset()
+	sess.Assert(e)
 
 	var res Result
 	var model sym.Assignment
-	if satisfiable {
+	if sess.Solve() {
 		res = Sat
-		model = b.CanonicalModel()
+		model = sess.CanonicalModel()
 	}
 	elapsed := time.Since(start)
 	s.solveNanos.Add(int64(elapsed))
 	mSolveLatency.Observe(int64(elapsed))
-	s.clausesTotal.Add(int64(b.Clauses))
-	s.auxVarsTotal.Add(int64(b.Aux))
+	clausesAfter, auxAfter := sess.Encoded()
+	s.clausesTotal.Add(int64(clausesAfter - clauses))
+	s.auxVarsTotal.Add(int64(auxAfter - aux))
+	s.assumptionSolves.Add(sess.AssumptionSolves - solves)
+	s.constraintsReused.Add(sess.ConstraintsReused - reused)
 	return res, model
 }
 
