@@ -21,7 +21,7 @@ import (
 
 // Blaster incrementally encodes expressions into a sat.Solver. A single
 // Blaster owns its solver; create a fresh Blaster per query batch, or reuse
-// it for several Assert calls followed by one Solve.
+// it for several Assert calls followed by one Solve or CanonicalModel.
 //
 // Variable numbering is canonical: named variables are numbered by a stable
 // pre-order traversal of each asserted expression, before any auxiliary
@@ -131,13 +131,7 @@ func (b *Blaster) assert(e *sym.Expr) {
 }
 
 // Solve decides satisfiability of everything asserted so far.
-func (b *Blaster) Solve() bool {
-	start := time.Now()
-	ok := b.S.Solve()
-	MSolves.Inc()
-	MSolveLatency.ObserveSince(start)
-	return ok
-}
+func (b *Blaster) Solve() bool { return b.solve(nil, nil) }
 
 // SolveAssuming decides satisfiability under extra assumption expressions
 // without permanently asserting them.
@@ -147,8 +141,13 @@ func (b *Blaster) SolveAssuming(es ...*sym.Expr) bool {
 		b.reserveVars(e)
 		lits[i] = b.enc1(e)
 	}
+	return b.solve(lits, nil)
+}
+
+// solve runs one SAT decision and records it in the solve metrics.
+func (b *Blaster) solve(assumptions, pref []sat.Lit) bool {
 	start := time.Now()
-	ok := b.S.Solve(lits...)
+	ok := b.S.SolvePreferring(assumptions, pref)
 	MSolves.Inc()
 	MSolveLatency.ObserveSince(start)
 	return ok
@@ -156,16 +155,15 @@ func (b *Blaster) SolveAssuming(es ...*sym.Expr) bool {
 
 // Model extracts the assignment of every bitvector variable mentioned in
 // asserted expressions. Must be called only after a satisfiable Solve.
-func (b *Blaster) Model() sym.Assignment {
-	m := make(sym.Assignment, len(b.vars))
-	for name, bits := range b.vars {
+func (b *Blaster) Model() sym.Assignment { return modelOf(b.S, b.vars) }
+
+// modelOf reads the named variables' values from the solver's last model.
+func modelOf(s *sat.Solver, vars map[string][]sat.Lit) sym.Assignment {
+	m := make(sym.Assignment, len(vars))
+	for name, bits := range vars {
 		var v uint64
 		for i, l := range bits {
-			bit := b.S.Value(l.Var())
-			if l.Neg() {
-				bit = !bit
-			}
-			if bit {
+			if s.Value(l.Var()) != l.Neg() {
 				v |= 1 << i
 			}
 		}
@@ -174,44 +172,42 @@ func (b *Blaster) Model() sym.Assignment {
 	return m
 }
 
-// CanonicalModel extracts the canonical witness of the asserted
-// constraints: the satisfying assignment with the numerically smallest
+// CanonicalModel decides the asserted constraints and returns their
+// canonical witness, or nil when they are unsatisfiable. The canonical
+// witness is the satisfying assignment with the numerically smallest
 // values, minimized variable by variable in name order (each variable's
-// bits are fixed MSB first). Unlike Model, whose
-// values depend on the CDCL search trajectory (and hence on learned-clause
-// imports, restarts, and encoding layout), the canonical model is a pure
-// function of the constraint semantics — the property the pipeline's
-// byte-for-byte determinism guarantees rest on. Must be called immediately
-// after a successful assumption-free Solve: minimization starts from the
-// model that solve produced rather than paying a redundant re-solve.
+// bits are fixed MSB first). Unlike Model, whose values depend on the CDCL
+// search trajectory (and hence on learned clauses, restarts, and encoding
+// layout), the canonical model is a pure function of the constraint
+// semantics — the property the pipeline's byte-for-byte determinism
+// guarantees rest on. It costs one solve (see canonicalOrder).
 func (b *Blaster) CanonicalModel() sym.Assignment {
-	names := make([]string, 0, len(b.vars))
-	for n := range b.vars {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	// Invariant: the solver's last model satisfies every literal in fixed.
-	// A bit the current model already reads as 0 is therefore 0-feasible
-	// for free; only 1-bits cost a solve. A failed solve leaves the
-	// previous model in place, which must read the bit as 1 (otherwise it
-	// would have witnessed satisfiability), so the invariant holds on both
-	// branches and the final model needs no extra solving.
-	var fixed []sat.Lit
-	for _, n := range names {
-		bits := b.vars[n]
-		for i := len(bits) - 1; i >= 0; i-- {
-			l := bits[i]
-			if b.S.Value(l.Var()) == l.Neg() { // current model reads 0
-				fixed = append(fixed, l.Not())
-				continue
-			}
-			fixed = append(fixed, l.Not())
-			if !b.S.Solve(fixed...) {
-				fixed[len(fixed)-1] = l
-			}
-		}
+	pref, _ := canonicalOrder(nil, nil, b.vars)
+	if !b.solve(nil, pref) {
+		return nil
 	}
 	return b.Model()
+}
+
+// canonicalOrder appends to pref the preferred-decision list whose
+// sat.SolvePreferring model is the canonical witness over vars: every bit
+// at 0, variables in name order, each MSB first. SolvePreferring makes each
+// bit 0 unless the constraints and the bits before it force it to 1, which
+// is the definition of the lexicographic minimum, so one ordered solve
+// yields the witness. names is scratch space for the sorted variable
+// names; both slices are returned for reuse.
+func canonicalOrder(pref []sat.Lit, names []string, vars map[string][]sat.Lit) ([]sat.Lit, []string) {
+	for name := range vars {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		bits := vars[name]
+		for i := len(bits) - 1; i >= 0; i-- {
+			pref = append(pref, bits[i].Not())
+		}
+	}
+	return pref, names
 }
 
 // enc encodes a bitvector expression to its bit literals (booleans to a

@@ -223,47 +223,46 @@ func TestSharedSubexpressionEncodedOnce(t *testing.T) {
 	}
 }
 
+// randomExpr builds a random 8-bit expression of the given depth over x, y
+// and constants.
+func randomExpr(rng *rand.Rand, x, y *sym.Expr, depth int) *sym.Expr {
+	if depth == 0 {
+		switch rng.Intn(3) {
+		case 0:
+			return x
+		case 1:
+			return y
+		default:
+			return sym.Const(8, uint64(rng.Intn(256)))
+		}
+	}
+	a, b := randomExpr(rng, x, y, depth-1), randomExpr(rng, x, y, depth-1)
+	switch rng.Intn(7) {
+	case 0:
+		return sym.Add(a, b)
+	case 1:
+		return sym.Sub(a, b)
+	case 2:
+		return sym.And(a, b)
+	case 3:
+		return sym.Or(a, b)
+	case 4:
+		return sym.Xor(a, b)
+	case 5:
+		return sym.Ite(sym.Ult(a, b), a, b)
+	default:
+		return sym.Not(a)
+	}
+}
+
 // TestQuickAgainstEval cross-validates the encoder against the interpreter
 // on random expressions: for random x, y the formula (expr == eval(expr))
 // with variables pinned must be satisfiable.
 func TestQuickAgainstEval(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	build := func(x, y *sym.Expr, depth int) *sym.Expr {
-		var rec func(d int) *sym.Expr
-		rec = func(d int) *sym.Expr {
-			if d == 0 {
-				switch rng.Intn(3) {
-				case 0:
-					return x
-				case 1:
-					return y
-				default:
-					return sym.Const(8, uint64(rng.Intn(256)))
-				}
-			}
-			a, b := rec(d-1), rec(d-1)
-			switch rng.Intn(7) {
-			case 0:
-				return sym.Add(a, b)
-			case 1:
-				return sym.Sub(a, b)
-			case 2:
-				return sym.And(a, b)
-			case 3:
-				return sym.Or(a, b)
-			case 4:
-				return sym.Xor(a, b)
-			case 5:
-				return sym.Ite(sym.Ult(a, b), a, b)
-			default:
-				return sym.Not(a)
-			}
-		}
-		return rec(depth)
-	}
 	x, y := sym.Var("x", 8), sym.Var("y", 8)
 	for i := 0; i < 40; i++ {
-		e := build(x, y, 3)
+		e := randomExpr(rng, x, y, 3)
 		xv, yv := uint64(rng.Intn(256)), uint64(rng.Intn(256))
 		want := sym.Eval(e, sym.Assignment{"x": xv, "y": yv})
 		formula := sym.LAnd(

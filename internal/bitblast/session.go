@@ -1,7 +1,6 @@
 package bitblast
 
 import (
-	"sort"
 	"time"
 
 	"github.com/soft-testing/soft/internal/sat"
@@ -20,18 +19,19 @@ import (
 // Every asserted conjunct c is encoded once, guarded by a fresh activation
 // variable a_c via the clause (¬a_c ∨ lit(c)), and cached. Asserting c on a
 // later path just pushes a_c onto the session's assumption stack; solving a
-// path is one Solve(a_1..a_k, extras...) call. Sibling paths in the decision
-// tree — which share their whole constraint prefix — therefore share CNF,
-// learned clauses, and VSIDS activity, which is where the paths/sec win
-// comes from; crosscheck queries sharing a group condition share its
-// encoding the same way.
+// path is one SAT solve under the assumptions (a_1..a_k, extras...).
+// Sibling paths in the decision tree — which share their whole constraint
+// prefix — therefore share CNF, learned clauses, and VSIDS activity, which
+// is where the paths/sec win comes from; crosscheck queries sharing a group
+// condition share its encoding the same way.
 //
 // Answer preservation: assumptions are exact (sat.Solver decides the same
 // formula a fresh solver would), learned clauses are resolvents of database
-// clauses only (never of assumptions), and witness extraction minimizes the
-// model per CanonicalModel's semantics, so a Session returns bit-for-bit the
-// answers and canonical models a fresh Blaster per path returns. The
-// determinism sweep tests in internal/symexec pin this.
+// clauses only (never of assumptions), and CanonicalModel's ordered solve
+// fixes the path's variables independently of the solver's history (see
+// sat.SolvePreferring), so a Session returns bit-for-bit the answers and
+// canonical models a fresh Blaster per path returns. The determinism sweep
+// tests in internal/symexec and the probe-loop oracle tests here pin this.
 //
 // The guarded clause database is satisfiable by construction (every guard is
 // satisfied by setting its activation variable false, and Tseitin
@@ -62,14 +62,19 @@ type Session struct {
 
 	// pathVars tracks the variables mentioned by the current path's asserted
 	// and queried expressions — exactly the set a fresh per-path Blaster
-	// would have registered, which is what Model/CanonicalModel must cover.
+	// would have registered, which is what CanonicalModel must cover.
 	pathVars map[string][]sat.Lit
+
+	// lits, order and names are scratch buffers every solve reuses.
+	lits  []sat.Lit
+	order []sat.Lit
+	names []string
 
 	// ConstraintsNew / ConstraintsReused count conjunct encodings performed
 	// vs served from the activation cache; AssumptionSolves counts
-	// satisfiability decisions (Solve and SolveAssuming calls, not the
-	// minimization probes of CanonicalModel). The engine and the solver
-	// façade aggregate these into solver.Stats.
+	// satisfiability decisions (SolveAssuming and CanonicalModel calls,
+	// one solve each). The engine and the solver façade aggregate
+	// these into solver.Stats.
 	ConstraintsNew    int64
 	ConstraintsReused int64
 	AssumptionSolves  int64
@@ -198,25 +203,21 @@ func (s *Session) actFor(e *sym.Expr) sat.Lit {
 }
 
 // solve runs one satisfiability decision under the current stack plus extra
-// literals, with the session's liveness check.
-func (s *Session) solve(extra ...sat.Lit) bool {
+// literals, deciding pref first (see sat.SolvePreferring), with the
+// session's liveness check.
+func (s *Session) solve(extra, pref []sat.Lit) bool {
 	s.AssumptionSolves++
 	MAssumptionSolves.Inc()
 	MAssumptionDepth.Observe(int64(len(s.stack)))
-	lits := make([]sat.Lit, 0, len(s.stack)+len(extra))
-	lits = append(lits, s.stack...)
-	lits = append(lits, extra...)
+	s.lits = append(append(s.lits[:0], s.stack...), extra...)
 	start := time.Now()
-	ok := s.b.S.Solve(lits...)
+	ok := s.b.S.SolvePreferring(s.lits, pref)
 	MSolveLatency.ObserveSince(start)
 	if !ok && !s.b.S.Okay() {
 		panic("bitblast: incremental session database became unsatisfiable (engine bug)")
 	}
 	return ok
 }
-
-// Solve decides satisfiability of the current path's constraints.
-func (s *Session) Solve() bool { return s.solve() }
 
 // SolveAssuming decides satisfiability of the current path's constraints
 // plus extra assumption expressions, without asserting them.
@@ -226,58 +227,18 @@ func (s *Session) SolveAssuming(es ...*sym.Expr) bool {
 		s.touchVars(e)
 		extra[i] = s.b.enc1(e)
 	}
-	return s.solve(extra...)
+	return s.solve(extra, nil)
 }
 
-// Model extracts the assignment of every variable the current path
-// mentioned. Must be called only after a satisfiable Solve.
-func (s *Session) Model() sym.Assignment {
-	m := make(sym.Assignment, len(s.pathVars))
-	for name, bits := range s.pathVars {
-		var v uint64
-		for i, l := range bits {
-			bit := s.b.S.Value(l.Var())
-			if l.Neg() {
-				bit = !bit
-			}
-			if bit {
-				v |= 1 << i
-			}
-		}
-		m[name] = v
+// CanonicalModel decides the current path's constraints and returns their
+// canonical witness over every variable the path mentioned, reporting false
+// (and no model) when they are unsatisfiable. It is one solve under the
+// activation stack, with the same semantics (and bytes) as
+// Blaster.CanonicalModel on a fresh per-path blaster.
+func (s *Session) CanonicalModel() (sym.Assignment, bool) {
+	s.order, s.names = canonicalOrder(s.order[:0], s.names[:0], s.pathVars)
+	if !s.solve(nil, s.order) {
+		return nil, false
 	}
-	return m
-}
-
-// CanonicalModel extracts the canonical witness of the current path's
-// constraints: identical semantics (and bytes) to Blaster.CanonicalModel on
-// a fresh per-path blaster, restricted to the path's variables and with the
-// activation stack included in every minimization probe. Must be called
-// immediately after a successful Solve.
-func (s *Session) CanonicalModel() sym.Assignment {
-	names := make([]string, 0, len(s.pathVars))
-	for n := range s.pathVars {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	// Same invariant as Blaster.CanonicalModel: the solver's last model
-	// satisfies the stack and every literal in fixed, a failed probe leaves
-	// that model in place, so each bit costs at most one solve.
-	fixed := make([]sat.Lit, len(s.stack), len(s.stack)+8)
-	copy(fixed, s.stack)
-	for _, n := range names {
-		bits := s.pathVars[n]
-		for i := len(bits) - 1; i >= 0; i-- {
-			l := bits[i]
-			if s.b.S.Value(l.Var()) == l.Neg() { // current model reads 0
-				fixed = append(fixed, l.Not())
-				continue
-			}
-			fixed = append(fixed, l.Not())
-			if !s.b.S.Solve(fixed...) {
-				fixed[len(fixed)-1] = l
-			}
-		}
-	}
-	return s.Model()
+	return modelOf(s.b.S, s.pathVars), true
 }

@@ -106,16 +106,17 @@ func (e *Entry) fieldCond(bit uint32, field, pktField *sym.Expr) *sym.Expr {
 // bits wildcarded, the top 32-k bits must agree; k >= 32 ignores the field.
 func (e *Entry) addrCond(shift uint32, field, pktField *sym.Expr) *sym.Expr {
 	bits := e.nwWildBits(shift) // 6-bit
-	cond := sym.Bool(false)
 	// k >= 32: always match.
-	cond = sym.LOr(cond, sym.Uge(bits, sym.Const(6, 32)))
+	cases := make([]*sym.Expr, 0, 33)
+	cases = append(cases, sym.Uge(bits, sym.Const(6, 32)))
 	// Exact k: compare high 32-k bits. Enumerate the 33 concrete cases;
-	// constant wildcards fold to a single comparison.
+	// constant wildcards fold to a single comparison. One LOr call
+	// flattens and deduplicates all the cases in a single pass.
 	for k := 0; k < 32; k++ {
 		eqHigh := sym.Eq(sym.Lshr(field, k), sym.Lshr(pktField, k))
-		cond = sym.LOr(cond, sym.LAnd(sym.EqConst(bits, uint64(k)), eqHigh))
+		cases = append(cases, sym.LAnd(sym.EqConst(bits, uint64(k)), eqHigh))
 	}
-	return cond
+	return sym.LOr(cases...)
 }
 
 // MatchCond returns the boolean expression "packet p matches entry e".

@@ -97,6 +97,53 @@ func TestAddrFullyWildcarded(t *testing.T) {
 	}
 }
 
+// addrCondFolded builds addrCond's disjunction as a left fold, one sym.LOr
+// per case: the reference the single-call construction must equal.
+func (e *Entry) addrCondFolded(shift uint32, field, pktField *sym.Expr) *sym.Expr {
+	bits := e.nwWildBits(shift)
+	cond := sym.Bool(false)
+	cond = sym.LOr(cond, sym.Uge(bits, sym.Const(6, 32)))
+	for k := 0; k < 32; k++ {
+		eqHigh := sym.Eq(sym.Lshr(field, k), sym.Lshr(pktField, k))
+		cond = sym.LOr(cond, sym.LAnd(sym.EqConst(bits, uint64(k)), eqHigh))
+	}
+	return cond
+}
+
+// TestAddrCondMatchesLeftFold pins that building the address condition
+// with one LOr yields the same expression as the left fold, for symbolic
+// and concrete wildcards, fields and packets, on both address fields.
+func TestAddrCondMatchesLeftFold(t *testing.T) {
+	newSym := func(name string, w int) *sym.Expr { return sym.Var(name, w) }
+	symPkt := dataplane.SymbolicPacket(newSym, "pkt", 1)
+	wilds := []*sym.Expr{sym.Var("fm.wildcards", 32)}
+	for _, k := range []uint32{0, 1, 8, 24, 31, 32, 63} {
+		wilds = append(wilds, sym.Const(32, uint64(k<<openflow.FWNWSrcShift|k<<openflow.FWNWDstShift)))
+	}
+	for _, w := range wilds {
+		for _, field := range []*sym.Expr{sym.Var("fm.nw_addr", 32), sym.Const(32, 0x0a000000)} {
+			for _, p := range []*dataplane.Packet{symPkt, dataplane.TCPProbe(1)} {
+				e := NewWildcardEntry()
+				e.Wildcards = w
+				for _, c := range []struct {
+					shift uint32
+					pkt   *sym.Expr
+				}{
+					{openflow.FWNWSrcShift, p.MatchNWSrc()},
+					{openflow.FWNWDstShift, p.MatchNWDst()},
+				} {
+					got := e.addrCond(c.shift, field, c.pkt)
+					want := e.addrCondFolded(c.shift, field, c.pkt)
+					if !sym.Equal(got, want) {
+						t.Fatalf("wildcards %v field %v packet %v shift %d:\n got %v\nwant %v",
+							w, field, c.pkt, c.shift, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestSubsumesCondConcrete(t *testing.T) {
 	all := NewWildcardEntry()
 	specific := concreteEntry()

@@ -4,9 +4,11 @@
 //
 // Features: two-watched-literal unit propagation, VSIDS-style decision
 // activity with exponential decay, first-UIP conflict analysis with clause
-// learning and non-chronological backjumping, Luby-sequence restarts, and
-// phase saving. The solver is deterministic: the same clause set always
-// produces the same answer and, when satisfiable, the same model.
+// learning and non-chronological backjumping, Luby-sequence restarts,
+// phase saving, and an optional preferred-decision list (SolvePreferring)
+// that yields lexicographically minimal models in one search. The solver is
+// deterministic: the same clause set always produces the same answer and,
+// when satisfiable, the same model.
 package sat
 
 import "fmt"
@@ -83,6 +85,14 @@ type Solver struct {
 	trail    []Lit
 	trailLim []int
 	qhead    int
+
+	// pref is the current SolvePreferring call's preferred-decision list.
+	// Every pref[i] with i < prefHead is assigned; prefLim[d] is prefHead
+	// when decision level d+1 was opened, so a backjump rewinds the cursor
+	// to the first preferred literal it unassigned.
+	pref     []Lit
+	prefHead int
+	prefLim  []int
 
 	activity []float64
 	varInc   float64
@@ -233,6 +243,11 @@ func (s *Solver) uncheckedEnqueue(l Lit, from *clause) {
 }
 
 func (s *Solver) decisionLevel() int { return len(s.trailLim) }
+
+func (s *Solver) newDecisionLevel() {
+	s.trailLim = append(s.trailLim, len(s.trail))
+	s.prefLim = append(s.prefLim, s.prefHead)
+}
 
 // propagate performs unit propagation; returns a conflicting clause or nil.
 func (s *Solver) propagate() *clause {
@@ -407,6 +422,8 @@ func (s *Solver) cancelUntil(level int) {
 	}
 	s.trail = s.trail[:s.trailLim[level]]
 	s.trailLim = s.trailLim[:level]
+	s.prefHead = s.prefLim[level]
+	s.prefLim = s.prefLim[:level]
 	s.qhead = len(s.trail)
 }
 
@@ -463,10 +480,40 @@ func (s *Solver) DumpCNF() (nVars int, clauses [][]Lit) {
 // be reused incrementally (the crosschecking phase issues many queries over
 // a shared variable space).
 func (s *Solver) Solve(assumptions ...Lit) bool {
+	return s.SolvePreferring(assumptions, nil)
+}
+
+// SolvePreferring is Solve with a preferred-decision list: once the
+// assumptions are placed, the solver decides each still-unassigned pref
+// literal in list order, with the polarity given, before it makes any VSIDS
+// decision. A backjump rewinds the cursor to the first preferred literal it
+// unassigned. When satisfiable, the model satisfies the pref literals
+// greedily in list order: each pref[i] is true unless the clauses, the
+// assumptions and the model's values of pref[0..i-1] force it false. That
+// is the lexicographically first model on the pref literals, ranking true
+// before false, and a pure function of the clauses, the assumptions and
+// pref.
+//
+// Why one search suffices: pref literals are only ever decided with their
+// preferred polarity, and only after every earlier pref literal is
+// assigned. So a pref literal that ends up false was never decided; it was
+// enqueued either by unit propagation or as the asserting literal of a
+// learnt clause. Its reason is a clause implied by the database (learnt
+// clauses are resolvents of database clauses, never of assumptions), and
+// the decisions at or below its level on the final trail are the
+// assumptions and earlier pref literals. Hence the database, the
+// assumptions and the earlier pref values force it false, which is
+// exactly the condition under which the greedy one-literal-at-a-time
+// minimization would keep it false too. Saved phases and activities only
+// steer the VSIDS decisions taken after the pref list is exhausted, so the
+// pref part of the model does not depend on the solver's history.
+func (s *Solver) SolvePreferring(assumptions, pref []Lit) bool {
 	if s.unsatisfiable {
 		return false
 	}
 	s.cancelUntil(0)
+	s.pref, s.prefHead = pref, 0
+	defer func() { s.pref = nil }()
 
 	maxLearnts := float64(len(s.clauses))/3 + 100
 	restartN := int64(0)
@@ -515,13 +562,26 @@ func (s *Solver) Solve(assumptions ...Lit) bool {
 			case lTrue:
 				// Already implied; open an empty decision level to keep the
 				// level/assumption correspondence.
-				s.trailLim = append(s.trailLim, len(s.trail))
+				s.newDecisionLevel()
 				continue
 			case lFalse:
 				s.cancelUntil(0)
 				return false
 			}
-			s.trailLim = append(s.trailLim, len(s.trail))
+			s.newDecisionLevel()
+			s.uncheckedEnqueue(p, nil)
+			continue
+		}
+
+		// Then the preferred literals, in order, each with its own polarity.
+		for s.prefHead < len(s.pref) && s.litValue(s.pref[s.prefHead]) != lUndef {
+			s.prefHead++
+		}
+		if s.prefHead < len(s.pref) {
+			p := s.pref[s.prefHead]
+			s.Stats.Decisions++
+			s.newDecisionLevel()
+			s.prefHead++
 			s.uncheckedEnqueue(p, nil)
 			continue
 		}
@@ -540,7 +600,7 @@ func (s *Solver) Solve(assumptions ...Lit) bool {
 			return true
 		}
 		s.Stats.Decisions++
-		s.trailLim = append(s.trailLim, len(s.trail))
+		s.newDecisionLevel()
 		s.uncheckedEnqueue(MkLit(v, !s.phase[v]), nil)
 	}
 }

@@ -353,11 +353,10 @@ func (s *Solver) solve(sess *bitblast.Session, e *sym.Expr) (Result, sym.Assignm
 	sess.Reset()
 	sess.Assert(e)
 
-	var res Result
-	var model sym.Assignment
-	if sess.Solve() {
+	res := Unsat
+	model, ok := sess.CanonicalModel()
+	if ok {
 		res = Sat
-		model = sess.CanonicalModel()
 	}
 	elapsed := time.Since(start)
 	s.solveNanos.Add(int64(elapsed))

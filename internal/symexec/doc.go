@@ -66,9 +66,13 @@
 // identical too because the engine extracts the canonical model
 // (bitblast.CanonicalModel): the numerically smallest satisfying
 // assignment, a pure function of the path condition rather than of the
-// CDCL search trajectory. The determinism sweep tests (incremental_test.go
-// here, incremental_sweep_test.go in harness) pin byte-identical output
-// across incremental on/off and worker counts.
+// CDCL search trajectory. A completed path's model costs one solve under
+// its assumption stack: sat.SolvePreferring decides the path's input bits
+// at 0 in canonical order (variables by name, each MSB first) before any
+// other variable, and that same solve confirms the path is feasible, so
+// no separate Solve precedes it. The determinism sweep tests
+// (incremental_test.go here, incremental_sweep_test.go in harness) pin
+// byte-identical output across incremental on/off and worker counts.
 //
 // # Determinism
 //

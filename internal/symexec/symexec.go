@@ -41,8 +41,17 @@ type abortPanic struct {
 type pathSolver interface {
 	Assert(e *sym.Expr)
 	SolveAssuming(es ...*sym.Expr) bool
-	Solve() bool
-	CanonicalModel() sym.Assignment
+	// CanonicalModel decides the path condition and returns its canonical
+	// model, or false when it is unsatisfiable.
+	CanonicalModel() (sym.Assignment, bool)
+}
+
+// freshBlaster adapts a per-path bitblast.Blaster to pathSolver.
+type freshBlaster struct{ *bitblast.Blaster }
+
+func (f freshBlaster) CanonicalModel() (sym.Assignment, bool) {
+	m := f.Blaster.CanonicalModel()
+	return m, m != nil
 }
 
 // pathCounters accumulates one worker's solver-facing counters. Owned by
@@ -472,7 +481,7 @@ func (e *Engine) newContext(it *workItem, enqueue func(*workItem), counters *pat
 		sess.Reset()
 		ctx.blaster, ctx.sess = sess, sess
 	} else {
-		ctx.blaster = bitblast.New()
+		ctx.blaster = freshBlaster{bitblast.New()}
 	}
 	if e.CovMap != nil {
 		ctx.cov = e.CovMap.NewSet()
@@ -507,12 +516,12 @@ func (e *Engine) completePath(ctx *Context) *Path {
 		if ctx.sess == nil {
 			ctx.counters.fullSolves++
 		}
-		if ctx.blaster.Solve() {
-			// Canonical extraction keeps the model a pure function of the
-			// path condition: the same path yields the same witness bytes
-			// whatever the worker count or encoding layout did to the CDCL
-			// search trajectory.
-			p.Model = ctx.blaster.CanonicalModel()
+		// Canonical extraction keeps the model a pure function of the path
+		// condition: the same path yields the same witness bytes whatever
+		// the worker count or encoding layout did to the CDCL search
+		// trajectory. The ordered solve decides satisfiability itself.
+		if m, ok := ctx.blaster.CanonicalModel(); ok {
+			p.Model = m
 		}
 	}
 	return p
