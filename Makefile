@@ -21,7 +21,9 @@
 #                      incremental sessions, sharded-cache crosscheck) — run
 #                      on multicore hardware for meaningful numbers
 #   make bench-smoke   every scaling bench once (CI bit-rot guard, no timing value)
-#   make check         build + vet + test (what CI should run)
+#   make fmt-check     fail if any Go file needs gofmt
+#   make fuzz          the results-file and expression-codec fuzzers, 15 s each
+#   make check         build + vet + fmt-check + test (what CI should run)
 #
 # Performance numbers come from the repository benchmark, not from these
 # targets: `bash bench/run.sh` runs its workloads and prints end-to-end and
@@ -29,7 +31,7 @@
 
 GO ?= go
 
-.PHONY: build vet test race e2e-dist e2e-matrix e2e-serve e2e-scenario dist-demo bench bench-solver bench-smoke check
+.PHONY: build vet fmt-check fuzz test race e2e-dist e2e-matrix e2e-serve e2e-scenario dist-demo bench bench-solver bench-smoke check
 
 build:
 	$(GO) build ./...
@@ -37,8 +39,16 @@ build:
 vet:
 	$(GO) vet ./...
 
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
+
 test:
 	$(GO) test ./...
+
+FUZZTIME ?= 15s
+fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzReadResults -fuzztime $(FUZZTIME) ./internal/harness/
+	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/sym/
 
 race:
 	$(GO) test -race ./internal/sat/ ./internal/bitblast/ ./internal/symexec/ ./internal/harness/ ./internal/solver/ ./internal/crosscheck/ ./internal/dist/ ./internal/sched/ ./internal/campaignd/ ./internal/scenario/ ./internal/obs/ .
@@ -84,4 +94,4 @@ bench-smoke:
 	@/tmp/soft-bench-smoke-bin explore -scenario "Add Modify" -incremental=false -o /dev/null
 	@/tmp/soft-bench-smoke-bin explore -scenario "Add Modify" -incremental -o /dev/null
 
-check: build vet test
+check: build vet fmt-check test

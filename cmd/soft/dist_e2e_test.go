@@ -71,7 +71,11 @@ func TestDistE2E(t *testing.T) {
 	addrCh := make(chan string, 1)
 	shardDoneCh := make(chan string, 64)
 	serveLog := &lockedBuf{}
+	// Wait closes the pipe once the process exits, so the log is read to
+	// EOF before Wait is called; otherwise its last lines can be lost.
+	logDone := make(chan struct{})
 	go func() {
+		defer close(logDone)
 		sc := bufio.NewScanner(serveErr)
 		for sc.Scan() {
 			line := sc.Text()
@@ -126,6 +130,7 @@ func TestDistE2E(t *testing.T) {
 		workerB.Wait()
 	}()
 
+	<-logDone
 	if err := serve.Wait(); err != nil {
 		t.Fatalf("soft serve failed: %v\n%s", err, serveLog)
 	}
@@ -187,10 +192,10 @@ func assertMergedDistTrace(t *testing.T, path string) {
 		t.Fatalf("trace file is not valid JSON: %v", err)
 	}
 
-	procNames := map[string]bool{}     // "M" metadata: pid track names
-	spanPids := map[int64]bool{}       // pids owning at least one "X" span
-	leaseSpans := map[uint64]bool{}    // coordinator lease span ids
-	shardParents := map[uint64]int{}   // worker shard spans by parent id
+	procNames := map[string]bool{}   // "M" metadata: pid track names
+	spanPids := map[int64]bool{}     // pids owning at least one "X" span
+	leaseSpans := map[uint64]bool{}  // coordinator lease span ids
+	shardParents := map[uint64]int{} // worker shard spans by parent id
 	var coordSpans, shardSpans int
 	for _, ev := range tf.TraceEvents {
 		switch ev.Ph {

@@ -88,7 +88,11 @@ func TestMatrixE2E(t *testing.T) {
 	addrCh := make(chan string, 1)
 	leaseCh := make(chan string, 64)
 	matrixLog := &lockedBuf{}
+	// Wait closes the pipe once the process exits, so the log is read to
+	// EOF before Wait is called; otherwise its last lines can be lost.
+	logDone := make(chan struct{})
 	go func() {
+		defer close(logDone)
 		sc := bufio.NewScanner(matrixErr)
 		for sc.Scan() {
 			line := sc.Text()
@@ -97,7 +101,7 @@ func TestMatrixE2E(t *testing.T) {
 				addrCh <- a
 			}
 			// Structured fleet lines render through the text slog handler.
-		if strings.Contains(line, `msg="lease granted"`) {
+			if strings.Contains(line, `msg="lease granted"`) {
 				select {
 				case leaseCh <- line:
 				default:
@@ -141,6 +145,7 @@ func TestMatrixE2E(t *testing.T) {
 		workerB.Wait()
 	}()
 
+	<-logDone
 	if err := matrix.Wait(); err != nil {
 		t.Fatalf("soft matrix failed: %v\n%s", err, matrixLog)
 	}

@@ -138,7 +138,13 @@ func readFrame(r io.Reader) (msgType, []byte, error) {
 
 // enc builds a payload. All scalars are varints (signed where the field is
 // signed), so payloads stay small and independent of word size.
-type enc struct{ b []byte }
+type enc struct {
+	b []byte
+	// pr renders a payload's expressions, each distinct subterm once; tmp
+	// holds one rendering until its length prefix is known.
+	pr  *sym.Printer
+	tmp []byte
+}
 
 func (e *enc) u64(v uint64) { e.b = binary.AppendUvarint(e.b, v) }
 func (e *enc) i64(v int64)  { e.b = binary.AppendVarint(e.b, v) }
@@ -175,6 +181,8 @@ func (e *enc) bits(d []bool) {
 type dec struct {
 	b   []byte
 	err error
+	// rd parses a payload's expressions, each distinct subterm text once.
+	rd *sym.Reader
 }
 
 func (d *dec) fail(format string, args ...any) {
@@ -561,12 +569,12 @@ func (e *enc) shard(sh *harness.Shard) {
 		e.bits(p.Decisions)
 		e.boolean(p.Crashed)
 		e.i64(int64(p.Branches))
-		e.str(p.Cond.String())
+		e.expr(p.Cond)
 		e.str(p.Template)
 		e.str(p.Canonical)
 		e.u64(uint64(len(p.Exprs)))
 		for _, x := range p.Exprs {
-			e.str(x.String())
+			e.expr(x)
 		}
 		names := make([]string, 0, len(p.Model))
 		for n := range p.Model {
@@ -580,6 +588,15 @@ func (e *enc) shard(sh *harness.Shard) {
 		}
 		e.cov(p.Cov)
 	}
+}
+
+// expr encodes one expression as its canonical s-expression string.
+func (e *enc) expr(x *sym.Expr) {
+	if e.pr == nil {
+		e.pr = sym.NewPrinter()
+	}
+	e.tmp = e.pr.Append(e.tmp[:0], x)
+	e.bytes(e.tmp)
 }
 
 // decodeResult rebuilds a result payload. covMap is the coordinator's
@@ -634,7 +651,10 @@ func (d *dec) expr(what string) *sym.Expr {
 	if d.err != nil {
 		return nil
 	}
-	x, err := sym.Parse(s)
+	if d.rd == nil {
+		d.rd = sym.NewReader()
+	}
+	x, err := d.rd.Parse(s)
 	if err != nil {
 		d.fail("bad %s %q: %v", what, s, err)
 		return nil

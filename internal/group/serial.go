@@ -30,15 +30,31 @@ func (r *Result) Write(w io.Writer) error {
 	fmt.Fprintf(bw, "agent %q\n", r.Agent)
 	fmt.Fprintf(bw, "test %q\n", r.Test)
 	fmt.Fprintf(bw, "groups %d\n", len(r.Groups))
+	// One Printer for the file renders each distinct subterm once; each
+	// group's lines are appended into one reused buffer.
+	pr := sym.NewPrinter()
+	var buf []byte
 	for i := range r.Groups {
 		g := &r.Groups[i]
-		fmt.Fprintf(bw, "group %d paths=%d crashed=%t\n", i, g.PathCount, g.Crashed)
-		fmt.Fprintf(bw, "canonical %q\n", g.Canonical)
-		fmt.Fprintf(bw, "template %q\n", g.Template)
-		fmt.Fprintf(bw, "cond %s\n", g.Cond.String())
-		fmt.Fprintf(bw, "nexprs %d\n", len(g.Exprs))
+		buf = append(buf[:0], "group "...)
+		buf = strconv.AppendInt(buf, int64(i), 10)
+		buf = append(buf, " paths="...)
+		buf = strconv.AppendInt(buf, int64(g.PathCount), 10)
+		buf = append(buf, " crashed="...)
+		buf = strconv.AppendBool(buf, g.Crashed)
+		buf = append(buf, "\ncanonical "...)
+		buf = strconv.AppendQuote(buf, g.Canonical)
+		buf = append(buf, "\ntemplate "...)
+		buf = strconv.AppendQuote(buf, g.Template)
+		buf = append(buf, "\ncond "...)
+		buf = pr.Append(buf, g.Cond)
+		buf = append(buf, "\nnexprs "...)
+		buf = strconv.AppendInt(buf, int64(len(g.Exprs)), 10)
+		buf = append(buf, '\n')
 		for _, e := range g.Exprs {
-			fmt.Fprintf(bw, "expr %s\n", e.String())
+			buf = append(buf, "expr "...)
+			buf = pr.Append(buf, e)
+			buf = append(buf, '\n')
 		}
 		if len(g.Model) > 0 {
 			names := make([]string, 0, len(g.Model))
@@ -46,11 +62,17 @@ func (r *Result) Write(w io.Writer) error {
 				names = append(names, n)
 			}
 			sort.Strings(names)
-			fmt.Fprint(bw, "model")
+			buf = append(buf, "model"...)
 			for _, n := range names {
-				fmt.Fprintf(bw, " %s=%d", n, g.Model[n])
+				buf = append(buf, ' ')
+				buf = append(buf, n...)
+				buf = append(buf, '=')
+				buf = strconv.AppendUint(buf, g.Model[n], 10)
 			}
-			fmt.Fprintln(bw)
+			buf = append(buf, '\n')
+		}
+		if _, err := bw.Write(buf); err != nil {
+			return err
 		}
 	}
 	fmt.Fprintln(bw, "end")
@@ -77,6 +99,8 @@ func Read(r io.Reader) (*Result, error) {
 	}
 	out := &Result{}
 	var cur *Group
+	// One Reader for the file parses each distinct subterm text once.
+	rd := sym.NewReader()
 	for {
 		l, ok = line()
 		if !ok {
@@ -96,8 +120,13 @@ func Read(r io.Reader) (*Result, error) {
 				return nil, fmt.Errorf("group: bad test line: %v", err)
 			}
 		case "groups":
-			n, _ := strconv.Atoi(rest)
-			out.Groups = make([]Group, 0, n)
+			n, err := strconv.Atoi(rest)
+			if err != nil || n < 0 {
+				return nil, fmt.Errorf("group: bad groups line %q", rest)
+			}
+			// The count is a capacity hint only; a corrupt one must not
+			// size the allocation.
+			out.Groups = make([]Group, 0, min(n, 1<<12))
 		case "group":
 			out.Groups = append(out.Groups, Group{})
 			cur = &out.Groups[len(out.Groups)-1]
@@ -109,21 +138,23 @@ func Read(r io.Reader) (*Result, error) {
 			if cur == nil {
 				return nil, fmt.Errorf("group: canonical before group")
 			}
-			if _, err := fmt.Sscanf(rest, "%q", &cur.Canonical); err != nil {
+			var err error
+			if cur.Canonical, err = strconv.Unquote(rest); err != nil {
 				return nil, fmt.Errorf("group: bad canonical: %v", err)
 			}
 		case "template":
 			if cur == nil {
 				return nil, fmt.Errorf("group: template before group")
 			}
-			if _, err := fmt.Sscanf(rest, "%q", &cur.Template); err != nil {
+			var err error
+			if cur.Template, err = strconv.Unquote(rest); err != nil {
 				return nil, fmt.Errorf("group: bad template: %v", err)
 			}
 		case "cond":
 			if cur == nil {
 				return nil, fmt.Errorf("group: cond before group")
 			}
-			e, err := sym.Parse(rest)
+			e, err := rd.Parse(rest)
 			if err != nil {
 				return nil, fmt.Errorf("group: bad cond: %v", err)
 			}
@@ -134,7 +165,7 @@ func Read(r io.Reader) (*Result, error) {
 			if cur == nil {
 				return nil, fmt.Errorf("group: expr before group")
 			}
-			e, err := sym.Parse(rest)
+			e, err := rd.Parse(rest)
 			if err != nil {
 				return nil, fmt.Errorf("group: bad expr: %v", err)
 			}

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/soft-testing/soft/internal/agents/refswitch"
+	"github.com/soft-testing/soft/internal/harness"
 	"github.com/soft-testing/soft/internal/sym"
 )
 
@@ -76,5 +78,30 @@ func TestReadRejectsGarbage(t *testing.T) {
 	}
 	if _, err := Read(strings.NewReader("soft-groups v1\nagent \"a\"\n")); err == nil {
 		t.Fatal("truncated file accepted")
+	}
+}
+
+// TestSerialRewriteByteIdentical: Write∘Read is the identity on the bytes
+// of the groups file of a real multi-path result.
+func TestSerialRewriteByteIdentical(t *testing.T) {
+	tt, _ := harness.TestByName("Packet Out")
+	g := Paths(harness.Explore(refswitch.New(), tt, harness.Options{WantModels: true}).Serialized())
+	if len(g.Groups) < 2 {
+		t.Fatalf("Packet Out on ref: %d groups, want several", len(g.Groups))
+	}
+	var first bytes.Buffer
+	if err := g.Write(&first); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Read(bytes.NewReader(first.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var second bytes.Buffer
+	if err := got.Write(&second); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first.Bytes(), second.Bytes()) {
+		t.Fatal("Write∘Read changed the bytes of a Packet Out groups file")
 	}
 }

@@ -230,6 +230,39 @@ func TestResultsRoundTrip(t *testing.T) {
 	}
 }
 
+// TestResultsRewriteByteIdentical: Write∘ReadResults is the identity on
+// the bytes of a real multi-path result, so the memoized codec reads and
+// writes exactly the text the plain one does.
+func TestResultsRewriteByteIdentical(t *testing.T) {
+	tt, _ := TestByName("Packet Out")
+	r := Explore(refswitch.New(), tt, Options{WantModels: true})
+	if len(r.Paths) != 146 {
+		t.Fatalf("Packet Out on ref: %d paths, want 146", len(r.Paths))
+	}
+	var first bytes.Buffer
+	if err := r.Write(&first); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadResults(bytes.NewReader(first.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var second bytes.Buffer
+	if err := got.Write(&second); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first.Bytes(), second.Bytes()) {
+		t.Fatal("Write∘ReadResults changed the bytes of a Packet Out result")
+	}
+	// And the memoized bytes are the per-expression String renderings.
+	for i := range got.Paths {
+		cond := "cond " + r.Paths[i].Cond.String() + "\n"
+		if !bytes.Contains(first.Bytes(), []byte(cond)) {
+			t.Fatalf("path %d: condition text missing from the file", i)
+		}
+	}
+}
+
 func TestReadResultsRejectsGarbage(t *testing.T) {
 	if _, err := ReadResults(strings.NewReader("not a results file")); err == nil {
 		t.Fatal("expected magic error")

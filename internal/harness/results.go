@@ -58,15 +58,31 @@ func (r *SerializedResult) Write(w io.Writer) error {
 		fmt.Fprintf(bw, "partial truncated=%t cancelled=%t\n", r.Truncated, r.Cancelled)
 	}
 	fmt.Fprintf(bw, "paths %d\n", len(r.Paths))
+	// One Printer for the file renders each distinct subterm once; each
+	// path's lines are appended into one reused buffer.
+	pr := sym.NewPrinter()
+	var buf []byte
 	for i := range r.Paths {
 		p := &r.Paths[i]
-		fmt.Fprintf(bw, "path %d crashed=%t branches=%d\n", p.ID, p.Crashed, p.Branches)
-		fmt.Fprintf(bw, "cond %s\n", p.Cond.String())
-		fmt.Fprintf(bw, "template %q\n", p.Template)
-		fmt.Fprintf(bw, "canonical %q\n", p.Canonical)
-		fmt.Fprintf(bw, "nexprs %d\n", len(p.Exprs))
+		buf = append(buf[:0], "path "...)
+		buf = strconv.AppendInt(buf, int64(p.ID), 10)
+		buf = append(buf, " crashed="...)
+		buf = strconv.AppendBool(buf, p.Crashed)
+		buf = append(buf, " branches="...)
+		buf = strconv.AppendInt(buf, int64(p.Branches), 10)
+		buf = append(buf, "\ncond "...)
+		buf = pr.Append(buf, p.Cond)
+		buf = append(buf, "\ntemplate "...)
+		buf = strconv.AppendQuote(buf, p.Template)
+		buf = append(buf, "\ncanonical "...)
+		buf = strconv.AppendQuote(buf, p.Canonical)
+		buf = append(buf, "\nnexprs "...)
+		buf = strconv.AppendInt(buf, int64(len(p.Exprs)), 10)
+		buf = append(buf, '\n')
 		for _, e := range p.Exprs {
-			fmt.Fprintf(bw, "expr %s\n", e.String())
+			buf = append(buf, "expr "...)
+			buf = pr.Append(buf, e)
+			buf = append(buf, '\n')
 		}
 		if len(p.Model) > 0 {
 			names := make([]string, 0, len(p.Model))
@@ -74,11 +90,17 @@ func (r *SerializedResult) Write(w io.Writer) error {
 				names = append(names, n)
 			}
 			sort.Strings(names)
-			fmt.Fprint(bw, "model")
+			buf = append(buf, "model"...)
 			for _, n := range names {
-				fmt.Fprintf(bw, " %s=%d", n, p.Model[n])
+				buf = append(buf, ' ')
+				buf = append(buf, n...)
+				buf = append(buf, '=')
+				buf = strconv.AppendUint(buf, p.Model[n], 10)
 			}
-			fmt.Fprintln(bw)
+			buf = append(buf, '\n')
+		}
+		if _, err := bw.Write(buf); err != nil {
+			return err
 		}
 	}
 	fmt.Fprintln(bw, "end")
@@ -160,6 +182,8 @@ func ReadResults(r io.Reader) (*SerializedResult, error) {
 	}
 	out := &SerializedResult{}
 	var cur *SerializedPath
+	// One Reader for the file parses each distinct subterm text once.
+	rd := sym.NewReader()
 	for {
 		l, ok = line()
 		if !ok {
@@ -170,55 +194,54 @@ func ReadResults(r io.Reader) (*SerializedResult, error) {
 		}
 		field, rest, _ := strings.Cut(l, " ")
 		switch field {
+		case "cond", "template", "canonical", "expr", "model":
+			if cur == nil {
+				return nil, fmt.Errorf("harness: %s before path", field)
+			}
+		}
+		var err error
+		switch field {
 		case "agent":
-			if _, err := fmt.Sscanf(rest, "%q", &out.Agent); err != nil {
-				return nil, fmt.Errorf("harness: bad agent line: %v", err)
-			}
+			out.Agent, err = strconv.Unquote(rest)
 		case "test":
-			if _, err := fmt.Sscanf(rest, "%q", &out.Test); err != nil {
-				return nil, fmt.Errorf("harness: bad test line: %v", err)
-			}
+			out.Test, err = strconv.Unquote(rest)
 		case "msgcount":
-			out.MsgCount, _ = strconv.Atoi(rest)
+			out.MsgCount, err = strconv.Atoi(rest)
 		case "elapsed":
-			ns, _ := strconv.ParseInt(rest, 10, 64)
+			var ns int64
+			ns, err = strconv.ParseInt(rest, 10, 64)
 			out.Elapsed = time.Duration(ns)
 		case "coverage":
-			fmt.Sscanf(rest, "%f %f", &out.InstrPct, &out.BranchPct)
+			_, err = fmt.Sscanf(rest, "%f %f", &out.InstrPct, &out.BranchPct)
 		case "partial":
-			fmt.Sscanf(rest, "truncated=%t cancelled=%t", &out.Truncated, &out.Cancelled)
+			_, err = fmt.Sscanf(rest, "truncated=%t cancelled=%t", &out.Truncated, &out.Cancelled)
 		case "paths":
-			n, _ := strconv.Atoi(rest)
-			out.Paths = make([]SerializedPath, 0, n)
+			var n int
+			if n, err = strconv.Atoi(rest); err == nil && n < 0 {
+				err = fmt.Errorf("negative count %d", n)
+			}
+			if err == nil {
+				// The count is a capacity hint only; a corrupt one must
+				// not size the allocation.
+				out.Paths = make([]SerializedPath, 0, min(n, 1<<12))
+			}
 		case "path":
 			out.Paths = append(out.Paths, SerializedPath{})
 			cur = &out.Paths[len(out.Paths)-1]
-			fmt.Sscanf(rest, "%d crashed=%t branches=%d", &cur.ID, &cur.Crashed, &cur.Branches)
+			_, err = fmt.Sscanf(rest, "%d crashed=%t branches=%d", &cur.ID, &cur.Crashed, &cur.Branches)
 		case "cond":
-			if cur == nil {
-				return nil, fmt.Errorf("harness: cond before path")
-			}
-			e, err := sym.Parse(rest)
-			if err != nil {
-				return nil, fmt.Errorf("harness: bad cond: %v", err)
-			}
-			cur.Cond = e
+			cur.Cond, err = rd.Parse(rest)
 		case "template":
-			if _, err := fmt.Sscanf(rest, "%q", &cur.Template); err != nil {
-				return nil, fmt.Errorf("harness: bad template: %v", err)
-			}
+			cur.Template, err = strconv.Unquote(rest)
 		case "canonical":
-			if _, err := fmt.Sscanf(rest, "%q", &cur.Canonical); err != nil {
-				return nil, fmt.Errorf("harness: bad canonical: %v", err)
-			}
+			cur.Canonical, err = strconv.Unquote(rest)
 		case "nexprs":
 			// Count line; the exprs follow.
 		case "expr":
-			e, err := sym.Parse(rest)
-			if err != nil {
-				return nil, fmt.Errorf("harness: bad expr: %v", err)
+			var e *sym.Expr
+			if e, err = rd.Parse(rest); err == nil {
+				cur.Exprs = append(cur.Exprs, e)
 			}
-			cur.Exprs = append(cur.Exprs, e)
 		case "model":
 			cur.Model = sym.Assignment{}
 			for _, kv := range strings.Fields(rest) {
@@ -234,6 +257,9 @@ func ReadResults(r io.Reader) (*SerializedResult, error) {
 			}
 		default:
 			return nil, fmt.Errorf("harness: unknown field %q", field)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("harness: bad %s line: %v", field, err)
 		}
 	}
 }

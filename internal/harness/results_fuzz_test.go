@@ -161,3 +161,43 @@ func TestReadResultsTruncated(t *testing.T) {
 		t.Fatalf("truncated file: got err %v, want truncation error", err)
 	}
 }
+
+// TestReadResultsMalformed: malformed lines are errors, never panics or
+// silently zeroed fields. A store entry that fails here is a cache miss.
+func TestReadResultsMalformed(t *testing.T) {
+	const head = "soft-results v1\nagent \"a\"\ntest \"t\"\n"
+	const path = "path 0 crashed=false branches=1\n"
+	cases := []struct{ name, body, want string }{
+		{"template before path", "template \"x\"\n", "template before path"},
+		{"canonical before path", "canonical \"x\"\n", "canonical before path"},
+		{"cond before path", "cond true\n", "cond before path"},
+		{"expr before path", "expr (var x 8)\n", "expr before path"},
+		{"model before path", "model x=1\n", "model before path"},
+		{"bad path flags", "path 0 crashed=maybe branches=x\n", "bad path line"},
+		{"bad path id", "path x crashed=false branches=1\n", "bad path line"},
+		{"bad coverage", "coverage x y\n", "bad coverage line"},
+		{"bad partial", "partial truncated=maybe cancelled=false\n", "bad partial line"},
+		{"bad msgcount", "msgcount x\n", "bad msgcount line"},
+		{"bad paths", "paths x\n", "bad paths line"},
+		{"negative paths", "paths -1\n", "bad paths line"},
+		{"bad elapsed", "elapsed 1.5\n", "bad elapsed line"},
+		{"bad agent", "agent a\n", "bad agent line"},
+		{"bad template", path + "template \"x\" junk\n", "bad template line"},
+		{"bad cond", path + "cond (eq (var x 8))\n", "bad cond line"},
+		{"bad expr", path + "expr (var x 99)\n", "bad expr line"},
+		{"bad model", path + "model x\n", "bad model entry"},
+		{"unknown field", "frob 1\n", "unknown field"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := ReadResults(strings.NewReader(head + c.body + "end\n"))
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("got error %v, want one containing %q", err, c.want)
+			}
+		})
+	}
+	// A corrupt count is a capacity hint, not an allocation size.
+	if _, err := ReadResults(strings.NewReader(head + "paths 999999999999999\nend\n")); err != nil {
+		t.Fatalf("huge paths count: %v", err)
+	}
+}

@@ -218,7 +218,7 @@ func TestCDCLDeterministicModel(t *testing.T) {
 // explores further.
 func FuzzCDCLvsBruteForce(f *testing.F) {
 	f.Add([]byte{3, 2, 1, 2, 5, 6})
-	f.Add([]byte{1, 1, 1, 2})       // x and ¬x: unsat
+	f.Add([]byte{1, 1, 1, 2}) // x and ¬x: unsat
 	f.Add([]byte{8, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {

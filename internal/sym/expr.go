@@ -18,10 +18,7 @@
 // because agent models address memory concretely).
 package sym
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // Op identifies the operator of an expression node.
 type Op uint8
@@ -58,7 +55,7 @@ const (
 	OpLNot // (bool) negation of Kids[0]
 )
 
-var opNames = map[Op]string{
+var opNames = [...]string{
 	OpConst: "const", OpVar: "var", OpExtract: "extract", OpConcat: "concat",
 	OpZExt: "zext", OpAdd: "add", OpSub: "sub", OpMul: "mul", OpAnd: "and",
 	OpOr: "or", OpXor: "xor", OpNot: "not", OpShl: "shl", OpLshr: "lshr",
@@ -67,8 +64,8 @@ var opNames = map[Op]string{
 }
 
 func (o Op) String() string {
-	if s, ok := opNames[o]; ok {
-		return s
+	if int(o) < len(opNames) && opNames[o] != "" {
+		return opNames[o]
 	}
 	return fmt.Sprintf("op(%d)", uint8(o))
 }
@@ -187,48 +184,6 @@ func Equal(a, b *Expr) bool {
 		}
 	}
 	return true
-}
-
-// String renders e in a canonical s-expression form, parseable by Parse.
-func (e *Expr) String() string {
-	var b strings.Builder
-	e.write(&b)
-	return b.String()
-}
-
-func (e *Expr) write(b *strings.Builder) {
-	switch e.Op {
-	case OpConst:
-		fmt.Fprintf(b, "(const %d %d)", e.W, e.K)
-	case OpBool:
-		if e.K == 1 {
-			b.WriteString("true")
-		} else {
-			b.WriteString("false")
-		}
-	case OpVar:
-		fmt.Fprintf(b, "(var %s %d)", e.Name, e.W)
-	case OpExtract:
-		fmt.Fprintf(b, "(extract %d %d ", e.K2, e.K)
-		e.Kids[0].write(b)
-		b.WriteByte(')')
-	case OpZExt:
-		fmt.Fprintf(b, "(zext %d ", e.W)
-		e.Kids[0].write(b)
-		b.WriteByte(')')
-	case OpShl, OpLshr:
-		fmt.Fprintf(b, "(%s %d ", e.Op, e.K)
-		e.Kids[0].write(b)
-		b.WriteByte(')')
-	default:
-		b.WriteByte('(')
-		b.WriteString(e.Op.String())
-		for _, k := range e.Kids {
-			b.WriteByte(' ')
-			k.write(b)
-		}
-		b.WriteByte(')')
-	}
 }
 
 // Vars appends the distinct variables referenced by e to dst, keyed by

@@ -44,8 +44,8 @@ func NewDFS() Strategy { return &dfs{} }
 
 func (s *dfs) Name() string           { return "dfs" }
 func (s *dfs) ForWorker(int) Strategy { return NewDFS() }
-func (s *dfs) Len() int          { return len(s.items) }
-func (s *dfs) Push(it *workItem) { s.items = append(s.items, it) }
+func (s *dfs) Len() int               { return len(s.items) }
+func (s *dfs) Push(it *workItem)      { s.items = append(s.items, it) }
 func (s *dfs) Pop(*coverage.Set) (*workItem, bool) {
 	if len(s.items) == 0 {
 		return nil, false
@@ -66,8 +66,8 @@ func NewBFS() Strategy { return &bfs{} }
 
 func (s *bfs) Name() string           { return "bfs" }
 func (s *bfs) ForWorker(int) Strategy { return NewBFS() }
-func (s *bfs) Len() int          { return len(s.items) - s.head }
-func (s *bfs) Push(it *workItem) { s.items = append(s.items, it) }
+func (s *bfs) Len() int               { return len(s.items) - s.head }
+func (s *bfs) Push(it *workItem)      { s.items = append(s.items, it) }
 func (s *bfs) Pop(*coverage.Set) (*workItem, bool) {
 	if s.head >= len(s.items) {
 		return nil, false
@@ -97,8 +97,8 @@ func NewRandom(seed int64) Strategy {
 
 func (s *random) Name() string             { return "random" }
 func (s *random) ForWorker(w int) Strategy { return NewRandom(workerSeed(s.seed, w)) }
-func (s *random) Len() int          { return len(s.items) }
-func (s *random) Push(it *workItem) { s.items = append(s.items, it) }
+func (s *random) Len() int                 { return len(s.items) }
+func (s *random) Push(it *workItem)        { s.items = append(s.items, it) }
 func (s *random) Pop(*coverage.Set) (*workItem, bool) {
 	if len(s.items) == 0 {
 		return nil, false
@@ -123,8 +123,8 @@ func NewCoverageOptimized() Strategy { return &covOpt{} }
 
 func (s *covOpt) Name() string           { return "cov-opt" }
 func (s *covOpt) ForWorker(int) Strategy { return NewCoverageOptimized() }
-func (s *covOpt) Len() int          { return len(s.items) }
-func (s *covOpt) Push(it *workItem) { s.items = append(s.items, it) }
+func (s *covOpt) Len() int               { return len(s.items) }
+func (s *covOpt) Push(it *workItem)      { s.items = append(s.items, it) }
 func (s *covOpt) Pop(cov *coverage.Set) (*workItem, bool) {
 	if len(s.items) == 0 {
 		return nil, false
