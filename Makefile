@@ -4,8 +4,9 @@
 #   make vet           static analysis
 #   make test          full test suite (tier-1 gate: build + test)
 #   make race          race-detector pass over the concurrency-sensitive packages
-#   make e2e-dist      multi-process distributed exploration e2e (coordinator +
-#                      2 workers + worker kill, byte-identity vs -workers 4)
+#   make e2e-dist      multi-process distributed exploration e2e (one-cell
+#                      soft matrix -addr coordinator + 2 workers + worker
+#                      kill, byte-identity vs explore -workers 4)
 #   make e2e-matrix    multi-process campaign e2e (2×2 matrix on a 2-worker
 #                      fleet, worker kill mid-campaign, byte-identity vs a
 #                      fleetless run, warm store re-run)
@@ -15,11 +16,11 @@
 #   make e2e-scenario  scenario determinism e2e (sequential vs 4 workers vs a
 #                      2-worker fleet, byte-identity) plus the pinned stateful
 #                      ref-vs-ovs regression
-#   make dist-demo     run a coordinator and two workers locally for a quick look
+#   make dist-demo     run a one-cell fleet campaign and two workers locally
 #   make bench         the paper's evaluation benches + parallel scaling benches
 #   make bench-solver  solver-stack scaling benches (parallel explore,
-#                      incremental sessions, sharded-cache crosscheck) — run
-#                      on multicore hardware for meaningful numbers
+#                      sharded-cache crosscheck) — run on multicore hardware
+#                      for meaningful numbers
 #   make bench-smoke   every scaling bench once (CI bit-rot guard, no timing value)
 #   make fmt-check     fail if any Go file needs gofmt
 #   make fuzz          the results-file and expression-codec fuzzers, 15 s each
@@ -65,22 +66,24 @@ e2e-serve:
 e2e-scenario:
 	$(GO) test -run 'TestScenarioDeterminismAcrossLayouts|TestScenarioExposesStatefulInconsistency' -v .
 
-# A 10-second look at distributed exploration on one machine: coordinator on
-# an ephemeral-ish port, two workers, result on stdout-adjacent files under
-# /tmp. The serve process exits once both workers have drained the shards.
+# A 10-second look at distributed exploration on one machine: a one-cell
+# campaign coordinating on an ephemeral-ish port, two workers, the cell's
+# results file under /tmp. The matrix process exits once both workers have
+# drained the shards.
 DIST_DEMO_ADDR ?= 127.0.0.1:7473
 dist-demo:
 	$(GO) build -o /tmp/soft-dist-demo ./cmd/soft
 	@echo "== coordinator on $(DIST_DEMO_ADDR), 2 workers, agent=ref test='Packet Out' =="
-	@/tmp/soft-dist-demo serve -addr $(DIST_DEMO_ADDR) -agent ref -test "Packet Out" \
-		-shard-depth 4 -progress -v -timeout 2m -o /tmp/soft-dist-demo.results & \
+	@/tmp/soft-dist-demo matrix -addr $(DIST_DEMO_ADDR) -agents ref -tests "Packet Out" \
+		-crosscheck=false -shard-depth 4 -progress -v -timeout 2m \
+		-results-dir /tmp/soft-dist-demo-results & \
 	sleep 0.3; \
 	/tmp/soft-dist-demo work -addr $(DIST_DEMO_ADDR) -name demo-worker-1 -v & \
 	/tmp/soft-dist-demo work -addr $(DIST_DEMO_ADDR) -name demo-worker-2 -v & \
 	wait
 	@echo "== merged results =="
-	@head -n 6 /tmp/soft-dist-demo.results
-	@echo "   ... (full file: /tmp/soft-dist-demo.results)"
+	@head -n 6 /tmp/soft-dist-demo-results/ref--Packet_Out.results
+	@echo "   ... (full file: /tmp/soft-dist-demo-results/ref--Packet_Out.results)"
 
 bench:
 	$(GO) test -bench=. -benchmem .
@@ -91,7 +94,6 @@ bench-solver:
 bench-smoke:
 	$(GO) test -run NONE -bench 'ExploreParallel|CrossCheck' -benchtime=1x .
 	$(GO) build -o /tmp/soft-bench-smoke-bin ./cmd/soft
-	@/tmp/soft-bench-smoke-bin explore -scenario "Add Modify" -incremental=false -o /dev/null
-	@/tmp/soft-bench-smoke-bin explore -scenario "Add Modify" -incremental -o /dev/null
+	@/tmp/soft-bench-smoke-bin explore -scenario "Add Modify" -o /dev/null
 
 check: build vet fmt-check test

@@ -130,44 +130,6 @@ func BenchmarkExploreParallelOVSPacketOut(b *testing.B) {
 	}
 }
 
-// BenchmarkExploreParallelIncremental is the incremental-solver before/
-// after on the heaviest explore workload: per-path solvers (mode-baseline)
-// vs one assumption-stack session per worker (mode-incremental). Results
-// are byte-identical across both; paths/sec is the number the ROADMAP
-// tracks.
-func BenchmarkExploreParallelIncremental(b *testing.B) {
-	t, ok := harness.TestByName("FlowMod")
-	if !ok {
-		b.Fatal("unknown test FlowMod")
-	}
-	modes := []struct {
-		name        string
-		incremental bool
-	}{
-		{"mode-baseline", false},
-		{"mode-incremental", true},
-	}
-	for _, w := range []int{1, 4} {
-		for _, m := range modes {
-			w, m := w, m
-			b.Run(fmt.Sprintf("workers-%d/%s", w, m.name), func(b *testing.B) {
-				b.ReportAllocs()
-				var paths int
-				for i := 0; i < b.N; i++ {
-					r := harness.Explore(refswitch.New(), t, harness.Options{
-						MaxPaths: 2000, Workers: w, Incremental: m.incremental,
-					})
-					paths = len(r.Paths)
-				}
-				b.ReportMetric(float64(paths), "paths")
-				if sec := b.Elapsed().Seconds(); sec > 0 {
-					b.ReportMetric(float64(paths)*float64(b.N)/sec, "paths/sec")
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkCrossCheckParallel scales phase 2 across worker counts. Every
 // worker shares one sharded single-flight cache, so each distinct query is
 // solved once per run.
@@ -394,33 +356,6 @@ func BenchmarkAblationStructuredInputs(b *testing.B) {
 			}
 			b.ReportMetric(float64(paths), "paths")
 			b.ReportMetric(cov, "instr%")
-		})
-	}
-}
-
-// BenchmarkAblationSolver measures the solver façade's cache and
-// simplifier contributions on the exploration workload.
-func BenchmarkAblationSolver(b *testing.B) {
-	t, _ := harness.TestByName("Stats Request")
-	variants := []struct {
-		name  string
-		cache bool
-		simp  bool
-	}{
-		{"cache+simplify", true, true},
-		{"no-cache", false, true},
-		{"no-simplify", true, false},
-		{"bare", false, false},
-	}
-	for _, v := range variants {
-		v := v
-		b.Run(v.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				s := solver.New()
-				s.DisableCache = !v.cache
-				s.DisableSimplify = !v.simp
-				harness.Explore(refswitch.New(), t, harness.Options{Solver: s})
-			}
 		})
 	}
 }

@@ -15,14 +15,15 @@ import (
 )
 
 // TestDistE2E is the multi-process acceptance test: it builds the real soft
-// binary, runs a traced coordinator and two worker processes over localhost
-// TCP, SIGKILLs the first worker after it completes a shard, and asserts
-// (1) the distributed output is byte-identical to a single-process
-// `soft explore -workers 4` run (wall-clock line normalized) — tracing and
-// structured logging included, observation never touches the answer path —
-// and (2) the merged Chrome trace is one timeline spanning all three
-// processes, with the killed worker's shipped-so-far segments present and
-// every worker shard span nested under a coordinator lease span.
+// binary, runs a traced one-cell `soft matrix -addr` fleet coordinator and
+// two worker processes over localhost TCP, SIGKILLs the first worker after
+// it completes a shard, and asserts (1) the cell's results file is
+// byte-identical to a single-process `soft explore -workers 4` run
+// (wall-clock line normalized) — tracing and structured logging included,
+// observation never touches the answer path — and (2) the merged Chrome
+// trace is one timeline spanning all three processes, with the killed
+// worker's shipped-so-far segments present and every worker shard span
+// nested under a coordinator lease span.
 func TestDistE2E(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process e2e skipped in -short mode")
@@ -51,36 +52,38 @@ func TestDistE2E(t *testing.T) {
 
 	// Coordinator on an ephemeral port; -progress exposes the address and
 	// structured lease/shard lifecycle lines on stderr; -trace collects the
-	// merged cross-process timeline.
-	distFile := filepath.Join(dir, "dist.results")
+	// merged cross-process timeline; -results-dir writes the cell's file.
+	distDir := filepath.Join(dir, "dist")
+	distFile := filepath.Join(distDir, cellFileName(agent, test))
 	traceFilePath := filepath.Join(dir, "trace.json")
-	serve := exec.Command(bin, "serve",
-		"-addr", "127.0.0.1:0", "-agent", agent, "-test", test,
+	coord := exec.Command(bin, "matrix",
+		"-addr", "127.0.0.1:0", "-agents", agent, "-tests", test, "-crosscheck=false",
 		"-shard-depth", "4", "-lease-timeout", "5s", "-progress", "-v",
 		"-trace", traceFilePath,
-		"-timeout", "2m", "-o", distFile)
-	serveErr, err := serve.StderrPipe()
+		"-timeout", "2m", "-results-dir", distDir)
+	coord.Stdout = io.Discard
+	coordErr, err := coord.StderrPipe()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := serve.Start(); err != nil {
-		t.Fatalf("start soft serve: %v", err)
+	if err := coord.Start(); err != nil {
+		t.Fatalf("start soft matrix: %v", err)
 	}
-	defer serve.Process.Kill()
+	defer coord.Process.Kill()
 
 	addrCh := make(chan string, 1)
 	shardDoneCh := make(chan string, 64)
-	serveLog := &lockedBuf{}
+	coordLog := &lockedBuf{}
 	// Wait closes the pipe once the process exits, so the log is read to
 	// EOF before Wait is called; otherwise its last lines can be lost.
 	logDone := make(chan struct{})
 	go func() {
 		defer close(logDone)
-		sc := bufio.NewScanner(serveErr)
+		sc := bufio.NewScanner(coordErr)
 		for sc.Scan() {
 			line := sc.Text()
-			serveLog.add(line)
-			if a, ok := strings.CutPrefix(line, "soft serve: listening on "); ok {
+			coordLog.add(line)
+			if a, ok := strings.CutPrefix(line, "soft matrix: listening on "); ok {
 				addrCh <- a
 			}
 			// Structured fleet lines render through the text slog handler.
@@ -96,7 +99,7 @@ func TestDistE2E(t *testing.T) {
 	select {
 	case addr = <-addrCh:
 	case <-time.After(30 * time.Second):
-		t.Fatalf("coordinator never announced its address\n%s", serveLog)
+		t.Fatalf("coordinator never announced its address\n%s", coordLog)
 	}
 
 	// Worker A: started alone so it necessarily receives the first leases;
@@ -114,7 +117,7 @@ func TestDistE2E(t *testing.T) {
 		t.Logf("killing worker A after %q", line)
 	case <-time.After(60 * time.Second):
 		workerA.Process.Kill()
-		t.Fatalf("worker A never completed a shard\n%s", serveLog)
+		t.Fatalf("worker A never completed a shard\n%s", coordLog)
 	}
 	workerA.Process.Kill()
 	workerA.Wait()
@@ -131,8 +134,8 @@ func TestDistE2E(t *testing.T) {
 	}()
 
 	<-logDone
-	if err := serve.Wait(); err != nil {
-		t.Fatalf("soft serve failed: %v\n%s", err, serveLog)
+	if err := coord.Wait(); err != nil {
+		t.Fatalf("soft matrix failed: %v\n%s", err, coordLog)
 	}
 
 	want, err := os.ReadFile(refFile)
@@ -144,13 +147,15 @@ func TestDistE2E(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(normalizeElapsed(t, got), normalizeElapsed(t, want)) {
-		t.Fatalf("distributed output differs from single-process explore\n--- serve log ---\n%s", serveLog)
+		t.Fatalf("distributed output differs from single-process explore\n--- coordinator log ---\n%s", coordLog)
 	}
 
-	// -v must surface solver statistics aggregated across the workers.
-	log := serveLog.String()
-	if !strings.Contains(log, "solver:") || !strings.Contains(log, "branch feasibility queries") {
-		t.Errorf("serve -v did not report aggregated solver statistics:\n%s", log)
+	// -v must surface solver statistics aggregated across the workers,
+	// whose shards ran on incremental sessions.
+	log := coordLog.String()
+	if !strings.Contains(log, "solver:") || !strings.Contains(log, "branch feasibility queries") ||
+		!strings.Contains(log, "sessions:") {
+		t.Errorf("matrix -v did not report aggregated solver statistics:\n%s", log)
 	}
 	if !strings.Contains(log, "re-queued") {
 		t.Logf("note: worker A finished its leases before the kill landed (re-lease path covered by internal/dist tests)")
@@ -158,7 +163,7 @@ func TestDistE2E(t *testing.T) {
 	// Structured fleet lines carry the ids that make them greppable.
 	for _, want := range []string{`msg="lease granted"`, "worker=workerA", "worker=workerB", "job=", "lease="} {
 		if !strings.Contains(log, want) {
-			t.Errorf("serve log misses %q:\n%s", want, log)
+			t.Errorf("coordinator log misses %q:\n%s", want, log)
 		}
 	}
 

@@ -28,11 +28,10 @@ func runExplore(e *env, args []string) error {
 	maxPaths := fs.Int("max-paths", 0, "cap on explored paths (0 = default)")
 	models := fs.Bool("models", true, "extract a concrete input example per path")
 	workers := fs.Int("workers", 0, "parallel exploration workers (0 = GOMAXPROCS, 1 = sequential)")
-	incremental := fs.Bool("incremental", true, "keep one assumption-stack solver session per worker instead of a fresh solver per path (results are byte-identical either way)")
 	canonicalCut := fs.Bool("canonical-cut", false, "make max-paths truncation canonical: keep the canonically smallest paths so truncated runs are reproducible across worker counts")
 	timeout := fs.Duration("timeout", 0, "wall-clock limit; on expiry the partial result is still written")
 	progress := fs.Bool("progress", false, "report exploration progress on stderr")
-	verbose := fs.Bool("v", false, "report solver statistics (queries, cache hits, sessions) on stderr")
+	verbose := fs.Bool("v", false, "report solver statistics (branch queries, sessions, interning) on stderr")
 	traceOut := fs.String("trace", "", "write a Chrome-trace-event JSON of this run's spans to this file (load in Perfetto; results are byte-identical either way)")
 	if err := parse(fs, args); err != nil {
 		return err
@@ -78,7 +77,6 @@ func runExplore(e *env, args []string) error {
 		soft.WithMaxPaths(*maxPaths),
 		soft.WithModels(*models),
 		soft.WithWorkers(*workers),
-		soft.WithIncrementalSolver(*incremental),
 		soft.WithCanonicalCut(*canonicalCut),
 	}
 	if *progress {

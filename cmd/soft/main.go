@@ -11,7 +11,6 @@
 //	soft fetch       fetch a finished job's canonical report
 //	soft stats       fetch a running service's live metrics
 //	soft top         live dashboard over a service's /metrics
-//	soft serve       coordinate a distributed phase-1 run across workers
 //	soft work        explore shard leases for a coordinator fleet
 //	soft group       group a results file by output behavior
 //	soft diff        crosscheck two results files (phase 2)
@@ -55,7 +54,6 @@ func commands() []*command {
 		fetchCmd(),
 		statsCmd(),
 		topCmd(),
-		serveCmd(),
 		workCmd(),
 		groupCmd(),
 		diffCmd(),

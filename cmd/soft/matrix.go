@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -44,7 +45,6 @@ func runMatrix(e *env, args []string) error {
 	workers := fs.Int("workers", 0, "in-process parallelism: exploration workers per cell (fleetless) and crosscheck solver workers (0 = GOMAXPROCS)")
 	maxPaths := fs.Int("max-paths", 0, "cap on explored paths per cell (0 = default); campaign truncation is canonical")
 	models := fs.Bool("models", true, "extract a concrete input example per path")
-	incremental := fs.Bool("incremental", true, "explore cells on per-worker assumption-stack solver sessions (results are byte-identical either way)")
 	storeDir := fs.String("store", "", "result-store directory: cache cell results and groupings, skip unchanged cells on re-runs")
 	codeVersion := fs.String("code-version", "", "override the cache key's code version (default: the binary's VCS build stamp)")
 	storeMigrate := fs.Bool("store-migrate", false, "re-stamp a store recorded under a different code version instead of refusing it")
@@ -58,6 +58,8 @@ func runMatrix(e *env, args []string) error {
 	out := fs.String("o", "", "write the canonical campaign report to this file (byte-identical across reruns)")
 	traceOut := fs.String("trace", "", "write a Chrome-trace-event JSON of this campaign's spans to this file (load in Perfetto; results are byte-identical either way)")
 	timeout := fs.Duration("timeout", 0, "wall-clock limit; on expiry the campaign aborts")
+	metricsAddr := fs.String("metrics-addr", "", "also serve Prometheus text on http://<addr>/metrics while the campaign is live (use :0 for an ephemeral port)")
+	pprofFlag := fs.Bool("pprof", false, "with -metrics-addr: also mount net/http/pprof under /debug/pprof/")
 	progress := fs.Bool("progress", false, "report fleet lifecycle and cell/check progress on stderr")
 	verbose := fs.Bool("v", false, "report cache, fleet, and solver statistics on stderr")
 	if err := parse(fs, args); err != nil {
@@ -95,6 +97,9 @@ func runMatrix(e *env, args []string) error {
 	if *shardDepth < 0 {
 		return usagef("-shard-depth must not be negative (got %d)", *shardDepth)
 	}
+	if *pprofFlag && *metricsAddr == "" {
+		return usagef("-pprof needs -metrics-addr: the profiler rides the metrics endpoint")
+	}
 	if *service != "" {
 		// A service-side campaign owns its own store and fleet; the
 		// client-side equivalents would silently do nothing.
@@ -119,7 +124,6 @@ func runMatrix(e *env, args []string) error {
 		soft.WithWorkers(*workers),
 		soft.WithMaxPaths(*maxPaths),
 		soft.WithModels(*models),
-		soft.WithIncrementalSolver(*incremental),
 		soft.WithShardDepth(*shardDepth),
 		soft.WithLeaseTimeout(*leaseTimeout),
 		soft.WithCrossCheck(*crossCheck),
@@ -150,6 +154,19 @@ func runMatrix(e *env, args []string) error {
 		if *tenant != "" {
 			opts = append(opts, soft.WithTenant(*tenant))
 		}
+	}
+	if *metricsAddr != "" {
+		// The observability endpoint lives on its own listener so the
+		// fleet's worker protocol socket stays protocol-pure. It dies with
+		// the campaign; scrape it while the campaign is live.
+		mln, err := net.Listen("tcp", *metricsAddr)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(e.stderr, "soft matrix: metrics on http://%s/metrics\n", mln.Addr())
+		msrv := &http.Server{Handler: newMetricsMux(*pprofFlag)}
+		go msrv.Serve(mln)
+		defer msrv.Close()
 	}
 	if *addr != "" {
 		ln, err := net.Listen("tcp", *addr)

@@ -107,9 +107,8 @@ func TestMatrixCLI(t *testing.T) {
 	}
 }
 
-// TestMatrixCLIUsageErrors pins exit code 2 for bad arguments. The
-// -shard-depth rows also cover serve: the flag is a plain non-negative
-// integer on every command that takes it, and the message names it.
+// TestMatrixCLIUsageErrors pins exit code 2 for bad arguments. -shard-depth
+// is a plain non-negative integer, and the message names the flag.
 func TestMatrixCLIUsageErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"matrix", "-agents", "no-such-agent"},
@@ -117,7 +116,7 @@ func TestMatrixCLIUsageErrors(t *testing.T) {
 		{"matrix", "-shard-depth", "banana"},
 		{"matrix", "-shard-depth", "auto"},
 		{"matrix", "-shard-depth", "-1"},
-		{"serve", "-shard-depth", "auto"},
+		{"matrix", "-pprof"},
 		{"matrix", "-service", "http://127.0.0.1:1", "-store", "somewhere"},
 		{"matrix", "-service", "http://127.0.0.1:1", "-addr", ":0"},
 		{"matrix", "extra-arg"},

@@ -55,7 +55,7 @@ func newCLILogger(w io.Writer, format string) (*slog.Logger, error) {
 }
 
 // newMetricsMux builds the standalone observability endpoint used by
-// subcommands that have no API server of their own (`soft serve`):
+// subcommands that have no API server of their own (`soft matrix`):
 // GET /metrics in Prometheus text format, plus the net/http/pprof
 // handlers when withPprof is set.
 func newMetricsMux(withPprof bool) *http.ServeMux {

@@ -125,7 +125,7 @@ func TestMatrixTraceIsOffTheAnswerPath(t *testing.T) {
 }
 
 // TestMetricsMuxServesPrometheus pins the standalone endpoint `soft
-// serve -metrics-addr` mounts: Prometheus text with the engine series,
+// matrix -metrics-addr` mounts: Prometheus text with the engine series,
 // no pprof unless opted in.
 func TestMetricsMuxServesPrometheus(t *testing.T) {
 	ts := httptest.NewServer(newMetricsMux(false))

@@ -33,10 +33,11 @@ func TestScenarioCLI(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("explore -scenario -workers 4: exit %d\n%s", code, stderr)
 	}
-	// The default explore mode is incremental: the run must have been
-	// answered by assumption solves, never per-path full solves.
-	if !strings.Contains(stderr, "assumption solves, 0 full solves") {
-		t.Fatalf("explore -scenario -v: solver stats not from an incremental run:\n%s", stderr)
+	// Exploration answers every query on per-worker sessions and never
+	// touches the cached query façade, so -v reports session counters and
+	// no façade query counts.
+	if !strings.Contains(stderr, "sessions: ") || strings.Contains(stderr, " queries, ") {
+		t.Fatalf("explore -scenario -v: solver stats not from session-only exploration:\n%s", stderr)
 	}
 	seq, err := os.ReadFile(seqOut)
 	if err != nil {

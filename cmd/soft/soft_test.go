@@ -119,34 +119,31 @@ func normalizeElapsed(t *testing.T, data []byte) []byte {
 
 // TestExploreDeterminismFlags is the CLI acceptance check for the solver
 // stack: `soft explore` output must be byte-identical (modulo the elapsed
-// line) across every combination of -workers and -incremental.
+// line) across -workers.
 func TestExploreDeterminismFlags(t *testing.T) {
 	dir := t.TempDir()
 	var want []byte
 	for _, workers := range []string{"1", "4"} {
-		for _, incremental := range []string{"false", "true"} {
-			out := filepath.Join(dir, "w"+workers+"i"+incremental+".txt")
-			_, stderr, code := runCLI(t, "explore", "-agent", "ref", "-test", "Packet Out",
-				"-workers", workers, "-incremental="+incremental, "-v", "-o", out)
-			if code != 0 {
-				t.Fatalf("soft explore -workers %s -incremental=%s: exit %d, stderr:\n%s",
-					workers, incremental, code, stderr)
-			}
-			if !strings.Contains(stderr, "solver:") || !strings.Contains(stderr, "sessions:") {
-				t.Errorf("-v did not report solver statistics: %q", stderr)
-			}
-			data, err := os.ReadFile(out)
-			if err != nil {
-				t.Fatal(err)
-			}
-			data = normalizeElapsed(t, data)
-			if want == nil {
-				want = data
-				continue
-			}
-			if !bytes.Equal(data, want) {
-				t.Fatalf("-workers %s -incremental=%s produced different result bytes", workers, incremental)
-			}
+		out := filepath.Join(dir, "w"+workers+".txt")
+		_, stderr, code := runCLI(t, "explore", "-agent", "ref", "-test", "Packet Out",
+			"-workers", workers, "-v", "-o", out)
+		if code != 0 {
+			t.Fatalf("soft explore -workers %s: exit %d, stderr:\n%s", workers, code, stderr)
+		}
+		if !strings.Contains(stderr, "solver:") || !strings.Contains(stderr, "sessions:") {
+			t.Errorf("-v did not report solver statistics: %q", stderr)
+		}
+		data, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data = normalizeElapsed(t, data)
+		if want == nil {
+			want = data
+			continue
+		}
+		if !bytes.Equal(data, want) {
+			t.Fatalf("-workers %s produced different result bytes", workers)
 		}
 	}
 }

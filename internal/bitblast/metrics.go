@@ -9,8 +9,8 @@ import (
 // internal/dist can sample worker-local deltas and ship them to the
 // coordinator on progress frames.
 var (
-	// MSolves / MSolveLatency cover from-scratch satisfiability decisions
-	// on per-path blasters (and the solver façade, which runs on them).
+	// MSolves counts from-scratch satisfiability decisions on stand-alone
+	// blasters; MSolveLatency times those and session decisions alike.
 	MSolves       = obs.NewCounter("soft_sat_solves_total")
 	MSolveLatency = obs.NewHistogram("soft_sat_solve_latency_ns")
 	// MAssumptionSolves / MAssumptionDepth cover incremental-session

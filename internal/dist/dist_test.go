@@ -43,8 +43,8 @@ func singleProcessBytes(t *testing.T, o harness.Options) []byte {
 }
 
 // serveAsync runs one job on a fresh localhost fleet and shuts the fleet
-// down when the job ends, the way soft.Serve does. It returns the fleet's
-// address plus a channel carrying the merged result.
+// down when the job ends. It returns the fleet's address plus a channel
+// carrying the merged result.
 type serveOutcome struct {
 	res *harness.MergedResult
 	err error
@@ -124,7 +124,7 @@ func TestDistributedExploreDeterminism(t *testing.T) {
 	if res.Truncated {
 		t.Fatal("exhaustive distributed run marked truncated")
 	}
-	// Exploration's solver work happens on path-private SAT cores, counted
+	// Exploration's solver work happens on per-worker SAT sessions, counted
 	// by BranchQueries; a zero aggregate would mean shard counters were
 	// dropped in the merge.
 	if res.BranchQueries == 0 {

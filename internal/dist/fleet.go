@@ -58,8 +58,8 @@ type FleetStats struct {
 // Fleet is a persistent distributed-exploration coordinator: workers
 // connect once and stay hot while any number of jobs — (agent, test)
 // exploration cells — are run through the same fleet, concurrently or in
-// sequence. It is the transport layer of both the campaign scheduler and
-// the single-job soft.Serve.
+// sequence. It is the transport layer of the campaign scheduler, both
+// in-process (soft matrix -addr) and in the campaign service.
 //
 // The zero value is not usable; create fleets with NewFleet. All methods
 // are safe for concurrent use; Run may be called from many goroutines at
@@ -204,8 +204,7 @@ func (f *Fleet) Run(ctx context.Context, cfg JobConfig) (*harness.MergedResult, 
 		MaxPaths:     cfg.MaxPaths,
 		MaxDepth:     cfg.MaxDepth,
 		WantModels:   cfg.WantModels,
-		Incremental:  cfg.Incremental,
-		CanonicalCut: !cfg.NoCanonicalCut,
+		CanonicalCut: true,
 		Workers:      1,
 		ShardDepth:   cfg.ShardDepth,
 		ShardSink:    func(p []bool) { prefixes = append(prefixes, p) },
@@ -213,8 +212,7 @@ func (f *Fleet) Run(ctx context.Context, cfg JobConfig) (*harness.MergedResult, 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	j.localPaths = len(j.local.Paths)
-	mPathsDone.Add(int64(j.localPaths))
+	mPathsDone.Add(int64(len(j.local.Paths)))
 
 	// Freeze the job's trace context at submission: traced jobs mark
 	// every lease so workers buffer and ship their spans back; the id is
@@ -246,9 +244,8 @@ func (f *Fleet) Run(ctx context.Context, cfg JobConfig) (*harness.MergedResult, 
 	f.cond.Broadcast()
 	f.log.Info("job submitted",
 		"job", j.id, "agent", cfg.AgentName, "test", cfg.TestName,
-		"local_paths", j.localPaths, "shards", len(prefixes),
+		"local_paths", len(j.local.Paths), "shards", len(prefixes),
 		"shard_depth", cfg.ShardDepth, obs.TraceAttr(j.traceID))
-	f.reportProgress(j)
 
 	// Wake the wait loop when this job's context dies.
 	stop := make(chan struct{})
@@ -283,10 +280,6 @@ func (f *Fleet) Run(ctx context.Context, cfg JobConfig) (*harness.MergedResult, 
 	}
 	f.removeJobLocked(j)
 	f.mu.Unlock()
-	// Fence: wait out any Progress callback that passed the removed check
-	// before we took it out of f.jobs, so none runs after Run returns.
-	j.cbMu.Lock()
-	j.cbMu.Unlock() //nolint:staticcheck // empty critical section is the fence
 	// Unblock handlers whose pending work just vanished with the job.
 	f.cond.Broadcast()
 	if err != nil {
@@ -309,7 +302,6 @@ func (f *Fleet) Run(ctx context.Context, cfg JobConfig) (*harness.MergedResult, 
 }
 
 func (f *Fleet) removeJobLocked(j *jobRun) {
-	j.removed = true
 	for i, cand := range f.jobs {
 		if cand == j {
 			f.jobs = append(f.jobs[:i], f.jobs[i+1:]...)
@@ -414,8 +406,6 @@ func (f *Fleet) release(g *grant) {
 			requeued++
 		}
 	}
-	g.job.liveDone -= g.done
-	g.done = 0
 	f.stats.Requeues += requeued
 	mRequeues.Add(int64(requeued))
 	f.mu.Unlock()
@@ -437,16 +427,6 @@ func (f *Fleet) completeShard(g *grant, idx int, result *harness.Shard) {
 	if s.grant == g {
 		s.grant = nil
 	}
-	// The worker's live progress for this lease already counted this
-	// shard's paths; retire them from the live estimate as they are banked
-	// (or dropped) so the job's progress never double-counts a shard.
-	if retire := len(result.Paths); retire > 0 {
-		if retire > g.done {
-			retire = g.done
-		}
-		g.done -= retire
-		j.liveDone -= retire
-	}
 	accepted := s.status != shardDone
 	if accepted {
 		mLeaseRTT.Observe(int64(time.Since(s.leasedAt)))
@@ -458,7 +438,6 @@ func (f *Fleet) completeShard(g *grant, idx int, result *harness.Shard) {
 		}
 		s.status = shardDone
 		s.result = result
-		j.donePaths += len(result.Paths)
 		mPathsDone.Add(int64(len(result.Paths)))
 	} else {
 		f.stats.StaleResults++
@@ -476,57 +455,9 @@ func (f *Fleet) completeShard(g *grant, idx int, result *harness.Shard) {
 		f.log.Info("shard result dropped as redundant",
 			"job", j.id, "lease", g.id, "shard", s.id, obs.TraceAttr(j.traceID))
 	}
-	f.reportProgress(j)
 	// Wake everyone: handlers waiting for a lease re-check the queues, and
 	// on the final shard the job's Run loop observes completion.
 	f.cond.Broadcast()
-}
-
-// leaseFinished retires a fully-delivered lease's live progress counter.
-func (f *Fleet) leaseFinished(g *grant) {
-	f.mu.Lock()
-	g.job.liveDone -= g.done
-	g.done = 0
-	f.mu.Unlock()
-}
-
-// progress records a lease's live path count and reports the job's
-// cumulative high-water mark.
-func (f *Fleet) progress(g *grant, done int) {
-	f.mu.Lock()
-	if done > g.done {
-		g.job.liveDone += done - g.done
-		g.done = done
-	}
-	f.mu.Unlock()
-	f.reportProgress(g.job)
-}
-
-// reportProgress invokes the job's Progress callback with its monotone
-// cumulative count. Once the job's Run call has returned (removed) or
-// failed, no further callbacks fire — the caller may have torn down
-// whatever the callback touches. The shared cbMu hold makes the guarantee
-// airtight: Run blocks on an exclusive acquisition after removal, so a
-// callback that passed the removed check always finishes before Run
-// returns.
-func (f *Fleet) reportProgress(j *jobRun) {
-	if j.cfg.Progress == nil {
-		return
-	}
-	j.cbMu.RLock()
-	defer j.cbMu.RUnlock()
-	f.mu.Lock()
-	if j.removed || j.failed != nil {
-		f.mu.Unlock()
-		return
-	}
-	total := j.localPaths + j.donePaths + j.liveDone
-	if total > j.progressHi {
-		j.progressHi = total
-	}
-	hi := j.progressHi
-	f.mu.Unlock()
-	j.cfg.Progress(hi)
 }
 
 // watch expires stale leases.
@@ -690,9 +621,6 @@ func (f *Fleet) handle(conn net.Conn) {
 				// Deltas describe worker-global solver activity, so they
 				// aggregate even when the frame's lease id has gone stale.
 				addRemote(p)
-				if p.lease == g.id {
-					f.progress(g, int(p.done))
-				}
 			case msgTrace:
 				m, err := decodeTrace(payload)
 				if err != nil {
@@ -730,7 +658,6 @@ func (f *Fleet) handle(conn net.Conn) {
 				return
 			}
 		}
-		f.leaseFinished(g)
 		curSpan.End()
 		curSpan = obs.Span{}
 		cur = nil

@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"sync"
 	"time"
 
 	"github.com/soft-testing/soft/internal/agents"
@@ -16,30 +15,18 @@ type JobConfig struct {
 	AgentName string
 	TestName  string
 
-	// MaxPaths/MaxDepth/WantModels/Incremental mirror harness.Options and
-	// are forwarded to every worker. The limits and models flag must agree
-	// across shards for the merged result to be canonical; the solver-mode
-	// flag is forwarded so every shard runs the configured speed mode
-	// (determinism makes the bytes identical either way).
-	MaxPaths    int
-	MaxDepth    int
-	WantModels  bool
-	Incremental bool
-	// NoCanonicalCut opts out of canonical MaxPaths truncation. Distributed
-	// runs default to the canonical cut (the zero value): without it a
-	// truncated run's path selection would depend on which shards finished
-	// first, and the determinism guarantee would hold only for exhaustive
-	// runs.
-	NoCanonicalCut bool
+	// MaxPaths/MaxDepth/WantModels mirror harness.Options and are
+	// forwarded to every worker; they must agree across shards for the
+	// merged result to be canonical. Fleet jobs always truncate with the
+	// canonical MaxPaths cut: otherwise a truncated run's path selection
+	// would depend on which shards finished first.
+	MaxPaths   int
+	MaxDepth   int
+	WantModels bool
 
 	// ShardDepth bounds the frontier split (default
 	// DefaultShardDepth).
 	ShardDepth int
-
-	// Progress, when set, receives the cumulative completed-path count
-	// (coordinator-local paths plus live shard progress). Counts are a
-	// monotone high-water mark (the count is advisory; results are exact).
-	Progress func(done int)
 
 	// TraceID is the campaign's correlation id, threaded through log
 	// lines and wire frames (pure observability). Zero with tracing
@@ -74,7 +61,6 @@ type grant struct {
 	id     uint64
 	job    *jobRun
 	shards []*shard
-	done   int // live progress (completed paths reported by the worker)
 }
 
 // jobRun is the coordinator-side state of one job in flight. All fields
@@ -95,30 +81,19 @@ type jobRun struct {
 
 	completed bool
 	failed    error
-	removed   bool // Run returned; no further callbacks may fire
-	// cbMu fences Progress callbacks against Run returning: callbacks hold
-	// it shared while invoking cfg.Progress; Run takes it exclusively after
-	// removal, so no callback can still be in flight once Run returns.
-	cbMu       sync.RWMutex
-	localPaths int
-	donePaths  int // paths in accepted results
-	liveDone   int // live progress across active grants
-	progressHi int
 }
 
 // jobMsgFor renders the job announcement frame for j.
 func (j *jobRun) jobMsg() jobMsg {
 	return jobMsg{
-		id:           j.id,
-		agent:        j.cfg.AgentName,
-		test:         j.cfg.TestName,
-		maxPaths:     j.cfg.MaxPaths,
-		maxDepth:     j.cfg.MaxDepth,
-		models:       j.cfg.WantModels,
-		incremental:  j.cfg.Incremental,
-		canonicalCut: !j.cfg.NoCanonicalCut,
-		traced:       j.traced,
-		traceID:      j.traceID,
+		id:       j.id,
+		agent:    j.cfg.AgentName,
+		test:     j.cfg.TestName,
+		maxPaths: j.cfg.MaxPaths,
+		maxDepth: j.cfg.MaxDepth,
+		models:   j.cfg.WantModels,
+		traced:   j.traced,
+		traceID:  j.traceID,
 	}
 }
 

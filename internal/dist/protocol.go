@@ -37,7 +37,7 @@
 //	                      sent lazily before that job's first lease)
 //	coord  → lease       {job id, lease id, decision prefixes}   (repeated;
 //	                      a lease may batch several small shards)
-//	worker → progress    {job id, lease id, paths completed}     (throttled)
+//	worker → progress    {job id, lease id, solver-metric deltas} (throttled)
 //	worker → trace       {job id, lease id, span segment}        (traced leases
 //	                      only; one frame per completed prefix, sent just
 //	                      before that prefix's result frame)
@@ -82,8 +82,11 @@ import (
 // back on the new trace frame so the coordinator can merge one
 // cross-process timeline. Version 6 dropped the clause-sharing and merge
 // flags from job frames and the clause-exchange and merge-hit counters
-// from solver statistics.
-const protocolVersion = 6
+// from solver statistics. Version 7 dropped the incremental and
+// canonical-cut flags from job frames (workers always explore on sessions
+// with the canonical cut), the path count from progress frames, and the
+// full-solve counter from solver statistics.
+const protocolVersion = 7
 
 // maxFrame bounds a frame (type byte + payload). It matches the results
 // reader's line buffer: anything bigger is a corrupt or hostile peer.
@@ -96,7 +99,7 @@ const (
 	msgHello    msgType = 1 // worker → coordinator: version handshake
 	msgWelcome  msgType = 2 // coordinator → worker: handshake accepted
 	msgLease    msgType = 3 // coordinator → worker: a batch of shards to explore
-	msgProgress msgType = 4 // worker → coordinator: paths completed so far
+	msgProgress msgType = 4 // worker → coordinator: solver-metric deltas
 	msgResult   msgType = 5 // worker → coordinator: completed shard payloads
 	msgShutdown msgType = 6 // coordinator → worker: fleet done, disconnect
 	msgReject   msgType = 7 // coordinator → worker: protocol version mismatch
@@ -343,8 +346,6 @@ type jobMsg struct {
 	agent, test        string
 	maxPaths, maxDepth int
 	models             bool
-	incremental        bool
-	canonicalCut       bool
 
 	// traced marks the job as span-traced at submission; traceID is the
 	// campaign's correlation id, threaded through worker log lines. Both
@@ -361,8 +362,6 @@ func encodeJob(j jobMsg) []byte {
 	e.i64(int64(j.maxPaths))
 	e.i64(int64(j.maxDepth))
 	e.boolean(j.models)
-	e.boolean(j.incremental)
-	e.boolean(j.canonicalCut)
 	e.boolean(j.traced)
 	e.u64(j.traceID)
 	return e.b
@@ -378,8 +377,6 @@ func decodeJob(p []byte) (jobMsg, error) {
 		maxDepth: int(d.i64()),
 	}
 	j.models = d.boolean()
-	j.incremental = d.boolean()
-	j.canonicalCut = d.boolean()
 	j.traced = d.boolean()
 	j.traceID = d.u64()
 	return j, d.done()
@@ -430,16 +427,14 @@ func decodeLease(p []byte) (lease, error) {
 	return l, d.done()
 }
 
-// progressMsg streams a lease's completed-path count while it runs (summed
-// across the lease's prefixes), plus the worker's metric deltas since its
-// previous progress frame (v4): SAT solves, solve nanoseconds, assumption
-// solves, and activation-cache constraint reuses. The deltas are advisory
-// observability data — the coordinator aggregates them fleet-wide and
-// nothing else reads them, so they can never affect a merged result.
+// progressMsg streams, while a lease runs, the worker's metric deltas since
+// its previous progress frame (v4): SAT solves, solve nanoseconds,
+// assumption solves, and activation-cache constraint reuses. The deltas are
+// advisory observability data — the coordinator aggregates them fleet-wide
+// and nothing else reads them, so they can never affect a merged result.
 type progressMsg struct {
 	job   uint64
 	lease uint64
-	done  uint64
 
 	dSolves     uint64
 	dSolveNanos uint64
@@ -451,7 +446,6 @@ func encodeProgress(p progressMsg) []byte {
 	var e enc
 	e.u64(p.job)
 	e.u64(p.lease)
-	e.u64(p.done)
 	e.u64(p.dSolves)
 	e.u64(p.dSolveNanos)
 	e.u64(p.dAssumption)
@@ -461,7 +455,7 @@ func encodeProgress(p progressMsg) []byte {
 
 func decodeProgress(p []byte) (progressMsg, error) {
 	d := dec{b: p}
-	m := progressMsg{job: d.u64(), lease: d.u64(), done: d.u64()}
+	m := progressMsg{job: d.u64(), lease: d.u64()}
 	m.dSolves = d.u64()
 	m.dSolveNanos = d.u64()
 	m.dAssumption = d.u64()
@@ -481,7 +475,6 @@ func (e *enc) stats(st solver.Stats) {
 	e.i64(st.AuxVarsTotal)
 	e.i64(st.FastPathConst)
 	e.i64(st.AssumptionSolves)
-	e.i64(st.FullSolves)
 	e.i64(st.ConstraintsReused)
 	e.i64(st.InternHits)
 }
@@ -499,7 +492,6 @@ func (d *dec) stats() solver.Stats {
 		FastPathConst: d.i64(),
 
 		AssumptionSolves:  d.i64(),
-		FullSolves:        d.i64(),
 		ConstraintsReused: d.i64(),
 		InternHits:        d.i64(),
 	}

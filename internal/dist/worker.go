@@ -165,17 +165,15 @@ func Work(ctx context.Context, addr string, cfg WorkerConfig) error {
 			progress := throttledProgress(l.job, l.id, send)
 			total := 0
 			for i, prefix := range l.prefixes {
-				base := total
 				sp := obs.StartSpan("shard:" + symexec.FormatDecisions(prefix))
 				res := harness.ExploreContext(ctx, job.agent, job.test, harness.Options{
 					MaxPaths:     job.cfg.maxPaths,
 					MaxDepth:     job.cfg.maxDepth,
 					WantModels:   job.cfg.models,
-					Incremental:  job.cfg.incremental,
-					CanonicalCut: job.cfg.canonicalCut,
+					CanonicalCut: true,
 					Workers:      cfg.Workers,
 					Prefix:       prefix,
-					Progress:     func(n int) { progress(base + n) },
+					Progress:     progress,
 				})
 				if res.Cancelled || ctx.Err() != nil {
 					// Never ship a partial subtree; the coordinator re-leases.
@@ -217,27 +215,20 @@ func Work(ctx context.Context, addr string, cfg WorkerConfig) error {
 }
 
 // throttledProgress adapts the engine's per-path callback into streamed
-// progress frames, sending at most one per progressInterval. Counts are a
-// monotone high-water mark (engine callbacks may arrive out of order); send
-// errors are ignored — the connection's main loop will see them.
+// progress frames, sending at most one per progressInterval; send errors
+// are ignored — the connection's main loop will see them.
 //
-// Each frame also carries the worker's solver-metric deltas since the
-// previous frame, sampled from the process-global SAT counters. Deltas
-// accrued after the lease's last throttled frame are shipped with the next
-// lease's first frame (or lost at disconnect) — acceptable for advisory
-// observability data.
+// Each frame carries the worker's solver-metric deltas since the previous
+// frame, sampled from the process-global SAT counters. Deltas accrued after
+// the lease's last throttled frame are shipped with the next lease's first
+// frame (or lost at disconnect) — acceptable for advisory observability
+// data.
 func throttledProgress(jobID, leaseID uint64, send func(msgType, []byte) error) func(int) {
 	var mu sync.Mutex
 	var last time.Time
-	hi := 0
 	snap := sampleWorkerMetrics()
-	return func(done int) {
+	return func(int) {
 		mu.Lock()
-		if done <= hi {
-			mu.Unlock()
-			return
-		}
-		hi = done
 		if time.Since(last) < progressInterval {
 			mu.Unlock()
 			return
@@ -248,7 +239,7 @@ func throttledProgress(jobID, leaseID uint64, send func(msgType, []byte) error) 
 		snap = cur
 		mu.Unlock()
 		send(msgProgress, encodeProgress(progressMsg{
-			job: jobID, lease: leaseID, done: uint64(done),
+			job: jobID, lease: leaseID,
 			dSolves: d.solves, dSolveNanos: d.solveNanos,
 			dAssumption: d.assumption, dReused: d.reused,
 		}))

@@ -25,8 +25,6 @@ type Options struct {
 	Strategy symexec.Strategy
 	// WantModels extracts a concrete input example per path.
 	WantModels bool
-	// Solver reuses an existing solver (and its cache) across runs.
-	Solver *solver.Solver
 	// Workers is the number of parallel exploration workers (0 =
 	// GOMAXPROCS, 1 = sequential). Exhaustive explorations produce
 	// identical results for every worker count.
@@ -37,10 +35,7 @@ type Options struct {
 	// worker count and shard layout (see symexec.Engine.CanonicalCut).
 	// Distributed exploration always runs with it on.
 	CanonicalCut bool
-	// Incremental runs each exploration worker on a persistent
-	// assumption-stack solver session instead of a fresh solver per path
-	// (see symexec.Engine.Incremental). Results are byte-identical either
-	// way; the public soft API and CLI enable it by default.
+	// Deprecated: ignored; exploration always uses per-worker sessions.
 	Incremental bool
 	// Prefix seeds exploration at the subtree below the given decision
 	// prefix (a distributed shard; see symexec.Engine.Prefix).
@@ -155,15 +150,9 @@ func ExploreContext(ctx context.Context, a agents.Agent, t Test, o Options) *Res
 	if o.MaxDepth == 0 {
 		o.MaxDepth = DefaultMaxDepth
 	}
-	s := o.Solver
-	if s == nil {
-		s = solver.New()
-	}
-	statsBefore := s.Stats()
 	internHitsBefore, _ := sym.InternStats()
 
 	eng := &symexec.Engine{
-		Solver:       s,
 		Strategy:     o.Strategy,
 		MaxPaths:     o.MaxPaths,
 		MaxDepth:     o.MaxDepth,
@@ -171,7 +160,6 @@ func ExploreContext(ctx context.Context, a agents.Agent, t Test, o Options) *Res
 		CovMap:       a.CovMap(),
 		Workers:      o.Workers,
 		CanonicalCut: o.CanonicalCut,
-		Incremental:  o.Incremental,
 		Prefix:       o.Prefix,
 		ShardDepth:   o.ShardDepth,
 		ShardSink:    o.ShardSink,
@@ -205,12 +193,12 @@ func ExploreContext(ctx context.Context, a agents.Agent, t Test, o Options) *Res
 		out.BranchPct = res.Cov.BranchPct()
 		out.Cov = res.Cov
 	}
-	out.SolverStats = s.Stats().Sub(statsBefore)
-	out.SolverStats.AssumptionSolves = res.AssumptionSolves
-	out.SolverStats.FullSolves = res.FullSolves
-	out.SolverStats.ConstraintsReused = res.ConstraintsReused
 	internHitsAfter, _ := sym.InternStats()
-	out.SolverStats.InternHits = int64(internHitsAfter - internHitsBefore)
+	out.SolverStats = solver.Stats{
+		AssumptionSolves:  res.AssumptionSolves,
+		ConstraintsReused: res.ConstraintsReused,
+		InternHits:        int64(internHitsAfter - internHitsBefore),
+	}
 	for _, p := range res.Paths {
 		cond := p.Condition()
 		out.Paths = append(out.Paths, PathResult{

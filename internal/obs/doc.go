@@ -12,7 +12,8 @@
 // creation and exposition, never on the update path, so instrumenting a
 // hot loop costs the atomics and nothing else. WritePrometheus renders
 // every registered metric in the Prometheus text exposition format;
-// `soft campaignd` and `soft serve` mount it at GET /metrics.
+// `soft campaignd` and `soft matrix -metrics-addr` mount it at GET
+// /metrics.
 //
 // Histograms bucket by the bit length of the observed value, i.e. bucket
 // i holds values in [2^(i-1), 2^i). That trades resolution for a fixed

@@ -176,8 +176,8 @@ func Table3Data(o Options) []Row3 {
 		if !ok {
 			continue
 		}
-		ra := harness.Explore(ref, t, harness.Options{MaxPaths: o.MaxPaths, Solver: s})
-		rb := harness.Explore(ov, t, harness.Options{MaxPaths: o.MaxPaths, Solver: s})
+		ra := harness.Explore(ref, t, harness.Options{MaxPaths: o.MaxPaths})
+		rb := harness.Explore(ov, t, harness.Options{MaxPaths: o.MaxPaths})
 		ga := group.Paths(ra.Serialized())
 		gb := group.Paths(rb.Serialized())
 		rep := crosscheck.Run(ga, gb, s, o.checkBudget())
@@ -350,8 +350,8 @@ func InjectedData(o Options) []InjectedFinding {
 		if t.Name == "FlowMod" || o.Quick && quickSkip(t.Name) {
 			continue
 		}
-		ra := harness.Explore(ref, t, harness.Options{MaxPaths: o.MaxPaths, Solver: s})
-		rb := harness.Explore(mod, t, harness.Options{MaxPaths: o.MaxPaths, Solver: s})
+		ra := harness.Explore(ref, t, harness.Options{MaxPaths: o.MaxPaths})
+		rb := harness.Explore(mod, t, harness.Options{MaxPaths: o.MaxPaths})
 		rep := crosscheck.Run(group.Paths(ra.Serialized()), group.Paths(rb.Serialized()), s, o.checkBudget())
 		all = append(all, rep.Inconsistencies...)
 	}
@@ -477,8 +477,8 @@ func InconsistencyClasses(o Options) []ClassifiedInconsistency {
 		if o.Quick && quickSkip(t.Name) {
 			continue
 		}
-		ra := harness.Explore(ref, t, harness.Options{MaxPaths: o.MaxPaths, Solver: s})
-		rb := harness.Explore(ov, t, harness.Options{MaxPaths: o.MaxPaths, Solver: s})
+		ra := harness.Explore(ref, t, harness.Options{MaxPaths: o.MaxPaths})
+		rb := harness.Explore(ov, t, harness.Options{MaxPaths: o.MaxPaths})
 		rep := crosscheck.Run(group.Paths(ra.Serialized()), group.Paths(rb.Serialized()), s, o.checkBudget())
 		for _, inc := range rep.Inconsistencies {
 			counts[Classify(inc)]++

@@ -27,10 +27,7 @@ type Options struct {
 	MaxPaths int
 	MaxDepth int
 	Models   bool
-	// Incremental selects the exploration solver mode (see
-	// harness.Options). It never changes results, so it is deliberately
-	// NOT part of the store cache key — a cached cell answers for every
-	// solver mode.
+	// Deprecated: ignored; exploration always uses per-worker sessions.
 	Incremental bool
 
 	// Workers is the in-process parallelism: exploration workers for
@@ -295,7 +292,7 @@ func RunMatrix(ctx context.Context, agentNames, testNames []string, o Options) (
 			merged, err := o.Fleet.Run(runCtx, dist.JobConfig{
 				AgentName: cell.Agent, TestName: cell.Test,
 				MaxPaths: o.MaxPaths, MaxDepth: o.MaxDepth,
-				WantModels: o.Models, Incremental: o.Incremental,
+				WantModels: o.Models,
 				ShardDepth: o.ShardDepth, TraceID: o.TraceID,
 			})
 			if err != nil {
@@ -314,8 +311,7 @@ func RunMatrix(ctx context.Context, agentNames, testNames []string, o Options) (
 			test, _ := harness.TestByName(cell.Test)
 			res := harness.ExploreContext(runCtx, agent, test, harness.Options{
 				MaxPaths: o.MaxPaths, MaxDepth: o.MaxDepth,
-				WantModels: o.Models, Incremental: o.Incremental,
-				CanonicalCut: true, Workers: o.Workers,
+				WantModels: o.Models, CanonicalCut: true, Workers: o.Workers,
 			})
 			if res.Cancelled || runCtx.Err() != nil {
 				// A cancelled cell is not a result; the campaign aborts (a

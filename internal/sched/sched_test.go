@@ -156,6 +156,44 @@ func TestMatrixFleetMatchesLocal(t *testing.T) {
 	}
 }
 
+// TestMatrixExploresOnSessions runs cells with campaignd's option shape
+// (nothing solver-related set) in-process and on a loopback fleet: every
+// explored cell must have been answered by the per-worker incremental
+// sessions.
+func TestMatrixExploresOnSessions(t *testing.T) {
+	ctx := context.Background()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleet := dist.NewFleet(ln, dist.FleetConfig{DrainTimeout: 200 * time.Millisecond})
+	defer fleet.Close()
+	worker := make(chan error, 1)
+	go func() { worker <- dist.Work(ctx, ln.Addr().String(), dist.WorkerConfig{Workers: 2}) }()
+
+	for _, layout := range []struct {
+		name  string
+		fleet *dist.Fleet
+	}{{"in-process", nil}, {"fleet", fleet}} {
+		rep, err := RunMatrix(ctx, []string{"ref"}, []string{"Packet Out"}, Options{
+			Models: true, Workers: 2, Fleet: layout.fleet, CodeVersion: "sessions-test",
+		})
+		if err != nil {
+			t.Fatalf("%s RunMatrix: %v", layout.name, err)
+		}
+		for _, c := range rep.Cells {
+			if c.SolverStats.AssumptionSolves == 0 {
+				t.Errorf("%s cell %s / %s: no assumption solves (%+v)",
+					layout.name, c.Agent, c.Test, c.SolverStats)
+			}
+		}
+	}
+	fleet.Close()
+	if err := <-worker; err != nil {
+		t.Errorf("worker: %v", err)
+	}
+}
+
 // crashingWorker connects with the real Work loop under a context the test
 // cancels after the first lease lands; the abrupt close mid-lease is the
 // crash. (SIGKILL-level coverage lives in the cmd/soft e2e.)

@@ -61,16 +61,15 @@ type Stats struct {
 	ClausesTotal  int64
 	AuxVarsTotal  int64
 	FastPathConst int64 // queries answered by simplification alone
-	// AssumptionSolves/FullSolves split satisfiability decisions by whether
-	// an assumption-stack session or a from-scratch per-path solver served
-	// them, and ConstraintsReused counts conjuncts served from a session's
-	// activation cache instead of being re-bitblasted. Every query that
-	// misses the cache and the fast path is one assumption solve; for an
-	// exploration the harness fills all three from the engine's run.
+	// AssumptionSolves counts satisfiability decisions served by an
+	// assumption-stack session, and ConstraintsReused counts conjuncts
+	// served from a session's activation cache instead of being
+	// re-bitblasted. Every query that misses the cache and the fast path is
+	// one assumption solve; for an exploration the harness fills both from
+	// the engine's run.
 	// InternHits counts expression constructions answered by the hash-cons
 	// table (process-wide, windowed to an exploration run).
 	AssumptionSolves  int64
-	FullSolves        int64
 	ConstraintsReused int64
 	InternHits        int64
 }
@@ -89,7 +88,6 @@ func (s *Stats) Add(other Stats) {
 	s.AuxVarsTotal += other.AuxVarsTotal
 	s.FastPathConst += other.FastPathConst
 	s.AssumptionSolves += other.AssumptionSolves
-	s.FullSolves += other.FullSolves
 	s.ConstraintsReused += other.ConstraintsReused
 	s.InternHits += other.InternHits
 }
@@ -109,7 +107,6 @@ func (s Stats) Sub(earlier Stats) Stats {
 		FastPathConst: s.FastPathConst - earlier.FastPathConst,
 
 		AssumptionSolves:  s.AssumptionSolves - earlier.AssumptionSolves,
-		FullSolves:        s.FullSolves - earlier.FullSolves,
 		ConstraintsReused: s.ConstraintsReused - earlier.ConstraintsReused,
 		InternHits:        s.InternHits - earlier.InternHits,
 	}

@@ -16,13 +16,9 @@
 // re-execution — which is cheap for agent models — and with none of the
 // state-snapshotting machinery.
 //
-// Branch feasibility is decided per path. With Engine.Incremental (the
-// default) each worker keeps one persistent assumption-stack solver session
-// across all its paths (see "Incremental solving along the path tree"
-// below); with it off, each in-flight path carries a private incrementally
-// built SAT encoding of its path condition (its own bitblast.Blaster and
-// CDCL core), so a feasibility query still reuses the encoding and learned
-// clauses accumulated along that one path.
+// Branch feasibility is decided on one persistent assumption-stack solver
+// session per worker, kept across all the worker's paths (see "Incremental
+// solving along the path tree" below).
 //
 // # Parallel exploration
 //
@@ -36,9 +32,8 @@
 //     strategy (WorkerStrategy.ForWorker derives the per-worker instances;
 //     randomized strategies get deterministic per-worker seeds).
 //   - The hot path is share-nothing: path execution uses a worker-private
-//     constraint encoding and CDCL core (path-private with Incremental
-//     off), forks push onto the worker-local frontier, and the branch-query
-//     counter is worker-local. No locks, no atomics while a path runs.
+//     constraint encoding and CDCL core, forks push onto the worker-local
+//     frontier, and the branch-query counter is worker-local. No locks, no atomics while a path runs.
 //   - A shared steal pool balances load. A worker that drains its local
 //     frontier blocks in the pool; busy workers observe the (lock-free)
 //     idle count at fork time and donate forks — or half their backlog —
@@ -47,8 +42,7 @@
 //
 // # Incremental solving along the path tree
 //
-// Engine.Incremental (the default) replaces the fresh-solver-per-path
-// scheme with one persistent bitblast.Session per worker. A session keeps a
+// Each worker owns one persistent bitblast.Session. A session keeps a
 // single SAT core and encoding memo alive across every path the worker
 // attempts: each path-condition conjunct is Tseitin-encoded once, guarded
 // by an activation literal a_c via the clause (¬a_c ∨ lit(c)), and a path's
@@ -70,9 +64,11 @@
 // its assumption stack: sat.SolvePreferring decides the path's input bits
 // at 0 in canonical order (variables by name, each MSB first) before any
 // other variable, and that same solve confirms the path is feasible, so
-// no separate Solve precedes it. The determinism sweep tests
-// (incremental_test.go here, incremental_sweep_test.go in harness) pin
-// byte-identical output across incremental on/off and worker counts.
+// no separate Solve precedes it. bitblast's
+// TestCanonicalModelMatchesProbesOnPaths checks every explored path of
+// two agents against a fresh solver per path (feasibility and canonical
+// model), and the determinism tests pin byte-identical output across
+// worker counts.
 //
 // # Determinism
 //
@@ -89,9 +85,9 @@
 // harness's parallel_test.go pin, and the foundation of the paper's
 // no-false-positive guarantee under concurrency.
 //
-// The determinism guarantee extends across solver configuration:
-// incremental sessions on or off, any worker count — an exhaustive run
-// serializes to the same bytes (pinned by TestIncrementalDeterminism here
+// Sessions change no answer, so the guarantee holds whatever path mix each
+// worker's session has seen: an exhaustive run serializes to the same
+// bytes for every worker count (pinned by TestIncrementalDeterminism here
 // and the harness and CLI determinism tests downstream).
 //
 // MaxPaths truncation comes in two flavors. The default keeps the first

@@ -118,7 +118,7 @@ type workerState struct {
 	infeasible int
 	depthTrunc int
 	counters   pathCounters
-	sess       *bitblast.Session // persistent incremental session, when enabled
+	sess       *bitblast.Session // persistent incremental session
 	inputs     map[string]*sym.Expr
 	cov        *coverage.Set // worker-cumulative; feeds coverage-guided Pop
 }
@@ -171,10 +171,7 @@ func (e *Engine) runParallel(cancel context.Context, h Handler, workers int, res
 	states := make([]*workerState, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		ws := &workerState{inputs: make(map[string]*sym.Expr)}
-		if e.Incremental {
-			ws.sess = bitblast.NewSession()
-		}
+		ws := &workerState{inputs: make(map[string]*sym.Expr), sess: bitblast.NewSession()}
 		if e.CovMap != nil {
 			ws.cov = e.CovMap.NewSet()
 		}

@@ -10,7 +10,6 @@ import (
 
 	"github.com/soft-testing/soft/internal/bitblast"
 	"github.com/soft-testing/soft/internal/coverage"
-	"github.com/soft-testing/soft/internal/solver"
 	"github.com/soft-testing/soft/internal/sym"
 )
 
@@ -33,45 +32,22 @@ type abortPanic struct {
 	msg  string
 }
 
-// pathSolver is the constraint back end a Context drives: a fresh
-// bitblast.Blaster per path attempt (the classic mode), or a per-worker
-// bitblast.Session that keeps CNF, learned clauses, and heuristics across
-// the worker's paths (Engine.Incremental). Both return identical answers
-// and identical canonical models, so the choice never changes a Result.
-type pathSolver interface {
-	Assert(e *sym.Expr)
-	SolveAssuming(es ...*sym.Expr) bool
-	// CanonicalModel decides the path condition and returns its canonical
-	// model, or false when it is unsatisfiable.
-	CanonicalModel() (sym.Assignment, bool)
-}
-
-// freshBlaster adapts a per-path bitblast.Blaster to pathSolver.
-type freshBlaster struct{ *bitblast.Blaster }
-
-func (f freshBlaster) CanonicalModel() (sym.Assignment, bool) {
-	m := f.Blaster.CanonicalModel()
-	return m, m != nil
-}
-
 // pathCounters accumulates one worker's solver-facing counters. Owned by
 // the executing worker; no atomics needed.
 type pathCounters struct {
 	branchQueries int64
-	fullSolves    int64 // from-scratch solves on per-path blasters
 }
 
 // Context is the per-path execution context handed to the Handler. It is
 // valid only for the duration of one handler invocation. A Context holds no
 // reference to locked engine state: forks go through the enqueue callback
-// and feasibility queries run against the worker-private solver, so
+// and feasibility queries run against the worker-private session, so
 // parallel workers execute paths without locking on the hot path.
 type Context struct {
 	maxDepth  int
 	enqueue   func(*workItem)
 	counters  *pathCounters
-	blaster   pathSolver
-	sess      *bitblast.Session // non-nil iff blaster is the worker's session
+	sess      *bitblast.Session // the worker's session, reset for this path
 	decisions []bool            // prescribed prefix (replay), then grown by new decisions
 	sites     []coverage.BranchID
 	depth     int // next decision index
@@ -134,14 +110,11 @@ func (c *Context) Assume(cond *sym.Expr) {
 	if cond.IsFalse() {
 		panic(abortPanic{kind: abortInfeasible, msg: "assumption is false"})
 	}
-	if c.sess == nil {
-		c.counters.fullSolves++
-	}
-	if !c.blaster.SolveAssuming(cond) {
+	if !c.sess.SolveAssuming(cond) {
 		panic(abortPanic{kind: abortInfeasible, msg: "assumption contradicts path condition"})
 	}
 	c.pc = append(c.pc, cond)
-	c.blaster.Assert(cond)
+	c.sess.Assert(cond)
 }
 
 // Branch evaluates a two-way branch on cond. Concrete conditions do not
@@ -176,13 +149,13 @@ func (c *Context) BranchSite(site coverage.BranchID, cond *sym.Expr) bool {
 
 	// Frontier: decide which arms are feasible.
 	c.counters.branchQueries++
-	satTrue := c.branchFeasible(cond)
+	satTrue := c.sess.SolveAssuming(cond)
 	var satFalse bool
 	if !satTrue {
 		// The path condition is feasible, so at least one arm is.
 		satFalse = true
 	} else {
-		satFalse = c.branchFeasible(sym.LNot(cond))
+		satFalse = c.sess.SolveAssuming(sym.LNot(cond))
 	}
 
 	switch {
@@ -206,14 +179,6 @@ func (c *Context) BranchSite(site coverage.BranchID, cond *sym.Expr) bool {
 	}
 }
 
-// branchFeasible decides one frontier arm's feasibility.
-func (c *Context) branchFeasible(q *sym.Expr) bool {
-	if c.sess == nil {
-		c.counters.fullSolves++
-	}
-	return c.blaster.SolveAssuming(q)
-}
-
 // take commits a branch direction: extends the path condition, the
 // incremental encoding, and coverage.
 func (c *Context) take(site coverage.BranchID, cond *sym.Expr, taken bool) {
@@ -222,7 +187,7 @@ func (c *Context) take(site coverage.BranchID, cond *sym.Expr, taken bool) {
 		eff = sym.LNot(cond)
 	}
 	c.pc = append(c.pc, eff)
-	c.blaster.Assert(eff)
+	c.sess.Assert(eff)
 	c.coverBranch(site, taken)
 }
 
@@ -290,12 +255,9 @@ type Result struct {
 	Cancelled bool
 	// BranchQueries counts frontier feasibility decisions.
 	BranchQueries int64
-	// AssumptionSolves counts satisfiability decisions served by incremental
-	// sessions (assumption-stack solves); FullSolves counts decisions that
-	// paid a from-scratch per-path solver. Exactly one of the two grows per
-	// engine-level query, depending on Engine.Incremental.
+	// AssumptionSolves counts satisfiability decisions served by the
+	// workers' incremental sessions (assumption-stack solves).
 	AssumptionSolves int64
-	FullSolves       int64
 	// ConstraintsReused counts path conjuncts served from a session's
 	// already-encoded activation cache instead of being re-bitblasted.
 	ConstraintsReused int64
@@ -333,11 +295,6 @@ type workItem struct {
 
 // Engine explores all paths of a Handler.
 type Engine struct {
-	// Solver is the constraint-solving façade reserved for engine-level
-	// queries. Path feasibility and model extraction run on path-private
-	// bitblast instances instead, so the engine never contends on it; a nil
-	// Solver gets a fresh one. See solver.Solver's concurrency notes.
-	Solver *solver.Solver
 	// Strategy orders path exploration; nil means NewInterleaved(1), the
 	// Cloud9 default strategy per the paper's §4.1. Parallel exploration
 	// needs per-worker frontier instances, so a non-nil Strategy that does
@@ -392,16 +349,6 @@ type Engine struct {
 	// GOMAXPROCS; 1 forces sequential exploration. Exhaustive runs produce
 	// identical Results for every worker count (see doc.go).
 	Workers int
-	// Incremental gives each worker one persistent bitblast.Session instead
-	// of a fresh blaster per path attempt: a path's conjuncts are encoded
-	// once, guarded by activation literals, and a child path's solve pushes
-	// only its new branch constraint as an assumption — CNF, learned
-	// clauses, and VSIDS activity carry over across the worker's whole
-	// subtree. Answers and canonical witness models are identical either
-	// way (see bitblast.Session), so exhaustive Results are byte-identical
-	// with the mode on or off; it only changes how fast the tree burns
-	// down. See doc.go.
-	Incremental bool
 	// Progress, when set, is invoked after each completed path with the
 	// cumulative number of paths kept so far. With Workers > 1 it is called
 	// from worker goroutines and must be safe for concurrent use; counts are
@@ -427,9 +374,6 @@ func (e *Engine) Run(h Handler) *Result {
 // only exhaustive (non-cancelled, non-truncated) runs are byte-identical
 // across worker counts.
 func (e *Engine) RunContext(ctx context.Context, h Handler) *Result {
-	if e.Solver == nil {
-		e.Solver = solver.New()
-	}
 	workers := e.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -466,22 +410,17 @@ func (e *Engine) RunContext(ctx context.Context, h Handler) *Result {
 	return res
 }
 
-// newContext builds the execution context for one path attempt. A non-nil
-// sess is the worker's persistent incremental session, reset for the new
-// path; otherwise the path gets a fresh blaster.
+// newContext builds the execution context for one path attempt on the
+// worker's persistent session, reset for the new path.
 func (e *Engine) newContext(it *workItem, enqueue func(*workItem), counters *pathCounters, sess *bitblast.Session) *Context {
+	sess.Reset()
 	ctx := &Context{
 		maxDepth:  e.MaxDepth,
 		enqueue:   enqueue,
 		counters:  counters,
+		sess:      sess,
 		decisions: it.decisions,
 		inputs:    make(map[string]*sym.Expr),
-	}
-	if sess != nil {
-		sess.Reset()
-		ctx.blaster, ctx.sess = sess, sess
-	} else {
-		ctx.blaster = freshBlaster{bitblast.New()}
 	}
 	if e.CovMap != nil {
 		ctx.cov = e.CovMap.NewSet()
@@ -489,15 +428,12 @@ func (e *Engine) newContext(it *workItem, enqueue func(*workItem), counters *pat
 	return ctx
 }
 
-// addSolveCounters folds one worker's counters (and its session's, when
-// incremental) into the result.
+// addSolveCounters folds one worker's counters and its session's into the
+// result.
 func addSolveCounters(res *Result, c *pathCounters, sess *bitblast.Session) {
 	res.BranchQueries += c.branchQueries
-	res.FullSolves += c.fullSolves
-	if sess != nil {
-		res.AssumptionSolves += sess.AssumptionSolves
-		res.ConstraintsReused += sess.ConstraintsReused
-	}
+	res.AssumptionSolves += sess.AssumptionSolves
+	res.ConstraintsReused += sess.ConstraintsReused
 }
 
 // completePath turns a finished context into a Path (with model extraction
@@ -513,14 +449,11 @@ func (e *Engine) completePath(ctx *Context) *Path {
 		Decisions: ctx.decisions,
 	}
 	if e.WantModels {
-		if ctx.sess == nil {
-			ctx.counters.fullSolves++
-		}
 		// Canonical extraction keeps the model a pure function of the path
 		// condition: the same path yields the same witness bytes whatever
 		// the worker count or encoding layout did to the CDCL search
 		// trajectory. The ordered solve decides satisfiability itself.
-		if m, ok := ctx.blaster.CanonicalModel(); ok {
+		if m, ok := ctx.sess.CanonicalModel(); ok {
 			p.Model = m
 		}
 	}
@@ -536,10 +469,7 @@ func (e *Engine) runSequential(cancel context.Context, h Handler, res *Result) {
 		e.queue = NewInterleaved(1)
 	}
 	e.counters = pathCounters{}
-	var sess *bitblast.Session
-	if e.Incremental {
-		sess = bitblast.NewSession()
-	}
+	sess := bitblast.NewSession()
 	cut := e.newCanonCut()
 
 	enqueue := func(it *workItem) {

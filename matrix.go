@@ -68,7 +68,7 @@ func CodeVersion() string { return store.DefaultCodeVersion() }
 //
 // Cancelling ctx aborts the campaign with ctx's error (a partial campaign
 // has no deterministic meaning). Options: WithMaxPaths, WithMaxDepth,
-// WithModels, WithIncrementalSolver, WithWorkers, WithBudget, WithStore,
+// WithModels, WithWorkers, WithBudget, WithStore,
 // WithCodeVersion, WithFleetListener, WithShardDepth, WithLeaseTimeout,
 // WithCrossCheck, WithCampaignService, WithTenant, WithScenarios,
 // WithProgress, WithLogger.
@@ -95,7 +95,6 @@ func RunMatrix(ctx context.Context, agents, tests []string, opts ...Option) (*Ma
 		MaxPaths:    cfg.maxPaths,
 		MaxDepth:    cfg.maxDepth,
 		Models:      cfg.models,
-		Incremental: cfg.incremental,
 		Workers:     cfg.workers,
 		ShardDepth:  cfg.shardDepth,
 		CodeVersion: cfg.codeVersion,

@@ -15,22 +15,20 @@ import (
 type Option func(*config)
 
 type config struct {
-	maxPaths    int
-	maxDepth    int
-	workers     int
-	models      bool
-	budget      time.Duration
-	strategy    Strategy
-	solver      *Solver
-	progress    func(Event)
-	incremental bool
+	maxPaths int
+	maxDepth int
+	workers  int
+	models   bool
+	budget   time.Duration
+	strategy Strategy
+	solver   *Solver
+	progress func(Event)
 
-	canonicalCut    bool
-	canonicalCutSet bool
-	shardDepth      int
-	leaseTimeout    time.Duration
-	logger          *slog.Logger
-	workerName      string
+	canonicalCut bool
+	shardDepth   int
+	leaseTimeout time.Duration
+	logger       *slog.Logger
+	workerName   string
 
 	storeDir     string
 	codeVersion  string
@@ -44,21 +42,11 @@ type config struct {
 }
 
 func newConfig(opts []Option) *config {
-	cfg := &config{incremental: true}
+	cfg := &config{}
 	for _, o := range opts {
 		o(cfg)
 	}
 	return cfg
-}
-
-// canonicalCutOr resolves the tri-state canonical-cut option: explicit
-// choices win, otherwise the caller's default applies (false for in-process
-// Explore, true for distributed Serve).
-func (c *config) canonicalCutOr(def bool) bool {
-	if c.canonicalCutSet {
-		return c.canonicalCut
-	}
-	return def
 }
 
 // WithWorkers sets the number of parallel workers: exploration workers for
@@ -93,35 +81,24 @@ func WithStrategy(s Strategy) Option { return func(c *config) { c.strategy = s }
 // per path.
 func WithModels(want bool) Option { return func(c *config) { c.models = want } }
 
-// WithSolver reuses an existing solver (and its query cache) across
-// pipeline stages; nil means a fresh solver per call.
+// WithSolver shares an existing solver (and its query cache) across
+// CrossCheck calls; nil means a fresh solver per call. Exploration never
+// uses it: each exploration worker answers its path queries on its own
+// incremental SAT session.
 func WithSolver(s *Solver) Option { return func(c *config) { c.solver = s } }
 
-// WithIncrementalSolver controls the assumption-stack solver sessions used
-// by exploration (Explore, ExploreHandler, Serve, and RunMatrix cells;
-// CrossCheck ignores it). On — the default — each exploration worker keeps
-// one persistent SAT core for its whole run: every path-condition conjunct
-// is encoded once behind an activation literal, a child path pushes only
-// its new branch constraint, and sibling paths share the session's clause
-// database and learned conflicts. Results are byte-identical on or off;
-// the switch exists to benchmark the win and to fall back to per-path
-// solvers if a workload ever regresses.
-func WithIncrementalSolver(on bool) Option { return func(c *config) { c.incremental = on } }
-
-// WithCanonicalCut controls how a MaxPaths cap truncates exploration. On,
-// the run keeps the MaxPaths canonically smallest paths (lexicographic
-// decision-prefix order) instead of the first MaxPaths that happened to
-// complete, making truncated results byte-identical across worker counts
-// and distributed layouts — at the cost of exploring somewhat past the cap
-// before the cut converges. Defaults: off for Explore/ExploreHandler
-// (preserving the cheap first-N behavior), on for Serve (a distributed
-// truncation must not depend on which worker finished first).
-func WithCanonicalCut(on bool) Option {
-	return func(c *config) { c.canonicalCut = on; c.canonicalCutSet = true }
-}
+// WithCanonicalCut controls how a MaxPaths cap truncates Explore and
+// ExploreHandler. On, the run keeps the MaxPaths canonically smallest
+// paths (lexicographic decision-prefix order) instead of the first
+// MaxPaths that happened to complete, making truncated results
+// byte-identical across worker counts — at the cost of exploring somewhat
+// past the cap before the cut converges. Off by default (the cheap first-N
+// behavior); RunMatrix cells always use the canonical cut, because a fleet
+// truncation must not depend on which worker finished first.
+func WithCanonicalCut(on bool) Option { return func(c *config) { c.canonicalCut = on } }
 
 // WithShardDepth tunes how the distributed coordinator splits the frontier
-// (Serve and RunMatrix): forks deeper than this many decisions become
+// (RunMatrix fleets): forks deeper than this many decisions become
 // worker shards, shallower prefixes the coordinator explores itself during
 // the split. 0 means the dist default.
 func WithShardDepth(d int) Option { return func(c *config) { c.shardDepth = d } }
@@ -177,8 +154,8 @@ func WithScenarios(names ...string) Option {
 }
 
 // WithLeaseTimeout bounds how long a distributed shard may stay leased to
-// one worker before the coordinator re-offers it to another (Serve and
-// RunMatrix fleets). Re-leasing never affects results — the first
+// one worker before the coordinator re-offers it to another (RunMatrix
+// fleets). Re-leasing never affects results — the first
 // completion wins, and determinism makes duplicates byte-identical. 0
 // means the dist default; negative disables timeout re-leasing
 // (disconnects still re-lease).
@@ -186,8 +163,8 @@ func WithLeaseTimeout(d time.Duration) Option {
 	return func(c *config) { c.leaseTimeout = d }
 }
 
-// WithLogger routes lifecycle logging (Serve, Work, RunMatrix cells and
-// checks, and RunMatrix fleets) through an explicit slog.Logger. Every
+// WithLogger routes lifecycle logging (Work, RunMatrix cells and checks,
+// and RunMatrix fleets) through an explicit slog.Logger. Every
 // line carries the job/lease/shard/worker or agent/test ids as
 // attributes, plus the trace id when the run is traced — the
 // cross-process correlation key. Build a handler with obs.NewLogger (text

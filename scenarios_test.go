@@ -125,12 +125,12 @@ func TestScenarioDeterminismAcrossLayouts(t *testing.T) {
 			t.Fatalf("%s: workers=4 result differs from sequential (%d vs %d bytes)", name, len(got), len(want))
 		}
 
-		// A 2-worker fleet resolves the scenario by name on each worker,
-		// exercising the registered-test-source path end to end. The
-		// workers dial before the coordinator starts (the listener already
-		// queues connections), and shard depth 1 keeps the coordinator
-		// from consuming these small trees inline — the shards must flow
-		// through the workers.
+		// A one-cell campaign on a 2-worker fleet resolves the scenario by
+		// name on each worker, exercising the registered-test-source path
+		// end to end. The workers dial before the coordinator starts (the
+		// listener already queues connections), and shard depth 1 keeps the
+		// coordinator from consuming these small trees inline — the shards
+		// must flow through the workers.
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -142,22 +142,23 @@ func TestScenarioDeterminismAcrossLayouts(t *testing.T) {
 			}()
 		}
 		type outcome struct {
-			res *soft.DistResult
+			rep *soft.MatrixReport
 			err error
 		}
-		serveDone := make(chan outcome, 1)
+		fleetDone := make(chan outcome, 1)
 		go func() {
-			res, err := soft.ServeListener(ctx, ln, "ref", name,
-				soft.WithModels(true), soft.WithShardDepth(1))
-			serveDone <- outcome{res, err}
+			rep, err := soft.RunMatrix(ctx, []string{"ref"}, []string{name},
+				soft.WithModels(true), soft.WithShardDepth(1),
+				soft.WithCrossCheck(false), soft.WithFleetListener(ln))
+			fleetDone <- outcome{rep, err}
 		}()
-		var res *soft.DistResult
+		var rep *soft.MatrixReport
 		select {
-		case o := <-serveDone:
+		case o := <-fleetDone:
 			if o.err != nil {
-				t.Fatalf("%s Serve: %v", name, o.err)
+				t.Fatalf("%s fleet RunMatrix: %v", name, o.err)
 			}
-			res = o.res
+			rep = o.rep
 		case <-time.After(2 * time.Minute):
 			t.Fatalf("%s: fleet exploration did not complete", name)
 		}
@@ -171,9 +172,13 @@ func TestScenarioDeterminismAcrossLayouts(t *testing.T) {
 				t.Fatalf("%s: worker did not exit", name)
 			}
 		}
+		if rep.FleetStats == nil || rep.FleetStats.ShardsLeased == 0 {
+			t.Fatalf("%s: no shard went through the fleet: %+v", name, rep.FleetStats)
+		}
+		res := rep.Cells[0].Result
 		res.Elapsed = 0
 		var got bytes.Buffer
-		if err := res.SerializedResult.Write(&got); err != nil {
+		if err := res.Write(&got); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got.Bytes(), want) {

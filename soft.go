@@ -158,7 +158,7 @@ func Tests() []Test { return harness.Tests() }
 func TestByName(name string) (Test, bool) { return harness.TestByName(name) }
 
 // NewSolver returns a fresh solver. Pass it with WithSolver to share one
-// query cache across several Explore and CrossCheck calls.
+// query cache across several CrossCheck calls.
 func NewSolver() *Solver { return solver.New() }
 
 // Explore symbolically executes agent a on test t — the whole of SOFT's
@@ -179,10 +179,8 @@ func Explore(ctx context.Context, a Agent, t Test, opts ...Option) (*Result, err
 		MaxDepth:     cfg.maxDepth,
 		Strategy:     cfg.strategy,
 		WantModels:   cfg.models,
-		Solver:       cfg.solver,
 		Workers:      cfg.workers,
-		Incremental:  cfg.incremental,
-		CanonicalCut: cfg.canonicalCutOr(false),
+		CanonicalCut: cfg.canonicalCut,
 	}
 	agent, test := a.Name(), t.Name
 	var pq *progressQueue
@@ -217,14 +215,12 @@ func ExploreHandler(ctx context.Context, h Handler, opts ...Option) (*HandlerRes
 	}
 	cfg := newConfig(opts)
 	eng := &symexec.Engine{
-		Solver:       cfg.solver,
 		Strategy:     cfg.strategy,
 		MaxPaths:     cfg.maxPaths,
 		MaxDepth:     cfg.maxDepth,
 		WantModels:   cfg.models,
 		Workers:      cfg.workers,
-		Incremental:  cfg.incremental,
-		CanonicalCut: cfg.canonicalCutOr(false),
+		CanonicalCut: cfg.canonicalCut,
 	}
 	var pq *progressQueue
 	if cfg.progress != nil {
@@ -236,7 +232,7 @@ func ExploreHandler(ctx context.Context, h Handler, opts ...Option) (*HandlerRes
 	res := eng.RunContext(ctx, h)
 	if pq != nil {
 		// Queries stays zero: a raw handler run never touches the solver
-		// façade (feasibility runs on path-private SAT cores and is
+		// façade (feasibility runs on per-worker SAT sessions and is
 		// reported separately as HandlerResult.BranchQueries), and the
 		// field must mean the same thing here as in Explore's final event.
 		pq.close(Event{
