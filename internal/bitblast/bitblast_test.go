@@ -256,36 +256,141 @@ func randomExpr(rng *rand.Rand, x, y *sym.Expr, depth int) *sym.Expr {
 }
 
 // TestQuickAgainstEval cross-validates the encoder against the interpreter
-// on random expressions: for random x, y the formula (expr == eval(expr))
-// with variables pinned must be satisfiable.
+// on random expressions over every sym operator, at widths 1, 8, 32, 48 and
+// 64: for random x, y the formula (expr == eval(expr)) with the variables
+// pinned must be satisfiable, and (expr != eval(expr)) unsatisfiable. The
+// engine trusts Eval to prove a branch arm feasible from a witness without
+// a solve, so an operator on which the two disagree would let exploration
+// enter an infeasible arm.
 func TestQuickAgainstEval(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	x, y := sym.Var("x", 8), sym.Var("y", 8)
+	for _, w := range []int{1, 8, 32, 48, 64} {
+		x, y := sym.Var("x", w), sym.Var("y", w)
+		for i := 0; i < 40; i++ {
+			var e *sym.Expr
+			if i%2 == 0 {
+				e = randomBVExpr(rng, x, y, 3)
+			} else {
+				e = randomBoolExpr(rng, x, y, 3)
+			}
+			σ := sym.Assignment{"x": rng.Uint64(), "y": rng.Uint64()}
+			checkAgainstEval(t, e.String(), e, x, y, σ)
+		}
+	}
+
+	// Shared subterms: 40 levels of Add(e, e) is a DAG of 41 nodes and a
+	// tree of 2^41. Eval must visit each node once, and the encoder too.
+	x := sym.Var("x", 64)
+	e := x
 	for i := 0; i < 40; i++ {
-		e := randomExpr(rng, x, y, 3)
-		xv, yv := uint64(rng.Intn(256)), uint64(rng.Intn(256))
-		want := sym.Eval(e, sym.Assignment{"x": xv, "y": yv})
-		formula := sym.LAnd(
-			sym.EqConst(x, xv),
-			sym.EqConst(y, yv),
-			sym.EqConst(e, want),
-		)
-		b := New()
-		b.Assert(formula)
-		if !b.Solve() {
-			t.Fatalf("iteration %d: expr %v with x=%d y=%d should evaluate to %d", i, e, xv, yv, want)
+		e = sym.Add(e, e)
+	}
+	xv := uint64(0x123456789)
+	σ := sym.Assignment{"x": xv, "y": xv}
+	if got, want := sym.Eval(e, σ), xv<<40; got != want {
+		t.Fatalf("Eval of 40 doublings = %#x, want %#x", got, want)
+	}
+	checkAgainstEval(t, "40 doublings of x", e, x, x, σ)
+}
+
+// checkAgainstEval pins x and y to σ and checks that e's encoding takes
+// exactly the value sym.Eval gives it. desc names e in failures.
+func checkAgainstEval(t *testing.T, desc string, e, x, y *sym.Expr, σ sym.Assignment) {
+	t.Helper()
+	pin := sym.LAnd(sym.EqConst(x, σ["x"]), sym.EqConst(y, σ["y"]))
+	want := sym.Eval(e, σ)
+	is, isNot := sym.EqConst, func(e *sym.Expr, v uint64) *sym.Expr { return sym.Ne(e, sym.Const(e.Width(), v)) }
+	if e.IsBool() {
+		is = func(e *sym.Expr, v uint64) *sym.Expr {
+			if v == 1 {
+				return e
+			}
+			return sym.LNot(e)
 		}
-		// And the opposite must be UNSAT.
-		formula = sym.LAnd(
-			sym.EqConst(x, xv),
-			sym.EqConst(y, yv),
-			sym.Ne(e, sym.Const(8, want)),
-		)
-		b = New()
-		b.Assert(formula)
-		if b.Solve() {
-			t.Fatalf("iteration %d: expr %v with x=%d y=%d must not differ from %d", i, e, xv, yv, want)
+		isNot = func(e *sym.Expr, v uint64) *sym.Expr { return is(e, 1-v) }
+	}
+	b := New()
+	b.Assert(sym.LAnd(pin, is(e, want)))
+	if !b.Solve() {
+		t.Fatalf("%s with %v should evaluate to %#x", desc, σ, want)
+	}
+	b = New()
+	b.Assert(sym.LAnd(pin, isNot(e, want)))
+	if b.Solve() {
+		t.Fatalf("%s with %v must not differ from %#x", desc, σ, want)
+	}
+}
+
+// randomBVExpr builds a random bitvector expression of x's width over x, y
+// and constants, drawing from every bitvector operator.
+func randomBVExpr(rng *rand.Rand, x, y *sym.Expr, depth int) *sym.Expr {
+	w := x.Width()
+	if depth == 0 {
+		switch rng.Intn(3) {
+		case 0:
+			return x
+		case 1:
+			return y
+		default:
+			return sym.Const(w, rng.Uint64())
 		}
+	}
+	sub := func() *sym.Expr { return randomBVExpr(rng, x, y, depth-1) }
+	switch rng.Intn(12) {
+	case 0:
+		return sym.Add(sub(), sub())
+	case 1:
+		return sym.Sub(sub(), sub())
+	case 2:
+		return sym.Mul(sub(), sub())
+	case 3:
+		return sym.And(sub(), sub())
+	case 4:
+		return sym.Or(sub(), sub())
+	case 5:
+		return sym.Xor(sub(), sub())
+	case 6:
+		return sym.Not(sub())
+	case 7:
+		return sym.Shl(sub(), rng.Intn(w+1))
+	case 8:
+		return sym.Lshr(sub(), rng.Intn(w+1))
+	case 9:
+		return sym.Ite(randomBoolExpr(rng, x, y, depth-1), sub(), sub())
+	case 10:
+		hi := rng.Intn(w)
+		lo := rng.Intn(hi + 1)
+		return sym.ZExt(sym.Extract(sub(), hi, lo), w)
+	default:
+		if w == 1 {
+			return sym.Extract(sub(), 0, 0)
+		}
+		k := 1 + rng.Intn(w-1) // low part width
+		return sym.Concat(sym.Extract(sub(), w-1, k), sym.Extract(sub(), k-1, 0))
+	}
+}
+
+// randomBoolExpr builds a random boolean expression over x and y, drawing
+// from every boolean operator.
+func randomBoolExpr(rng *rand.Rand, x, y *sym.Expr, depth int) *sym.Expr {
+	if depth == 0 {
+		return sym.Bool(rng.Intn(2) == 0)
+	}
+	bv := func() *sym.Expr { return randomBVExpr(rng, x, y, depth-1) }
+	sub := func() *sym.Expr { return randomBoolExpr(rng, x, y, depth-1) }
+	switch rng.Intn(6) {
+	case 0:
+		return sym.Eq(bv(), bv())
+	case 1:
+		return sym.Ult(bv(), bv())
+	case 2:
+		return sym.Ule(bv(), bv())
+	case 3:
+		return sym.LAnd(sub(), sub(), sym.Eq(bv(), bv()))
+	case 4:
+		return sym.LOr(sub(), sub(), sym.Ult(bv(), bv()))
+	default:
+		return sym.LNot(sub())
 	}
 }
 

@@ -102,7 +102,7 @@ type varRef struct {
 // search heuristics persist.
 func (s *Session) Reset() {
 	s.stack = s.stack[:0]
-	s.pathVars = make(map[string][]sat.Lit)
+	clear(s.pathVars)
 }
 
 // StackLen returns the number of activation literals currently assumed.
@@ -229,6 +229,13 @@ func (s *Session) SolveAssuming(es ...*sym.Expr) bool {
 	}
 	return s.solve(extra, nil)
 }
+
+// Witness returns the last satisfiable solve's model over every variable
+// the current path mentioned (asserted or queried). It satisfies the path's
+// constraints and the extra assumptions of that solve, and it is only
+// meaningful right after a solve that reported true. Unlike CanonicalModel
+// it costs no solve, and its values depend on the search history.
+func (s *Session) Witness() sym.Assignment { return modelOf(s.b.S, s.pathVars) }
 
 // CanonicalModel decides the current path's constraints and returns their
 // canonical witness over every variable the path mentioned, reporting false

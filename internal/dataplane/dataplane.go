@@ -223,7 +223,7 @@ func exprStr(e *sym.Expr) string {
 	if v, ok := e.ConstVal(); ok {
 		return fmt.Sprintf("%#x", v)
 	}
-	return sym.Simplify(e).String()
+	return e.String()
 }
 
 // IsConcrete reports whether every present field is a constant.
@@ -241,11 +241,12 @@ func (p *Packet) IsConcrete() bool {
 // for a fully concrete packet). Layout: Ethernet II, optional 802.1q tag,
 // IPv4 (no options), TCP/UDP/ICMP stub headers. Checksums are zero.
 func (p *Packet) Serialize(σ sym.Assignment) []byte {
+	var eval sym.Evaluator
 	ev := func(e *sym.Expr) uint64 {
 		if e == nil {
 			return 0
 		}
-		return sym.Eval(e, σ)
+		return eval.Eval(e, σ)
 	}
 	out := make([]byte, 0, 64)
 	var mac [8]byte

@@ -2,10 +2,11 @@
 // satisfiability checking and model (test case) extraction over sym
 // expressions. It wraps the bit-blasting encoder and the CDCL SAT core —
 // the reproduction's substitute for STP — and adds what the SOFT pipeline
-// needs around a raw decision procedure: simplification before encoding,
-// incremental solving through caller-owned bitblast sessions (crosschecking
+// needs around a raw decision procedure: a constant fast path (the sym
+// constructors fold as they build, so a decided query arrives as true or
+// false), incremental solving through caller-owned bitblast sessions (crosschecking
 // asks each group condition in many queries; a worker's session encodes it
-// once), a sharded query cache keyed by the simplified query's structure
+// once), a sharded query cache keyed by the query's structure
 // (crosschecking may issue structurally equal queries, often from many
 // workers at once), and per-query statistics matching what the paper's
 // evaluation reports.
@@ -60,7 +61,7 @@ type Stats struct {
 	// had already encoded for an earlier query adds nothing.
 	ClausesTotal  int64
 	AuxVarsTotal  int64
-	FastPathConst int64 // queries answered by simplification alone
+	FastPathConst int64 // queries the constructors folded to a constant
 	// AssumptionSolves counts satisfiability decisions served by an
 	// assumption-stack session, and ConstraintsReused counts conjuncts
 	// served from a session's activation cache instead of being
@@ -112,7 +113,7 @@ func (s Stats) Sub(earlier Stats) Stats {
 	}
 }
 
-// cacheEntry is a single-flight cache slot for the simplified query key:
+// cacheEntry is a single-flight cache slot for the query key:
 // the first goroutine to claim a key solves it and closes done; later
 // goroutines for a structurally equal key block on done instead of
 // duplicating the solve. failed marks an entry whose solve panicked —
@@ -177,8 +178,6 @@ type Solver struct {
 	// DisableCache turns off result caching (ablation: Table 5 companion
 	// bench BenchmarkAblationSolver).
 	DisableCache bool
-	// DisableSimplify turns off pre-encoding simplification (ablation).
-	DisableSimplify bool
 
 	queries       atomic.Int64
 	cacheHits     atomic.Int64
@@ -194,7 +193,7 @@ type Solver struct {
 	constraintsReused atomic.Int64
 }
 
-// New returns a Solver with caching and simplification enabled.
+// New returns a Solver with caching enabled.
 func New() *Solver {
 	s := &Solver{}
 	for i := range s.shards {
@@ -271,15 +270,12 @@ func (s *Solver) Check(constraints ...*sym.Expr) (Result, sym.Assignment) {
 // model are the same whatever session solves the query.
 func (s *Solver) CheckIn(sess *bitblast.Session, constraints ...*sym.Expr) (Result, sym.Assignment) {
 	e := sym.LAnd(constraints...)
-	if !s.DisableSimplify {
-		e = sym.Simplify(e)
-	}
 
 	s.queries.Add(1)
 	mQueries.Inc()
 	s.bumpMaxQuery(int64(e.Size()))
 
-	// Fast path: simplification decided the query.
+	// Fast path: the constructors' folding decided the query.
 	if e.IsTrue() {
 		s.fastPathConst.Add(1)
 		s.satQueries.Add(1)

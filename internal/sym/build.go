@@ -4,8 +4,8 @@ import "fmt"
 
 // True and False are the boolean constants.
 var (
-	True  = (&Expr{Op: OpBool, K: 1}).finish()
-	False = (&Expr{Op: OpBool, K: 0}).finish()
+	True  = mk(OpBool, 0, 1, 0, "")
+	False = mk(OpBool, 0, 0, 0, "")
 )
 
 // Bool returns the boolean constant for v.
@@ -20,7 +20,7 @@ func Bool(v bool) *Expr {
 // truncated to w bits.
 func Const(w int, v uint64) *Expr {
 	checkWidth(w)
-	return (&Expr{Op: OpConst, W: uint8(w), K: v & mask(uint8(w))}).finish()
+	return mk(OpConst, uint8(w), v&mask(uint8(w)), 0, "")
 }
 
 // Var builds a bitvector variable of width w with the given name. Variable
@@ -31,7 +31,7 @@ func Var(name string, w int) *Expr {
 	if name == "" {
 		panic("sym: empty variable name")
 	}
-	return (&Expr{Op: OpVar, W: uint8(w), Name: name}).finish()
+	return mk(OpVar, uint8(w), 0, 0, name)
 }
 
 func checkWidth(w int) {
@@ -95,7 +95,7 @@ func Extract(e *Expr, hi, lo int) *Expr {
 	case OpExtract:
 		return Extract(e.Kids[0], int(e.K)+hi, int(e.K)+lo)
 	}
-	return (&Expr{Op: OpExtract, W: w, K: uint64(lo), K2: uint64(hi), Kids: []*Expr{e}}).finish()
+	return mk(OpExtract, w, uint64(lo), uint64(hi), "", e)
 }
 
 // Concat builds the concatenation of hi (most significant) and lo (least
@@ -120,7 +120,7 @@ func Concat(hi, lo *Expr) *Expr {
 	if hok && hv == 0 {
 		return ZExt(lo, w)
 	}
-	return (&Expr{Op: OpConcat, W: uint8(w), Kids: []*Expr{hi, lo}}).finish()
+	return mk(OpConcat, uint8(w), 0, 0, "", hi, lo)
 }
 
 // ConcatAll concatenates parts from most significant to least significant.
@@ -151,7 +151,7 @@ func ZExt(e *Expr, w int) *Expr {
 	if e.Op == OpZExt {
 		return ZExt(e.Kids[0], w)
 	}
-	return (&Expr{Op: OpZExt, W: uint8(w), Kids: []*Expr{e}}).finish()
+	return mk(OpZExt, uint8(w), 0, 0, "", e)
 }
 
 func binFold(op Op, a, b *Expr, f func(x, y, m uint64) uint64) *Expr {
@@ -160,7 +160,7 @@ func binFold(op Op, a, b *Expr, f func(x, y, m uint64) uint64) *Expr {
 	if aok && bok {
 		return Const(int(a.W), f(av, bv, mask(a.W)))
 	}
-	return (&Expr{Op: op, W: a.W, Kids: []*Expr{a, b}}).finish()
+	return mk(op, a.W, 0, 0, "", a, b)
 }
 
 // Add returns a + b (mod 2^w).
@@ -283,7 +283,7 @@ func Not(e *Expr) *Expr {
 	if e.Op == OpNot {
 		return e.Kids[0]
 	}
-	return (&Expr{Op: OpNot, W: e.W, Kids: []*Expr{e}}).finish()
+	return mk(OpNot, e.W, 0, 0, "", e)
 }
 
 // Shl returns e logically shifted left by the constant amount sh.
@@ -301,7 +301,7 @@ func Shl(e *Expr, sh int) *Expr {
 	if v, ok := e.ConstVal(); ok {
 		return Const(int(e.W), v<<uint(sh))
 	}
-	return (&Expr{Op: OpShl, W: e.W, K: uint64(sh), Kids: []*Expr{e}}).finish()
+	return mk(OpShl, e.W, uint64(sh), 0, "", e)
 }
 
 // Lshr returns e logically shifted right by the constant amount sh.
@@ -319,7 +319,7 @@ func Lshr(e *Expr, sh int) *Expr {
 	if v, ok := e.ConstVal(); ok {
 		return Const(int(e.W), v>>uint(sh))
 	}
-	return (&Expr{Op: OpLshr, W: e.W, K: uint64(sh), Kids: []*Expr{e}}).finish()
+	return mk(OpLshr, e.W, uint64(sh), 0, "", e)
 }
 
 // Ite returns cond ? a : b for bitvector arms of equal width.
@@ -335,7 +335,7 @@ func Ite(cond, a, b *Expr) *Expr {
 	if Equal(a, b) {
 		return a
 	}
-	return (&Expr{Op: OpIte, W: a.W, Kids: []*Expr{cond, a, b}}).finish()
+	return mk(OpIte, a.W, 0, 0, "", cond, a, b)
 }
 
 // Eq returns the boolean a == b.
@@ -362,7 +362,7 @@ func Eq(a, b *Expr) *Expr {
 			return Eq(a.Kids[0], Const(int(a.Kids[0].W), cv))
 		}
 	}
-	return (&Expr{Op: OpEq, Kids: []*Expr{a, b}}).finish()
+	return mk(OpEq, 0, 0, 0, "", a, b)
 }
 
 // Ne returns the boolean a != b.
@@ -388,7 +388,7 @@ func Ult(a, b *Expr) *Expr {
 	if Equal(a, b) {
 		return False
 	}
-	return (&Expr{Op: OpUlt, Kids: []*Expr{a, b}}).finish()
+	return mk(OpUlt, 0, 0, 0, "", a, b)
 }
 
 // Ule returns the boolean a <=u b (unsigned).
@@ -408,7 +408,7 @@ func Ule(a, b *Expr) *Expr {
 	if Equal(a, b) {
 		return True
 	}
-	return (&Expr{Op: OpUle, Kids: []*Expr{a, b}}).finish()
+	return mk(OpUle, 0, 0, 0, "", a, b)
 }
 
 // Ugt returns the boolean a >u b.
@@ -418,93 +418,82 @@ func Ugt(a, b *Expr) *Expr { return Ult(b, a) }
 func Uge(a, b *Expr) *Expr { return Ule(b, a) }
 
 // LAnd returns the conjunction of boolean expressions, flattening nested
-// conjunctions and dropping duplicates and true constants.
-func LAnd(xs ...*Expr) *Expr {
-	var kids []*Expr
-	seen := make(map[uint64][]*Expr)
-	var add func(e *Expr) bool // returns false if the result is False
-	add = func(e *Expr) bool {
-		checkBool(e, "land")
-		if e.IsTrue() {
-			return true
-		}
-		if e.IsFalse() {
-			return false
-		}
-		if e.Op == OpLAnd {
-			for _, k := range e.Kids {
-				if !add(k) {
-					return false
-				}
-			}
-			return true
-		}
-		for _, prev := range seen[e.hash] {
-			if Equal(prev, e) {
-				return true
-			}
-		}
-		seen[e.hash] = append(seen[e.hash], e)
-		kids = append(kids, e)
-		return true
-	}
-	for _, x := range xs {
-		if !add(x) {
-			return False
-		}
-	}
-	switch len(kids) {
-	case 0:
-		return True
-	case 1:
-		return kids[0]
-	}
-	return (&Expr{Op: OpLAnd, Kids: kids}).finish()
-}
+// conjunctions and dropping duplicates and true constants. Kids keep the
+// order of their first occurrence.
+func LAnd(xs ...*Expr) *Expr { return junction(OpLAnd, "land", xs) }
 
 // LOr returns the disjunction of boolean expressions, flattening nested
 // disjunctions and dropping duplicates and false constants.
-func LOr(xs ...*Expr) *Expr {
-	var kids []*Expr
-	seen := make(map[uint64][]*Expr)
-	var add func(e *Expr) bool // returns false if the result is True
-	add = func(e *Expr) bool {
-		checkBool(e, "lor")
-		if e.IsFalse() {
-			return true
-		}
-		if e.IsTrue() {
-			return false
-		}
-		if e.Op == OpLOr {
-			for _, k := range e.Kids {
-				if !add(k) {
-					return false
-				}
-			}
-			return true
-		}
-		for _, prev := range seen[e.hash] {
-			if Equal(prev, e) {
-				return true
-			}
-		}
-		seen[e.hash] = append(seen[e.hash], e)
-		kids = append(kids, e)
-		return true
+func LOr(xs ...*Expr) *Expr { return junction(OpLOr, "lor", xs) }
+
+// junction builds LAnd (op OpLAnd) or LOr (op OpLOr) of xs. unit is the
+// constant the connective drops (true for LAnd) and absorb the one that
+// decides the whole result.
+func junction(op Op, ctx string, xs []*Expr) *Expr {
+	unit, absorb := True, False
+	if op == OpLOr {
+		unit, absorb = False, True
 	}
+	var buf [16]*Expr
+	kids := buf[:0]
+	var idx map[uint64][]*Expr
 	for _, x := range xs {
-		if !add(x) {
-			return True
+		checkBool(x, ctx)
+		switch x.Op {
+		case OpBool:
+			if x.K == absorb.K {
+				return absorb
+			}
+		case op:
+			// A node of the same connective holds flattened, deduplicated,
+			// non-constant kids already (it was built here).
+			for _, k := range x.Kids {
+				kids, idx = addKid(kids, idx, k)
+			}
+		default:
+			kids, idx = addKid(kids, idx, x)
 		}
 	}
 	switch len(kids) {
 	case 0:
-		return False
+		return unit
 	case 1:
 		return kids[0]
 	}
-	return (&Expr{Op: OpLOr, Kids: kids}).finish()
+	return mk(op, 0, 0, 0, "", kids...)
+}
+
+// addKidScan is how many kids addKid scans linearly before it indexes
+// them by hash, so wide disjunctions (a group's path conditions) stay
+// linear while the common short connective allocates nothing.
+const addKidScan = 32
+
+// addKid appends e to kids unless a structurally equal kid is there
+// already (pointer, then hash, then Equal). idx is nil until kids reaches
+// addKidScan.
+func addKid(kids []*Expr, idx map[uint64][]*Expr, e *Expr) ([]*Expr, map[uint64][]*Expr) {
+	if idx == nil {
+		for _, k := range kids {
+			if k == e || k.hash == e.hash && Equal(k, e) {
+				return kids, nil
+			}
+		}
+		kids = append(kids, e)
+		if len(kids) == addKidScan {
+			idx = make(map[uint64][]*Expr, 2*addKidScan)
+			for _, k := range kids {
+				idx[k.hash] = append(idx[k.hash], k)
+			}
+		}
+		return kids, idx
+	}
+	for _, k := range idx[e.hash] {
+		if k == e || Equal(k, e) {
+			return kids, idx
+		}
+	}
+	idx[e.hash] = append(idx[e.hash], e)
+	return append(kids, e), idx
 }
 
 // LNot returns the boolean negation of e.
@@ -519,7 +508,7 @@ func LNot(e *Expr) *Expr {
 	if e.Op == OpLNot {
 		return e.Kids[0]
 	}
-	return (&Expr{Op: OpLNot, Kids: []*Expr{e}}).finish()
+	return mk(OpLNot, 0, 0, 0, "", e)
 }
 
 // Implies returns the boolean a => b.

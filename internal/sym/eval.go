@@ -8,64 +8,107 @@ type Assignment map[string]uint64
 
 // Eval evaluates e under the assignment σ. Boolean results are reported as
 // 0 or 1. Unassigned variables evaluate to 0, matching how a solver model
-// leaves don't-care inputs unconstrained.
+// leaves don't-care inputs unconstrained. Each distinct node of e's DAG is
+// evaluated once, however often it is shared.
 func Eval(e *Expr, σ Assignment) uint64 {
+	var ev Evaluator
+	return ev.Eval(e, σ)
+}
+
+// Evaluator is Eval with a memo that is kept across calls, so a caller
+// that evaluates many expressions allocates it once. The zero value is
+// ready to use; an Evaluator is not safe for concurrent use.
+type Evaluator struct {
+	memo map[*Expr]uint64
+}
+
+// Eval evaluates e under σ, like the package-level Eval.
+func (ev *Evaluator) Eval(e *Expr, σ Assignment) uint64 {
+	clear(ev.memo)
+	return ev.eval(e, σ)
+}
+
+// EvalBool evaluates a boolean expression under σ, like the package-level
+// EvalBool.
+func (ev *Evaluator) EvalBool(e *Expr, σ Assignment) bool {
+	checkBool(e, "EvalBool")
+	return ev.Eval(e, σ) == 1
+}
+
+// eval memoizes interior nodes; a leaf costs no more than a memo lookup.
+func (ev *Evaluator) eval(e *Expr, σ Assignment) uint64 {
+	if len(e.Kids) == 0 {
+		return ev.op(e, σ)
+	}
+	if v, ok := ev.memo[e]; ok {
+		return v
+	}
+	v := ev.op(e, σ)
+	if ev.memo == nil {
+		ev.memo = make(map[*Expr]uint64)
+	}
+	ev.memo[e] = v
+	return v
+}
+
+// op applies e's operator to its kids' values.
+func (ev *Evaluator) op(e *Expr, σ Assignment) uint64 {
 	switch e.Op {
 	case OpConst, OpBool:
 		return e.K
 	case OpVar:
 		return σ[e.Name] & mask(e.W)
 	case OpExtract:
-		return (Eval(e.Kids[0], σ) >> e.K) & mask(e.W)
+		return (ev.eval(e.Kids[0], σ) >> e.K) & mask(e.W)
 	case OpConcat:
-		return (Eval(e.Kids[0], σ)<<e.Kids[1].W | Eval(e.Kids[1], σ)) & mask(e.W)
+		return (ev.eval(e.Kids[0], σ)<<e.Kids[1].W | ev.eval(e.Kids[1], σ)) & mask(e.W)
 	case OpZExt:
-		return Eval(e.Kids[0], σ)
+		return ev.eval(e.Kids[0], σ)
 	case OpAdd:
-		return (Eval(e.Kids[0], σ) + Eval(e.Kids[1], σ)) & mask(e.W)
+		return (ev.eval(e.Kids[0], σ) + ev.eval(e.Kids[1], σ)) & mask(e.W)
 	case OpSub:
-		return (Eval(e.Kids[0], σ) - Eval(e.Kids[1], σ)) & mask(e.W)
+		return (ev.eval(e.Kids[0], σ) - ev.eval(e.Kids[1], σ)) & mask(e.W)
 	case OpMul:
-		return (Eval(e.Kids[0], σ) * Eval(e.Kids[1], σ)) & mask(e.W)
+		return (ev.eval(e.Kids[0], σ) * ev.eval(e.Kids[1], σ)) & mask(e.W)
 	case OpAnd:
-		return Eval(e.Kids[0], σ) & Eval(e.Kids[1], σ)
+		return ev.eval(e.Kids[0], σ) & ev.eval(e.Kids[1], σ)
 	case OpOr:
-		return Eval(e.Kids[0], σ) | Eval(e.Kids[1], σ)
+		return ev.eval(e.Kids[0], σ) | ev.eval(e.Kids[1], σ)
 	case OpXor:
-		return Eval(e.Kids[0], σ) ^ Eval(e.Kids[1], σ)
+		return ev.eval(e.Kids[0], σ) ^ ev.eval(e.Kids[1], σ)
 	case OpNot:
-		return ^Eval(e.Kids[0], σ) & mask(e.W)
+		return ^ev.eval(e.Kids[0], σ) & mask(e.W)
 	case OpShl:
-		return (Eval(e.Kids[0], σ) << e.K) & mask(e.W)
+		return (ev.eval(e.Kids[0], σ) << e.K) & mask(e.W)
 	case OpLshr:
-		return Eval(e.Kids[0], σ) >> e.K
+		return ev.eval(e.Kids[0], σ) >> e.K
 	case OpIte:
-		if Eval(e.Kids[0], σ) == 1 {
-			return Eval(e.Kids[1], σ)
+		if ev.eval(e.Kids[0], σ) == 1 {
+			return ev.eval(e.Kids[1], σ)
 		}
-		return Eval(e.Kids[2], σ)
+		return ev.eval(e.Kids[2], σ)
 	case OpEq:
-		return b2u(Eval(e.Kids[0], σ) == Eval(e.Kids[1], σ))
+		return b2u(ev.eval(e.Kids[0], σ) == ev.eval(e.Kids[1], σ))
 	case OpUlt:
-		return b2u(Eval(e.Kids[0], σ) < Eval(e.Kids[1], σ))
+		return b2u(ev.eval(e.Kids[0], σ) < ev.eval(e.Kids[1], σ))
 	case OpUle:
-		return b2u(Eval(e.Kids[0], σ) <= Eval(e.Kids[1], σ))
+		return b2u(ev.eval(e.Kids[0], σ) <= ev.eval(e.Kids[1], σ))
 	case OpLAnd:
 		for _, k := range e.Kids {
-			if Eval(k, σ) == 0 {
+			if ev.eval(k, σ) == 0 {
 				return 0
 			}
 		}
 		return 1
 	case OpLOr:
 		for _, k := range e.Kids {
-			if Eval(k, σ) == 1 {
+			if ev.eval(k, σ) == 1 {
 				return 1
 			}
 		}
 		return 0
 	case OpLNot:
-		return 1 - Eval(e.Kids[0], σ)
+		return 1 - ev.eval(e.Kids[0], σ)
 	}
 	panic(fmt.Sprintf("sym: eval of %v", e.Op))
 }
@@ -81,98 +124,4 @@ func b2u(b bool) uint64 {
 		return 1
 	}
 	return 0
-}
-
-// Substitute returns e with every variable that σ assigns replaced by the
-// corresponding constant, folding through the smart constructors. Variables
-// not present in σ are left symbolic.
-func Substitute(e *Expr, σ Assignment) *Expr {
-	memo := make(map[*Expr]*Expr)
-	var sub func(*Expr) *Expr
-	sub = func(n *Expr) *Expr {
-		if r, ok := memo[n]; ok {
-			return r
-		}
-		var r *Expr
-		switch n.Op {
-		case OpConst, OpBool:
-			r = n
-		case OpVar:
-			if v, ok := σ[n.Name]; ok {
-				r = Const(int(n.W), v)
-			} else {
-				r = n
-			}
-		default:
-			kids := make([]*Expr, len(n.Kids))
-			changed := false
-			for i, k := range n.Kids {
-				kids[i] = sub(k)
-				if kids[i] != k {
-					changed = true
-				}
-			}
-			if !changed {
-				r = n
-			} else {
-				r = rebuild(n, kids)
-			}
-		}
-		memo[n] = r
-		return r
-	}
-	return sub(e)
-}
-
-// Simplify rebuilds e bottom-up through the smart constructors, which apply
-// constant folding and local rewrites. It preserves the value of e under
-// every assignment.
-func Simplify(e *Expr) *Expr {
-	return Substitute(e, nil)
-}
-
-// rebuild reconstructs a node of the same operator with new children,
-// passing through the smart constructors for folding.
-func rebuild(n *Expr, kids []*Expr) *Expr {
-	switch n.Op {
-	case OpExtract:
-		return Extract(kids[0], int(n.K2), int(n.K))
-	case OpConcat:
-		return Concat(kids[0], kids[1])
-	case OpZExt:
-		return ZExt(kids[0], int(n.W))
-	case OpAdd:
-		return Add(kids[0], kids[1])
-	case OpSub:
-		return Sub(kids[0], kids[1])
-	case OpMul:
-		return Mul(kids[0], kids[1])
-	case OpAnd:
-		return And(kids[0], kids[1])
-	case OpOr:
-		return Or(kids[0], kids[1])
-	case OpXor:
-		return Xor(kids[0], kids[1])
-	case OpNot:
-		return Not(kids[0])
-	case OpShl:
-		return Shl(kids[0], int(n.K))
-	case OpLshr:
-		return Lshr(kids[0], int(n.K))
-	case OpIte:
-		return Ite(kids[0], kids[1], kids[2])
-	case OpEq:
-		return Eq(kids[0], kids[1])
-	case OpUlt:
-		return Ult(kids[0], kids[1])
-	case OpUle:
-		return Ule(kids[0], kids[1])
-	case OpLAnd:
-		return LAnd(kids...)
-	case OpLOr:
-		return LOr(kids...)
-	case OpLNot:
-		return LNot(kids[0])
-	}
-	panic(fmt.Sprintf("sym: rebuild of %v", n.Op))
 }

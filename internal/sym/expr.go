@@ -117,44 +117,36 @@ func mask(w uint8) uint64 {
 	return (uint64(1) << w) - 1
 }
 
-const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
-)
+// hashSeed starts every node hash. Hashes live in memory only (they key
+// the intern table, bitblast's activation index and the solver's query
+// cache), so the mix need only spread well, not stay stable across builds.
+const hashSeed = 0x243f6a8885a308d3
 
+// hashMix folds one word into h: a multiply by the golden-ratio constant,
+// then a shift-xor that carries the high bits down into the low ones the
+// intern shard index reads.
 func hashMix(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h ^= (v >> (8 * i)) & 0xff
-		h *= fnvPrime
-	}
-	return h
+	h = (h ^ v) * 0x9e3779b97f4a7c15
+	return h ^ h>>29
 }
 
-// finish computes and caches the structural hash and size of a node, then
-// hash-conses it: the returned node is the canonical representative for the
-// structure, pointer-equal across every path and worker that builds it (see
-// intern.go). It is called exactly once, by the constructors, before the
-// node escapes.
-func (e *Expr) finish() *Expr {
-	h := uint64(fnvOffset)
-	h = hashMix(h, uint64(e.Op))
-	h = hashMix(h, uint64(e.W))
-	h = hashMix(h, e.K)
-	h = hashMix(h, e.K2)
-	for i := 0; i < len(e.Name); i++ {
-		h = hashMix(h, uint64(e.Name[i]))
+// hashNode is the structural hash of a node with the given fields and
+// (already hashed) kids.
+func hashNode(op Op, w uint8, k, k2 uint64, name string, kids []*Expr) uint64 {
+	h := hashMix(hashSeed, uint64(op)|uint64(w)<<8|uint64(len(name))<<16)
+	h = hashMix(h, k)
+	h = hashMix(h, k2)
+	for i := 0; i < len(name); i += 8 {
+		var v uint64
+		for j := i; j < len(name) && j < i+8; j++ {
+			v = v<<8 | uint64(name[j])
+		}
+		h = hashMix(h, v)
 	}
-	sz := int32(0)
-	if e.Op != OpConst && e.Op != OpVar && e.Op != OpBool {
-		sz = 1
+	for _, kid := range kids {
+		h = hashMix(h, kid.hash)
 	}
-	for _, k := range e.Kids {
-		h = hashMix(h, k.hash)
-		sz += k.size
-	}
-	e.hash = h
-	e.size = sz
-	return intern(e)
+	return h
 }
 
 // Hash returns the structural hash of e. Structurally equal expressions

@@ -1,6 +1,7 @@
 package sym
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -207,7 +208,7 @@ func randExpr(r *rand.Rand, depth, w int, wantBool bool) *Expr {
 			return Var(string(rune('a'+r.Intn(3))), w)
 		}
 	}
-	switch r.Intn(10) {
+	switch r.Intn(12) {
 	case 0:
 		return Add(randExpr(r, depth-1, w, false), randExpr(r, depth-1, w, false))
 	case 1:
@@ -227,29 +228,46 @@ func randExpr(r *rand.Rand, depth, w int, wantBool bool) *Expr {
 	case 8:
 		return Ite(randExpr(r, depth-1, w, true),
 			randExpr(r, depth-1, w, false), randExpr(r, depth-1, w, false))
+	case 9:
+		return Lshr(randExpr(r, depth-1, w, false), r.Intn(w))
+	case 10:
+		hi := r.Intn(w)
+		lo := r.Intn(hi + 1)
+		return ZExt(Extract(randExpr(r, depth-1, w, false), hi, lo), w)
 	default:
 		hw := 1 + r.Intn(w-1)
 		return Concat(randExpr(r, 0, hw, false), randExpr(r, 0, w-hw, false))
 	}
 }
 
-// Property: Simplify preserves evaluation under random assignments.
+// Property: simplification preserves evaluation. The smart constructors
+// are the simplifier, so substituting constants for some variables folds
+// through them; the result must keep its value under any completion of
+// the substitution. Partial constants reach every constructor's folding
+// rules from every side.
 func TestQuickSimplifyPreservesEval(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
-	f := func(av, bv, cv uint64, seed int64) bool {
+	f := func(av, bv, cv uint64, keep uint8, seed int64) bool {
 		rr := rand.New(rand.NewSource(seed))
-		e := randExpr(rr, 4, 8, rr.Intn(2) == 0)
-		σ := Assignment{"a": av, "b": bv, "c": cv}
-		return Eval(e, σ) == Eval(Simplify(e), σ)
+		w := []int{8, 16, 64}[rr.Intn(3)]
+		e := randExpr(rr, 4, w, rr.Intn(2) == 0)
+		full := Assignment{"a": av, "b": bv, "c": cv}
+		part := Assignment{}
+		for i, name := range []string{"a", "b", "c"} {
+			if keep&(1<<i) != 0 {
+				part[name] = full[name]
+			}
+		}
+		return Eval(Substitute(e, part), full) == Eval(e, full)
 	}
-	cfg := &quick.Config{MaxCount: 300, Rand: r}
+	cfg := &quick.Config{MaxCount: 500, Rand: r}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// Property: Parse(String(e)) is structurally equal to Simplify(e) and
-// evaluates identically.
+// Property: Parse(String(e)) is structurally equal to e and evaluates
+// identically.
 func TestQuickParseRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	f := func(av, bv, cv uint64, seed int64) bool {
@@ -322,4 +340,91 @@ func TestWidthPanics(t *testing.T) {
 	mustPanic("concat65", func() { Concat(Const(64, 1), Const(8, 1)) })
 	mustPanic("iteNotBool", func() { Ite(Const(8, 1), Const(8, 1), Const(8, 2)) })
 	mustPanic("landNotBool", func() { LAnd(Const(8, 1)) })
+}
+
+// Substitute returns e with every variable that σ assigns replaced by the
+// corresponding constant, folding through the smart constructors. Variables
+// not present in σ are left symbolic.
+func Substitute(e *Expr, σ Assignment) *Expr {
+	memo := make(map[*Expr]*Expr)
+	var sub func(*Expr) *Expr
+	sub = func(n *Expr) *Expr {
+		if r, ok := memo[n]; ok {
+			return r
+		}
+		var r *Expr
+		switch n.Op {
+		case OpConst, OpBool:
+			r = n
+		case OpVar:
+			if v, ok := σ[n.Name]; ok {
+				r = Const(int(n.W), v)
+			} else {
+				r = n
+			}
+		default:
+			kids := make([]*Expr, len(n.Kids))
+			changed := false
+			for i, k := range n.Kids {
+				kids[i] = sub(k)
+				if kids[i] != k {
+					changed = true
+				}
+			}
+			if !changed {
+				r = n
+			} else {
+				r = rebuild(n, kids)
+			}
+		}
+		memo[n] = r
+		return r
+	}
+	return sub(e)
+}
+
+// rebuild reconstructs a node of the same operator with new children,
+// passing through the smart constructors for folding.
+func rebuild(n *Expr, kids []*Expr) *Expr {
+	switch n.Op {
+	case OpExtract:
+		return Extract(kids[0], int(n.K2), int(n.K))
+	case OpConcat:
+		return Concat(kids[0], kids[1])
+	case OpZExt:
+		return ZExt(kids[0], int(n.W))
+	case OpAdd:
+		return Add(kids[0], kids[1])
+	case OpSub:
+		return Sub(kids[0], kids[1])
+	case OpMul:
+		return Mul(kids[0], kids[1])
+	case OpAnd:
+		return And(kids[0], kids[1])
+	case OpOr:
+		return Or(kids[0], kids[1])
+	case OpXor:
+		return Xor(kids[0], kids[1])
+	case OpNot:
+		return Not(kids[0])
+	case OpShl:
+		return Shl(kids[0], int(n.K))
+	case OpLshr:
+		return Lshr(kids[0], int(n.K))
+	case OpIte:
+		return Ite(kids[0], kids[1], kids[2])
+	case OpEq:
+		return Eq(kids[0], kids[1])
+	case OpUlt:
+		return Ult(kids[0], kids[1])
+	case OpUle:
+		return Ule(kids[0], kids[1])
+	case OpLAnd:
+		return LAnd(kids...)
+	case OpLOr:
+		return LOr(kids...)
+	case OpLNot:
+		return LNot(kids[0])
+	}
+	panic(fmt.Sprintf("sym: rebuild of %v", n.Op))
 }

@@ -3,18 +3,22 @@ package sym
 import "sync"
 import "sync/atomic"
 
-// Hash-consed interning. Every constructor funnels its freshly built node
-// through finish -> intern, so structurally equal expressions are (almost
-// always) pointer-equal across paths and workers. That turns the engine's
-// per-node memoization (bitblast's encode memo, LAnd/LOr dedup, Vars walks)
-// into O(1) pointer hits instead of structural re-encodes, which is what
-// makes incremental solving along the path tree pay off: sibling paths
-// rebuild the same conjuncts and get back the very same *Expr.
+// Hash-consed interning. Every constructor hands its node's fields and kids
+// to mk, which hashes them and looks the structure up before allocating
+// anything: a hit returns the canonical node, and only a miss allocates
+// the node (with its own copy of the kids). So structurally equal
+// expressions are (almost always) pointer-equal across paths and workers,
+// and rebuilding an existing expression, which is what replaying a path
+// mostly does, allocates nothing. That turns the engine's per-node
+// memoization (bitblast's encode memo, LAnd/LOr dedup, Vars walks) into
+// O(1) pointer hits instead of structural re-encodes, which is what makes
+// incremental solving along the path tree pay off: sibling paths rebuild
+// the same conjuncts and get back the very same *Expr.
 //
 // Interning is a pure optimization: Expr is immutable, so returning a
 // previously built identical node never changes an answer. The table is
-// capped — past the cap new nodes are returned un-interned, degrading to
-// the old allocate-per-build behavior without affecting correctness.
+// capped — past the cap new nodes are returned un-interned, which costs
+// pointer hits but not correctness (lookups fall back to Equal on kids).
 
 // internShardCount spreads the table over independently locked shards so
 // parallel exploration workers rarely contend.
@@ -34,29 +38,55 @@ var internShards [internShardCount]internShard
 
 var internHits, internMisses atomic.Uint64
 
-// intern returns the canonical node structurally equal to e, registering e
-// as the canonical node on first sight. e must be fully finished (hash and
-// size computed) and must not yet have escaped to any other goroutine.
-func intern(e *Expr) *Expr {
-	s := &internShards[e.hash%internShardCount]
+// mk returns the canonical node with the given fields and kids, allocating
+// it only when no structurally equal node is interned yet. Candidates are
+// compared field by field and kid by kid, by pointer first, so a hit costs
+// no deep Equal unless a kid escaped interning. kids is only read: mk
+// copies it on a miss, so callers may pass a stack-allocated literal.
+func mk(op Op, w uint8, k, k2 uint64, name string, kids ...*Expr) *Expr {
+	h := hashNode(op, w, k, k2, name, kids)
+	s := &internShards[h%internShardCount]
 	s.mu.Lock()
 	if s.m == nil {
 		s.m = make(map[uint64][]*Expr)
 	}
-	for _, cand := range s.m[e.hash] {
-		if Equal(cand, e) {
+	for _, c := range s.m[h] {
+		if c.Op == op && c.W == w && c.K == k && c.K2 == k2 && c.Name == name && sameKids(c.Kids, kids) {
 			s.mu.Unlock()
 			internHits.Add(1)
-			return cand
+			return c
+		}
+	}
+	e := &Expr{Op: op, W: w, K: k, K2: k2, Name: name, hash: h}
+	if op != OpConst && op != OpVar && op != OpBool {
+		e.size = 1
+	}
+	if len(kids) > 0 {
+		e.Kids = make([]*Expr, len(kids))
+		copy(e.Kids, kids)
+		for _, kid := range kids {
+			e.size += kid.size
 		}
 	}
 	if s.n < internShardCap {
-		s.m[e.hash] = append(s.m[e.hash], e)
+		s.m[h] = append(s.m[h], e)
 		s.n++
 	}
 	s.mu.Unlock()
 	internMisses.Add(1)
 	return e
+}
+
+func sameKids(a, b []*Expr) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] && !Equal(a[i], b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // InternStats reports the cumulative process-wide intern table traffic:

@@ -131,8 +131,9 @@ func (b *Buffer) IsConcrete() bool {
 // turning a path-condition model into a concrete reproducer message.
 func (b *Buffer) Concretize(σ sym.Assignment) []byte {
 	out := make([]byte, len(b.bytes))
+	var ev sym.Evaluator
 	for i, e := range b.bytes {
-		out[i] = byte(sym.Eval(e, σ))
+		out[i] = byte(ev.Eval(e, σ))
 	}
 	return out
 }

@@ -52,7 +52,23 @@
 // activity instead of re-blasting and re-learning it per path; that reuse
 // is where the paths/sec win on conflict-rich workloads comes from
 // (internal/sym's hash-consed interning makes the per-conjunct cache a
-// pointer lookup on the hot path).
+// pointer lookup on the hot path, and rebuilding an interned condition
+// during replay allocates nothing).
+//
+// A frontier branch costs one solve, not two (witness reuse, KLEE's
+// counterexample cache in its simplest form). Every path carries a witness:
+// an assignment satisfying its path condition, empty at the tree's root
+// and otherwise the model of the solve that proved the path's last frontier
+// arm feasible; a forked work item carries its arm's model. At a frontier
+// branch the arm the witness satisfies (evaluated once per DAG node, with
+// sym.Evaluator) is feasible with no solve; only the other arm is solved,
+// and a sat answer's model is that arm's witness. Assume skips its solve
+// when the witness satisfies the assumption. A prefix-seeded run (a fleet
+// shard) starts without a witness, so its first frontier branch solves both
+// arms as before. Witnesses only choose which arm is solved: feasibility is
+// a property of the formula, so every fork, path and canonical model is the
+// same whichever model the witness happens to be (Context.BranchSite states
+// the invariant).
 //
 // Sessions preserve answers exactly: assumptions are decided on the same
 // formula a fresh solver would decide, and learned clauses are resolvents of

@@ -49,6 +49,8 @@ type Context struct {
 	counters  *pathCounters
 	sess      *bitblast.Session // the worker's session, reset for this path
 	decisions []bool            // prescribed prefix (replay), then grown by new decisions
+	w         sym.Assignment    // satisfies pc, or nil when unknown (see BranchSite)
+	ev        sym.Evaluator
 	sites     []coverage.BranchID
 	depth     int // next decision index
 	pc        []*sym.Expr
@@ -103,15 +105,18 @@ func (c *Context) Crash(msg string) {
 // fields). If the assumption contradicts the path condition the path is
 // abandoned as infeasible.
 func (c *Context) Assume(cond *sym.Expr) {
-	cond = sym.Simplify(cond)
 	if cond.IsTrue() {
 		return
 	}
 	if cond.IsFalse() {
 		panic(abortPanic{kind: abortInfeasible, msg: "assumption is false"})
 	}
-	if !c.sess.SolveAssuming(cond) {
-		panic(abortPanic{kind: abortInfeasible, msg: "assumption contradicts path condition"})
+	if !c.satisfied(cond) {
+		ok, w := c.solve(cond)
+		if !ok {
+			panic(abortPanic{kind: abortInfeasible, msg: "assumption contradicts path condition"})
+		}
+		c.w = w
 	}
 	c.pc = append(c.pc, cond)
 	c.sess.Assert(cond)
@@ -126,8 +131,22 @@ func (c *Context) Branch(cond *sym.Expr) bool {
 }
 
 // BranchSite is Branch with a coverage branch site attached.
+//
+// A frontier branch (one past the replayed decision prefix) decides both
+// arms' feasibility with one solve when the path's witness w is known. w is
+// an assignment that satisfies the path condition: reading every variable
+// it leaves unassigned as 0 (as sym.Eval does), every conjunct of pc
+// evaluates to true. In that reading w is total, so it satisfies pc ∧ cond
+// or pc ∧ ¬cond. The arm it satisfies is feasible without a solve, and only
+// the other arm is solved; a sat answer's model, over every variable the
+// path has mentioned, becomes that arm's witness, carried by the forked
+// work item or kept by this path. w is empty at an unprefixed root (it
+// satisfies the empty pc) and unknown (nil) at a shard's prefix root, where
+// the first frontier branch falls back to solving both arms. No answer
+// depends on which model w is: feasibility is a fact about the formula,
+// not about the witness, and a path's canonical model comes from its own
+// ordered solve.
 func (c *Context) BranchSite(site coverage.BranchID, cond *sym.Expr) bool {
-	cond = sym.Simplify(cond)
 	if cond.IsTrue() || cond.IsFalse() {
 		taken := cond.IsTrue()
 		c.coverBranch(site, taken)
@@ -147,15 +166,22 @@ func (c *Context) BranchSite(site coverage.BranchID, cond *sym.Expr) bool {
 		return taken
 	}
 
-	// Frontier: decide which arms are feasible.
+	// Frontier: decide which arms are feasible. The path condition is
+	// feasible, so at least one arm is.
 	c.counters.branchQueries++
-	satTrue := c.sess.SolveAssuming(cond)
-	var satFalse bool
-	if !satTrue {
-		// The path condition is feasible, so at least one arm is.
-		satFalse = true
-	} else {
-		satFalse = c.sess.SolveAssuming(sym.LNot(cond))
+	satTrue, satFalse := true, true
+	var wTrue, wFalse sym.Assignment
+	switch {
+	case c.w == nil:
+		if satTrue, wTrue = c.solve(cond); satTrue {
+			satFalse, wFalse = c.solve(sym.LNot(cond))
+		}
+	case c.satisfied(cond):
+		wTrue = c.w
+		satFalse, wFalse = c.solve(sym.LNot(cond))
+	default:
+		wFalse = c.w
+		satTrue, wTrue = c.solve(cond)
 	}
 
 	switch {
@@ -164,19 +190,36 @@ func (c *Context) BranchSite(site coverage.BranchID, cond *sym.Expr) bool {
 		alt := make([]bool, idx+1)
 		copy(alt, c.decisions)
 		alt[idx] = false
-		c.enqueue(&workItem{decisions: alt, site: site, dir: false})
+		c.enqueue(&workItem{decisions: alt, w: wFalse, site: site, dir: false})
 		c.decisions = append(c.decisions, true)
+		c.w = wTrue
 		c.take(site, cond, true)
 		return true
 	case satTrue:
 		c.decisions = append(c.decisions, true)
+		c.w = wTrue
 		c.take(site, cond, true)
 		return true
 	default:
 		c.decisions = append(c.decisions, false)
+		c.w = wFalse
 		c.take(site, cond, false)
 		return false
 	}
+}
+
+// satisfied reports whether the path's witness is known and satisfies e.
+func (c *Context) satisfied(e *sym.Expr) bool {
+	return c.w != nil && c.ev.EvalBool(e, c.w)
+}
+
+// solve decides the path condition plus e, returning on sat the model as
+// a witness for the path extended by e.
+func (c *Context) solve(e *sym.Expr) (bool, sym.Assignment) {
+	if !c.sess.SolveAssuming(e) {
+		return false, nil
+	}
+	return true, c.sess.Witness()
 }
 
 // take commits a branch direction: extends the path condition, the
@@ -286,9 +329,11 @@ func (r *Result) MaxConstraintSize() int {
 	return m
 }
 
-// workItem is a pending path: a decision prefix ending in a flipped branch.
+// workItem is a pending path: a decision prefix ending in a flipped branch,
+// with the model that proved the flipped arm feasible (nil when unknown).
 type workItem struct {
 	decisions []bool
+	w         sym.Assignment
 	site      coverage.BranchID // site of the flipped decision
 	dir       bool              // direction the flipped decision takes
 }
@@ -420,6 +465,7 @@ func (e *Engine) newContext(it *workItem, enqueue func(*workItem), counters *pat
 		counters:  counters,
 		sess:      sess,
 		decisions: it.decisions,
+		w:         it.w,
 		inputs:    make(map[string]*sym.Expr),
 	}
 	if e.CovMap != nil {
@@ -539,10 +585,15 @@ func (e *Engine) newCanonCut() *canonCut {
 	return nil
 }
 
-// rootItem is the initial work item: the tree root, or the subtree root
-// when the engine is seeded with a decision prefix.
+// rootItem is the initial work item: the tree root, whose empty path
+// condition the empty assignment satisfies, or the subtree root when the
+// engine is seeded with a decision prefix, whose witness is unknown.
 func (e *Engine) rootItem() *workItem {
-	return &workItem{decisions: append([]bool(nil), e.Prefix...), site: -1}
+	it := &workItem{decisions: append([]bool(nil), e.Prefix...), site: -1}
+	if len(e.Prefix) == 0 {
+		it.w = sym.Assignment{}
+	}
+	return it
 }
 
 // applyCanonCut moves a canonically truncated run's kept set into the

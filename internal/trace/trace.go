@@ -69,7 +69,7 @@ func (b *Builder) Textf(format string, args ...any) *Builder {
 func (b *Builder) Expr(e *sym.Expr) *Builder {
 	b.segs = append(b.segs, b.cur.String())
 	b.cur.Reset()
-	b.exprs = append(b.exprs, sym.Simplify(e))
+	b.exprs = append(b.exprs, e)
 	return b
 }
 
@@ -154,7 +154,7 @@ func PacketOut(port *sym.Expr, p *dataplane.Packet) Event {
 	b := NewBuilder("pkt-out:port=")
 	// Concrete reserved ports render as names inside the template: sending
 	// to FLOOD versus to a numbered port is a structural difference.
-	if v, ok := sym.Simplify(port).ConstVal(); ok {
+	if v, ok := port.ConstVal(); ok {
 		if n := openflow.PortName(uint16(v)); n != "" {
 			b.Text(n)
 		} else {
