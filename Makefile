@@ -19,11 +19,13 @@
 #   make dist-demo     run a one-cell fleet campaign and two workers locally
 #   make bench         the paper's evaluation benches + parallel scaling benches
 #   make bench-solver  solver-stack scaling benches (parallel explore,
-#                      sharded-cache crosscheck) — run on multicore hardware
-#                      for meaningful numbers
+#                      per-worker-session crosscheck) — run on multicore
+#                      hardware for meaningful numbers
 #   make bench-smoke   every scaling bench once (CI bit-rot guard, no timing value)
 #   make fmt-check     fail if any Go file needs gofmt
 #   make fuzz          the results-file and expression-codec fuzzers, 15 s each
+#   make loc           non-test Go line count outside bench/ (the size the
+#                      ROADMAP tracks)
 #   make check         build + vet + fmt-check + test (what CI should run)
 #
 # Performance numbers come from the repository benchmark, not from these
@@ -32,7 +34,7 @@
 
 GO ?= go
 
-.PHONY: build vet fmt-check fuzz test race e2e-dist e2e-matrix e2e-serve e2e-scenario dist-demo bench bench-solver bench-smoke check
+.PHONY: build vet fmt-check fuzz loc test race e2e-dist e2e-matrix e2e-serve e2e-scenario dist-demo bench bench-solver bench-smoke check
 
 build:
 	$(GO) build ./...
@@ -45,6 +47,9 @@ fmt-check:
 
 test:
 	$(GO) test ./...
+
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' -print0 | xargs -0 cat | wc -l
 
 FUZZTIME ?= 15s
 fuzz:

@@ -130,9 +130,8 @@ func BenchmarkExploreParallelOVSPacketOut(b *testing.B) {
 	}
 }
 
-// BenchmarkCrossCheckParallel scales phase 2 across worker counts. Every
-// worker shares one sharded single-flight cache, so each distinct query is
-// solved once per run.
+// BenchmarkCrossCheckParallel scales phase 2 across worker counts. Each
+// worker answers its queries on its own incremental session.
 func BenchmarkCrossCheckParallel(b *testing.B) {
 	t, _ := harness.TestByName("Packet Out")
 	ref, ov := benchAgents()
@@ -144,9 +143,7 @@ func BenchmarkCrossCheckParallel(b *testing.B) {
 			b.ReportAllocs()
 			var found int
 			for i := 0; i < b.N; i++ {
-				rep := crosscheck.RunOpts(context.Background(), ga, gb, crosscheck.Opts{
-					Solver: solver.New(), Workers: w,
-				})
+				rep := crosscheck.RunOpts(context.Background(), ga, gb, crosscheck.Opts{Workers: w})
 				found = len(rep.Inconsistencies)
 			}
 			b.ReportMetric(float64(found), "inconsistencies")
@@ -185,7 +182,7 @@ func BenchmarkTable3Crosscheck(b *testing.B) {
 			b.ResetTimer()
 			var found int
 			for i := 0; i < b.N; i++ {
-				rep := crosscheck.Run(ga, gb, solver.New(), 0)
+				rep := crosscheck.RunOpts(context.Background(), ga, gb, crosscheck.Opts{Workers: 1})
 				found = len(rep.Inconsistencies)
 			}
 			b.ReportMetric(float64(found), "inconsistencies")
@@ -298,14 +295,14 @@ func BenchmarkAblationGrouping(b *testing.B) {
 	b.Run("grouped", func(b *testing.B) {
 		var q int
 		for i := 0; i < b.N; i++ {
-			q = crosscheck.Run(ga, gb, solver.New(), 0).Queries
+			q = crosscheck.RunOpts(context.Background(), ga, gb, crosscheck.Opts{Workers: 1}).Queries
 		}
 		b.ReportMetric(float64(q), "queries")
 	})
 	b.Run("per-path", func(b *testing.B) {
 		var q int
 		for i := 0; i < b.N; i++ {
-			q = crosscheck.Run(ua, ub, solver.New(), 0).Queries
+			q = crosscheck.RunOpts(context.Background(), ua, ub, crosscheck.Opts{Workers: 1}).Queries
 		}
 		b.ReportMetric(float64(q), "queries")
 	})
@@ -321,9 +318,7 @@ func BenchmarkAblationOrTree(b *testing.B) {
 		conds = append(conds, r.Paths[i].Cond)
 	}
 	query := func(disj *sym.Expr) {
-		s := solver.New()
-		s.DisableCache = true
-		if !s.Sat(disj) {
+		if !solver.New().Sat(disj) {
 			b.Fatal("union of all paths must be satisfiable")
 		}
 	}

@@ -12,10 +12,10 @@ import (
 
 // Campaign-service types. A campaign service (`soft campaignd`) is an
 // always-on coordinator that accepts matrix jobs over HTTP, journals them
-// durably in its store directory, schedules them fair-share across
-// tenants, and survives being killed mid-campaign: on restart it resumes
-// every in-flight job, and determinism plus the content-addressed store
-// make the resumed report byte-identical to an uninterrupted run.
+// durably in its store directory, runs them first in, first out, and
+// survives being killed mid-campaign: on restart it resumes every
+// in-flight job, and determinism plus the content-addressed store make the
+// resumed report byte-identical to an uninterrupted run.
 type (
 	// CampaignClient talks to a campaign service. Its zero value is not
 	// useful; construct one with NewCampaignClient.
@@ -80,7 +80,6 @@ func runMatrixRemote(ctx context.Context, cfg *config, agents, tests []string) (
 	}
 	cl := NewCampaignClient(cfg.campaignURL)
 	spec := CampaignJobSpec{
-		Tenant:      cfg.tenant,
 		Agents:      agents,
 		Tests:       tests,
 		MaxPaths:    cfg.maxPaths,

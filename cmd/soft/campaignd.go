@@ -30,7 +30,7 @@ func runCampaignd(e *env, args []string) error {
 	fleetAddr := fs.String("fleet-addr", "", "also listen for a soft-work fleet on this TCP address; every job's non-cached cells run on it")
 	codeVersion := fs.String("code-version", "", "override the cache key's code version (default: the binary's VCS build stamp)")
 	storeMigrate := fs.Bool("store-migrate", false, "re-stamp a store recorded under a different code version instead of refusing it")
-	maxActive := fs.Int("max-active", 0, "concurrently running jobs (0 = default 2); queued jobs wait fair-share across tenants")
+	maxActive := fs.Int("max-active", 0, "concurrently running jobs (0 = default 2); queued jobs wait in submission order")
 	retain := fs.Int("retain", 0, "keep only the newest N terminal job records, pruning older ones at startup and as jobs finish (0 = keep all)")
 	workers := fs.Int("workers", 0, "in-process parallelism per job (0 = GOMAXPROCS)")
 	shardDepth := fs.Int("shard-depth", 0, "fleet frontier split depth: forks deeper than this become worker shards (0 = default)")

@@ -122,7 +122,7 @@ func TestCampaignServeE2E(t *testing.T) {
 	defer daemon1.Process.Kill()
 
 	submit := exec.Command(bin, "submit", "-service", base,
-		"-agents", agents, "-tests", tests, "-tenant", "e2e")
+		"-agents", agents, "-tests", tests)
 	submitOut, err := submit.CombinedOutput()
 	if err != nil {
 		t.Fatalf("soft submit: %v\n%s", err, submitOut)
@@ -186,7 +186,7 @@ func TestCampaignServeE2E(t *testing.T) {
 	}
 
 	// `soft jobs` lists the job with its restart count.
-	jobs := exec.Command(bin, "jobs", "-service", base, "-tenant", "e2e")
+	jobs := exec.Command(bin, "jobs", "-service", base)
 	jobsOut, err := jobs.CombinedOutput()
 	if err != nil {
 		t.Fatalf("soft jobs: %v\n%s", err, jobsOut)
@@ -258,17 +258,6 @@ func TestCampaignServeE2E(t *testing.T) {
 	}
 	if !strings.Contains(string(statsAllOut), "soft_campaignd_jobs_done_total") {
 		t.Errorf("soft stats output misses the registry:\n%s", statsAllOut)
-	}
-	// `soft top -once` renders one dashboard snapshot from the same scrape.
-	top := exec.Command(bin, "top", "-service", base, "-once")
-	topOut, err := top.CombinedOutput()
-	if err != nil {
-		t.Fatalf("soft top -once: %v\n%s", err, topOut)
-	}
-	for _, want := range []string{"jobs queued", "jobs running"} {
-		if !strings.Contains(string(topOut), want) {
-			t.Errorf("soft top -once output misses %q:\n%s", want, topOut)
-		}
 	}
 
 	// Graceful shutdown: SIGTERM exits 0 after requeueing running jobs.

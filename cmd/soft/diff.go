@@ -72,7 +72,7 @@ func runDiff(e *env, args []string) error {
 	storeDir := fs.String("store", "", "result-store directory: cache each file's grouping construction, keyed by result content and code version")
 	codeVersion := fs.String("code-version", "", "override the grouping cache's code version (default: the binary's VCS build stamp; match soft matrix -code-version)")
 	timeout := fs.Duration("timeout", 0, "hard wall-clock limit; on expiry the partial report is still printed")
-	verbose := fs.Bool("v", false, "report solver statistics (queries, cache hits)")
+	verbose := fs.Bool("v", false, "report solver statistics (queries, solve time, session reuse)")
 	if err := parse(fs, args); err != nil {
 		return err
 	}

@@ -48,7 +48,6 @@ func serviceFlag(fs *flag.FlagSet) *string {
 func runSubmit(e *env, args []string) error {
 	fs := newFlags(e, "submit")
 	service := serviceFlag(fs)
-	tenant := fs.String("tenant", "", "tenant name for fair-share scheduling (default \"default\")")
 	agentsFlag := fs.String("agents", "", "comma-separated agent names (default: all registered; see 'soft agents')")
 	testsFlag := fs.String("tests", "", "comma-separated Table 1 test names (default: the whole suite; see 'soft tests')")
 	maxPaths := fs.Int("max-paths", 0, "cap on explored paths per cell (0 = default); campaign truncation is canonical")
@@ -84,7 +83,6 @@ func runSubmit(e *env, args []string) error {
 	ctx := context.Background()
 	cl := soft.NewCampaignClient(*service)
 	job, err := cl.Submit(ctx, soft.CampaignJobSpec{
-		Tenant:      *tenant,
 		Agents:      agents,
 		Tests:       tests,
 		MaxPaths:    *maxPaths,
@@ -95,8 +93,8 @@ func runSubmit(e *env, args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(e.stdout, "submitted %s (tenant %s): %d agents × %d tests\n",
-		job.ID, job.Spec.Tenant, len(job.Spec.Agents), len(job.Spec.Tests))
+	fmt.Fprintf(e.stdout, "submitted %s (%d agents × %d tests)\n",
+		job.ID, len(job.Spec.Agents), len(job.Spec.Tests))
 	if !*watch {
 		return nil
 	}
@@ -128,7 +126,6 @@ func runSubmit(e *env, args []string) error {
 func runJobs(e *env, args []string) error {
 	fs := newFlags(e, "jobs")
 	service := serviceFlag(fs)
-	tenant := fs.String("tenant", "", "list only this tenant's jobs")
 	cancel := fs.String("cancel", "", "cancel this job id (queued: dequeued; running: aborted) instead of listing")
 	if err := parse(fs, args); err != nil {
 		return err
@@ -142,10 +139,10 @@ func runJobs(e *env, args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(e.stdout, "cancelled %s (tenant %s)\n", j.ID, j.Spec.Tenant)
+		fmt.Fprintf(e.stdout, "cancelled %s\n", j.ID)
 		return nil
 	}
-	jobs, err := cl.Jobs(context.Background(), *tenant)
+	jobs, err := cl.Jobs(context.Background())
 	if err != nil {
 		return err
 	}
@@ -154,7 +151,7 @@ func runJobs(e *env, args []string) error {
 		return nil
 	}
 	tw := tabwriter.NewWriter(e.stdout, 2, 8, 2, ' ', 0)
-	fmt.Fprintln(tw, "JOB\tTENANT\tSTATE\tMATRIX\tPROGRESS\tWAIT\tRUN\tRESTARTS\tSUBMITTED")
+	fmt.Fprintln(tw, "JOB\tSTATE\tMATRIX\tPROGRESS\tWAIT\tRUN\tRESTARTS\tSUBMITTED")
 	now := time.Now()
 	for _, j := range jobs {
 		progress := "-"
@@ -165,8 +162,8 @@ func runJobs(e *env, args []string) error {
 		if j.State == soft.CampaignFailed && j.Error != "" {
 			detail += ": " + ellipsis(j.Error, 40)
 		}
-		fmt.Fprintf(tw, "%s\t%s\t%s\t%d×%d\t%s\t%s\t%s\t%d\t%s\n",
-			j.ID, j.Spec.Tenant, detail,
+		fmt.Fprintf(tw, "%s\t%s\t%d×%d\t%s\t%s\t%s\t%d\t%s\n",
+			j.ID, detail,
 			len(j.Spec.Agents), len(j.Spec.Tests),
 			progress, queueWait(j, now), runTime(j, now), j.Restarts,
 			time.Unix(j.SubmittedUnix, 0).UTC().Format("2006-01-02 15:04:05"))

@@ -10,7 +10,6 @@
 //	soft jobs        list a campaign service's jobs
 //	soft fetch       fetch a finished job's canonical report
 //	soft stats       fetch a running service's live metrics
-//	soft top         live dashboard over a service's /metrics
 //	soft work        explore shard leases for a coordinator fleet
 //	soft group       group a results file by output behavior
 //	soft diff        crosscheck two results files (phase 2)
@@ -53,7 +52,6 @@ func commands() []*command {
 		jobsCmd(),
 		fetchCmd(),
 		statsCmd(),
-		topCmd(),
 		workCmd(),
 		groupCmd(),
 		diffCmd(),

@@ -49,7 +49,6 @@ func runMatrix(e *env, args []string) error {
 	codeVersion := fs.String("code-version", "", "override the cache key's code version (default: the binary's VCS build stamp)")
 	storeMigrate := fs.Bool("store-migrate", false, "re-stamp a store recorded under a different code version instead of refusing it")
 	service := fs.String("service", "", "run the campaign on this campaign service (base URL; see 'soft campaignd') instead of in-process")
-	tenant := fs.String("tenant", "", "tenant name for -service jobs (default \"default\")")
 	shardDepth := fs.Int("shard-depth", 0, "fleet frontier split depth: forks deeper than this become worker shards (0 = default)")
 	leaseTimeout := fs.Duration("lease-timeout", 0, "re-offer a fleet shard not completed in this long (0 = default, negative = never)")
 	crossCheck := fs.Bool("crosscheck", true, "run phase 2 over every agent pair per test (false: explore and cache cells only)")
@@ -151,9 +150,6 @@ func runMatrix(e *env, args []string) error {
 	}
 	if *service != "" {
 		opts = append(opts, soft.WithCampaignService(*service))
-		if *tenant != "" {
-			opts = append(opts, soft.WithTenant(*tenant))
-		}
 	}
 	if *metricsAddr != "" {
 		// The observability endpoint lives on its own listener so the

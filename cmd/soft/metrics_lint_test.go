@@ -16,7 +16,7 @@ var metricName = regexp.MustCompile(`^soft_[a-z0-9_]+$`)
 
 // TestMetricNamesLint walks the process-global registry and fails on any
 // name outside the convention — a misnamed metric would silently fork
-// dashboards and `soft top`'s scrape keys.
+// dashboards and any Prometheus reader's scrape keys.
 func TestMetricNamesLint(t *testing.T) {
 	names := obs.Default.Names()
 	if len(names) == 0 {

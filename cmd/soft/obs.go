@@ -121,9 +121,6 @@ func runStats(e *env, args []string) error {
 func printJobMetrics(e *env, m *soft.CampaignJobMetrics) error {
 	tw := tabwriter.NewWriter(e.stdout, 2, 8, 2, ' ', 0)
 	fmt.Fprintf(tw, "job\t%s\n", m.Job)
-	if m.Tenant != "" {
-		fmt.Fprintf(tw, "tenant\t%s\n", m.Tenant)
-	}
 	fmt.Fprintf(tw, "state\t%s\n", m.State)
 	fmt.Fprintf(tw, "queue-wait\t%s\n", time.Duration(m.QueueWaitSeconds*float64(time.Second)).Round(time.Second))
 	fmt.Fprintf(tw, "run\t%s\n", time.Duration(m.RunSeconds*float64(time.Second)).Round(time.Second))

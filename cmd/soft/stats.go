@@ -9,14 +9,14 @@ import (
 )
 
 // describeStats renders one stage's solver statistics for -v output: how
-// hard the solver worked, how much the query cache saved, and how much the
-// incremental sessions reused. branchQueries < 0 omits the exploration-only
-// frontier counter (crosscheck has none); exploration asks no cached
-// queries, so their counters print only when nonzero or for a crosscheck.
+// hard the solver worked and how much the incremental sessions reused.
+// branchQueries < 0 omits the exploration-only frontier counter (crosscheck
+// has none); exploration asks no façade queries, so their count prints only
+// when nonzero or for a crosscheck.
 func describeStats(st soft.SolverStats, branchQueries int64) string {
 	var parts []string
 	if st.Queries > 0 || branchQueries < 0 {
-		parts = append(parts, fmt.Sprintf("%d queries, %d cache hits", st.Queries, st.CacheHits))
+		parts = append(parts, fmt.Sprintf("%d queries", st.Queries))
 	}
 	if branchQueries >= 0 {
 		parts = append(parts, fmt.Sprintf("%d branch feasibility queries", branchQueries))

@@ -25,9 +25,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// One shared solver: its query cache carries over between the
-	// crosschecks.
-	s := soft.NewSolver()
 	tests := []string{"Packet Out", "Stats Request", "Set Config", "Short Symb"}
 
 	classTotals := map[string]int{}
@@ -45,7 +42,7 @@ func main() {
 			log.Fatal(err)
 		}
 		rep, err := soft.CrossCheck(ctx, soft.Group(ra), soft.Group(rb),
-			soft.WithSolver(s), soft.WithBudget(time.Minute))
+			soft.WithBudget(time.Minute))
 		if err != nil {
 			log.Fatal(err)
 		}

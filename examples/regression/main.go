@@ -40,7 +40,6 @@ func main() {
 	}
 
 	t, _ := soft.TestByName("Packet Out")
-	s := soft.NewSolver()
 	fmt.Println("regression-testing Packet Out across two versions of the Reference Switch...")
 	rOld, err := soft.Explore(ctx, oldVersion, t, soft.WithModels(true))
 	if err != nil {
@@ -51,7 +50,7 @@ func main() {
 		log.Fatal(err)
 	}
 	rep, err := soft.CrossCheck(ctx, soft.Group(rOld), soft.Group(rNew),
-		soft.WithSolver(s), soft.WithBudget(time.Minute))
+		soft.WithBudget(time.Minute))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -21,9 +21,8 @@ import (
 )
 
 // smallSpec is the cheapest real job: one agent, one test, no crosscheck.
-func smallSpec(tenant string) JobSpec {
+func smallSpec() JobSpec {
 	return JobSpec{
-		Tenant:      tenant,
 		Agents:      []string{"ref"},
 		Tests:       []string{"Packet Out"},
 		Models:      true,
@@ -80,7 +79,6 @@ func TestServiceSubmitRunFetch(t *testing.T) {
 	cl := NewClient(ts.URL)
 
 	spec := JobSpec{
-		Tenant:      "alice",
 		Agents:      []string{"ref", "modified"},
 		Tests:       []string{"Packet Out"},
 		Models:      true,
@@ -118,12 +116,12 @@ func TestServiceSubmitRunFetch(t *testing.T) {
 		t.Fatalf("service report differs from direct run (%d vs %d bytes)", len(got), len(want))
 	}
 
-	jobs, err := cl.Jobs(ctx, "alice")
+	jobs, err := cl.Jobs(ctx)
 	if err != nil {
 		t.Fatalf("Jobs: %v", err)
 	}
 	if len(jobs) != 1 || jobs[0].ID != j.ID {
-		t.Fatalf("Jobs(alice) = %+v, want the one submitted job", jobs)
+		t.Fatalf("Jobs = %+v, want the one submitted job", jobs)
 	}
 	st, err := cl.Status(ctx)
 	if err != nil {
@@ -155,7 +153,6 @@ func TestJournalReplayResumesRunningJobs(t *testing.T) {
 		Models:      true,
 		CrossCheck:  true,
 		CodeVersion: "test-v1",
-		Tenant:      "default",
 	}
 	dead := &Job{ID: jobID(7), Seq: 7, Spec: spec, State: StateRunning, StartSeq: 3, SubmittedUnix: 1}
 	if err := jr.putJob(dead); err != nil {
@@ -198,11 +195,12 @@ func TestJournalReplayResumesRunningJobs(t *testing.T) {
 	}
 }
 
-// TestJournalUpgradeDropsClauseSharing pins the upgrade path for the
-// removed clause-sharing option: a journal record an older daemon wrote
-// with "clause_sharing": true must replay and finish with the same report
-// bytes as a record without it, while a new submission that still carries
-// the field is refused with a 400 naming it.
+// TestJournalUpgradeDropsClauseSharing pins the upgrade path for removed
+// JobSpec fields: a journal record an older daemon wrote with
+// "clause_sharing": true or with "tenant": "alice" must replay and finish
+// with the same report bytes as a record without it, while a new
+// submission that still carries either field is refused with a 400 naming
+// it.
 func TestJournalUpgradeDropsClauseSharing(t *testing.T) {
 	dir := t.TempDir()
 	st, err := store.Open(dir)
@@ -219,23 +217,17 @@ func TestJournalUpgradeDropsClauseSharing(t *testing.T) {
 		Models:      true,
 		CrossCheck:  true,
 		CodeVersion: "test-v1",
-		Tenant:      "default",
 	}
-	for seq, sharing := range map[uint64]bool{1: true, 2: false} {
+	// Record 1 carries clause_sharing, record 2 a tenant, record 3 neither.
+	oldFields := map[uint64]string{1: `"clause_sharing":true`, 2: `"tenant":"alice"`}
+	for seq := uint64(1); seq <= 3; seq++ {
 		data, err := json.Marshal(&Job{ID: jobID(seq), Seq: seq, Spec: spec, State: StateRunning, SubmittedUnix: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sharing {
-			var rec map[string]any
-			if err := json.Unmarshal(data, &rec); err != nil {
-				t.Fatal(err)
-			}
-			rec["spec"].(map[string]any)["clause_sharing"] = true
-			if data, err = json.Marshal(rec); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Contains(data, []byte(`"clause_sharing":true`)) {
+		if old, ok := oldFields[seq]; ok {
+			data = bytes.Replace(data, []byte(`"spec":{`), []byte(`"spec":{`+old+`,`), 1)
+			if !bytes.Contains(data, []byte(old)) {
 				t.Fatalf("forged record lacks the old field: %s", data)
 			}
 		}
@@ -251,7 +243,7 @@ func TestJournalUpgradeDropsClauseSharing(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer func() { cancel(); s.Close() }()
 	s.Start(ctx)
-	reports := make([][]byte, 2)
+	reports := make([][]byte, 3)
 	for i := range reports {
 		id := jobID(uint64(i + 1))
 		waitState(t, s, id, StateDone)
@@ -261,8 +253,10 @@ func TestJournalUpgradeDropsClauseSharing(t *testing.T) {
 		}
 		reports[i] = got
 	}
-	if !bytes.Equal(reports[0], reports[1]) {
-		t.Fatal("the record with clause_sharing produced a different report")
+	for i, name := range []string{"clause_sharing", "tenant"} {
+		if !bytes.Equal(reports[i], reports[2]) {
+			t.Fatalf("the record with %s produced a different report", name)
+		}
 	}
 	if want := referenceBytes(t, spec); !bytes.Equal(reports[0], want) {
 		t.Fatal("replayed report differs from an uninterrupted run")
@@ -270,22 +264,26 @@ func TestJournalUpgradeDropsClauseSharing(t *testing.T) {
 
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	body := `{"agents":["ref"],"tests":["Packet Out"],"models":true,"clause_sharing":true}`
-	resp, err := http.Post(ts.URL+apiPrefix+"/jobs", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	msg, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "clause_sharing") {
-		t.Fatalf("submit with clause_sharing: HTTP %d %s, want a 400 naming the field", resp.StatusCode, msg)
+	for _, field := range []string{`"clause_sharing":true`, `"tenant":"alice"`} {
+		body := `{"agents":["ref"],"tests":["Packet Out"],"models":true,` + field + `}`
+		resp, err := http.Post(ts.URL+apiPrefix+"/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		name := strings.Split(field, `"`)[1]
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), name) {
+			t.Fatalf("submit with %s: HTTP %d %s, want a 400 naming the field", name, resp.StatusCode, msg)
+		}
 	}
 }
 
-// TestFairShareAcrossTenants submits a backlog for tenant a and a single
-// job for tenant b, then checks the observable dispatch order: b's job
-// must run second, not last.
-func TestFairShareAcrossTenants(t *testing.T) {
+// TestFIFODispatch checks the observable dispatch order with one slot:
+// jobs start in submission order, and a job that a shutdown interrupted
+// goes back to the head of the queue, ahead of work submitted before the
+// restart.
+func TestFIFODispatch(t *testing.T) {
 	dir := t.TempDir()
 	st, err := store.Open(dir)
 	if err != nil {
@@ -295,31 +293,48 @@ func TestFairShareAcrossTenants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close()
+	// The first job explores FlowMod on two agents, so it is still running
+	// when the shutdown lands; the other two wait behind it.
+	slow := smallSpec()
+	slow.Agents = []string{"ref", "ovs"}
+	slow.Tests = []string{"FlowMod"}
+	slow.Models = false
 	var ids []string
-	for _, tenant := range []string{"a", "a", "a", "b"} {
-		j, err := s.Submit(smallSpec(tenant))
+	for _, spec := range []JobSpec{slow, smallSpec(), smallSpec()} {
+		j, err := s.Submit(spec)
 		if err != nil {
-			t.Fatalf("Submit(%s): %v", tenant, err)
+			t.Fatalf("Submit: %v", err)
 		}
 		ids = append(ids, j.ID)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer func() { cancel(); s.Close() }()
-	s.Start(ctx)
+
+	ctx1, cancel1 := context.WithCancel(context.Background())
+	s.Start(ctx1)
+	waitState(t, s, ids[0], StateRunning)
+	cancel1()
+	deadline := time.Now().Add(60 * time.Second)
+	for s.Status().Running != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("the interrupted job never settled: %+v", s.Status())
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	if j, _ := s.Job(ids[0]); j.State != StateQueued || j.StartSeq != 1 {
+		t.Fatalf("interrupted job = %s at StartSeq %d, want queued after dispatch 1", j.State, j.StartSeq)
+	}
+
+	ctx2, cancel2 := context.WithCancel(context.Background())
+	defer cancel2()
+	s.Start(ctx2)
 	for _, id := range ids {
 		waitState(t, s, id, StateDone)
 	}
-	// Submission order: a1 a2 a3 b1. Fair share dispatches a1 first (tie
-	// broken by first-seen), then owes b its turn: a1 b1 a2 a3.
-	wantOrder := []string{ids[0], ids[3], ids[1], ids[2]}
-	seq := map[string]uint64{}
-	for _, id := range ids {
-		j, _ := s.Job(id)
-		seq[id] = j.StartSeq
-	}
-	for i := 1; i < len(wantOrder); i++ {
-		if seq[wantOrder[i-1]] >= seq[wantOrder[i]] {
-			t.Fatalf("dispatch order wrong: want %v, got seqs %v", wantOrder, seq)
+	// Dispatch 1 was the interrupted run; the requeued job restarts
+	// first, then the other two in submission order.
+	for i, id := range ids {
+		if j, _ := s.Job(id); j.StartSeq != uint64(i+2) {
+			t.Errorf("job %s StartSeq = %d, want %d", id, j.StartSeq, i+2)
 		}
 	}
 }
@@ -340,7 +355,6 @@ func TestSubmitValidation(t *testing.T) {
 	}{
 		{"unknown agent", JobSpec{Agents: []string{"nope"}, Tests: []string{"Packet Out"}}, "nope"},
 		{"unknown test", JobSpec{Agents: []string{"ref"}, Tests: []string{"No Such Test"}}, "No Such Test"},
-		{"bad tenant", JobSpec{Tenant: "a b", Agents: []string{"ref"}, Tests: []string{"Packet Out"}}, "tenant"},
 		{"dup agent", JobSpec{Agents: []string{"ref", "ref"}, Tests: []string{"Packet Out"}}, "duplicate"},
 	}
 	for _, tc := range cases {
@@ -356,9 +370,6 @@ func TestSubmitValidation(t *testing.T) {
 	}
 	if len(j.Spec.Agents) < 2 || len(j.Spec.Tests) < 2 {
 		t.Fatalf("empty spec expanded to %d agents × %d tests, want the full registry", len(j.Spec.Agents), len(j.Spec.Tests))
-	}
-	if j.Spec.Tenant != "default" {
-		t.Fatalf("tenant = %q, want default", j.Spec.Tenant)
 	}
 
 	if _, err := cl.Job(ctx, "j999999"); err == nil || !strings.Contains(err.Error(), "404") {
@@ -412,11 +423,11 @@ func TestCancelQueuedJob(t *testing.T) {
 	cl := NewClient(ts.URL)
 	ctx := context.Background()
 
-	first, err := cl.Submit(ctx, smallSpec("alice"))
+	first, err := cl.Submit(ctx, smallSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := cl.Submit(ctx, smallSpec("alice"))
+	second, err := cl.Submit(ctx, smallSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,7 +478,6 @@ func TestCancelRunningJob(t *testing.T) {
 	// cancel lands; cancellation must cut it short long before the
 	// 120-second waitState ceiling.
 	slow := JobSpec{
-		Tenant:      "alice",
 		Agents:      []string{"ref", "ovs"},
 		Tests:       []string{"FlowMod", "Eth FlowMod"},
 		Models:      true,
@@ -505,7 +515,7 @@ func TestCancelRunningJob(t *testing.T) {
 	}
 
 	// The freed slot must schedule new work.
-	next, err := s.Submit(smallSpec("alice"))
+	next, err := s.Submit(smallSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -529,7 +539,7 @@ func TestRetentionPrunesTerminalJobs(t *testing.T) {
 
 	var ids []string
 	for i := 0; i < 5; i++ {
-		j, err := s.Submit(smallSpec("alice"))
+		j, err := s.Submit(smallSpec())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -543,7 +553,7 @@ func TestRetentionPrunesTerminalJobs(t *testing.T) {
 		}
 	}
 
-	jobs := s.Jobs("")
+	jobs := s.Jobs()
 	var kept []string
 	for _, j := range jobs {
 		kept = append(kept, j.ID)
@@ -581,7 +591,7 @@ func TestRetentionPrunesTerminalJobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if jobs := s2.Jobs(""); len(jobs) != 2 || jobs[0].ID != ids[3] || jobs[1].ID != ids[4] {
+	if jobs := s2.Jobs(); len(jobs) != 2 || jobs[0].ID != ids[3] || jobs[1].ID != ids[4] {
 		got := make([]string, 0, len(jobs))
 		for _, j := range jobs {
 			got = append(got, j.ID)
@@ -599,7 +609,6 @@ func TestSubmitAcceptsScenarioNames(t *testing.T) {
 	defer func() { cancel(); s.Close() }()
 	s.Start(ctx)
 	spec := JobSpec{
-		Tenant:      "alice",
 		Agents:      []string{"ref", "ovs"},
 		Tests:       []string{"Add Modify"},
 		Models:      true,
@@ -644,11 +653,11 @@ func TestTracedJobBundleDownload(t *testing.T) {
 
 	// The untraced sibling is both the 409 subject and the byte-identity
 	// oracle for the traced run.
-	plain, err := cl.Submit(ctx, smallSpec("alice"))
+	plain, err := cl.Submit(ctx, smallSpec())
 	if err != nil {
 		t.Fatalf("Submit(untraced): %v", err)
 	}
-	spec := smallSpec("alice")
+	spec := smallSpec()
 	spec.Trace = true
 	j, err := cl.Submit(ctx, spec)
 	if err != nil {
@@ -744,7 +753,7 @@ func TestSubmitTraceparentHeader(t *testing.T) {
 	defer ts.Close()
 
 	const callerID = uint64(0xabcdef1234567890)
-	body, err := json.Marshal(smallSpec("alice"))
+	body, err := json.Marshal(smallSpec())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -106,14 +106,10 @@ func (c *Client) Submit(ctx context.Context, spec JobSpec) (*Job, error) {
 	return &j, nil
 }
 
-// Jobs lists jobs in submission order; tenant filters when non-empty.
-func (c *Client) Jobs(ctx context.Context, tenant string) ([]*Job, error) {
-	path := apiPrefix + "/jobs"
-	if tenant != "" {
-		path += "?tenant=" + url.QueryEscape(tenant)
-	}
+// Jobs lists jobs in submission order.
+func (c *Client) Jobs(ctx context.Context) ([]*Job, error) {
 	var jobs []*Job
-	if err := c.do(ctx, http.MethodGet, path, nil, &jobs); err != nil {
+	if err := c.do(ctx, http.MethodGet, apiPrefix+"/jobs", nil, &jobs); err != nil {
 		return nil, err
 	}
 	return jobs, nil

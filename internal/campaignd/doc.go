@@ -1,8 +1,8 @@
 // Package campaignd implements the durable always-on campaign service: a
 // coordinator daemon that accepts (agents × tests) matrix jobs over an
-// HTTP/JSON API, schedules them fair-share across tenants onto one shared
-// result store (and, optionally, one persistent dist.Fleet of workers),
-// and survives being killed at any instant.
+// HTTP/JSON API, runs them first in, first out on one shared result store
+// (and, optionally, one persistent dist.Fleet of workers), and survives
+// being killed at any instant.
 //
 // # Durability model
 //
@@ -31,11 +31,10 @@
 //
 // # Scheduling
 //
-// Jobs queue per tenant; at most Config.MaxActive run concurrently. The
-// scheduler picks the next job from the tenant with the fewest running
-// jobs (ties: least recently served, then first seen), so one backlogged
-// tenant cannot starve the rest while a lone tenant still gets the whole
-// service. The order is observable through each job's StartSeq.
+// Jobs wait in one FIFO queue; at most Config.MaxActive run concurrently,
+// and the scheduler starts them in submission order. A job requeued by a
+// shutdown goes back to the head of the queue, so a resume finishes it
+// before newer work. The order is observable through each job's StartSeq.
 //
 // # API
 //

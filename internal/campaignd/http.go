@@ -16,8 +16,8 @@ const apiPrefix = "/api/v1"
 
 // Handler returns the service's HTTP API:
 //
-//	POST /api/v1/jobs             submit a JobSpec, 202 + the Job record
-//	GET  /api/v1/jobs[?tenant=t]  list jobs (submission order)
+//	POST   /api/v1/jobs             submit a JobSpec, 202 + the Job record
+//	GET    /api/v1/jobs             list jobs (submission order)
 //	GET    /api/v1/jobs/<id>        one job record
 //	DELETE /api/v1/jobs/<id>        cancel a queued or running job
 //	GET    /api/v1/jobs/<id>/events SSE progress stream until terminal
@@ -93,7 +93,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		}
 		writeJSON(w, http.StatusAccepted, j)
 	case http.MethodGet:
-		jobs := s.Jobs(r.URL.Query().Get("tenant"))
+		jobs := s.Jobs()
 		if jobs == nil {
 			jobs = []*Job{}
 		}

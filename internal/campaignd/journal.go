@@ -37,10 +37,6 @@ func (s JobState) terminal() bool {
 // the daemon expands them at submission time so the journaled spec pins the
 // concrete matrix.
 type JobSpec struct {
-	// Tenant names the job's owner for fair-share scheduling and listing;
-	// empty means "default".
-	Tenant string `json:"tenant,omitempty"`
-
 	Agents []string `json:"agents"`
 	Tests  []string `json:"tests"`
 
@@ -81,7 +77,7 @@ type Job struct {
 	// in flight.
 	Restarts int `json:"restarts,omitempty"`
 	// StartSeq is the scheduler's global dispatch counter value when the
-	// job last started — the observable fair-share order.
+	// job last started — the observable dispatch order.
 	StartSeq uint64 `json:"start_seq,omitempty"`
 
 	SubmittedUnix int64 `json:"submitted_unix"`

@@ -44,9 +44,8 @@ func (s *Server) syncGaugesLocked() {
 // JobMetrics is the per-job timing snapshot GET /jobs/<id>/metrics serves,
 // derived from the journal's lifecycle timestamps.
 type JobMetrics struct {
-	Job    string   `json:"job"`
-	Tenant string   `json:"tenant,omitempty"`
-	State  JobState `json:"state"`
+	Job   string   `json:"job"`
+	State JobState `json:"state"`
 	// QueueWaitSeconds is submission → dispatch (for still-queued jobs,
 	// submission → now). RunSeconds is dispatch → terminal (for running
 	// jobs, dispatch → now). Zero when the phase has not begun.
@@ -61,7 +60,7 @@ type JobMetrics struct {
 // metricsOf derives a JobMetrics snapshot from a job record at time now.
 func metricsOf(j *Job, now time.Time) JobMetrics {
 	m := JobMetrics{
-		Job: j.ID, Tenant: j.Spec.Tenant, State: j.State,
+		Job: j.ID, State: j.State,
 		Restarts: j.Restarts, Done: j.Done, Total: j.Total,
 		Inconsistencies: j.Inconsistencies,
 	}

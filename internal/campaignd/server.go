@@ -30,7 +30,7 @@ type Config struct {
 	// not pin their own (default store.DefaultCodeVersion()).
 	CodeVersion string
 	// MaxActive bounds concurrently running jobs (default 2). Queued jobs
-	// beyond it wait under fair-share scheduling across tenants.
+	// beyond it wait first in, first out.
 	MaxActive int
 	// Workers / ShardDepth configure each job's sched.Options (see there).
 	Workers    int
@@ -41,8 +41,8 @@ type Config struct {
 	// jobs finish. Zero keeps everything. Live jobs are never pruned.
 	Retain int
 	// Logger, when set, receives one structured line per service
-	// lifecycle event, each carrying job/tenant/state ids (and the trace
-	// id for traced jobs). Each job's sched layer logs its cell and check
+	// lifecycle event, each carrying the job id (and the trace id
+	// for traced jobs). Each job's sched layer logs its cell and check
 	// lines through it too. Nil discards them.
 	Logger *slog.Logger
 }
@@ -50,12 +50,11 @@ type Config struct {
 // Event is one progress report on a job's event stream (and the SSE wire
 // schema). Progress counters are advisory; state transitions are exact.
 type Event struct {
-	Job    string   `json:"job"`
-	Tenant string   `json:"tenant,omitempty"`
-	State  JobState `json:"state"`
-	Done   int      `json:"done"`
-	Total  int      `json:"total"`
-	Error  string   `json:"error,omitempty"`
+	Job   string   `json:"job"`
+	State JobState `json:"state"`
+	Done  int      `json:"done"`
+	Total int      `json:"total"`
+	Error string   `json:"error,omitempty"`
 }
 
 // Status is the daemon-level view the status endpoint serves.
@@ -66,37 +65,33 @@ type Status struct {
 	Done        int              `json:"done"`
 	Failed      int              `json:"failed"`
 	Cancelled   int              `json:"cancelled"`
-	Tenants     int              `json:"tenants"`
 	FleetStats  *dist.FleetStats `json:"fleet_stats,omitempty"`
 }
 
 // Server is the durable campaign coordinator: it accepts matrix jobs over
 // an HTTP/JSON API, journals them write-ahead in the store directory, and
-// executes them — over one shared worker fleet when configured — with
-// fair-share scheduling across tenants. Because every completed cell is a
-// content-addressed store entry and every exploration is byte-identical
-// across layouts, a coordinator killed at any instant (SIGKILL included)
-// and restarted on the same store resumes its in-flight jobs and produces
-// canonical reports byte-identical to uninterrupted runs.
+// executes them first in, first out — over one shared worker fleet when
+// configured. Because every completed cell is a content-addressed store
+// entry and every exploration is byte-identical across layouts, a
+// coordinator killed at any instant (SIGKILL included) and restarted on the
+// same store resumes its in-flight jobs and produces canonical reports
+// byte-identical to uninterrupted runs.
 type Server struct {
 	cfg Config
 	jr  *journal
 	log *slog.Logger
 
-	mu         sync.Mutex
-	cond       *sync.Cond
-	jobs       map[string]*Job
-	order      []string          // job ids in submission order
-	queues     map[string][]*Job // tenant → queued jobs, FIFO
-	tenantSeen []string          // tenants in first-seen order
-	runningBy  map[string]int    // tenant → running job count
-	lastServed map[string]uint64 // tenant → dispatchSeq when last scheduled
-	subs       map[string]map[chan Event]bool
-	cancels    map[string]context.CancelFunc // running job id → abort its execution
-	nextSeq    uint64
-	dispatch   uint64 // global dispatch counter (jobs' StartSeq)
-	running    int
-	closed     bool
+	mu       sync.Mutex
+	cond     *sync.Cond
+	jobs     map[string]*Job
+	order    []string // job ids in submission order
+	queue    []*Job   // queued jobs, FIFO
+	subs     map[string]map[chan Event]bool
+	cancels  map[string]context.CancelFunc // running job id → abort its execution
+	nextSeq  uint64
+	dispatch uint64 // global dispatch counter (jobs' StartSeq)
+	running  int
+	closed   bool
 
 	wg sync.WaitGroup
 
@@ -135,16 +130,13 @@ func New(cfg Config) (*Server, error) {
 		cfg.Logger = obs.NopLogger()
 	}
 	s := &Server{
-		cfg:        cfg,
-		log:        cfg.Logger.With("component", "campaignd"),
-		jr:         jr,
-		jobs:       map[string]*Job{},
-		queues:     map[string][]*Job{},
-		runningBy:  map[string]int{},
-		lastServed: map[string]uint64{},
-		subs:       map[string]map[chan Event]bool{},
-		cancels:    map[string]context.CancelFunc{},
-		nextSeq:    1,
+		cfg:     cfg,
+		log:     cfg.Logger.With("component", "campaignd"),
+		jr:      jr,
+		jobs:    map[string]*Job{},
+		subs:    map[string]map[chan Event]bool{},
+		cancels: map[string]context.CancelFunc{},
+		nextSeq: 1,
 	}
 	s.cond = sync.NewCond(&s.mu)
 
@@ -172,7 +164,7 @@ func New(cfg Config) (*Server, error) {
 		}
 		s.registerLocked(j)
 		if j.State == StateQueued {
-			s.enqueueLocked(j)
+			s.queue = append(s.queue, j)
 		}
 	}
 	if len(replayed) > 0 {
@@ -234,55 +226,16 @@ func (s *Server) releaseTracer() {
 func (s *Server) registerLocked(j *Job) {
 	s.jobs[j.ID] = j
 	s.order = append(s.order, j.ID)
-	if _, seen := s.queues[j.Spec.Tenant]; !seen {
-		s.queues[j.Spec.Tenant] = nil
-		s.tenantSeen = append(s.tenantSeen, j.Spec.Tenant)
-	}
 }
 
-// enqueueLocked appends a queued job to its tenant's FIFO.
-func (s *Server) enqueueLocked(j *Job) {
-	s.queues[j.Spec.Tenant] = append(s.queues[j.Spec.Tenant], j)
-}
-
-// requeueFrontLocked puts a requeued (shutdown-interrupted) job at the
-// head of its tenant's FIFO so a resume finishes it before newer work.
-func (s *Server) requeueFrontLocked(j *Job) {
-	s.queues[j.Spec.Tenant] = append([]*Job{j}, s.queues[j.Spec.Tenant]...)
-}
-
-// pickLocked implements fair share: among tenants with queued jobs, choose
-// the one with the fewest running jobs, breaking ties by least-recently
-// scheduled, then by first-seen order; pop its oldest queued job. One
-// backlogged tenant therefore cannot starve the others, while a lone
-// tenant still gets the whole fleet.
-func (s *Server) pickLocked() *Job {
-	best := ""
-	for _, t := range s.tenantSeen {
-		if len(s.queues[t]) == 0 {
-			continue
-		}
-		if best == "" ||
-			s.runningBy[t] < s.runningBy[best] ||
-			(s.runningBy[t] == s.runningBy[best] && s.lastServed[t] < s.lastServed[best]) {
-			best = t
+// dequeueLocked removes a queued job from the FIFO.
+func (s *Server) dequeueLocked(j *Job) {
+	for i, cand := range s.queue {
+		if cand == j {
+			s.queue = append(s.queue[:i], s.queue[i+1:]...)
+			return
 		}
 	}
-	if best == "" {
-		return nil
-	}
-	j := s.queues[best][0]
-	s.queues[best] = s.queues[best][1:]
-	return j
-}
-
-func (s *Server) hasQueuedLocked() bool {
-	for _, q := range s.queues {
-		if len(q) > 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // Submit validates, journals, and enqueues one job. The record is durable
@@ -291,16 +244,6 @@ func (s *Server) hasQueuedLocked() bool {
 // agent / the whole suite at submission time, so the journal pins the
 // concrete matrix.
 func (s *Server) Submit(spec JobSpec) (*Job, error) {
-	if spec.Tenant == "" {
-		spec.Tenant = "default"
-	}
-	for _, r := range spec.Tenant {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '-', r == '_', r == '.':
-		default:
-			return nil, fmt.Errorf("campaignd: invalid tenant %q (want [A-Za-z0-9._-]+)", spec.Tenant)
-		}
-	}
 	if len(spec.Agents) == 0 {
 		spec.Agents = agents.Names()
 	}
@@ -358,7 +301,7 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 		SubmittedUnix: time.Now().Unix(),
 	}
 	s.registerLocked(j)
-	s.enqueueLocked(j)
+	s.queue = append(s.queue, j)
 	rec := j.clone()
 	s.mu.Unlock()
 
@@ -367,13 +310,7 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 	if err := s.jr.putJob(rec); err != nil {
 		s.mu.Lock()
 		delete(s.jobs, j.ID)
-		q := s.queues[spec.Tenant]
-		for i, cand := range q {
-			if cand == j {
-				s.queues[spec.Tenant] = append(q[:i], q[i+1:]...)
-				break
-			}
-		}
+		s.dequeueLocked(j)
 		s.mu.Unlock()
 		return nil, err
 	}
@@ -382,7 +319,7 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 	s.syncGaugesLocked()
 	s.mu.Unlock()
 	s.log.Info("job submitted",
-		"job", j.ID, "tenant", spec.Tenant,
+		"job", j.ID,
 		"agents", len(spec.Agents), "tests", len(spec.Tests),
 		"crosscheck", spec.CrossCheck, obs.TraceAttr(traceIDOf(j)))
 	s.cond.Broadcast()
@@ -400,18 +337,13 @@ func (s *Server) Job(id string) (*Job, bool) {
 	return j.clone(), true
 }
 
-// Jobs returns snapshots of every job in submission order; tenant filters
-// when non-empty.
-func (s *Server) Jobs(tenant string) []*Job {
+// Jobs returns snapshots of every job in submission order.
+func (s *Server) Jobs() []*Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var out []*Job
 	for _, id := range s.order {
-		j := s.jobs[id]
-		if tenant != "" && j.Spec.Tenant != tenant {
-			continue
-		}
-		out = append(out, j.clone())
+		out = append(out, s.jobs[id].clone())
 	}
 	return out
 }
@@ -453,7 +385,7 @@ func (s *Server) Trace(id string) ([]byte, bool, error) {
 // Status snapshots daemon-level counters.
 func (s *Server) Status() Status {
 	s.mu.Lock()
-	st := Status{CodeVersion: s.cfg.CodeVersion, Tenants: len(s.tenantSeen)}
+	st := Status{CodeVersion: s.cfg.CodeVersion}
 	for _, j := range s.jobs {
 		switch j.State {
 		case StateQueued:
@@ -493,22 +425,21 @@ func (s *Server) Start(ctx context.Context) {
 func (s *Server) schedule(ctx context.Context) {
 	for {
 		s.mu.Lock()
-		for !s.closed && ctx.Err() == nil && (s.running >= s.cfg.MaxActive || !s.hasQueuedLocked()) {
+		for !s.closed && ctx.Err() == nil && (s.running >= s.cfg.MaxActive || len(s.queue) == 0) {
 			s.cond.Wait()
 		}
 		if s.closed || ctx.Err() != nil {
 			s.mu.Unlock()
 			return
 		}
-		j := s.pickLocked()
+		j := s.queue[0]
+		s.queue = s.queue[1:]
 		s.dispatch++
 		j.StartSeq = s.dispatch
 		j.State = StateRunning
 		j.StartedUnix = time.Now().Unix()
 		j.Done, j.Total = 0, 0
 		s.running++
-		s.runningBy[j.Spec.Tenant]++
-		s.lastServed[j.Spec.Tenant] = s.dispatch
 		// Each job runs under its own child context so Cancel can abort it
 		// without touching the scheduler or its siblings.
 		jctx, jcancel := context.WithCancel(ctx)
@@ -525,8 +456,7 @@ func (s *Server) schedule(ctx context.Context) {
 		if err := s.jr.putJob(rec); err != nil {
 			s.log.Error("journal write failed", "job", j.ID, "error", err)
 		}
-		s.log.Info("job started", "job", j.ID, "tenant", j.Spec.Tenant,
-			obs.TraceAttr(traceIDOf(j)))
+		s.log.Info("job started", "job", j.ID, obs.TraceAttr(traceIDOf(j)))
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
@@ -686,10 +616,11 @@ func (s *Server) finish(j *Job, apply func(*Job)) {
 	j.FinishedUnix = time.Now().Unix()
 	if j.State == StateQueued {
 		j.FinishedUnix = 0
-		s.requeueFrontLocked(j)
+		// A requeued (shutdown-interrupted) job goes to the head of the
+		// FIFO so a resume finishes it before newer work.
+		s.queue = append([]*Job{j}, s.queue...)
 	}
 	s.running--
-	s.runningBy[j.Spec.Tenant]--
 	rec := j.clone()
 	s.publishLocked(j)
 	s.syncGaugesLocked()
@@ -747,13 +678,7 @@ func (s *Server) Cancel(id string) (*Job, error) {
 	was := j.State
 	wasQueued := was == StateQueued
 	if wasQueued {
-		q := s.queues[j.Spec.Tenant]
-		for i, cand := range q {
-			if cand == j {
-				s.queues[j.Spec.Tenant] = append(q[:i], q[i+1:]...)
-				break
-			}
-		}
+		s.dequeueLocked(j)
 	} else {
 		cancelRun = s.cancels[id]
 	}
@@ -841,12 +766,11 @@ func (s *Server) progress(j *Job, done, total int) {
 // eventOfLocked snapshots a job as a stream event.
 func eventOfLocked(j *Job) Event {
 	return Event{
-		Job:    j.ID,
-		Tenant: j.Spec.Tenant,
-		State:  j.State,
-		Done:   j.Done,
-		Total:  j.Total,
-		Error:  j.Error,
+		Job:   j.ID,
+		State: j.State,
+		Done:  j.Done,
+		Total: j.Total,
+		Error: j.Error,
 	}
 }
 

@@ -95,8 +95,8 @@ type Report struct {
 	// also set).
 	Cancelled bool
 	// SolverStats aggregates the solver work this crosscheck performed
-	// across every worker: queries, cache hits, solve time, and the
-	// sessions' assumption solves and reused conjuncts. Timing fields are
+	// across every worker: queries, solve time, and the sessions'
+	// assumption solves and reused conjuncts. Timing fields are
 	// wall-clock dependent; the counters are what `soft diff -v` reports.
 	SolverStats solver.Stats
 }
@@ -135,9 +135,6 @@ func diffCond(a, b *group.Group) *sym.Expr {
 
 // Opts tunes a crosscheck run.
 type Opts struct {
-	// Solver runs the satisfiability queries (nil gets a fresh one). It is
-	// shared by all workers; solver.Solver is safe for concurrent use.
-	Solver *solver.Solver
 	// Budget, when non-zero, stops the cross product early and marks the
 	// report partial.
 	Budget time.Duration
@@ -150,35 +147,20 @@ type Opts struct {
 	Progress func(done, total int)
 }
 
-// Run crosschecks two grouped phase-1 results (which must come from the
-// same test, so the symbolic input variables coincide). A non-zero budget
-// stops the cross product early and marks the report partial.
-func Run(a, b *group.Result, s *solver.Solver, budget time.Duration) *Report {
-	return RunOpts(context.Background(), a, b, Opts{Solver: s, Budget: budget, Workers: 1})
-}
-
-// RunParallel is Run with the solver queries of the cross product fanned
-// out over the given number of workers (0 = GOMAXPROCS).
-func RunParallel(a, b *group.Result, s *solver.Solver, budget time.Duration, workers int) *Report {
-	return RunOpts(context.Background(), a, b, Opts{Solver: s, Budget: budget, Workers: workers})
-}
-
-// RunOpts is the full-control entry point: crosscheck a against b under
-// ctx. Each (i, j) group pair is an independent satisfiability query.
-// Every worker owns one bitblast.Session for the whole run, so the group
-// conditions it meets are encoded once; workers share only the solver's
-// query cache. Inconsistencies are reported in (i, j) row-major order — the
-// same order a sequential run produces — and because the solver's answer
-// and canonical model are a function of the query alone (not of the
-// session or the worker), a full (non-partial) parallel report is
-// identical to a sequential one.
+// RunOpts crosschecks two grouped phase-1 results (which must come from
+// the same test, so the symbolic input variables coincide) under ctx. Each
+// (i, j) group pair is an independent satisfiability query. Every worker
+// owns one bitblast.Session for the whole run, so the group conditions it
+// meets are encoded once; the run's solver only counts the workers'
+// queries into Report.SolverStats. Inconsistencies are reported in (i, j)
+// row-major order — the same order a sequential run produces — and because
+// the solver's answer and canonical model are a function of the query
+// alone (not of the session or the worker), a full (non-partial) parallel
+// report is identical to a sequential one.
 // Cancelling ctx stops the scan at the next pair boundary and marks the
 // report Partial and Cancelled.
 func RunOpts(ctx context.Context, a, b *group.Result, o Opts) *Report {
-	s := o.Solver
-	if s == nil {
-		s = solver.New()
-	}
+	s := solver.New()
 	workers := o.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -200,7 +182,6 @@ func RunOpts(ctx context.Context, a, b *group.Result, o Opts) *Report {
 	// Pairs are indexed row-major: pair k = (k/nb, k%nb). Workers claim the
 	// next unclaimed pair, so with one worker the scan order — and the
 	// budget cutoff prefix — matches the historical sequential loop.
-	statsBefore := s.Stats()
 	found := make([]*Inconsistency, total)
 	var next, queries, done atomic.Int64
 	var partial, cancelled atomic.Bool
@@ -267,7 +248,7 @@ func RunOpts(ctx context.Context, a, b *group.Result, o Opts) *Report {
 	rep.Queries = int(queries.Load())
 	rep.Partial = partial.Load()
 	rep.Cancelled = cancelled.Load()
-	rep.SolverStats = s.Stats().Sub(statsBefore)
+	rep.SolverStats = s.Stats()
 	rep.Elapsed = time.Since(start)
 	return rep
 }

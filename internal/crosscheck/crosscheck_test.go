@@ -1,6 +1,7 @@
 package crosscheck
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -10,7 +11,6 @@ import (
 	"github.com/soft-testing/soft/internal/agents/refswitch"
 	"github.com/soft-testing/soft/internal/group"
 	"github.com/soft-testing/soft/internal/harness"
-	"github.com/soft-testing/soft/internal/solver"
 	"github.com/soft-testing/soft/internal/sym"
 )
 
@@ -28,7 +28,7 @@ func TestSelfCrosscheckIsClean(t *testing.T) {
 	// An agent crosschecked against itself has identical groups
 	// everywhere: zero inconsistencies (soundness smoke test).
 	ga := grouped(t, refswitch.New(), "Stats Request")
-	rep := Run(ga, ga, nil, 0)
+	rep := RunOpts(context.Background(), ga, ga, Opts{Workers: 1})
 	if len(rep.Inconsistencies) != 0 {
 		t.Fatalf("self-check found %d inconsistencies", len(rep.Inconsistencies))
 	}
@@ -39,7 +39,7 @@ func TestStatsRequestFindsSilentIgnores(t *testing.T) {
 	// OVS errors.
 	ga := grouped(t, refswitch.New(), "Stats Request")
 	gb := grouped(t, ovs.New(), "Stats Request")
-	rep := Run(ga, gb, nil, 0)
+	rep := RunOpts(context.Background(), ga, gb, Opts{Workers: 1})
 	if len(rep.Inconsistencies) == 0 {
 		t.Fatal("expected inconsistencies")
 	}
@@ -60,7 +60,7 @@ func TestPacketOutFindsControllerCrash(t *testing.T) {
 	// port (or the other ref crash trigger, set_vlan_vid).
 	ga := grouped(t, refswitch.New(), "Packet Out")
 	gb := grouped(t, ovs.New(), "Packet Out")
-	rep := Run(ga, gb, nil, 0)
+	rep := RunOpts(context.Background(), ga, gb, Opts{Workers: 1})
 	found := false
 	for _, inc := range rep.Inconsistencies {
 		if inc.ACrashed && !inc.BCrashed {
@@ -83,7 +83,7 @@ func TestWitnessesAreRealInconsistencies(t *testing.T) {
 	// it.
 	ga := grouped(t, refswitch.New(), "Stats Request")
 	gb := grouped(t, ovs.New(), "Stats Request")
-	rep := Run(ga, gb, nil, 0)
+	rep := RunOpts(context.Background(), ga, gb, Opts{Workers: 1})
 	for _, inc := range rep.Inconsistencies {
 		condA := ga.Groups[inc.AIndex].Cond
 		condB := gb.Groups[inc.BIndex].Cond
@@ -117,7 +117,7 @@ func TestWitnessReplayDiffers(t *testing.T) {
 	tt, _ := harness.TestByName("Packet Out")
 	ga := grouped(t, refswitch.New(), "Packet Out")
 	gb := grouped(t, ovs.New(), "Packet Out")
-	rep := Run(ga, gb, nil, 0)
+	rep := RunOpts(context.Background(), ga, gb, Opts{Workers: 1})
 	if len(rep.Inconsistencies) == 0 {
 		t.Fatal("expected inconsistencies")
 	}
@@ -152,7 +152,7 @@ func TestQueryBound(t *testing.T) {
 	// §3.4: at most |RES_A| x |RES_B| solver queries.
 	ga := grouped(t, refswitch.New(), "Stats Request")
 	gb := grouped(t, ovs.New(), "Stats Request")
-	rep := Run(ga, gb, nil, 0)
+	rep := RunOpts(context.Background(), ga, gb, Opts{Workers: 1})
 	if rep.Queries > len(ga.Groups)*len(gb.Groups) {
 		t.Fatalf("%d queries exceed the %d bound", rep.Queries, len(ga.Groups)*len(gb.Groups))
 	}
@@ -161,7 +161,7 @@ func TestQueryBound(t *testing.T) {
 func TestBudgetMarksPartial(t *testing.T) {
 	ga := grouped(t, refswitch.New(), "Packet Out")
 	gb := grouped(t, ovs.New(), "Packet Out")
-	rep := Run(ga, gb, solver.New(), time.Nanosecond)
+	rep := RunOpts(context.Background(), ga, gb, Opts{Budget: time.Nanosecond, Workers: 1})
 	if !rep.Partial {
 		t.Fatal("nanosecond budget must leave the check partial")
 	}
@@ -172,7 +172,7 @@ func TestRootCausesFewerThanInconsistencies(t *testing.T) {
 	// compress the report.
 	ga := grouped(t, refswitch.New(), "Packet Out")
 	gb := grouped(t, ovs.New(), "Packet Out")
-	rep := Run(ga, gb, nil, 0)
+	rep := RunOpts(context.Background(), ga, gb, Opts{Workers: 1})
 	if len(rep.Inconsistencies) < 10 {
 		t.Fatalf("expected a rich inconsistency set, got %d", len(rep.Inconsistencies))
 	}
@@ -181,20 +181,20 @@ func TestRootCausesFewerThanInconsistencies(t *testing.T) {
 	}
 }
 
-// TestSessionCounters: every query that misses the cache and the fast
-// path is one assumption solve on a worker's session, and the sessions
+// TestSessionCounters: every query the fast path does not decide is one
+// assumption solve on a worker's session, and the sessions
 // serve group conditions encoded for earlier queries from their activation
 // caches.
 func TestSessionCounters(t *testing.T) {
 	ga := grouped(t, refswitch.New(), "Packet Out")
 	gb := grouped(t, ovs.New(), "Packet Out")
 	for _, workers := range []int{1, 2} {
-		st := RunParallel(ga, gb, nil, 0, workers).SolverStats
+		st := RunOpts(context.Background(), ga, gb, Opts{Workers: workers}).SolverStats
 		if st.ConstraintsReused == 0 {
 			t.Errorf("workers=%d: no constraint reused: %+v", workers, st)
 		}
-		if want := st.Queries - st.CacheHits - st.FastPathConst; st.AssumptionSolves != want {
-			t.Errorf("workers=%d: AssumptionSolves = %d, want Queries-CacheHits-FastPathConst = %d",
+		if want := st.Queries - st.FastPathConst; st.AssumptionSolves != want {
+			t.Errorf("workers=%d: AssumptionSolves = %d, want Queries-FastPathConst = %d",
 				workers, st.AssumptionSolves, want)
 		}
 	}
@@ -217,6 +217,6 @@ func BenchmarkCrosscheckStatsRequest(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Run(ga, gb, solver.New(), 0)
+		RunOpts(context.Background(), ga, gb, Opts{Workers: 1})
 	}
 }

@@ -18,11 +18,11 @@ var (
 	mExpirations     = obs.NewCounter("soft_fleet_expirations_total")
 	mStaleResults    = obs.NewCounter("soft_fleet_stale_results_total")
 	// mWorkersConnected tracks live worker connections (welcomed minus
-	// departed) for the `soft top` dashboard.
+	// departed) for /metrics readers.
 	mWorkersConnected = obs.NewGauge("soft_fleet_workers_connected")
 	// mPathsDone counts paths banked into jobs (coordinator-local split
-	// paths and accepted shard results): the numerator of the dashboard's
-	// paths/sec rate.
+	// paths and accepted shard results): the numerator of a paths/sec
+	// rate.
 	mPathsDone = obs.NewCounter("soft_fleet_paths_completed_total")
 	// mLeaseRTT is the grant-to-first-accepted-result round trip per shard.
 	mLeaseRTT = obs.NewHistogram("soft_fleet_lease_rtt_ns")

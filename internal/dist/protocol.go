@@ -463,7 +463,8 @@ func decodeProgress(p []byte) (progressMsg, error) {
 	return m, d.done()
 }
 
-// encodeStats flattens solver statistics into the payload.
+// encodeStats flattens solver statistics into the payload. CacheHits is
+// always 0 but keeps its slot, so the wire format is unchanged.
 func (e *enc) stats(st solver.Stats) {
 	e.i64(st.Queries)
 	e.i64(st.CacheHits)

@@ -84,7 +84,7 @@
 //   - job, lease, shard: the dist work-unit ids, outermost first
 //   - worker: the worker's self-reported name
 //   - agent, test (agent_a, agent_b for a pair check): campaign cells
-//   - tenant, state: campaign-service job lifecycle fields
+//   - was: a cancelled campaign-service job's state before the cancel
 //   - trace: the hex trace id (TraceAttr; omitted when untraced)
 //
 // Lines are emitted at Info for lifecycle transitions (lease granted,

@@ -12,7 +12,7 @@ import (
 // terminal lines; a collector adds its own), JSON output carries the
 // standard slog time field for ingestion. Every line about a unit of
 // work carries that unit's ids as attributes: job, lease, shard, worker,
-// trace, tenant.
+// trace.
 
 // Log format names accepted by NewLogger and the CLI -log-format flags.
 const (

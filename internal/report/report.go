@@ -12,6 +12,7 @@
 package report
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -24,7 +25,6 @@ import (
 	"github.com/soft-testing/soft/internal/crosscheck"
 	"github.com/soft-testing/soft/internal/group"
 	"github.com/soft-testing/soft/internal/harness"
-	"github.com/soft-testing/soft/internal/solver"
 )
 
 // Options configures an evaluation run.
@@ -38,11 +38,13 @@ type Options struct {
 	Quick bool
 }
 
-func (o *Options) checkBudget() time.Duration {
-	if o.CheckBudget == 0 {
-		return 2 * time.Minute
+// runCheck runs one sequential crosscheck under the run's budget.
+func (o *Options) runCheck(a, b *group.Result) *crosscheck.Report {
+	budget := o.CheckBudget
+	if budget == 0 {
+		budget = 2 * time.Minute
 	}
-	return o.CheckBudget
+	return crosscheck.RunOpts(context.Background(), a, b, crosscheck.Opts{Budget: budget, Workers: 1})
 }
 
 // Agents returns the three agents of the evaluation in table order,
@@ -166,7 +168,6 @@ var table3Tests = []string{
 // Table3Data runs grouping and crosschecking for the Table 3 tests.
 func Table3Data(o Options) []Row3 {
 	ref, ov := agents.MustByName("ref"), agents.MustByName("ovs")
-	s := solver.New()
 	var rows []Row3
 	for _, name := range table3Tests {
 		if o.Quick && quickSkip(name) {
@@ -180,7 +181,7 @@ func Table3Data(o Options) []Row3 {
 		rb := harness.Explore(ov, t, harness.Options{MaxPaths: o.MaxPaths})
 		ga := group.Paths(ra.Serialized())
 		gb := group.Paths(rb.Serialized())
-		rep := crosscheck.Run(ga, gb, s, o.checkBudget())
+		rep := o.runCheck(ga, gb)
 		rows = append(rows, Row3{
 			Test:            name,
 			GroupTimeRef:    ga.Elapsed,
@@ -339,7 +340,6 @@ type InjectedFinding struct {
 // reports which of the 7 injected modifications were pinpointed.
 func InjectedData(o Options) []InjectedFinding {
 	ref, mod := agents.MustByName("ref"), agents.MustByName("modified")
-	s := solver.New()
 	var all []crosscheck.Inconsistency
 	// The full FlowMod test subsumes Priority FlowMod but costs orders of
 	// magnitude more exploration; the focused variant catches the same
@@ -352,7 +352,7 @@ func InjectedData(o Options) []InjectedFinding {
 		}
 		ra := harness.Explore(ref, t, harness.Options{MaxPaths: o.MaxPaths})
 		rb := harness.Explore(mod, t, harness.Options{MaxPaths: o.MaxPaths})
-		rep := crosscheck.Run(group.Paths(ra.Serialized()), group.Paths(rb.Serialized()), s, o.checkBudget())
+		rep := o.runCheck(group.Paths(ra.Serialized()), group.Paths(rb.Serialized()))
 		all = append(all, rep.Inconsistencies...)
 	}
 	has := func(pred func(inc crosscheck.Inconsistency) bool) bool {
@@ -471,7 +471,6 @@ func Classify(inc crosscheck.Inconsistency) string {
 // §5.1.2 classes.
 func InconsistencyClasses(o Options) []ClassifiedInconsistency {
 	ref, ov := agents.MustByName("ref"), agents.MustByName("ovs")
-	s := solver.New()
 	counts := map[string]int{}
 	for _, t := range harness.Tests() {
 		if o.Quick && quickSkip(t.Name) {
@@ -479,7 +478,7 @@ func InconsistencyClasses(o Options) []ClassifiedInconsistency {
 		}
 		ra := harness.Explore(ref, t, harness.Options{MaxPaths: o.MaxPaths})
 		rb := harness.Explore(ov, t, harness.Options{MaxPaths: o.MaxPaths})
-		rep := crosscheck.Run(group.Paths(ra.Serialized()), group.Paths(rb.Serialized()), s, o.checkBudget())
+		rep := o.runCheck(group.Paths(ra.Serialized()), group.Paths(rb.Serialized()))
 		for _, inc := range rep.Inconsistencies {
 			counts[Classify(inc)]++
 		}

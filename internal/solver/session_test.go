@@ -58,7 +58,6 @@ func TestSessionMatchesFreshCheck(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		s := New()
-		s.DisableCache = true
 		sess := bitblast.NewSession()
 		var pool []*sym.Expr
 		var sat, unsat, partial int
@@ -105,7 +104,8 @@ func TestSessionMatchesFreshCheck(t *testing.T) {
 }
 
 // TestCacheKeyIsStructural: two structurally equal queries built
-// independently share one cache entry.
+// independently get the same answer and canonical model. The solver keeps
+// no query cache, so each is its own solve and no hit is counted.
 func TestCacheKeyIsStructural(t *testing.T) {
 	build := func() *sym.Expr {
 		x := sym.Var("x", 16)
@@ -117,56 +117,7 @@ func TestCacheKeyIsStructural(t *testing.T) {
 	if r1 != Sat || r2 != Sat || !reflect.DeepEqual(m1, m2) {
 		t.Fatalf("answers differ: %v %v / %v %v", r1, m1, r2, m2)
 	}
-	if st := s.Stats(); st.CacheHits != 1 || st.AssumptionSolves != 1 {
-		t.Fatalf("CacheHits = %d, AssumptionSolves = %d; want 1 and 1", st.CacheHits, st.AssumptionSolves)
-	}
-}
-
-// TestCacheLookupConfirmsKey forges an entry for a different expression
-// into the hash bucket of a query. The hash only picks the bucket; lookup
-// must confirm the key with sym.Equal and skip the forgery.
-func TestCacheLookupConfirmsKey(t *testing.T) {
-	s := New()
-	x := sym.Var("x", 16)
-	q := sym.EqConst(x, 42)
-	other := sym.EqConst(x, 43)
-	forged := &cacheEntry{key: other, done: make(chan struct{}), res: Sat, model: sym.Assignment{"x": 43}}
-	close(forged.done)
-	sh := &s.shards[q.Hash()%numShards]
-	sh.live[q.Hash()] = []*cacheEntry{forged}
-
-	if ent := sh.lookup(q); ent != nil {
-		t.Fatalf("lookup returned the forged entry for %v", ent.key)
-	}
-	if r, m := s.Check(q); r != Sat || m["x"] != 42 {
-		t.Fatalf("Check served the forged entry: %v %v", r, m)
-	}
-	if st := s.Stats(); st.CacheHits != 0 {
-		t.Fatalf("CacheHits = %d, want 0", st.CacheHits)
-	}
-	if got := len(sh.live[q.Hash()]); got != 2 {
-		t.Fatalf("bucket holds %d entries, want the forgery and the real one", got)
-	}
-	if ent := sh.lookup(q); ent == nil || !sym.Equal(ent.key, q) {
-		t.Fatal("the real entry was not cached beside the forgery")
-	}
-}
-
-// TestPanicLeavesNoCacheEntry: a query whose solve panics is evicted from
-// its hash bucket, so the cache holds nothing for it afterwards.
-func TestPanicLeavesNoCacheEntry(t *testing.T) {
-	s := New()
-	bad := sym.LAnd(
-		sym.EqConst(sym.Var("w", 8), 1),
-		sym.EqConst(sym.Var("w", 16), 2),
-	)
-	func() {
-		defer func() { _ = recover() }()
-		s.Check(bad)
-	}()
-	for i := range s.shards {
-		if n := len(s.shards[i].live); n != 0 {
-			t.Fatalf("shard %d still holds %d hash buckets after the panic", i, n)
-		}
+	if st := s.Stats(); st.AssumptionSolves != 2 || st.CacheHits != 0 {
+		t.Fatalf("AssumptionSolves = %d, CacheHits = %d; want 2 and 0", st.AssumptionSolves, st.CacheHits)
 	}
 }

@@ -11,11 +11,9 @@ import (
 
 // TestSharedSolverStress hammers one shared solver from 8 goroutines with
 // overlapping, structurally equal queries (run it under -race via `make
-// race`). Every answer and model must equal the sequential oracle's, and —
-// because structurally equal queries are single-flighted — the cache
-// accounting must be exact: each distinct query is solved exactly once, so
-// with G goroutines issuing the same N queries, Queries = G*N and
-// CacheHits = G*N - N.
+// race`). Every answer and model must equal the sequential oracle's, and
+// the atomic counters must account for every query exactly: with G
+// goroutines issuing the same N queries, Queries = G*N.
 func TestSharedSolverStress(t *testing.T) {
 	x := sym.Var("x", 16)
 	y := sym.Var("y", 8)
@@ -78,12 +76,8 @@ func TestSharedSolverStress(t *testing.T) {
 
 	st := shared.Stats()
 	wantQueries := int64(goroutines * len(queries))
-	wantHits := wantQueries - int64(len(queries))
 	if st.Queries != wantQueries {
 		t.Fatalf("Queries = %d, want %d", st.Queries, wantQueries)
-	}
-	if st.CacheHits != wantHits {
-		t.Fatalf("CacheHits = %d, want exactly %d (single-flight dedup)", st.CacheHits, wantHits)
 	}
 	if st.SatQueries+st.UnsatQueries != wantQueries {
 		t.Fatalf("Sat+Unsat = %d, want %d", st.SatQueries+st.UnsatQueries, wantQueries)
@@ -91,9 +85,8 @@ func TestSharedSolverStress(t *testing.T) {
 }
 
 // TestCheckPanicDoesNotPoisonCache: a query whose encoding panics (same
-// variable at two widths) must propagate the panic to every caller — the
-// single-flight entry may neither hang waiters on a never-closed channel
-// nor serve them a bogus zero result — and must leave the solver usable.
+// variable at two widths) must propagate the panic to every caller,
+// concurrent ones included, and must leave the shared solver usable.
 func TestCheckPanicDoesNotPoisonCache(t *testing.T) {
 	s := New()
 	bad := sym.LAnd(
@@ -122,9 +115,37 @@ func TestCheckPanicDoesNotPoisonCache(t *testing.T) {
 			t.Fatalf("caller %d did not observe the encoding panic", i)
 		}
 	}
-	// The poisoned entry was evicted; unrelated queries still work.
 	x := sym.Var("x", 8)
 	if r, m := s.Check(sym.EqConst(x, 5)); r != Sat || m["x"] != 5 {
+		t.Fatalf("solver unusable after panic: %v %v", r, m)
+	}
+}
+
+// TestPanicLeavesNoCacheEntry: a query whose solve panics leaves no answer
+// behind. Asking it again panics again rather than returning a stored
+// result, no sat or unsat outcome is counted for it, and a later query on
+// the same solver is answered correctly.
+func TestPanicLeavesNoCacheEntry(t *testing.T) {
+	s := New()
+	bad := sym.LAnd(
+		sym.EqConst(sym.Var("w", 8), 1),
+		sym.EqConst(sym.Var("w", 16), 2),
+	)
+	for i := 0; i < 2; i++ {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("attempt %d did not panic", i)
+				}
+			}()
+			s.Check(bad)
+		}()
+	}
+	if st := s.Stats(); st.SatQueries+st.UnsatQueries != 0 || st.CacheHits != 0 {
+		t.Fatalf("a panicking query recorded an outcome: %+v", st)
+	}
+	y := sym.Var("y", 8)
+	if r, m := s.Check(sym.Ult(y, sym.Const(8, 3))); r != Sat || m["y"] >= 3 {
 		t.Fatalf("solver unusable after panic: %v %v", r, m)
 	}
 }

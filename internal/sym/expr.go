@@ -82,7 +82,7 @@ type Expr struct {
 	Kids []*Expr
 
 	hash uint64
-	size int32 // total operator nodes in the DAG, counted as a tree
+	size int32 // total operator nodes in the DAG, counted as a tree; saturates at math.MaxInt32
 }
 
 // IsBool reports whether e is a boolean expression.
@@ -155,7 +155,8 @@ func (e *Expr) Hash() uint64 { return e.hash }
 
 // Size returns the number of operator nodes in e counted as a tree. This is
 // the "constraint size" metric the paper reports in Table 2 (number of
-// boolean/bitvector operations in a path condition).
+// boolean/bitvector operations in a path condition). It saturates at
+// math.MaxInt32 on DAGs whose tree count exceeds it.
 func (e *Expr) Size() int { return int(e.size) }
 
 // Equal reports structural equality of two expressions.

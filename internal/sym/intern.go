@@ -1,7 +1,10 @@
 package sym
 
-import "sync"
-import "sync/atomic"
+import (
+	"math"
+	"sync"
+	"sync/atomic"
+)
 
 // Hash-consed interning. Every constructor hands its node's fields and kids
 // to mk, which hashes them and looks the structure up before allocating
@@ -58,16 +61,20 @@ func mk(op Op, w uint8, k, k2 uint64, name string, kids ...*Expr) *Expr {
 		}
 	}
 	e := &Expr{Op: op, W: w, K: k, K2: k2, Name: name, hash: h}
+	var size int64
 	if op != OpConst && op != OpVar && op != OpBool {
-		e.size = 1
+		size = 1
 	}
 	if len(kids) > 0 {
 		e.Kids = make([]*Expr, len(kids))
 		copy(e.Kids, kids)
 		for _, kid := range kids {
-			e.size += kid.size
+			size += int64(kid.size)
 		}
 	}
+	// A heavily shared DAG counted as a tree outgrows int32; saturate so
+	// Size never wraps negative.
+	e.size = int32(min(size, math.MaxInt32))
 	if s.n < internShardCap {
 		s.m[h] = append(s.m[h], e)
 		s.n++

@@ -1,6 +1,7 @@
 package sym
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -91,5 +92,21 @@ func TestJunctionDedupKeepsFirstOccurrenceOrder(t *testing.T) {
 		if k != wide[i] {
 			t.Fatalf("wide LOr kid %d out of first-occurrence order", i)
 		}
+	}
+}
+
+// TestSizeSaturates: a DAG whose tree count outgrows int32 (40 levels of
+// Add(e, e) count 2^41-1 nodes) reports math.MaxInt32, never a wrapped
+// negative size.
+func TestSizeSaturates(t *testing.T) {
+	e := Var("sz", 16)
+	for i := 0; i < 40; i++ {
+		e = Add(e, e)
+		if e.Size() <= 0 {
+			t.Fatalf("level %d: Size() = %d, want positive", i+1, e.Size())
+		}
+	}
+	if got := e.Size(); got != math.MaxInt32 {
+		t.Fatalf("Size() = %d, want math.MaxInt32", got)
 	}
 }

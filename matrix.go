@@ -70,7 +70,7 @@ func CodeVersion() string { return store.DefaultCodeVersion() }
 // has no deterministic meaning). Options: WithMaxPaths, WithMaxDepth,
 // WithModels, WithWorkers, WithBudget, WithStore,
 // WithCodeVersion, WithFleetListener, WithShardDepth, WithLeaseTimeout,
-// WithCrossCheck, WithCampaignService, WithTenant, WithScenarios,
+// WithCrossCheck, WithCampaignService, WithScenarios,
 // WithProgress, WithLogger.
 func RunMatrix(ctx context.Context, agents, tests []string, opts ...Option) (*MatrixReport, error) {
 	cfg := newConfig(opts)

@@ -21,7 +21,6 @@ type config struct {
 	models   bool
 	budget   time.Duration
 	strategy Strategy
-	solver   *Solver
 	progress func(Event)
 
 	canonicalCut bool
@@ -36,7 +35,6 @@ type config struct {
 	noCrossCheck bool
 
 	campaignURL string
-	tenant      string
 
 	scenarios []string
 }
@@ -80,12 +78,6 @@ func WithStrategy(s Strategy) Option { return func(c *config) { c.strategy = s }
 // make results self-contained test suites but cost one extra solver call
 // per path.
 func WithModels(want bool) Option { return func(c *config) { c.models = want } }
-
-// WithSolver shares an existing solver (and its query cache) across
-// CrossCheck calls; nil means a fresh solver per call. Exploration never
-// uses it: each exploration worker answers its path queries on its own
-// incremental SAT session.
-func WithSolver(s *Solver) Option { return func(c *config) { c.solver = s } }
 
 // WithCanonicalCut controls how a MaxPaths cap truncates Explore and
 // ExploreHandler. On, the run keeps the MaxPaths canonically smallest
@@ -137,11 +129,6 @@ func WithCrossCheck(on bool) Option { return func(c *config) { c.noCrossCheck = 
 func WithCampaignService(baseURL string) Option {
 	return func(c *config) { c.campaignURL = baseURL }
 }
-
-// WithTenant names the submitting tenant for campaign-service jobs
-// (default "default"). The service schedules fair-share across tenants,
-// so one backlogged tenant cannot starve the rest.
-func WithTenant(name string) Option { return func(c *config) { c.tenant = name } }
 
 // WithScenarios appends the named scenarios (registered via
 // RegisterScenario, or generated "gen:<index>" names) as extra columns of
@@ -215,8 +202,8 @@ type Event struct {
 	// Total is the known amount of work (group pairs for PhaseCrossCheck;
 	// 0 for PhaseExplore, where the path count is not known in advance).
 	Total int
-	// Stats carries the stage's solver statistics (queries, cache hits,
-	// solve time). It is set only on the final event a stage emits, after
+	// Stats carries the stage's solver statistics (queries, solve time,
+	// session work). It is set only on the final event a stage emits, after
 	// its work completed; nil on incremental events.
 	Stats *SolverStats
 }

@@ -1,6 +1,7 @@
 package soft
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -108,7 +109,7 @@ func TestQuickstartFullPipeline(t *testing.T) {
 	t.Run("Packet Out", func(t *testing.T) {
 		ga := exploreGrouped(t, refswitch.New(), "Packet Out")
 		gb := exploreGrouped(t, ovs.New(), "Packet Out")
-		rep := crosscheck.RunParallel(ga, gb, nil, 0, 4)
+		rep := crosscheck.RunOpts(context.Background(), ga, gb, crosscheck.Opts{Workers: 4})
 		if len(rep.Inconsistencies) == 0 {
 			t.Fatal("expected inconsistencies")
 		}
@@ -130,7 +131,7 @@ func TestQuickstartFullPipeline(t *testing.T) {
 	t.Run("Stats Request", func(t *testing.T) {
 		ga := exploreGrouped(t, refswitch.New(), "Stats Request")
 		gb := exploreGrouped(t, ovs.New(), "Stats Request")
-		rep := crosscheck.RunParallel(ga, gb, nil, 0, 4)
+		rep := crosscheck.RunOpts(context.Background(), ga, gb, crosscheck.Opts{Workers: 4})
 		silentFound := false
 		for _, inc := range rep.Inconsistencies {
 			if inc.ACanonical == "<silent>" && strings.Contains(inc.BCanonical, "ERROR") {
@@ -150,8 +151,8 @@ func TestQuickstartFullPipeline(t *testing.T) {
 func TestCrosscheckParallelMatchesSequential(t *testing.T) {
 	ga := exploreGrouped(t, refswitch.New(), "Packet Out")
 	gb := exploreGrouped(t, ovs.New(), "Packet Out")
-	seq := crosscheck.Run(ga, gb, solver.New(), 0)
-	par := crosscheck.RunParallel(ga, gb, solver.New(), 0, 4)
+	seq := crosscheck.RunOpts(context.Background(), ga, gb, crosscheck.Opts{Workers: 1})
+	par := crosscheck.RunOpts(context.Background(), ga, gb, crosscheck.Opts{Workers: 4})
 	if seq.Queries != par.Queries {
 		t.Fatalf("queries differ: %d vs %d", seq.Queries, par.Queries)
 	}

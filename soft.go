@@ -111,13 +111,12 @@ type (
 	// CoverageOptimized, Interleaved).
 	Strategy = symexec.Strategy
 
-	// Solver is the constraint-solving façade shared across pipeline
-	// stages; it is safe for concurrent use and caches query results in a
-	// sharded, single-flight cache.
+	// Solver is the constraint-solving façade behind CheckSat; it is safe
+	// for concurrent use.
 	Solver = solver.Solver
 
 	// SolverStats aggregates solver work for one pipeline stage: queries,
-	// cache hits, and solve time. Carried by Result.SolverStats, Report.SolverStats
+	// solve time, and session work. Carried by Result.SolverStats, Report.SolverStats
 	// and the final progress Event of each stage.
 	SolverStats = solver.Stats
 
@@ -157,8 +156,8 @@ func Tests() []Test { return harness.Tests() }
 // TestByName finds a test by its Table 1 name.
 func TestByName(name string) (Test, bool) { return harness.TestByName(name) }
 
-// NewSolver returns a fresh solver. Pass it with WithSolver to share one
-// query cache across several CrossCheck calls.
+// NewSolver returns a fresh solver for CheckSat; its Stats count the
+// queries it answered.
 func NewSolver() *Solver { return solver.New() }
 
 // Explore symbolically executes agent a on test t — the whole of SOFT's
@@ -193,7 +192,7 @@ func Explore(ctx context.Context, a Agent, t Test, opts ...Option) (*Result, err
 	res := harness.ExploreContext(ctx, a, t, ho)
 	if pq != nil {
 		// Final event: the stage's solver statistics, for observability of
-		// cache and session efficacy without a profiler. Total stays
+		// session efficacy without a profiler. Total stays
 		// 0 per the PhaseExplore contract (the workload is never known in
 		// advance, and a truncated run completed only part of it).
 		pq.close(Event{
@@ -269,7 +268,6 @@ func CrossCheck(ctx context.Context, a, b *Grouped, opts ...Option) (*Report, er
 	}
 	cfg := newConfig(opts)
 	co := crosscheck.Opts{
-		Solver:  cfg.solver,
 		Budget:  cfg.budget,
 		Workers: cfg.workers,
 	}

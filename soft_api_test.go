@@ -72,12 +72,11 @@ func TestPublicPipeline(t *testing.T) {
 		t.Fatal("missing test Packet Out")
 	}
 
-	s := NewSolver()
-	ra, err := Explore(ctx, ref, test, WithSolver(s), WithModels(true))
+	ra, err := Explore(ctx, ref, test, WithModels(true))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := Explore(ctx, mod, test, WithSolver(s), WithModels(true))
+	rb, err := Explore(ctx, mod, test, WithModels(true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +84,7 @@ func TestPublicPipeline(t *testing.T) {
 		t.Fatal("exhaustive exploration reported truncation")
 	}
 
-	rep, err := CrossCheck(ctx, Group(ra), Group(rb), WithSolver(s))
+	rep, err := CrossCheck(ctx, Group(ra), Group(rb))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,12 +257,11 @@ func TestCrossCheckProgressAndCancellation(t *testing.T) {
 	ref, _ := AgentByName("ref")
 	ovs, _ := AgentByName("ovs")
 	test, _ := TestByName("Packet Out")
-	s := NewSolver()
-	ra, err := Explore(ctx, ref, test, WithSolver(s), WithModels(true))
+	ra, err := Explore(ctx, ref, test, WithModels(true))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := Explore(ctx, ovs, test, WithSolver(s), WithModels(true))
+	rb, err := Explore(ctx, ovs, test, WithModels(true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +269,7 @@ func TestCrossCheckProgressAndCancellation(t *testing.T) {
 	wantTotal := len(ga.Groups) * len(gb.Groups)
 
 	var done, total atomic.Int64
-	rep, err := CrossCheck(ctx, ga, gb, WithSolver(s), WithWorkers(1),
+	rep, err := CrossCheck(ctx, ga, gb, WithWorkers(1),
 		WithProgress(func(ev Event) {
 			if ev.Phase != PhaseCrossCheck {
 				t.Errorf("unexpected phase %q", ev.Phase)
@@ -295,7 +293,7 @@ func TestCrossCheckProgressAndCancellation(t *testing.T) {
 	// Cancelling before the scan starts yields an empty partial report.
 	cctx, cancel := context.WithCancel(ctx)
 	cancel()
-	rep, err = CrossCheck(cctx, ga, gb, WithSolver(s), WithWorkers(1))
+	rep, err = CrossCheck(cctx, ga, gb, WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,8 +303,8 @@ func TestCrossCheckProgressAndCancellation(t *testing.T) {
 }
 
 // TestProgressEventStats: each stage's final progress event carries its
-// solver statistics, so embedders can observe cache and session efficacy
-// without a profiler.
+// solver statistics, so embedders can observe session efficacy without a
+// profiler.
 func TestProgressEventStats(t *testing.T) {
 	ctx := context.Background()
 	ref, _ := AgentByName("ref")
