@@ -23,7 +23,8 @@
 #                      hardware for meaningful numbers
 #   make bench-smoke   every scaling bench once (CI bit-rot guard, no timing value)
 #   make fmt-check     fail if any Go file needs gofmt
-#   make fuzz          the results-file and expression-codec fuzzers, 15 s each
+#   make fuzz          the results-file, groups-file and expression-codec
+#                      fuzzers, 15 s each
 #   make loc           non-test Go line count outside bench/ (the size the
 #                      ROADMAP tracks)
 #   make check         build + vet + fmt-check + test (what CI should run)
@@ -54,6 +55,7 @@ loc:
 FUZZTIME ?= 15s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReadResults -fuzztime $(FUZZTIME) ./internal/harness/
+	$(GO) test -run '^$$' -fuzz FuzzReadGroups -fuzztime $(FUZZTIME) ./internal/group/
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/sym/
 
 race:

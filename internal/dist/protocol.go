@@ -85,8 +85,10 @@ import (
 // from solver statistics. Version 7 dropped the incremental and
 // canonical-cut flags from job frames (workers always explore on sessions
 // with the canonical cut), the path count from progress frames, and the
-// full-solve counter from solver statistics.
-const protocolVersion = 7
+// full-solve counter from solver statistics. Version 8 writes a result
+// payload's expressions as one sharing stream: each distinct subterm once,
+// "#n" references after that (see sym.Printer).
+const protocolVersion = 8
 
 // maxFrame bounds a frame (type byte + payload). It matches the results
 // reader's line buffer: anything bigger is a corrupt or hostile peer.
@@ -143,8 +145,9 @@ func readFrame(r io.Reader) (msgType, []byte, error) {
 // signed), so payloads stay small and independent of word size.
 type enc struct {
 	b []byte
-	// pr renders a payload's expressions, each distinct subterm once; tmp
-	// holds one rendering until its length prefix is known.
+	// pr writes a payload's expressions as one sharing stream, each
+	// distinct subterm once; tmp holds one rendering until its length
+	// prefix is known.
 	pr  *sym.Printer
 	tmp []byte
 }
@@ -184,8 +187,8 @@ func (e *enc) bits(d []bool) {
 type dec struct {
 	b   []byte
 	err error
-	// rd parses a payload's expressions, each distinct subterm text once.
-	rd *sym.Reader
+	// rd reads a payload's expressions back as the one stream pr wrote.
+	rd sym.Reader
 }
 
 func (d *dec) fail(format string, args ...any) {
@@ -583,7 +586,8 @@ func (e *enc) shard(sh *harness.Shard) {
 	}
 }
 
-// expr encodes one expression as its canonical s-expression string.
+// expr encodes one expression as its s-expression string in the payload's
+// stream.
 func (e *enc) expr(x *sym.Expr) {
 	if e.pr == nil {
 		e.pr = sym.NewPrinter()
@@ -638,14 +642,11 @@ func (d *dec) shard(covMap *coverage.Map) *harness.Shard {
 	return sh
 }
 
-// expr decodes one canonical s-expression.
+// expr decodes one s-expression of the payload's stream.
 func (d *dec) expr(what string) *sym.Expr {
 	s := d.str()
 	if d.err != nil {
 		return nil
-	}
-	if d.rd == nil {
-		d.rd = sym.NewReader()
 	}
 	x, err := d.rd.Parse(s)
 	if err != nil {

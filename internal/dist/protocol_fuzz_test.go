@@ -2,7 +2,9 @@ package dist
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
+	"strings"
 	"testing"
 	"time"
 
@@ -215,6 +217,10 @@ func FuzzShardResultRoundTrip(f *testing.F) {
 	f.Add(uint64(1), uint64(3), "msg:ERROR/BAD_ACTION/4", "pkt-out:port=FLOOD", false, uint64(25), uint64(0xfffd), false, uint64(0x5a), int64(12345))
 	f.Add(uint64(0), uint64(0), "", "", true, uint64(0), uint64(0), true, uint64(0), int64(0))
 	f.Add(^uint64(0), ^uint64(0), "line1\nline2", "tab\tand\\backslash", true, uint64(1<<40), uint64(7), true, ^uint64(0), int64(-9))
+	// Strings that look like expression references stay strings; bound ==
+	// modelVal makes the second path's condition share more nodes.
+	f.Add(uint64(4), uint64(5), "#0", "(add #0 #1)", false, uint64(9), uint64(9), false, uint64(3), int64(7))
+	f.Add(uint64(6), uint64(7), "expr #2", "#18446744073709551616", true, uint64(0xffff), uint64(0xffff), true, uint64(9), int64(1))
 	f.Fuzz(func(t *testing.T, jobID, leaseID uint64, out1, out2 string, crashed bool, bound, modelVal uint64, truncated bool, decisionSeed uint64, stats int64) {
 		covMap := fuzzCovMap()
 		// Two frames of one lease exercise the per-prefix framing.
@@ -323,12 +329,48 @@ func FuzzDecodeResult(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x01})
 	f.Add(good[:len(good)/2])
+	for _, p := range badReferencePayloads(f) {
+		f.Add(p)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := decodeResult(data, fuzzCovMap())
 		if err == nil && m.shard == nil {
 			t.Fatal("nil shard accepted")
 		}
 	})
+}
+
+// badReferencePayloads encodes a good shard, then swaps its first path
+// condition for dangling, forward and self references.
+func badReferencePayloads(tb testing.TB) [][]byte {
+	covMap := fuzzCovMap()
+	good := encodeResult(resultMsg{job: 2, lease: 1, index: 0,
+		shard: buildShard(covMap, "a", "b", false, 10, 20, false, 0x33, 77)})
+	lenPrefixed := func(s string) []byte { return append(binary.AppendUvarint(nil, uint64(len(s))), s...) }
+	cond := lenPrefixed("(ult (var x 16) (const 16 10))")
+	if bytes.Count(good, cond) != 1 {
+		tb.Fatalf("first condition not found once in the payload")
+	}
+	var out [][]byte
+	for _, bad := range []string{
+		"#0",                  // dangling: nothing numbered yet
+		"(ult (var x 16) #5)", // dangling
+		"(ult #1 #0)",         // forward: #0 is the var only once parsed
+		"(ult (var x 16) #1)", // self: #1 is the ult itself
+	} {
+		out = append(out, bytes.Replace(good, cond, lenPrefixed(bad), 1))
+	}
+	return out
+}
+
+// TestDecodeResultBadReferences: a payload whose expressions reference a
+// node not yet decoded is an error, never a panic.
+func TestDecodeResultBadReferences(t *testing.T) {
+	for i, p := range badReferencePayloads(t) {
+		if _, err := decodeResult(p, fuzzCovMap()); err == nil || !strings.Contains(err.Error(), "names no earlier node") {
+			t.Fatalf("payload %d: got error %v, want a reference error", i, err)
+		}
+	}
 }
 
 // FuzzTraceRoundTrip covers the v5 span-segment payload: a worker's

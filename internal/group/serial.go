@@ -16,12 +16,13 @@ import (
 // crosschecks over the same results file can skip the grouping phase
 // entirely (the result store caches these, keyed by the source result's
 // content hash). The format follows the results-file conventions:
-// line-oriented text, canonical s-expressions, quoted strings.
+// line-oriented text, one sharing stream of sym s-expressions per file,
+// quoted strings.
 
 // groupsMagic versions the groups file format.
 const groupsMagic = "soft-groups v1"
 
-// Write serializes g. The rendering is canonical: the same grouped result
+// Write serializes g. The same grouped result, built from the same nodes,
 // always produces the same bytes (Elapsed, a wall-clock measurement, is
 // not serialized).
 func (r *Result) Write(w io.Writer) error {
@@ -30,7 +31,7 @@ func (r *Result) Write(w io.Writer) error {
 	fmt.Fprintf(bw, "agent %q\n", r.Agent)
 	fmt.Fprintf(bw, "test %q\n", r.Test)
 	fmt.Fprintf(bw, "groups %d\n", len(r.Groups))
-	// One Printer for the file renders each distinct subterm once; each
+	// One Printer for the file writes each distinct subterm once; each
 	// group's lines are appended into one reused buffer.
 	pr := sym.NewPrinter()
 	var buf []byte
@@ -80,7 +81,11 @@ func (r *Result) Write(w io.Writer) error {
 }
 
 // Read parses a groups file written by Write. The returned result's
-// Elapsed is zero: a cached grouping costs no grouping time.
+// Elapsed is zero: a cached grouping costs no grouping time. Like
+// harness.ReadResults it rejects records that disagree with the file's
+// counts: a group without exactly one cond line, an nexprs line that does
+// not match the group's expr lines, or a groups line that does not match
+// the number of groups.
 func Read(r io.Reader) (*Result, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 64*1024*1024)
@@ -99,81 +104,85 @@ func Read(r io.Reader) (*Result, error) {
 	}
 	out := &Result{}
 	var cur *Group
-	// One Reader for the file parses each distinct subterm text once.
-	rd := sym.NewReader()
+	// ngroups is the groups line's count; conds and nexprs count cur's
+	// cond lines and hold its nexprs line's count (-1: no such line yet).
+	ngroups, conds, nexprs := -1, 0, -1
+	checkGroup := func() error {
+		switch {
+		case cur == nil:
+		case conds != 1:
+			return fmt.Errorf("group: group %d has %d cond lines, want 1", len(out.Groups)-1, conds)
+		case nexprs != len(cur.Exprs):
+			return fmt.Errorf("group: group %d has %d expr lines, its nexprs line says %d", len(out.Groups)-1, len(cur.Exprs), nexprs)
+		}
+		return nil
+	}
+	// One Reader for the file: the file is one sharing stream.
+	var rd sym.Reader
 	for {
 		l, ok = line()
 		if !ok {
 			return nil, fmt.Errorf("group: truncated groups file")
 		}
 		if l == "end" {
+			if err := checkGroup(); err != nil {
+				return nil, err
+			}
+			if ngroups != len(out.Groups) {
+				return nil, fmt.Errorf("group: %d groups, the groups line says %d", len(out.Groups), ngroups)
+			}
 			return out, nil
 		}
 		field, rest, _ := strings.Cut(l, " ")
 		switch field {
+		case "canonical", "template", "cond", "nexprs", "expr", "model":
+			if cur == nil {
+				return nil, fmt.Errorf("group: %s before group", field)
+			}
+		}
+		var err error
+		switch field {
 		case "agent":
-			if _, err := fmt.Sscanf(rest, "%q", &out.Agent); err != nil {
-				return nil, fmt.Errorf("group: bad agent line: %v", err)
-			}
+			out.Agent, err = strconv.Unquote(rest)
 		case "test":
-			if _, err := fmt.Sscanf(rest, "%q", &out.Test); err != nil {
-				return nil, fmt.Errorf("group: bad test line: %v", err)
-			}
+			out.Test, err = strconv.Unquote(rest)
 		case "groups":
-			n, err := strconv.Atoi(rest)
-			if err != nil || n < 0 {
-				return nil, fmt.Errorf("group: bad groups line %q", rest)
+			if ngroups >= 0 || cur != nil {
+				err = fmt.Errorf("repeated, or after a group")
+				break
 			}
-			// The count is a capacity hint only; a corrupt one must not
-			// size the allocation.
-			out.Groups = make([]Group, 0, min(n, 1<<12))
+			if ngroups, err = strconv.Atoi(rest); err == nil && ngroups < 0 {
+				err = fmt.Errorf("negative count %d", ngroups)
+			}
+			if err == nil {
+				// The count is checked at the end and only a capacity
+				// hint here: a corrupt one must not size the allocation.
+				out.Groups = make([]Group, 0, min(ngroups, 1<<12))
+			}
 		case "group":
+			if err := checkGroup(); err != nil {
+				return nil, err
+			}
 			out.Groups = append(out.Groups, Group{})
-			cur = &out.Groups[len(out.Groups)-1]
-			var idx int
-			if _, err := fmt.Sscanf(rest, "%d paths=%d crashed=%t", &idx, &cur.PathCount, &cur.Crashed); err != nil {
-				return nil, fmt.Errorf("group: bad group line: %v", err)
-			}
+			cur, conds, nexprs = &out.Groups[len(out.Groups)-1], 0, -1
+			err = parseGroupHeader(rest, len(out.Groups)-1, cur)
 		case "canonical":
-			if cur == nil {
-				return nil, fmt.Errorf("group: canonical before group")
-			}
-			var err error
-			if cur.Canonical, err = strconv.Unquote(rest); err != nil {
-				return nil, fmt.Errorf("group: bad canonical: %v", err)
-			}
+			cur.Canonical, err = strconv.Unquote(rest)
 		case "template":
-			if cur == nil {
-				return nil, fmt.Errorf("group: template before group")
-			}
-			var err error
-			if cur.Template, err = strconv.Unquote(rest); err != nil {
-				return nil, fmt.Errorf("group: bad template: %v", err)
-			}
+			cur.Template, err = strconv.Unquote(rest)
 		case "cond":
-			if cur == nil {
-				return nil, fmt.Errorf("group: cond before group")
-			}
-			e, err := rd.Parse(rest)
-			if err != nil {
-				return nil, fmt.Errorf("group: bad cond: %v", err)
-			}
-			cur.Cond = e
+			conds++
+			cur.Cond, err = rd.Parse(rest)
 		case "nexprs":
-			// Count line; the exprs follow.
+			if nexprs, err = strconv.Atoi(rest); err == nil && nexprs < 0 {
+				err = fmt.Errorf("negative count %d", nexprs)
+			}
 		case "expr":
-			if cur == nil {
-				return nil, fmt.Errorf("group: expr before group")
+			var e *sym.Expr
+			if e, err = rd.Parse(rest); err == nil {
+				cur.Exprs = append(cur.Exprs, e)
 			}
-			e, err := rd.Parse(rest)
-			if err != nil {
-				return nil, fmt.Errorf("group: bad expr: %v", err)
-			}
-			cur.Exprs = append(cur.Exprs, e)
 		case "model":
-			if cur == nil {
-				return nil, fmt.Errorf("group: model before group")
-			}
 			cur.Model = sym.Assignment{}
 			for _, kv := range strings.Fields(rest) {
 				k, v, ok := strings.Cut(kv, "=")
@@ -189,5 +198,26 @@ func Read(r io.Reader) (*Result, error) {
 		default:
 			return nil, fmt.Errorf("group: unknown field %q", field)
 		}
+		if err != nil {
+			return nil, fmt.Errorf("group: bad %s line: %v", field, err)
+		}
 	}
+}
+
+// parseGroupHeader parses what follows "group": "N paths=N crashed=B",
+// nothing more, where N must be the group's index in the file.
+func parseGroupHeader(s string, index int, g *Group) error {
+	idx, rest, _ := strings.Cut(s, " ")
+	paths, crashed, _ := strings.Cut(rest, " ")
+	paths, ok1 := strings.CutPrefix(paths, "paths=")
+	crashed, ok2 := strings.CutPrefix(crashed, "crashed=")
+	if !ok1 || !ok2 || idx != strconv.Itoa(index) {
+		return fmt.Errorf("want \"%d paths=N crashed=B\", have %q", index, s)
+	}
+	var err error
+	g.PathCount, err = strconv.Atoi(paths)
+	if err == nil {
+		g.Crashed, err = strconv.ParseBool(crashed)
+	}
+	return err
 }

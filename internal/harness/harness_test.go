@@ -231,8 +231,8 @@ func TestResultsRoundTrip(t *testing.T) {
 }
 
 // TestResultsRewriteByteIdentical: Write∘ReadResults is the identity on
-// the bytes of a real multi-path result, so the memoized codec reads and
-// writes exactly the text the plain one does.
+// the bytes of a real multi-path result, and the sharing file is smaller
+// than the tree text (WriteTree) that holds every condition's String.
 func TestResultsRewriteByteIdentical(t *testing.T) {
 	tt, _ := TestByName("Packet Out")
 	r := Explore(refswitch.New(), tt, Options{WantModels: true})
@@ -254,11 +254,17 @@ func TestResultsRewriteByteIdentical(t *testing.T) {
 	if !bytes.Equal(first.Bytes(), second.Bytes()) {
 		t.Fatal("Write∘ReadResults changed the bytes of a Packet Out result")
 	}
-	// And the memoized bytes are the per-expression String renderings.
+	var tree bytes.Buffer
+	if err := got.WriteTree(&tree); err != nil {
+		t.Fatal(err)
+	}
+	if first.Len() >= tree.Len() {
+		t.Fatalf("sharing file is %d bytes, tree text %d", first.Len(), tree.Len())
+	}
 	for i := range got.Paths {
 		cond := "cond " + r.Paths[i].Cond.String() + "\n"
-		if !bytes.Contains(first.Bytes(), []byte(cond)) {
-			t.Fatalf("path %d: condition text missing from the file", i)
+		if !bytes.Contains(tree.Bytes(), []byte(cond)) {
+			t.Fatalf("path %d: condition text missing from the tree text", i)
 		}
 	}
 }

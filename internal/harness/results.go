@@ -16,8 +16,9 @@ import (
 // phases (§2.4: vendors run symbolic execution privately and ship only
 // these intermediate results — path conditions and normalized traces — to
 // the crosscheck). The format is line-oriented text: path conditions and
-// trace expressions are canonical sym s-expressions, templates and
-// canonicals are quoted strings.
+// trace expressions are sym s-expressions, one sharing stream per file
+// (each distinct subterm written once, "#n" after that; see sym.Printer),
+// templates and canonicals are quoted strings.
 
 // resultsMagic is the header of exhaustive results files — the original
 // format, byte-identical across worker counts. resultsMagicV2 marks files
@@ -39,6 +40,19 @@ func (r *Result) Write(w io.Writer) error {
 // result merged from distributed shards — which exists only in serialized
 // form — produces byte-identical files to an in-process exploration.
 func (r *SerializedResult) Write(w io.Writer) error {
+	return r.write(w, sym.NewPrinter())
+}
+
+// WriteTree writes r as Write does but with every expression as its full
+// tree, the format before references: text that depends on the
+// expressions' structure alone, never on how their nodes are shared.
+// store.ResultHash hashes it.
+func (r *SerializedResult) WriteTree(w io.Writer) error {
+	return r.write(w, sym.NewTreePrinter())
+}
+
+// write renders r with pr, one Printer for the whole file.
+func (r *SerializedResult) write(w io.Writer, pr *sym.Printer) error {
 	bw := bufio.NewWriter(w)
 	if r.Truncated || r.Cancelled {
 		fmt.Fprintln(bw, resultsMagicV2)
@@ -58,9 +72,7 @@ func (r *SerializedResult) Write(w io.Writer) error {
 		fmt.Fprintf(bw, "partial truncated=%t cancelled=%t\n", r.Truncated, r.Cancelled)
 	}
 	fmt.Fprintf(bw, "paths %d\n", len(r.Paths))
-	// One Printer for the file renders each distinct subterm once; each
-	// path's lines are appended into one reused buffer.
-	pr := sym.NewPrinter()
+	// Each path's lines are appended into one reused buffer.
 	var buf []byte
 	for i := range r.Paths {
 		p := &r.Paths[i]
@@ -162,7 +174,10 @@ func (r *Result) Serialized() *SerializedResult {
 	return out
 }
 
-// ReadResults parses a results file.
+// ReadResults parses a results file. Besides malformed lines it rejects a
+// file whose records disagree with its counts: a path without exactly one
+// cond line, an nexprs line that does not match the path's expr lines, or
+// a paths line that does not match the number of paths.
 func ReadResults(r io.Reader) (*SerializedResult, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 64*1024*1024)
@@ -182,19 +197,38 @@ func ReadResults(r io.Reader) (*SerializedResult, error) {
 	}
 	out := &SerializedResult{}
 	var cur *SerializedPath
-	// One Reader for the file parses each distinct subterm text once.
-	rd := sym.NewReader()
+	// npaths is the paths line's count; conds and nexprs count cur's cond
+	// lines and hold its nexprs line's count (-1: no such line yet).
+	npaths, conds, nexprs := -1, 0, -1
+	checkPath := func() error {
+		switch {
+		case cur == nil:
+		case conds != 1:
+			return fmt.Errorf("harness: path %d has %d cond lines, want 1", cur.ID, conds)
+		case nexprs != len(cur.Exprs):
+			return fmt.Errorf("harness: path %d has %d expr lines, its nexprs line says %d", cur.ID, len(cur.Exprs), nexprs)
+		}
+		return nil
+	}
+	// One Reader for the file: the file is one sharing stream.
+	var rd sym.Reader
 	for {
 		l, ok = line()
 		if !ok {
 			return nil, fmt.Errorf("harness: truncated results file")
 		}
 		if l == "end" {
+			if err := checkPath(); err != nil {
+				return nil, err
+			}
+			if npaths != len(out.Paths) {
+				return nil, fmt.Errorf("harness: %d paths, the paths line says %d", len(out.Paths), npaths)
+			}
 			return out, nil
 		}
 		field, rest, _ := strings.Cut(l, " ")
 		switch field {
-		case "cond", "template", "canonical", "expr", "model":
+		case "cond", "template", "canonical", "nexprs", "expr", "model":
 			if cur == nil {
 				return nil, fmt.Errorf("harness: %s before path", field)
 			}
@@ -216,27 +250,36 @@ func ReadResults(r io.Reader) (*SerializedResult, error) {
 		case "partial":
 			_, err = fmt.Sscanf(rest, "truncated=%t cancelled=%t", &out.Truncated, &out.Cancelled)
 		case "paths":
-			var n int
-			if n, err = strconv.Atoi(rest); err == nil && n < 0 {
-				err = fmt.Errorf("negative count %d", n)
+			if npaths >= 0 || cur != nil {
+				err = fmt.Errorf("repeated, or after a path")
+				break
+			}
+			if npaths, err = strconv.Atoi(rest); err == nil && npaths < 0 {
+				err = fmt.Errorf("negative count %d", npaths)
 			}
 			if err == nil {
-				// The count is a capacity hint only; a corrupt one must
-				// not size the allocation.
-				out.Paths = make([]SerializedPath, 0, min(n, 1<<12))
+				// The count is checked at the end and only a capacity
+				// hint here: a corrupt one must not size the allocation.
+				out.Paths = make([]SerializedPath, 0, min(npaths, 1<<12))
 			}
 		case "path":
+			if err := checkPath(); err != nil {
+				return nil, err
+			}
 			out.Paths = append(out.Paths, SerializedPath{})
-			cur = &out.Paths[len(out.Paths)-1]
-			_, err = fmt.Sscanf(rest, "%d crashed=%t branches=%d", &cur.ID, &cur.Crashed, &cur.Branches)
+			cur, conds, nexprs = &out.Paths[len(out.Paths)-1], 0, -1
+			err = parsePathHeader(rest, cur)
 		case "cond":
+			conds++
 			cur.Cond, err = rd.Parse(rest)
 		case "template":
 			cur.Template, err = strconv.Unquote(rest)
 		case "canonical":
 			cur.Canonical, err = strconv.Unquote(rest)
 		case "nexprs":
-			// Count line; the exprs follow.
+			if nexprs, err = strconv.Atoi(rest); err == nil && nexprs < 0 {
+				err = fmt.Errorf("negative count %d", nexprs)
+			}
 		case "expr":
 			var e *sym.Expr
 			if e, err = rd.Parse(rest); err == nil {
@@ -262,6 +305,27 @@ func ReadResults(r io.Reader) (*SerializedResult, error) {
 			return nil, fmt.Errorf("harness: bad %s line: %v", field, err)
 		}
 	}
+}
+
+// parsePathHeader parses what follows "path": "N crashed=B branches=N",
+// nothing more.
+func parsePathHeader(s string, p *SerializedPath) error {
+	id, rest, _ := strings.Cut(s, " ")
+	crashed, branches, _ := strings.Cut(rest, " ")
+	crashed, ok1 := strings.CutPrefix(crashed, "crashed=")
+	branches, ok2 := strings.CutPrefix(branches, "branches=")
+	if !ok1 || !ok2 {
+		return fmt.Errorf("want \"N crashed=B branches=N\", have %q", s)
+	}
+	var err error
+	p.ID, err = strconv.Atoi(id)
+	if err == nil {
+		p.Crashed, err = strconv.ParseBool(crashed)
+	}
+	if err == nil {
+		p.Branches, err = strconv.Atoi(branches)
+	}
+	return err
 }
 
 // TraceOf rebuilds a trace-comparison view for a serialized path. (The

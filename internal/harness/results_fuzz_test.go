@@ -2,10 +2,13 @@ package harness
 
 import (
 	"bytes"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"github.com/soft-testing/soft/internal/agents/refswitch"
 	"github.com/soft-testing/soft/internal/sym"
 	"github.com/soft-testing/soft/internal/trace"
 )
@@ -104,19 +107,40 @@ func FuzzResultsRoundTrip(f *testing.F) {
 }
 
 // FuzzReadResults throws arbitrary bytes at the parser: it must reject or
-// accept without panicking, and never accept input that does not start
-// with the versioned magic line.
+// accept without panicking, never accept input that does not start with
+// the versioned magic line, and whatever it accepts must write and read
+// back to the same bytes.
 func FuzzReadResults(f *testing.F) {
+	const path = "path 0 crashed=false branches=1\ntemplate \"t\"\ncanonical \"c\"\n"
 	f.Add([]byte("soft-results v1\nagent \"a\"\ntest \"t\"\npaths 0\nend\n"))
 	f.Add([]byte("soft-results v2\nend\n"))
 	f.Add([]byte(""))
 	f.Add([]byte("agent \"a\"\n"))
+	f.Add([]byte("soft-results v1\npaths 1\n" + path + "cond (ult (var x 8) (const 8 9))\nnexprs 2\nexpr #0\nexpr (add #0 #1)\nend\n"))
+	f.Add([]byte("soft-results v1\npaths 1\n" + path + "cond (ult (var x 8) #2)\nnexprs 0\nend\n"))       // forward
+	f.Add([]byte("soft-results v1\npaths 1\n" + path + "cond #0\nnexprs 0\nend\n"))                       // dangling
+	f.Add([]byte("soft-results v1\npaths 1\n" + path + "cond (lnot (eq #1 (var x 8)))\nnexprs 0\nend\n")) // self
 	f.Fuzz(func(t *testing.T, data []byte) {
 		res, err := ReadResults(bytes.NewReader(data))
-		if err == nil &&
-			!bytes.HasPrefix(data, []byte(resultsMagic+"\n")) &&
-			!bytes.HasPrefix(data, []byte(resultsMagicV2+"\n")) {
+		if err != nil {
+			return
+		}
+		if !bytes.HasPrefix(data, []byte(resultsMagic+"\n")) && !bytes.HasPrefix(data, []byte(resultsMagicV2+"\n")) {
 			t.Fatalf("accepted input without %q/%q header: %+v", resultsMagic, resultsMagicV2, res)
+		}
+		var first, second bytes.Buffer
+		if err := res.Write(&first); err != nil {
+			t.Fatal(err)
+		}
+		again, err := ReadResults(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("ReadResults of own output: %v\n%s", err, first.Bytes())
+		}
+		if err := again.Write(&second); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("Write∘ReadResults not a fixed point:\n%s\n---\n%s", first.Bytes(), second.Bytes())
 		}
 	})
 }
@@ -196,8 +220,94 @@ func TestReadResultsMalformed(t *testing.T) {
 			}
 		})
 	}
-	// A corrupt count is a capacity hint, not an allocation size.
-	if _, err := ReadResults(strings.NewReader(head + "paths 999999999999999\nend\n")); err != nil {
-		t.Fatalf("huge paths count: %v", err)
+	// A corrupt count is an error at the end, never an allocation size.
+	if _, err := ReadResults(strings.NewReader(head + "paths 999999999999999\nend\n")); err == nil ||
+		!strings.Contains(err.Error(), "the paths line says 999999999999999") {
+		t.Fatalf("huge paths count: got error %v, want a count mismatch", err)
+	}
+}
+
+// TestReadResultsRejectsMiscounts: a file whose records disagree with its
+// counts is an error, not a silently different result. Each mutation
+// removes or repeats one line of a real results file.
+func TestReadResultsRejectsMiscounts(t *testing.T) {
+	tt, _ := TestByName("Packet Out")
+	var buf bytes.Buffer
+	if err := Explore(refswitch.New(), tt, Options{WantModels: true}).Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(buf.String(), "\n")
+	// nth returns the index of the n-th line starting with prefix.
+	nth := func(prefix string, n int) int {
+		for i, l := range lines {
+			if strings.HasPrefix(l, prefix) {
+				if n == 0 {
+					return i
+				}
+				n--
+			}
+		}
+		t.Fatalf("no line %d starting with %q", n, prefix)
+		return -1
+	}
+	without := func(i int) []string { return slices.Delete(slices.Clone(lines), i, i+1) }
+	twice := func(i int) []string { return slices.Insert(slices.Clone(lines), i, lines[i]) }
+	paths, path1 := nth("paths ", 0), nth("path ", 1)
+	cases := []struct {
+		name  string
+		lines []string
+		want  string
+	}{
+		{"cond deleted", without(nth("cond ", 3)), "has 0 cond lines"},
+		{"cond repeated", twice(nth("cond ", 3)), "has 2 cond lines"},
+		{"expr deleted", without(nth("expr ", 0)), "its nexprs line says"},
+		{"expr repeated", twice(nth("expr ", 0)), "its nexprs line says"},
+		{"nexprs deleted", without(nth("nexprs ", 0)), "its nexprs line says -1"},
+		{"path header deleted", without(nth("path ", 5)), "has 2 cond lines"},
+		{"last path deleted", append(slices.Clone(lines[:nth("path ", 145)]), "end\n"), "145 paths, the paths line says 146"},
+		{"paths deleted", without(paths), "the paths line says -1"},
+		{"paths repeated", twice(paths), "bad paths line"},
+		{"paths after a path", slices.Insert(without(paths), path1-1, lines[paths]), "bad paths line"},
+		{"path header trailing garbage", slices.Replace(slices.Clone(lines), path1, path1+1,
+			strings.TrimSuffix(lines[path1], "\n")+" x\n"), "bad path line"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := ReadResults(strings.NewReader(strings.Join(c.lines, "")))
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("got error %v, want one containing %q", err, c.want)
+			}
+		})
+	}
+}
+
+// TestResultsSharedChainLinear: a path whose condition and expression are
+// a 64-level shared Add(e, e) (a tree of 2^64 nodes) goes through Write
+// and ReadResults in a file linear in the levels, back to the same nodes.
+func TestResultsSharedChainLinear(t *testing.T) {
+	e := sym.Var("sz", 16)
+	for i := 0; i < 64; i++ {
+		e = sym.Add(e, e)
+	}
+	if e.Size() != math.MaxInt32 {
+		t.Fatalf("Size() = %d, want math.MaxInt32", e.Size())
+	}
+	cond := sym.EqConst(e, 7)
+	r := &SerializedResult{Agent: "a", Test: "t", Paths: []SerializedPath{
+		{Cond: cond, Template: "out=%v", Canonical: "out=…", Exprs: []*sym.Expr{e}},
+	}}
+	var buf bytes.Buffer
+	if err := r.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if buf.Len() > 4096 {
+		t.Fatalf("results file is %d bytes, want linear in the 64 levels", buf.Len())
+	}
+	got, err := ReadResults(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := got.Paths[0]; p.Cond != cond || len(p.Exprs) != 1 || p.Exprs[0] != e {
+		t.Fatal("read back other nodes than were written")
 	}
 }

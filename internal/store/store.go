@@ -173,14 +173,15 @@ func executableHash() string {
 }
 
 // ResultHash is the content address of a serialized result: a SHA-256 over
-// its canonical rendering with the wall-clock Elapsed field zeroed, so two
-// runs of the same exploration hash identically. It keys the grouping
-// cache.
+// its tree rendering (WriteTree) with the wall-clock Elapsed field zeroed,
+// so two runs of the same exploration hash identically, however their
+// nodes are shared and whichever format their file was read from. It keys
+// the grouping cache.
 func ResultHash(r *harness.SerializedResult) (string, error) {
 	clone := *r
 	clone.Elapsed = 0
 	h := sha256.New()
-	if err := clone.Write(h); err != nil {
+	if err := clone.WriteTree(h); err != nil {
 		return "", err
 	}
 	return hex.EncodeToString(h.Sum(nil)), nil

@@ -3,42 +3,57 @@ package sym
 import (
 	"fmt"
 	"strconv"
-	"strings"
 )
 
-// The text codec. Expressions travel between SOFT's phases as canonical
+// The text codec. Expressions travel between SOFT's phases as
 // s-expressions, one per line: results files, groups files, store entries
 // and the fleet's shard payloads all use it (§2.4: the crosscheck works on
 // symbolic execution outputs, not on agent source). An expression is a
-// hash-consed DAG, but its text is the tree: a path condition that shares
-// one conjunct with a thousand other paths repeats that conjunct's text a
-// thousand times in a file.
+// hash-consed DAG, and a stream (one file, one payload) writes it as one:
+// in the spirit of SMT-LIB 2 `let` and of hash-consing (Filliâtre and
+// Conchon, ML 2006), each distinct subterm is written once and every later
+// occurrence as a back-reference.
 //
-// Printer and Reader are the one renderer and the one parser. A stream
-// (one file, one payload) that shares a Printer renders each distinct
-// subterm once and copies its text after that; a stream that shares a
-// Reader parses each distinct subterm text once and looks it up after
-// that. The memo changes no byte: the text is the same with or without
-// it. String and Parse are the same codec with no memo.
+// Numbering is implicit. The writer and the reader of a stream both count
+// the parenthesized nodes of the stream from 0, in the order each one is
+// finished (post-order, so a node's kids come before it), roots included;
+// `true` and `false` are never numbered. "#n" stands for node n, which
+// must already be finished: a forward, dangling or self reference is a
+// parse error, so no cycle can be written. A stream without "#" is the
+// plain tree text and parses as before, so files from older writers still
+// read.
+//
+// (*Expr).String, Parse and the tree Printer stay tree text: trace
+// canonicals (the group keys), scenario hashes and store.ResultHash are
+// defined over it.
 
-// Printer renders expressions in the canonical s-expression form that
-// Reader parses. A Printer made by NewPrinter memoizes the text of every
-// non-root subterm it renders, keyed by node, so a subterm seen earlier in
-// the stream is copied instead of rendered again; the zero Printer renders
-// every node. The output is byte-identical either way. A Printer is not
-// safe for concurrent use.
+// Printer renders expressions in the text form Reader parses. A Printer is
+// not safe for concurrent use; the zero Printer renders each expression
+// as its full tree.
 type Printer struct {
+	// ids numbers every node a sharing Printer has rendered.
+	ids map[*Expr]int
+	// memo holds the text of every non-root subterm a tree Printer has
+	// rendered, so a repeated subterm is copied, not rendered again.
 	memo map[*Expr]string
 }
 
-// NewPrinter returns a memoizing Printer. Use one per stream: the memo
-// holds the text of every distinct subterm rendered through it.
+// NewPrinter returns a sharing Printer: it writes each distinct node once
+// and "#n" for every later occurrence. Use one per stream, and one Reader
+// to read the stream back. The numbering follows node identity, so a node
+// that escaped interning is written again, never wrongly referenced.
 func NewPrinter() *Printer {
+	return &Printer{ids: make(map[*Expr]int)}
+}
+
+// NewTreePrinter returns a Printer whose output is byte-identical to
+// String's, memoizing the text of each subterm it renders. Use one per
+// stream.
+func NewTreePrinter() *Printer {
 	return &Printer{memo: make(map[*Expr]string)}
 }
 
-// Append appends the canonical text of e to dst and returns the extended
-// buffer.
+// Append appends the text of e to dst and returns the extended buffer.
 func (p *Printer) Append(dst []byte, e *Expr) []byte {
 	return p.append(dst, e, true)
 }
@@ -49,6 +64,11 @@ func (p *Printer) append(dst []byte, e *Expr, root bool) []byte {
 			return append(dst, "true"...)
 		}
 		return append(dst, "false"...)
+	}
+	if p.ids != nil {
+		if n, ok := p.ids[e]; ok {
+			return strconv.AppendInt(append(dst, '#'), int64(n), 10)
+		}
 	}
 	memo := !root && p.memo != nil
 	if memo {
@@ -96,6 +116,9 @@ func (p *Printer) append(dst []byte, e *Expr, root bool) []byte {
 		}
 	}
 	dst = append(dst, ')')
+	if p.ids != nil {
+		p.ids[e] = len(p.ids)
+	}
 	if memo {
 		p.memo[e] = string(dst[start:])
 	}
@@ -108,44 +131,32 @@ func (e *Expr) String() string {
 	return string(p.Append(nil, e))
 }
 
-// Reader parses the canonical s-expression form, one expression (line) at
-// a time. A Reader made by NewReader memoizes every non-root parenthesized
-// subterm it parses successfully, keyed by its exact text: a later
-// occurrence of the same text in the stream is skipped and answered from
-// the memo. The parse of a subterm depends on its text alone, so a hit
-// returns the node a re-parse would build, and only successful parses are
-// stored, so malformed input fails exactly as it does without the memo.
-// The zero Reader parses every node. A Reader is not safe for concurrent
-// use.
+// Reader parses the text Printer writes, one expression (line) at a time.
+// The expressions of one stream go through one Reader, which numbers each
+// parenthesized node as it finishes parsing it and resolves "#n" to node n.
+// A line that fails leaves the numbering as it was. The zero Reader is
+// ready to use; it is not safe for concurrent use.
 type Reader struct {
-	memo map[string]*Expr
+	nodes []*Expr
 
 	in  string
 	pos int
-	// close[i] is one past the ')' matching the '(' at in[i] (0 when it
-	// has none), filled once per line when memoizing.
-	close []int32
-	open  []int32
-}
-
-// NewReader returns a memoizing Reader. Use one per stream: the memo holds
-// every distinct subterm text parsed through it.
-func NewReader() *Reader {
-	return &Reader{memo: make(map[string]*Expr)}
 }
 
 // parseError carries a parse failure up to Parse's recover.
 type parseError struct{ err error }
 
-// Parse reads one expression from s. It never panics: malformed text and
-// ill-typed operands (width mismatches the constructors reject) are
-// errors.
+// Parse reads one expression from s. It never panics: malformed text,
+// references to nodes not yet parsed and ill-typed operands (width
+// mismatches the constructors reject) are errors.
 func (r *Reader) Parse(s string) (e *Expr, err error) {
 	r.in, r.pos = s, 0
+	n := len(r.nodes)
 	defer func() {
 		r.in = ""
 		if x := recover(); x != nil {
 			e = nil
+			r.nodes = r.nodes[:n]
 			if pe, ok := x.(parseError); ok {
 				err = pe.err
 			} else {
@@ -153,10 +164,7 @@ func (r *Reader) Parse(s string) (e *Expr, err error) {
 			}
 		}
 	}()
-	if r.memo != nil {
-		r.matchParens()
-	}
-	e = r.expr(true)
+	e = r.expr()
 	r.skipSpace()
 	if r.pos != len(r.in) {
 		r.fail("trailing input at %d: %q", r.pos, r.rest())
@@ -180,26 +188,6 @@ func MustParse(s string) *Expr {
 		panic(err)
 	}
 	return e
-}
-
-// matchParens fills close for the current line in one pass, so finding a
-// subterm's extent costs O(1) however deeply it nests.
-func (r *Reader) matchParens() {
-	if cap(r.close) < len(r.in) {
-		r.close = make([]int32, len(r.in))
-	}
-	r.close = r.close[:len(r.in)]
-	clear(r.close)
-	open := r.open[:0]
-	for i := 0; i < len(r.in); i++ {
-		if c := r.in[i]; c == '(' {
-			open = append(open, int32(i))
-		} else if c == ')' && len(open) > 0 {
-			r.close[open[len(open)-1]] = int32(i + 1)
-			open = open[:len(open)-1]
-		}
-	}
-	r.open = open
 }
 
 func (r *Reader) fail(format string, args ...any) {
@@ -259,39 +247,34 @@ func (r *Reader) uint() uint64 {
 	return v
 }
 
-func (r *Reader) expr(root bool) *Expr {
+func (r *Reader) expr() *Expr {
 	r.skipSpace()
 	if r.pos >= len(r.in) {
 		r.fail("unexpected end of input")
 	}
-	if r.in[r.pos] != '(' {
-		t := r.token()
-		switch t {
-		case "true":
-			return True
-		case "false":
-			return False
-		}
-		r.fail("unexpected token %q at %d", t, r.pos)
-	}
-	if root || r.memo == nil {
-		return r.compound()
-	}
-	end := int(r.close[r.pos])
-	if end == 0 {
-		return r.compound() // unbalanced: fails as it would unmemoized
-	}
-	text := r.in[r.pos:end]
-	if e, ok := r.memo[text]; ok {
-		r.pos = end
+	switch r.in[r.pos] {
+	case '(':
+		e := r.compound()
+		r.nodes = append(r.nodes, e)
 		return e
+	case '#':
+		r.pos++
+		t := r.token()
+		n, err := strconv.ParseUint(t, 10, 64)
+		if err != nil || n >= uint64(len(r.nodes)) {
+			r.fail("reference #%s at %d names no earlier node (%d so far)", t, r.pos, len(r.nodes))
+		}
+		return r.nodes[n]
 	}
-	e := r.compound()
-	if r.pos == end {
-		// A clone, so the key does not pin the whole line.
-		r.memo[strings.Clone(text)] = e
+	t := r.token()
+	switch t {
+	case "true":
+		return True
+	case "false":
+		return False
 	}
-	return e
+	r.fail("unexpected token %q at %d", t, r.pos)
+	return nil
 }
 
 // compound parses the parenthesized expression at r.pos.
@@ -309,16 +292,16 @@ func (r *Reader) compound() *Expr {
 	case "extract":
 		hi := r.int()
 		lo := r.int()
-		e = Extract(r.expr(false), hi, lo)
+		e = Extract(r.expr(), hi, lo)
 	case "zext":
 		w := r.int()
-		e = ZExt(r.expr(false), w)
+		e = ZExt(r.expr(), w)
 	case "shl":
 		sh := r.int()
-		e = Shl(r.expr(false), sh)
+		e = Shl(r.expr(), sh)
 	case "lshr":
 		sh := r.int()
-		e = Lshr(r.expr(false), sh)
+		e = Lshr(r.expr(), sh)
 	default:
 		var kids []*Expr
 		for {
@@ -326,7 +309,7 @@ func (r *Reader) compound() *Expr {
 			if r.pos < len(r.in) && r.in[r.pos] == ')' {
 				break
 			}
-			kids = append(kids, r.expr(false))
+			kids = append(kids, r.expr())
 		}
 		e = r.buildOp(op, kids)
 	}
