@@ -68,7 +68,7 @@ func runDiff(e *env, args []string) error {
 	fs := newFlags(e, "diff")
 	budget := fs.Duration("budget", 0, "time budget for the check (0 = unlimited)")
 	reproduce := fs.Bool("reproduce", false, "render a reproducer message per inconsistency")
-	workers := fs.Int("workers", 0, "parallel crosscheck workers (0 = GOMAXPROCS, 1 = sequential)")
+	workers := fs.Int("workers", 0, "parallel crosscheck workers (0 = GOMAXPROCS, 1 = one worker)")
 	storeDir := fs.String("store", "", "result-store directory: cache each file's grouping construction, keyed by result content and code version")
 	codeVersion := fs.String("code-version", "", "override the grouping cache's code version (default: the binary's VCS build stamp; match soft matrix -code-version)")
 	timeout := fs.Duration("timeout", 0, "hard wall-clock limit; on expiry the partial report is still printed")

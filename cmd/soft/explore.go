@@ -27,7 +27,7 @@ func runExplore(e *env, args []string) error {
 	out := fs.String("o", "", "output file (default stdout)")
 	maxPaths := fs.Int("max-paths", 0, "cap on explored paths (0 = default)")
 	models := fs.Bool("models", true, "extract a concrete input example per path")
-	workers := fs.Int("workers", 0, "parallel exploration workers (0 = GOMAXPROCS, 1 = sequential)")
+	workers := fs.Int("workers", 0, "parallel exploration workers (0 = GOMAXPROCS, 1 = one worker)")
 	canonicalCut := fs.Bool("canonical-cut", false, "make max-paths truncation canonical: keep the canonically smallest paths so truncated runs are reproducible across worker counts")
 	timeout := fs.Duration("timeout", 0, "wall-clock limit; on expiry the partial result is still written")
 	progress := fs.Bool("progress", false, "report exploration progress on stderr")

@@ -236,9 +236,8 @@ func runMatrix(e *env, args []string) error {
 		fmt.Fprintf(e.stderr, "soft matrix: result store: %d hits, %d misses; grouping cache: %d hits, %d misses\n",
 			rep.CacheHits, rep.CacheMisses, rep.GroupCacheHits, rep.GroupCacheMisses)
 		if fsStats := rep.FleetStats; fsStats != nil {
-			fmt.Fprintf(e.stderr, "soft matrix: fleet: %d workers (%d rejected), %d jobs, %d leases (%d batched, %d shards), %d re-queues, %d expirations, %d stale results\n",
-				fsStats.WorkersJoined, fsStats.WorkersRejected, fsStats.JobsCompleted,
-				fsStats.Leases, fsStats.BatchedLeases, fsStats.ShardsLeased,
+			fmt.Fprintf(e.stderr, "soft matrix: fleet: %d workers (%d rejected), %d jobs, %d leases, %d re-queues, %d expirations, %d stale results\n",
+				fsStats.WorkersJoined, fsStats.WorkersRejected, fsStats.JobsCompleted, fsStats.Leases,
 				fsStats.Requeues, fsStats.Expirations, fsStats.StaleResults)
 		}
 		fmt.Fprintf(e.stderr, "soft matrix: %s\n", describeStats(rep.SolverStats, rep.BranchQueries))

@@ -19,7 +19,7 @@ func workCmd() *command {
 func runWork(e *env, args []string) error {
 	fs := newFlags(e, "work")
 	addr := fs.String("addr", "127.0.0.1:7473", "coordinator TCP address to connect to")
-	workers := fs.Int("workers", 0, "parallel engine workers per shard (0 = GOMAXPROCS, 1 = sequential)")
+	workers := fs.Int("workers", 0, "parallel engine workers per shard (0 = GOMAXPROCS, 1 = one worker)")
 	name := fs.String("name", "", "worker name in coordinator logs (default hostname/pid)")
 	timeout := fs.Duration("timeout", 0, "wall-clock limit; on expiry the current shard is abandoned for re-lease")
 	logFormat := logFormatFlag(fs)

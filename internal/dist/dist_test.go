@@ -42,30 +42,29 @@ func singleProcessBytes(t *testing.T, o harness.Options) []byte {
 	return buf.Bytes()
 }
 
-// serveAsync runs one job on a fresh localhost fleet and shuts the fleet
-// down when the job ends. It returns the fleet's address plus a channel
-// carrying the merged result.
+// serveOutcome is what a job run by runAsync returned.
 type serveOutcome struct {
 	res *harness.MergedResult
 	err error
 }
 
-func serveAsync(t *testing.T, ctx context.Context, fc FleetConfig, jc JobConfig) (string, <-chan serveOutcome) {
-	t.Helper()
+// runAsync runs one job (ref on Packet Out unless jc names others) on f
+// and shuts the fleet down when the job ends. It returns a channel
+// carrying the merged result.
+func runAsync(ctx context.Context, f *Fleet, jc JobConfig) <-chan serveOutcome {
 	if jc.AgentName == "" {
 		jc.AgentName = "ref"
 	}
 	if jc.TestName == "" {
 		jc.TestName = "Packet Out"
 	}
-	f, addr := newTestFleet(t, fc)
 	out := make(chan serveOutcome, 1)
 	go func() {
 		res, err := f.Run(ctx, jc)
 		f.Close()
 		out <- serveOutcome{res, err}
 	}()
-	return addr, out
+	return out
 }
 
 func waitServe(t *testing.T, out <-chan serveOutcome) *harness.MergedResult {
@@ -91,6 +90,26 @@ func startWorker(ctx context.Context, addr string, engineWorkers int) <-chan err
 	return ch
 }
 
+// startJoinedWorkers starts n Work loops (2 engine workers each) and
+// returns once all of them have joined f. A test submits its work only
+// after that: when one worker drains a small job and the fleet closes its
+// listener, a worker that had not dialed yet would be refused.
+func startJoinedWorkers(t *testing.T, f *Fleet, addr string, n int) []<-chan error {
+	t.Helper()
+	chans := make([]<-chan error, n)
+	for i := range chans {
+		chans[i] = startWorker(context.Background(), addr, 2)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for f.Stats().WorkersJoined < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d workers joined within 30s", f.Stats().WorkersJoined, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return chans
+}
+
 func waitWorkers(t *testing.T, chans ...<-chan error) {
 	t.Helper()
 	for i, ch := range chans {
@@ -111,12 +130,10 @@ func waitWorkers(t *testing.T, chans ...<-chan error) {
 func TestDistributedExploreDeterminism(t *testing.T) {
 	want := singleProcessBytes(t, harness.Options{WantModels: true, Workers: 4})
 
-	ctx := context.Background()
-	addr, out := serveAsync(t, ctx, FleetConfig{}, JobConfig{WantModels: true})
-	w1 := startWorker(ctx, addr, 2)
-	w2 := startWorker(ctx, addr, 2)
-	res := waitServe(t, out)
-	waitWorkers(t, w1, w2)
+	f, addr := newTestFleet(t, FleetConfig{})
+	ws := startJoinedWorkers(t, f, addr, 2)
+	res := waitServe(t, runAsync(context.Background(), f, JobConfig{WantModels: true}))
+	waitWorkers(t, ws...)
 	if got := serializeCanonical(t, res); !bytes.Equal(got, want) {
 		t.Fatalf("distributed results differ from single-process (%d vs reference bytes %d)",
 			len(got), len(want))
@@ -163,7 +180,8 @@ func TestDistributedWorkerCrashReLease(t *testing.T) {
 	want := singleProcessBytes(t, harness.Options{WantModels: true, Workers: 4})
 
 	ctx := context.Background()
-	addr, out := serveAsync(t, ctx, FleetConfig{}, JobConfig{WantModels: true})
+	f, addr := newTestFleet(t, FleetConfig{})
+	out := runAsync(ctx, f, JobConfig{WantModels: true})
 	flakyWorker(t, addr) // connects, leases, disconnects
 	w := startWorker(ctx, addr, 2)
 	res := waitServe(t, out)
@@ -180,7 +198,8 @@ func TestDistributedLeaseTimeout(t *testing.T) {
 	want := singleProcessBytes(t, harness.Options{WantModels: true, Workers: 4})
 
 	ctx := context.Background()
-	addr, out := serveAsync(t, ctx, FleetConfig{LeaseTimeout: 300 * time.Millisecond}, JobConfig{WantModels: true})
+	f, addr := newTestFleet(t, FleetConfig{LeaseTimeout: 300 * time.Millisecond})
+	out := runAsync(ctx, f, JobConfig{WantModels: true})
 
 	// Hung worker: takes a lease and never answers.
 	conn, err := net.Dial("tcp", addr)
@@ -221,12 +240,10 @@ func TestDistributedCanonicalTruncation(t *testing.T) {
 		t.Fatal("canonical truncation differs between single-process worker counts")
 	}
 
-	ctx := context.Background()
-	addr, out := serveAsync(t, ctx, FleetConfig{}, JobConfig{WantModels: true, MaxPaths: cap})
-	w1 := startWorker(ctx, addr, 2)
-	w2 := startWorker(ctx, addr, 2)
-	res := waitServe(t, out)
-	waitWorkers(t, w1, w2)
+	f, addr := newTestFleet(t, FleetConfig{})
+	ws := startJoinedWorkers(t, f, addr, 2)
+	res := waitServe(t, runAsync(context.Background(), f, JobConfig{WantModels: true, MaxPaths: cap}))
+	waitWorkers(t, ws...)
 	if !res.Truncated {
 		t.Fatal("truncated distributed run not marked truncated")
 	}
@@ -242,7 +259,8 @@ func TestDistributedCanonicalTruncation(t *testing.T) {
 // with the context error rather than hanging or emitting a result.
 func TestDistributedCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	_, out := serveAsync(t, ctx, FleetConfig{}, JobConfig{WantModels: true})
+	f, _ := newTestFleet(t, FleetConfig{})
+	out := runAsync(ctx, f, JobConfig{WantModels: true})
 	cancel() // no workers ever connect; pending shards can never finish
 	select {
 	case o := <-out:

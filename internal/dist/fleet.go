@@ -41,8 +41,10 @@ type FleetStats struct {
 	WorkersRejected int
 	// JobsCompleted counts successful Run calls.
 	JobsCompleted int
-	// Leases counts lease grants; BatchedLeases those carrying more than
-	// one shard (coalescing); ShardsLeased the total shards granted.
+	// Leases counts lease grants and ShardsLeased the shards granted; a
+	// lease carries one shard, so the two are equal. BatchedLeases is
+	// always 0: leases no longer batch shards, and the field stays only
+	// for readers that still report it.
 	Leases        int
 	BatchedLeases int
 	ShardsLeased  int
@@ -330,103 +332,67 @@ func (f *Fleet) accept() {
 	}
 }
 
-// batchSizeLocked picks how many shards to coalesce into one lease: when
-// the pending queue is much longer than the worker pool, small subtrees
-// ride together so per-shard round-trip and result-frame overhead
-// amortizes; when work is scarce each shard ships alone so it can be
-// re-leased independently.
-func (f *Fleet) batchSizeLocked(pending int) int {
-	conns := len(f.conns)
-	if conns < 1 {
-		conns = 1
-	}
-	n := pending / (2 * conns)
-	if n < 1 {
-		n = 1
-	}
-	if n > 16 {
-		n = 16
-	}
-	return n
-}
-
-// next blocks until a batch of shards is leased to conn or the fleet
-// closes (ok=false).
-func (f *Fleet) next(conn net.Conn) (*grant, bool) {
+// next blocks until a shard is leased to the caller, returning it with the
+// lease's id, or until the fleet closes (ok=false).
+func (f *Fleet) next() (s *shard, lease uint64, ok bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	for {
 		if f.closed {
-			return nil, false
+			return nil, 0, false
 		}
 		for _, j := range f.jobs {
 			if j.failed != nil || len(j.pending) == 0 {
 				continue
 			}
-			n := f.batchSizeLocked(len(j.pending))
-			g := &grant{id: f.nextLeaseID, job: j}
+			s, lease = j.pending[0], f.nextLeaseID
 			f.nextLeaseID++
-			g.shards = append(g.shards, j.pending[:n]...)
-			j.pending = j.pending[n:]
-			now := time.Now()
-			for _, s := range g.shards {
-				s.status = shardLeased
-				s.grant = g
-				s.leasedAt = now
-				if f.cfg.LeaseTimeout > 0 {
-					s.deadline = now.Add(f.cfg.LeaseTimeout)
-				}
+			j.pending = j.pending[1:]
+			s.status = shardLeased
+			s.lease = lease
+			s.leasedAt = time.Now()
+			if f.cfg.LeaseTimeout > 0 {
+				s.deadline = s.leasedAt.Add(f.cfg.LeaseTimeout)
 			}
 			f.stats.Leases++
-			f.stats.ShardsLeased += n
-			if n > 1 {
-				f.stats.BatchedLeases++
-			}
+			f.stats.ShardsLeased++
 			mLeases.Inc()
-			mShardsLeased.Add(int64(n))
-			return g, true
+			mShardsLeased.Inc()
+			return s, lease, true
 		}
 		f.cond.Wait()
 	}
 }
 
-// release returns the grant's still-leased shards (if any) to the pending
-// queue — the disconnect half of crash recovery.
-func (f *Fleet) release(g *grant) {
-	if g == nil {
+// release returns s to the pending queue if the given lease still holds
+// it — the disconnect half of crash recovery.
+func (f *Fleet) release(s *shard, lease uint64) {
+	if s == nil {
 		return
 	}
 	f.mu.Lock()
-	requeued := 0
-	for _, s := range g.shards {
-		if s.status == shardLeased && s.grant == g {
-			s.status = shardPending
-			s.grant = nil
-			g.job.pending = append(g.job.pending, s)
-			requeued++
-		}
+	requeued := s.status == shardLeased && s.lease == lease
+	if requeued {
+		s.status = shardPending
+		s.job.pending = append(s.job.pending, s)
+		f.stats.Requeues++
+		mRequeues.Inc()
 	}
-	f.stats.Requeues += requeued
-	mRequeues.Add(int64(requeued))
 	f.mu.Unlock()
-	if requeued > 0 {
+	if requeued {
 		f.log.Info("lease re-queued (worker lost)",
-			"job", g.job.id, "lease", g.id, "shards", requeued,
-			obs.TraceAttr(g.job.traceID))
+			"job", s.job.id, "lease", lease, "shard", s.id,
+			obs.TraceAttr(s.job.traceID))
 		f.cond.Broadcast()
 	}
 }
 
-// completeShard records one shard result from a lease. First completion
-// wins per shard: a result for a shard already done (a re-lease duplicate)
-// is dropped — determinism makes the copies identical anyway.
-func (f *Fleet) completeShard(g *grant, idx int, result *harness.Shard) {
-	j := g.job
+// completeShard records the result of a lease on s. First completion wins
+// per shard: a result for a shard already done (a re-lease duplicate) is
+// dropped — determinism makes the copies identical anyway.
+func (f *Fleet) completeShard(s *shard, lease uint64, result *harness.Shard) {
+	j := s.job
 	f.mu.Lock()
-	s := g.shards[idx]
-	if s.grant == g {
-		s.grant = nil
-	}
 	accepted := s.status != shardDone
 	if accepted {
 		mLeaseRTT.Observe(int64(time.Since(s.leasedAt)))
@@ -449,11 +415,11 @@ func (f *Fleet) completeShard(g *grant, idx int, result *harness.Shard) {
 	f.mu.Unlock()
 	if accepted {
 		f.log.Info("shard done",
-			"job", j.id, "lease", g.id, "shard", s.id, "paths", len(result.Paths),
+			"job", j.id, "lease", lease, "shard", s.id, "paths", len(result.Paths),
 			obs.TraceAttr(j.traceID))
 	} else {
 		f.log.Info("shard result dropped as redundant",
-			"job", j.id, "lease", g.id, "shard", s.id, obs.TraceAttr(j.traceID))
+			"job", j.id, "lease", lease, "shard", s.id, obs.TraceAttr(j.traceID))
 	}
 	// Wake everyone: handlers waiting for a lease re-check the queues, and
 	// on the final shard the job's Run loop observes completion.
@@ -484,8 +450,8 @@ func (f *Fleet) watch() {
 					continue
 				}
 				s.status = shardPending
-				// The old grant keeps its reference; if its result still
-				// arrives first it wins as before.
+				// The expired lease's result still wins if it arrives
+				// first.
 				j.pending = append(j.pending, s)
 				expiredByJob[j]++
 				f.stats.Expirations++
@@ -505,11 +471,12 @@ func (f *Fleet) watch() {
 
 // handle drives one worker connection through the protocol.
 func (f *Fleet) handle(conn net.Conn) {
-	var cur *grant
+	var cur *shard // the shard leased on this connection, if any
+	var curLease uint64
 	var curSpan obs.Span
 	welcomed := false
 	defer func() {
-		f.release(cur)
+		f.release(cur, curLease)
 		// A lease span left open by a dying worker still records what ran.
 		curSpan.End()
 		f.mu.Lock()
@@ -564,49 +531,41 @@ func (f *Fleet) handle(conn net.Conn) {
 
 	sentJobs := make(map[uint64]bool)
 	for {
-		g, ok := f.next(conn)
+		s, id, ok := f.next()
 		if !ok {
 			writeFrame(conn, msgShutdown, nil)
 			return
 		}
-		cur = g
-		if !sentJobs[g.job.id] {
-			if err := writeFrame(conn, msgJob, encodeJob(g.job.jobMsg())); err != nil {
+		cur, curLease = s, id
+		j := s.job
+		if !sentJobs[j.id] {
+			if err := writeFrame(conn, msgJob, encodeJob(j.jobMsg())); err != nil {
 				return
 			}
-			sentJobs[g.job.id] = true
-		}
-		prefixes := make([][]bool, len(g.shards))
-		for i, s := range g.shards {
-			prefixes[i] = s.prefix
+			sentJobs[j.id] = true
 		}
 		// A traced lease opens a coordinator-side span (one lane per
 		// worker pid) whose id rides the lease frame; the worker's shipped
 		// segments nest under it in the merged trace.
 		var parentSpan uint64
-		traced := g.job.traced && obs.Tracing()
+		traced := j.traced && obs.Tracing()
 		if traced {
-			curSpan = obs.StartSpan(fmt.Sprintf("lease:%d -> %s", g.id, h.name)).WithTID(int(pid))
+			curSpan = obs.StartSpan(fmt.Sprintf("lease:%d -> %s", id, h.name)).WithTID(int(pid))
 			parentSpan = curSpan.ID()
 		}
 		f.log.Info("lease granted",
-			"job", g.job.id, "lease", g.id, "worker", h.name,
-			"shards", len(g.shards), "prefix", symexec.FormatDecisions(prefixes[0]),
-			obs.TraceAttr(g.job.traceID))
+			"job", j.id, "lease", id, "worker", h.name, "shard", s.id,
+			"prefix", symexec.FormatDecisions(s.prefix), obs.TraceAttr(j.traceID))
 		if err := writeFrame(conn, msgLease, encodeLease(lease{
-			job: g.job.id, id: g.id, prefixes: prefixes,
-			traced: traced, traceID: g.job.traceID, parentSpan: parentSpan,
+			job: j.id, id: id, prefix: s.prefix,
+			traced: traced, traceID: j.traceID, parentSpan: parentSpan,
 		})); err != nil {
 			return
 		}
-		// Drain progress frames until every leased shard's result arrived —
-		// one frame per prefix, shipped as each completes, so a worker dying
-		// mid-batch only loses the unfinished remainder. Results for a stale
-		// lease id (the worker was cut loose by a re-lease that completed
-		// elsewhere) are skipped but still free the worker.
-		remaining := len(g.shards)
-		seen := make([]bool, len(g.shards))
-		for remaining > 0 {
+		// Read progress and trace frames until the lease's result arrives.
+		// A result for a stale lease id (the worker was cut loose by a
+		// re-lease that completed elsewhere) is skipped.
+		for done := false; !done; {
 			t, payload, err := readFrame(conn)
 			if err != nil {
 				return
@@ -634,25 +593,17 @@ func (f *Fleet) handle(conn net.Conn) {
 					tr.MergeSegment(m.seg, pid)
 				}
 			case msgResult:
-				r, err := decodeResult(payload, g.job.agent.CovMap())
+				r, err := decodeResult(payload, j.agent.CovMap())
 				if err != nil {
 					f.log.Warn("dropping lease result", "worker", h.name,
-						"job", g.job.id, "lease", g.id, "err", err,
-						obs.TraceAttr(g.job.traceID))
+						"job", j.id, "lease", id, "err", err, obs.TraceAttr(j.traceID))
 					return
 				}
-				if r.lease != g.id {
+				if r.lease != id {
 					continue // stale result from a pre-re-lease run
 				}
-				if r.index >= uint64(len(g.shards)) || seen[r.index] {
-					f.log.Warn("bad shard index", "worker", h.name,
-						"job", g.job.id, "lease", g.id, "index", r.index,
-						obs.TraceAttr(g.job.traceID))
-					return
-				}
-				seen[r.index] = true
-				f.completeShard(g, int(r.index), r.shard)
-				remaining--
+				f.completeShard(s, id, r.shard)
+				done = true
 			default:
 				f.log.Warn("unexpected frame type", "worker", h.name, "type", uint64(t))
 				return

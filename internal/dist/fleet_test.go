@@ -65,8 +65,7 @@ func TestFleetMultiJob(t *testing.T) {
 
 	f, addr := newTestFleet(t, FleetConfig{})
 	ctx := context.Background()
-	w1 := startWorker(ctx, addr, 2)
-	w2 := startWorker(ctx, addr, 2)
+	ws := startJoinedWorkers(t, f, addr, 2)
 
 	type outcome struct {
 		res *harness.MergedResult
@@ -99,7 +98,7 @@ func TestFleetMultiJob(t *testing.T) {
 	check("modified", modCh, wantMod)
 
 	f.Close()
-	waitWorkers(t, w1, w2)
+	waitWorkers(t, ws...)
 
 	st := f.Stats()
 	if st.JobsCompleted != 2 {
@@ -110,10 +109,10 @@ func TestFleetMultiJob(t *testing.T) {
 	}
 }
 
-// TestFleetLeaseBatching drives a deep split (many small shards) through a
-// single worker and asserts the coordinator coalesced shards into batched
-// leases — and that batching does not disturb byte-identity.
-func TestFleetLeaseBatching(t *testing.T) {
+// TestFleetDeepSplit drives a deep split (many small shards) through a
+// single worker: every lease carries exactly one shard, and the merged
+// result is byte-identical to the single-process reference.
+func TestFleetDeepSplit(t *testing.T) {
 	want := agentBytes(t, "ref", harness.Options{WantModels: true, Workers: 4})
 
 	f, addr := newTestFleet(t, FleetConfig{})
@@ -126,16 +125,16 @@ func TestFleetLeaseBatching(t *testing.T) {
 		t.Fatalf("Run: %v", err)
 	}
 	if got := serializeCanonical(t, res); !bytes.Equal(got, want) {
-		t.Fatal("batched-lease result differs from single-process reference")
+		t.Fatal("deep-split result differs from single-process reference")
 	}
 	f.Close()
 	waitWorkers(t, w)
 	st := f.Stats()
-	if st.BatchedLeases == 0 {
-		t.Errorf("no batched leases were granted (leases %d, shards leased %d)", st.Leases, st.ShardsLeased)
+	if st.Leases < 2 || st.Leases != st.ShardsLeased {
+		t.Errorf("%d leases carried %d shards, want one shard per lease over several leases", st.Leases, st.ShardsLeased)
 	}
-	if st.ShardsLeased <= st.Leases {
-		t.Errorf("coalescing had no effect: %d shards over %d leases", st.ShardsLeased, st.Leases)
+	if st.BatchedLeases != 0 {
+		t.Errorf("BatchedLeases = %d, want 0", st.BatchedLeases)
 	}
 }
 
@@ -176,11 +175,11 @@ func TestCompleteRemovesExpiredShardFromQueue(t *testing.T) {
 	f.cond = sync.NewCond(&f.mu)
 	j := &jobRun{}
 	s := j.addShard([]bool{true, false})
-	g := &grant{id: 1, job: j, shards: []*shard{s}}
-	// The lease was granted, then expired: the watch loop re-queued it.
+	// Lease 1 was granted, then expired: the watch loop re-queued the shard.
+	s.lease = 1
 	s.status = shardPending
 	// The original worker's result now arrives.
-	f.completeShard(g, 0, &harness.Shard{})
+	f.completeShard(s, 1, &harness.Shard{})
 	if s.status != shardDone {
 		t.Fatalf("shard status %d, want done", s.status)
 	}

@@ -44,23 +44,17 @@ const (
 )
 
 // shard is one unexplored subtree of a job's execution tree, identified by
-// its branch-decision prefix.
+// its branch-decision prefix. A lease hands exactly one shard to one worker
+// connection.
 type shard struct {
 	id       uint64
+	job      *jobRun
 	prefix   []bool
 	status   shardStatus
-	grant    *grant // lease currently holding it (status shardLeased)
+	lease    uint64 // id of the latest lease granted on it
 	result   *harness.Shard
 	leasedAt time.Time
 	deadline time.Time // lease expiry (zero when LeaseTimeout disabled)
-}
-
-// grant is one lease: a batch of shards from one job handed to one worker
-// connection.
-type grant struct {
-	id     uint64
-	job    *jobRun
-	shards []*shard
 }
 
 // jobRun is the coordinator-side state of one job in flight. All fields
@@ -99,7 +93,7 @@ func (j *jobRun) jobMsg() jobMsg {
 
 // addShard creates a shard for prefix and registers it (pending).
 func (j *jobRun) addShard(prefix []bool) *shard {
-	s := &shard{id: uint64(len(j.shards)), prefix: prefix}
+	s := &shard{id: uint64(len(j.shards)), job: j, prefix: prefix}
 	j.shards = append(j.shards, s)
 	j.pending = append(j.pending, s)
 	return s

@@ -35,18 +35,16 @@
 //	coord  → welcome     {}                  (or reject {wanted version})
 //	coord  → job         {job id, agent, test, engine options}   (per job,
 //	                      sent lazily before that job's first lease)
-//	coord  → lease       {job id, lease id, decision prefixes}   (repeated;
-//	                      a lease may batch several small shards)
+//	coord  → lease       {job id, lease id, decision prefix}     (repeated;
+//	                      one shard per lease)
 //	worker → progress    {job id, lease id, solver-metric deltas} (throttled)
 //	worker → trace       {job id, lease id, span segment}        (traced leases
-//	                      only; one frame per completed prefix, sent just
-//	                      before that prefix's result frame)
-//	worker → result      {job id, lease id, prefix index, shard payload}
-//	                      (one frame per prefix, sent as each completes)
+//	                      only; sent just before the result frame)
+//	worker → result      {job id, lease id, shard payload}
 //	coord  → shutdown    {}                  (fleet shutting down)
 //
 // A worker that disconnects mid-lease loses nothing: the coordinator
-// returns the leased shards to the pending queue and another worker
+// returns the leased shard to the pending queue and another worker
 // re-explores them (lease expiry does the same for hung workers).
 // Duplicate results for a shard are dropped on arrival — first completion
 // wins, and determinism makes the copies identical anyway.
@@ -87,8 +85,10 @@ import (
 // with the canonical cut), the path count from progress frames, and the
 // full-solve counter from solver statistics. Version 8 writes a result
 // payload's expressions as one sharing stream: each distinct subterm once,
-// "#n" references after that (see sym.Printer).
-const protocolVersion = 8
+// "#n" references after that (see sym.Printer). Version 9 leases one shard
+// at a time: the lease frame carries one prefix and the result frame drops
+// the prefix index.
+const protocolVersion = 9
 
 // maxFrame bounds a frame (type byte + payload). It matches the results
 // reader's line buffer: anything bigger is a corrupt or hostile peer.
@@ -100,9 +100,9 @@ type msgType byte
 const (
 	msgHello    msgType = 1 // worker → coordinator: version handshake
 	msgWelcome  msgType = 2 // coordinator → worker: handshake accepted
-	msgLease    msgType = 3 // coordinator → worker: a batch of shards to explore
+	msgLease    msgType = 3 // coordinator → worker: one shard to explore
 	msgProgress msgType = 4 // worker → coordinator: solver-metric deltas
-	msgResult   msgType = 5 // worker → coordinator: completed shard payloads
+	msgResult   msgType = 5 // worker → coordinator: the completed shard payload
 	msgShutdown msgType = 6 // coordinator → worker: fleet done, disconnect
 	msgReject   msgType = 7 // coordinator → worker: protocol version mismatch
 	msgJob      msgType = 8 // coordinator → worker: one job's configuration
@@ -385,14 +385,12 @@ func decodeJob(p []byte) (jobMsg, error) {
 	return j, d.done()
 }
 
-// lease hands a batch of shards — the subtrees below the given decision
-// prefixes, all from one job — to a worker. Batching several small shards
-// into one lease is the coordinator's coalescing lever: one round trip and
-// one result frame amortize over trivially small subtrees.
+// lease hands one shard — the subtree below the given decision prefix —
+// of a job to a worker.
 type lease struct {
-	job      uint64
-	id       uint64
-	prefixes [][]bool
+	job    uint64
+	id     uint64
+	prefix []bool
 
 	// Trace context (v5): traced asks the worker to buffer and ship its
 	// spans for this lease; parentSpan is the coordinator-side lease
@@ -410,10 +408,7 @@ func encodeLease(l lease) []byte {
 	e.boolean(l.traced)
 	e.u64(l.traceID)
 	e.u64(l.parentSpan)
-	e.u64(uint64(len(l.prefixes)))
-	for _, p := range l.prefixes {
-		e.bits(p)
-	}
+	e.bits(l.prefix)
 	return e.b
 }
 
@@ -423,10 +418,7 @@ func decodeLease(p []byte) (lease, error) {
 	l.traced = d.boolean()
 	l.traceID = d.u64()
 	l.parentSpan = d.u64()
-	n := d.count("prefix", 1)
-	for i := 0; i < n && d.err == nil; i++ {
-		l.prefixes = append(l.prefixes, d.bits())
-	}
+	l.prefix = d.bits()
 	return l, d.done()
 }
 
@@ -530,15 +522,10 @@ func (d *dec) cov(m *coverage.Map) *coverage.Set {
 	return s
 }
 
-// resultMsg carries one completed shard back to the coordinator: the
-// payload for the lease's index-th prefix. Shipping one shard per frame —
-// as each prefix completes — keeps every frame bounded by a single
-// subtree's size regardless of how many shards a lease batches, and lets
-// the coordinator bank partial batches from a worker that later dies.
+// resultMsg carries a lease's completed shard back to the coordinator.
 type resultMsg struct {
 	job   uint64
 	lease uint64
-	index uint64
 	shard *harness.Shard
 }
 
@@ -546,7 +533,6 @@ func encodeResult(m resultMsg) []byte {
 	var e enc
 	e.u64(m.job)
 	e.u64(m.lease)
-	e.u64(m.index)
 	e.shard(m.shard)
 	return e.b
 }
@@ -600,7 +586,7 @@ func (e *enc) expr(x *sym.Expr) {
 // coverage universe for the job's agent (nil drops coverage).
 func decodeResult(payload []byte, covMap *coverage.Map) (resultMsg, error) {
 	d := dec{b: payload}
-	m := resultMsg{job: d.u64(), lease: d.u64(), index: d.u64()}
+	m := resultMsg{job: d.u64(), lease: d.u64()}
 	m.shard = d.shard(covMap)
 	return m, d.done()
 }
@@ -658,9 +644,8 @@ func (d *dec) expr(what string) *sym.Expr {
 
 // traceMsg ships one span segment — the worker's buffered spans since
 // its previous trace frame — back to the coordinator (v5). Segments are
-// drained and sent just before each prefix's result frame, so a worker
-// that dies mid-batch has already shipped the spans of everything it
-// completed. The payload is pure observability: the coordinator merges
+// drained and sent just before the lease's result frame, while the
+// coordinator is still reading the lease. The payload is pure observability: the coordinator merges
 // it into the active tracer (or drops it when tracing stopped) and the
 // merge can never influence a result.
 type traceMsg struct {

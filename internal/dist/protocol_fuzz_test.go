@@ -62,38 +62,29 @@ func FuzzReadFrame(f *testing.F) {
 	})
 }
 
-// FuzzLeaseRoundTrip covers the prefix-batch payload: job and lease ids
-// plus several bit-packed decision prefixes of every length and pattern.
+// FuzzLeaseRoundTrip covers the lease payload: job and lease ids, the
+// trace context, and one bit-packed decision prefix of every length and
+// pattern.
 func FuzzLeaseRoundTrip(f *testing.F) {
-	f.Add(uint64(0), uint64(0), uint8(1), uint8(0), uint64(0), false, uint64(0), uint64(0))
-	f.Add(uint64(3), uint64(42), uint8(4), uint8(7), uint64(0b1010101), true, uint64(0xfeed), uint64(12))
-	f.Add(^uint64(0), ^uint64(0), uint8(17), uint8(66), ^uint64(0), true, ^uint64(0), ^uint64(0))
-	f.Fuzz(func(t *testing.T, job, id uint64, count, n uint8, pattern uint64, traced bool, traceID, parentSpan uint64) {
-		l := lease{job: job, id: id, traced: traced, traceID: traceID, parentSpan: parentSpan}
-		for i := 0; i < int(count)%9; i++ {
-			l.prefixes = append(l.prefixes, bitsFromSeed(n+uint8(i), pattern^uint64(i)))
-		}
-		if len(l.prefixes) == 0 {
-			l.prefixes = [][]bool{nil}
-		}
+	f.Add(uint64(0), uint64(0), uint8(0), uint64(0), false, uint64(0), uint64(0))
+	f.Add(uint64(3), uint64(42), uint8(7), uint64(0b1010101), true, uint64(0xfeed), uint64(12))
+	f.Add(^uint64(0), ^uint64(0), uint8(66), ^uint64(0), true, ^uint64(0), ^uint64(0))
+	f.Fuzz(func(t *testing.T, job, id uint64, n uint8, pattern uint64, traced bool, traceID, parentSpan uint64) {
+		l := lease{job: job, id: id, prefix: bitsFromSeed(n, pattern),
+			traced: traced, traceID: traceID, parentSpan: parentSpan}
 		got, err := decodeLease(encodeLease(l))
 		if err != nil {
 			t.Fatalf("decodeLease of own output: %v", err)
 		}
-		if got.job != l.job || got.id != l.id || len(got.prefixes) != len(l.prefixes) {
+		if got.job != l.job || got.id != l.id || len(got.prefix) != len(l.prefix) {
 			t.Fatalf("lease mismatch: %+v vs %+v", got, l)
 		}
 		if got.traced != l.traced || got.traceID != l.traceID || got.parentSpan != l.parentSpan {
 			t.Fatalf("lease trace context mismatch: %+v vs %+v", got, l)
 		}
-		for p := range l.prefixes {
-			if len(got.prefixes[p]) != len(l.prefixes[p]) {
-				t.Fatalf("prefix %d length mismatch", p)
-			}
-			for i := range l.prefixes[p] {
-				if got.prefixes[p][i] != l.prefixes[p][i] {
-					t.Fatalf("prefix %d bit %d flipped", p, i)
-				}
+		for i := range l.prefix {
+			if got.prefix[i] != l.prefix[i] {
+				t.Fatalf("prefix bit %d flipped", i)
 			}
 		}
 	})
@@ -210,7 +201,7 @@ func buildShard(covMap *coverage.Map, out1, out2 string, crashed bool, bound, mo
 }
 
 // FuzzShardResultRoundTrip is the partial-result payload property: any
-// shard batch assembled from fuzzer inputs must survive encode → decode
+// shard payload assembled from fuzzer inputs must survive encode → decode
 // with every field intact, including bit-packed decisions and coverage
 // bitmaps.
 func FuzzShardResultRoundTrip(f *testing.F) {
@@ -223,19 +214,18 @@ func FuzzShardResultRoundTrip(f *testing.F) {
 	f.Add(uint64(6), uint64(7), "expr #2", "#18446744073709551616", true, uint64(0xffff), uint64(0xffff), true, uint64(9), int64(1))
 	f.Fuzz(func(t *testing.T, jobID, leaseID uint64, out1, out2 string, crashed bool, bound, modelVal uint64, truncated bool, decisionSeed uint64, stats int64) {
 		covMap := fuzzCovMap()
-		// Two frames of one lease exercise the per-prefix framing.
 		wants := []*harness.Shard{
 			buildShard(covMap, out1, out2, crashed, bound, modelVal, truncated, decisionSeed, stats),
 			buildShard(covMap, out2, out1, !crashed, modelVal, bound, !truncated, ^decisionSeed, stats/2),
 		}
-		for i, want := range wants {
-			payload := encodeResult(resultMsg{job: jobID, lease: leaseID, index: uint64(i), shard: want})
+		for _, want := range wants {
+			payload := encodeResult(resultMsg{job: jobID, lease: leaseID, shard: want})
 			got, err := decodeResult(payload, covMap)
 			if err != nil {
 				t.Fatalf("decodeResult of own output: %v\npayload: %x", err, payload)
 			}
-			if got.job != jobID || got.lease != leaseID || got.index != uint64(i) {
-				t.Fatalf("ids (%d, %d, %d), want (%d, %d, %d)", got.job, got.lease, got.index, jobID, leaseID, i)
+			if got.job != jobID || got.lease != leaseID {
+				t.Fatalf("ids (%d, %d), want (%d, %d)", got.job, got.lease, jobID, leaseID)
 			}
 			compareShard(t, got.shard, want)
 		}
@@ -323,7 +313,7 @@ func covEqual(a, b *coverage.Set) bool {
 // internally consistent enough to merge.
 func FuzzDecodeResult(f *testing.F) {
 	covMap := fuzzCovMap()
-	good := encodeResult(resultMsg{job: 2, lease: 1, index: 0,
+	good := encodeResult(resultMsg{job: 2, lease: 1,
 		shard: buildShard(covMap, "a", "b", false, 10, 20, false, 0x33, 77)})
 	f.Add(good)
 	f.Add([]byte{})
@@ -344,7 +334,7 @@ func FuzzDecodeResult(f *testing.F) {
 // condition for dangling, forward and self references.
 func badReferencePayloads(tb testing.TB) [][]byte {
 	covMap := fuzzCovMap()
-	good := encodeResult(resultMsg{job: 2, lease: 1, index: 0,
+	good := encodeResult(resultMsg{job: 2, lease: 1,
 		shard: buildShard(covMap, "a", "b", false, 10, 20, false, 0x33, 77)})
 	lenPrefixed := func(s string) []byte { return append(binary.AppendUvarint(nil, uint64(len(s))), s...) }
 	cond := lenPrefixed("(ult (var x 16) (const 16 10))")
@@ -419,7 +409,7 @@ func FuzzTraceRoundTrip(f *testing.F) {
 func FuzzDecodeHelloLease(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(encodeHello(hello{version: 1, name: "w"}))
-	f.Add(encodeLease(lease{job: 1, id: 9, traced: true, traceID: 0xbeef, parentSpan: 4, prefixes: [][]bool{{true, false, true}, {false}}}))
+	f.Add(encodeLease(lease{job: 1, id: 9, traced: true, traceID: 0xbeef, parentSpan: 4, prefix: []bool{true, false, true}}))
 	f.Add(encodeJob(jobMsg{id: 3, agent: "ref", test: "Packet Out", traced: true, traceID: 0xfeed}))
 	f.Add(encodeTrace(traceMsg{job: 3, lease: 9, seg: obs.Segment{
 		Process: "worker/w1", BaseUnixMicro: 42, Parent: 7,

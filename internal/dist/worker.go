@@ -152,9 +152,9 @@ func Work(ctx context.Context, addr string, cfg WorkerConfig) error {
 			start := time.Now()
 			// A traced lease turns on the worker-local tracer (kept for
 			// the connection's lifetime) and ships the buffered spans back
-			// as one segment per completed prefix. Draining first discards
-			// spans accumulated during untraced interludes so nothing
-			// nests under the wrong lease.
+			// before the result. Draining first discards spans accumulated
+			// during untraced interludes so nothing nests under the wrong
+			// lease.
 			var tr *obs.Tracer
 			if l.traced {
 				if tr = obs.Active(); tr == nil {
@@ -162,51 +162,38 @@ func Work(ctx context.Context, addr string, cfg WorkerConfig) error {
 				}
 				tr.Drain()
 			}
-			progress := throttledProgress(l.job, l.id, send)
-			total := 0
-			for i, prefix := range l.prefixes {
-				sp := obs.StartSpan("shard:" + symexec.FormatDecisions(prefix))
-				res := harness.ExploreContext(ctx, job.agent, job.test, harness.Options{
-					MaxPaths:     job.cfg.maxPaths,
-					MaxDepth:     job.cfg.maxDepth,
-					WantModels:   job.cfg.models,
-					CanonicalCut: true,
-					Workers:      cfg.Workers,
-					Prefix:       prefix,
-					Progress:     progress,
-				})
-				if res.Cancelled || ctx.Err() != nil {
-					// Never ship a partial subtree; the coordinator re-leases.
-					return ctx.Err()
-				}
-				sp.End()
-				total += len(res.Paths)
-				// Ship the prefix's spans before its result: once the
-				// coordinator has banked the last result it stops reading
-				// this lease, and a worker killed mid-batch has then
-				// already delivered the spans of everything it finished.
-				if tr != nil {
-					for _, seg := range tr.Drain() {
-						seg.Process = cfg.Name
-						seg.Parent = l.parentSpan
-						if err := send(msgTrace, encodeTrace(traceMsg{job: l.job, lease: l.id, seg: seg})); err != nil {
-							return fmt.Errorf("dist: send trace: %w", err)
-						}
+			sp := obs.StartSpan("shard:" + symexec.FormatDecisions(l.prefix))
+			res := harness.ExploreContext(ctx, job.agent, job.test, harness.Options{
+				MaxPaths:     job.cfg.maxPaths,
+				MaxDepth:     job.cfg.maxDepth,
+				WantModels:   job.cfg.models,
+				CanonicalCut: true,
+				Workers:      cfg.Workers,
+				Prefix:       l.prefix,
+				Progress:     throttledProgress(l.job, l.id, send),
+			})
+			if res.Cancelled || ctx.Err() != nil {
+				// Never ship a partial subtree; the coordinator re-leases.
+				return ctx.Err()
+			}
+			sp.End()
+			// Ship the spans before the result: once the coordinator has
+			// the result it stops reading this lease.
+			if tr != nil {
+				for _, seg := range tr.Drain() {
+					seg.Process = cfg.Name
+					seg.Parent = l.parentSpan
+					if err := send(msgTrace, encodeTrace(traceMsg{job: l.job, lease: l.id, seg: seg})); err != nil {
+						return fmt.Errorf("dist: send trace: %w", err)
 					}
 				}
-				// One result frame per prefix, shipped as it completes:
-				// frames stay bounded by a single subtree however many
-				// shards the lease batched, and the coordinator banks the
-				// finished part if this worker dies mid-batch.
-				if err := send(msgResult, encodeResult(resultMsg{
-					job: l.job, lease: l.id, index: uint64(i), shard: res.Shard(),
-				})); err != nil {
-					return fmt.Errorf("dist: send result: %w", err)
-				}
+			}
+			if err := send(msgResult, encodeResult(resultMsg{job: l.job, lease: l.id, shard: res.Shard()})); err != nil {
+				return fmt.Errorf("dist: send result: %w", err)
 			}
 			log.Info("lease done",
-				"job", l.job, "lease", l.id, "shards", len(l.prefixes),
-				"paths", total, "elapsed", time.Since(start).Round(time.Millisecond),
+				"job", l.job, "lease", l.id, "prefix", symexec.FormatDecisions(l.prefix),
+				"paths", len(res.Paths), "elapsed", time.Since(start).Round(time.Millisecond),
 				obs.TraceAttr(l.traceID))
 		default:
 			return protocolErr(fmt.Errorf("unexpected frame type %d from coordinator", t))

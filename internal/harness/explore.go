@@ -26,8 +26,8 @@ type Options struct {
 	// WantModels extracts a concrete input example per path.
 	WantModels bool
 	// Workers is the number of parallel exploration workers (0 =
-	// GOMAXPROCS, 1 = sequential). Exhaustive explorations produce
-	// identical results for every worker count.
+	// GOMAXPROCS). Exhaustive explorations produce identical results for
+	// every worker count.
 	Workers int
 	// CanonicalCut makes MaxPaths truncation canonical: the run keeps the
 	// MaxPaths canonically smallest paths instead of the first MaxPaths to
@@ -42,7 +42,7 @@ type Options struct {
 	Prefix []bool
 	// ShardSink, with ShardDepth, diverts forks deeper than ShardDepth to
 	// the sink instead of exploring them — the coordinator-side frontier
-	// split (see symexec.Engine.ShardSink). Forces the run sequential.
+	// split (see symexec.Engine.ShardSink). Forces the run onto one worker.
 	ShardDepth int
 	ShardSink  func(prefix []bool)
 	// Progress, when set, is called after each completed path with the

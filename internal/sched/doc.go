@@ -35,23 +35,21 @@
 // job-scoped so a fleet outlives any single exploration:
 //
 //	coord → job      {job id, agent, test, engine options}
-//	coord → lease    {job id, lease id, decision prefixes}
-//	work  → progress {job id, lease id, paths completed}
-//	work  → result   {job id, lease id, one shard payload per prefix}
+//	coord → lease    {job id, lease id, decision prefix}
+//	work  → progress {job id, lease id, solver-metric deltas}
+//	work  → result   {job id, lease id, shard payload}
 //
 // A job frame is sent once per connection per job, lazily before that
-// job's first lease on the connection. Leases batch several prefixes when
-// the pending queue is long (coalescing); results carry one shard payload
-// per leased prefix. A hello whose protocol version differs is refused
-// with an explicit reject frame naming the wanted version.
+// job's first lease on the connection. A hello whose protocol version
+// differs is refused with an explicit reject frame naming the wanted
+// version.
 //
-// # Lease batching
+// # One shard per lease
 //
-// The fleet splits each cell's frontier once, at a fixed `-shard-depth`.
-// When pending shards far outnumber workers, a lease batches several
-// prefixes, amortizing round trips and result frames over subtrees too
-// small to matter individually; when work is scarce each shard ships
-// alone so it can be re-leased independently.
+// The fleet splits each cell's frontier once, at a fixed `-shard-depth`,
+// and every lease carries exactly one shard: a worker asks for its next
+// shard only once it has returned the last one, so no shard waits in one
+// worker's lease while another worker idles.
 //
 // # Cache keying
 //

@@ -129,6 +129,14 @@ func TestMatrixFleetMatchesLocal(t *testing.T) {
 	w2 := make(chan error, 1)
 	go func() { w1 <- dist.Work(ctx, ln.Addr().String(), dist.WorkerConfig{Workers: 2}) }()
 	go func() { w2 <- dist.Work(ctx, ln.Addr().String(), dist.WorkerConfig{Workers: 2}) }()
+	// Submit only once both workers have joined: a worker dialing after a
+	// finished campaign closed the listener would be refused.
+	for deadline := time.Now().Add(30 * time.Second); fleet.Stats().WorkersJoined < 2; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of 2 workers joined within 30s", fleet.Stats().WorkersJoined)
+		}
+		time.Sleep(time.Millisecond)
+	}
 
 	rep, err := RunMatrix(ctx, testAgents, testTests, Options{
 		Models: true, CrossCheck: true, Fleet: fleet,

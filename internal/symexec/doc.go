@@ -25,12 +25,15 @@
 // Because paths are independent re-executions, exploration parallelizes at
 // the path granularity. Engine.Workers (default GOMAXPROCS) workers run the
 // following scheme, the reproduction's stand-in for the paper's Cloud9
-// cluster (§3.2):
+// cluster (§3.2). It is the engine's only exploration loop: one worker is
+// the same loop with nobody to donate to, and pops exactly the configured
+// strategy's order.
 //
 //   - Each worker owns a local frontier of unexplored branch-decision
 //     prefixes, ordered by its own instance of the configured search
-//     strategy (WorkerStrategy.ForWorker derives the per-worker instances;
-//     randomized strategies get deterministic per-worker seeds).
+//     strategy (Strategy.ForWorker derives the per-worker instances;
+//     randomized strategies get deterministic per-worker seeds, and worker
+//     0 keeps the base seed). The root seeds worker 0's frontier.
 //   - The hot path is share-nothing: path execution uses a worker-private
 //     constraint encoding and CDCL core, forks push onto the worker-local
 //     frontier, and the branch-query counter is worker-local. No locks, no atomics while a path runs.
@@ -39,6 +42,9 @@
 //     idle count at fork time and donate forks — or half their backlog —
 //     when someone is starving. Exploration terminates when every worker is
 //     idle and the pool is empty.
+//   - Each worker checks the run's context before every pop, so a
+//     cancelled run stops at the next path boundary and a context that is
+//     already done explores nothing.
 //
 // # Incremental solving along the path tree
 //
@@ -95,8 +101,8 @@
 // under any strategy, worker count, and scheduling. The engine makes the
 // *reported* result identical too by canonicalizing afterwards: completed
 // paths are sorted by their branch-decision vector (lexicographically,
-// false before true) and path IDs are assigned in that order. Sequential
-// and parallel runs of the same handler produce byte-identical results —
+// false before true) and path IDs are assigned in that order. Runs of the
+// same handler at any worker count produce byte-identical results —
 // the property the determinism regression tests in parallel_test.go and
 // harness's parallel_test.go pin, and the foundation of the paper's
 // no-false-positive guarantee under concurrency.

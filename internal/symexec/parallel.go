@@ -94,10 +94,11 @@ func (f *frontier) steal() (*workItem, bool) {
 	}
 }
 
-// halt stops all workers (used when MaxPaths fires). The store happens
-// under f.mu: a worker that observed done == false inside steal holds the
-// mutex until its Wait enqueues it, so the Broadcast that follows cannot be
-// lost between the check and the sleep.
+// halt stops all workers (when MaxPaths fires, the run's context is done,
+// or a worker panicked). The store happens under f.mu: a worker that
+// observed done == false inside steal holds the mutex until its Wait
+// enqueues it, so the Broadcast that follows cannot be lost between the
+// check and the sleep.
 func (f *frontier) halt() {
 	f.mu.Lock()
 	f.done.Store(true)
@@ -123,26 +124,32 @@ type workerState struct {
 	cov        *coverage.Set // worker-cumulative; feeds coverage-guided Pop
 }
 
-// runParallel explores h with the given number of workers over a shared
-// work-stealing frontier. Workers own every piece of hot-path state — the
-// strategy-ordered local frontier, the per-path constraint encodings, the
-// branch-query counter — and synchronize only to balance work. The merged
-// result is canonicalized by the caller, so for exhaustive runs the output
-// is identical to runSequential's.
+// run explores h with the given number of workers over a shared
+// work-stealing frontier; one worker is simply the degenerate case. Workers
+// own every piece of hot-path state — the strategy-ordered local frontier,
+// the per-path constraint encodings, the branch-query counter — and
+// synchronize only to balance work. The root seeds worker 0's local
+// frontier, so a one-worker run pops exactly the configured strategy's
+// order. The merged result is canonicalized by the caller, so exhaustive
+// runs produce the same Result at every worker count.
 //
-// Cancellation reuses the MaxPaths halt path: a watcher goroutine observes
-// cancel.Done() and calls frontier.halt(), which wakes blocked stealers and
-// makes every worker exit at its next loop check. Paths already completed
-// are kept, so a cancelled run returns the partial set explored so far.
+// Each worker checks the run's context before every pop: on cancellation
+// it halts the frontier, which wakes blocked stealers and makes every
+// worker exit at its next loop check. Paths already completed are kept, so
+// a cancelled run returns the partial set explored so far, and a context
+// that is already done explores nothing.
 //
 // A panic on a worker takes the same halt path: the worker records the
 // first *pathPanic, halts the frontier, and exits; once every worker has
 // stopped, the panic is re-raised here, on the caller's goroutine, where
 // it can be recovered (a panic escaping a worker goroutine would kill the
 // process).
-func (e *Engine) runParallel(cancel context.Context, h Handler, workers int, res *Result) {
+func (e *Engine) run(cancel context.Context, h Handler, workers int, res *Result) {
 	f := newFrontier(workers)
-	f.global = append(f.global, e.rootItem())
+	strategy := e.Strategy
+	if strategy == nil {
+		strategy = NewInterleaved(1)
+	}
 
 	cut := e.newCanonCut()
 	maxPaths := int64(e.MaxPaths)
@@ -155,18 +162,6 @@ func (e *Engine) runParallel(cancel context.Context, h Handler, workers int, res
 	var completed, dropped, leftover, progressDone atomic.Int64
 	var cancelled atomic.Bool
 	var failure atomic.Pointer[pathPanic]
-	if done := cancel.Done(); done != nil {
-		stop := make(chan struct{})
-		defer close(stop)
-		go func() {
-			select {
-			case <-done:
-				cancelled.Store(true)
-				f.halt()
-			case <-stop:
-			}
-		}()
-	}
 
 	states := make([]*workerState, workers)
 	var wg sync.WaitGroup
@@ -176,7 +171,10 @@ func (e *Engine) runParallel(cancel context.Context, h Handler, workers int, res
 			ws.cov = e.CovMap.NewSet()
 		}
 		states[w] = ws
-		local := e.workerStrategy(w)
+		local := strategy.ForWorker(w)
+		if w == 0 {
+			local.Push(e.rootItem())
+		}
 
 		wg.Add(1)
 		go func() {
@@ -194,16 +192,26 @@ func (e *Engine) runParallel(cancel context.Context, h Handler, workers int, res
 				}
 			}()
 			enqueue := func(it *workItem) {
-				// Forks stay local unless someone is starving; donation is
-				// a heuristic, so a stale idleCount read is harmless.
-				if f.idleCount.Load() > 0 {
+				switch {
+				case e.ShardSink != nil && len(it.decisions) > e.ShardDepth:
+					// A ShardSink run has one worker, so the sink needs no
+					// locking.
+					e.ShardSink(it.decisions)
+				case f.idleCount.Load() > 0:
+					// Forks stay local unless someone is starving; donation
+					// is a heuristic, so a stale idleCount read is harmless.
 					f.donate(it)
-				} else {
+				default:
 					local.Push(it)
 				}
 			}
 			for {
 				if f.done.Load() {
+					return
+				}
+				if cancel.Err() != nil {
+					cancelled.Store(true)
+					f.halt()
 					return
 				}
 				// Rebalance: if workers sit idle while this local frontier
@@ -238,8 +246,7 @@ func (e *Engine) runParallel(cancel context.Context, h Handler, workers int, res
 						n := completed.Add(1)
 						if n > maxPaths {
 							// Another worker filled the cap while this path
-							// was in flight; mirror the sequential engine by
-							// keeping exactly MaxPaths paths.
+							// was in flight; keep exactly MaxPaths paths.
 							dropped.Add(1)
 							f.halt()
 							continue
@@ -287,9 +294,8 @@ func (e *Engine) runParallel(cancel context.Context, h Handler, workers int, res
 			res.Cov.Merge(ws.cov)
 		}
 	}
-	// Truncated mirrors the sequential flag: the cap fired while unexplored
-	// work remained (a finished-in-flight path was dropped, or frontiers
-	// still held items).
+	// Truncated: the cap fired while unexplored work remained (a
+	// finished-in-flight path was dropped, or frontiers still held items).
 	if maxPaths > 0 && completed.Load() >= maxPaths &&
 		(dropped.Load() > 0 || leftover.Load() > 0 || f.remaining() > 0) {
 		res.PathsTruncated = true
@@ -298,15 +304,4 @@ func (e *Engine) runParallel(cancel context.Context, h Handler, workers int, res
 		res.Cancelled = true
 	}
 	e.applyCanonCut(cut, res)
-}
-
-// workerStrategy builds worker w's local frontier ordering: a per-worker
-// derivation of the configured strategy, or the default interleaved
-// strategy seeded by the worker index. (Run forces non-WorkerStrategy
-// configurations sequential before this is ever called.)
-func (e *Engine) workerStrategy(w int) Strategy {
-	if ws, ok := e.Strategy.(WorkerStrategy); ok {
-		return ws.ForWorker(w)
-	}
-	return NewInterleaved(int64(w) + 1)
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/soft-testing/soft/internal/coverage"
@@ -228,6 +229,34 @@ func TestParallelRepeatedRuns(t *testing.T) {
 	}
 }
 
+// TestConcurrentRunsShareEngine: an Engine holds no per-run state, so
+// concurrent Run calls on one shared Engine, even at one worker, each
+// produce the solo result. Under -race this fails if a run writes to the
+// Engine.
+func TestConcurrentRunsShareEngine(t *testing.T) {
+	for name, h := range parallelHandlers() {
+		t.Run(name, func(t *testing.T) {
+			e := &Engine{Workers: 1, WantModels: true}
+			want := fingerprint(e.Run(h))
+			got := make([]string, 8)
+			var wg sync.WaitGroup
+			for i := range got {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					got[i] = fingerprint(e.Run(h))
+				}(i)
+			}
+			wg.Wait()
+			for i, g := range got {
+				if g != want {
+					t.Fatalf("concurrent run %d diverged from the solo run:\n--- solo\n%s--- run\n%s", i, want, g)
+				}
+			}
+		})
+	}
+}
+
 // TestWorkerStrategyDerivation: every built-in strategy yields independent
 // per-worker instances; randomized ones derive distinct seeds.
 func TestWorkerStrategyDerivation(t *testing.T) {
@@ -238,11 +267,7 @@ func TestWorkerStrategyDerivation(t *testing.T) {
 		func() Strategy { return NewInterleaved(3) },
 	} {
 		s := mk()
-		ws, ok := s.(WorkerStrategy)
-		if !ok {
-			t.Fatalf("strategy %s does not implement WorkerStrategy", s.Name())
-		}
-		a, b := ws.ForWorker(0), ws.ForWorker(1)
+		a, b := s.ForWorker(0), s.ForWorker(1)
 		if a == s || b == s || a == b {
 			t.Fatalf("strategy %s: ForWorker must return fresh instances", s.Name())
 		}
@@ -257,9 +282,9 @@ func TestWorkerStrategyDerivation(t *testing.T) {
 	}
 }
 
-// TestInterleavedLenExact: interleaved keeps one backing store behind two
-// views; Len must report the real item count after pops from either view
-// (the parallel rebalance and leftover accounting depend on it).
+// TestInterleavedLenExact: Len must report the real item count after both
+// coverage-guided and random pops (the engine's rebalance and leftover
+// accounting depend on it).
 func TestInterleavedLenExact(t *testing.T) {
 	s := NewInterleaved(1)
 	for i := 0; i < 4; i++ {
@@ -275,43 +300,6 @@ func TestInterleavedLenExact(t *testing.T) {
 	}
 	if _, ok := s.Pop(nil); ok {
 		t.Fatal("pop succeeded on empty strategy")
-	}
-}
-
-// seqOnlyStrategy is a LIFO Strategy that deliberately does not implement
-// WorkerStrategy (no embedding: promotion would leak ForWorker).
-type seqOnlyStrategy struct {
-	items []*workItem
-	pops  int
-}
-
-func (s *seqOnlyStrategy) Name() string      { return "seq-only" }
-func (s *seqOnlyStrategy) Len() int          { return len(s.items) }
-func (s *seqOnlyStrategy) Push(it *workItem) { s.items = append(s.items, it) }
-func (s *seqOnlyStrategy) Pop(*coverage.Set) (*workItem, bool) {
-	s.pops++
-	if len(s.items) == 0 {
-		return nil, false
-	}
-	it := s.items[len(s.items)-1]
-	s.items = s.items[:len(s.items)-1]
-	return it, true
-}
-
-// TestCustomStrategyForcedSequential: a custom strategy without per-worker
-// derivation must be honored exactly — the engine falls back to sequential
-// exploration instead of silently substituting a different search order.
-func TestCustomStrategyForcedSequential(t *testing.T) {
-	st := &seqOnlyStrategy{}
-	res := (&Engine{Workers: 4, Strategy: st}).Run(paperExample)
-	if len(res.Paths) != 3 {
-		t.Fatalf("got %d paths, want 3", len(res.Paths))
-	}
-	if st.pops == 0 {
-		t.Fatal("custom strategy was bypassed")
-	}
-	if got := fingerprint(res); got != fingerprint((&Engine{Workers: 1}).Run(paperExample)) {
-		t.Fatal("custom-strategy run diverged from canonical result")
 	}
 }
 

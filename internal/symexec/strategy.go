@@ -13,23 +13,20 @@ import (
 // The paper (§4.1) observes that because SOFT drives exploration to
 // exhaustion, the choice of strategy has little effect on the final result;
 // it matters for how quickly coverage accumulates and for partial runs. The
-// strategies here mirror the ones Cloud9 offers.
+// strategies here mirror the ones Cloud9 offers. Push takes the engine's
+// unexported work item, so only this package's strategies implement the
+// interface.
+//
+// ForWorker returns a fresh instance for worker w's local frontier (the
+// engine's shared pool handles stealing). Randomized strategies derive a
+// deterministic per-worker seed, and ForWorker(0) keeps the base seed, so a
+// one-worker run pops exactly the configured strategy's order (the final
+// result order is canonical regardless — see doc.go).
 type Strategy interface {
 	Push(*workItem)
 	Pop(cov *coverage.Set) (*workItem, bool)
 	Len() int
 	Name() string
-}
-
-// WorkerStrategy is a Strategy that can spawn independent per-worker
-// instances for parallel exploration: worker w orders its local frontier
-// with ForWorker(w) while the engine's shared pool handles stealing. All
-// built-in strategies implement it. Randomized strategies derive a
-// deterministic per-worker seed, keeping each worker's local order
-// reproducible (the final result order is canonical regardless — see
-// doc.go).
-type WorkerStrategy interface {
-	Strategy
 	ForWorker(w int) Strategy
 }
 
@@ -103,12 +100,20 @@ func (s *random) Pop(*coverage.Set) (*workItem, bool) {
 	if len(s.items) == 0 {
 		return nil, false
 	}
-	i := s.rng.Intn(len(s.items))
-	it := s.items[i]
-	last := len(s.items) - 1
-	s.items[i] = s.items[last]
-	s.items = s.items[:last]
-	return it, true
+	return popRandom(&s.items, s.rng), true
+}
+
+// popRandom removes and returns a uniformly random item of the non-empty
+// *items, moving the last item into its slot.
+func popRandom(items *[]*workItem, rng *rand.Rand) *workItem {
+	s := *items
+	i := rng.Intn(len(s))
+	it := s[i]
+	last := len(s) - 1
+	s[i] = s[last]
+	s[last] = nil
+	*items = s[:last]
+	return it
 }
 
 // covOpt prefers pending paths whose flipped branch direction is not yet
@@ -129,69 +134,58 @@ func (s *covOpt) Pop(cov *coverage.Set) (*workItem, bool) {
 	if len(s.items) == 0 {
 		return nil, false
 	}
+	return popUncovered(&s.items, cov), true
+}
+
+// popUncovered removes and returns the first item of the non-empty *items
+// whose flipped branch direction cov does not cover yet, or the first item
+// when there is none (or no coverage), keeping the rest in order.
+func popUncovered(items *[]*workItem, cov *coverage.Set) *workItem {
+	s := *items
 	pick := 0
 	if cov != nil {
-		for i, it := range s.items {
-			if it.site >= 0 && !covHasDir(cov, it.site, it.dir) {
+		for i, it := range s {
+			if it.site >= 0 && !cov.BranchDirCovered(it.site, it.dir) {
 				pick = i
 				break
 			}
 		}
 	}
-	it := s.items[pick]
-	s.items = append(s.items[:pick], s.items[pick+1:]...)
-	return it, true
+	it := s[pick]
+	copy(s[pick:], s[pick+1:])
+	s[len(s)-1] = nil
+	*items = s[:len(s)-1]
+	return it
 }
 
 // interleaved alternates between random path selection and
 // coverage-optimized selection — the Cloud9 default strategy the paper uses
 // (§4.1: "an interleaving of a random path choice and a strategy that aims
-// to improve coverage").
+// to improve coverage") — over one set of pending items.
 type interleaved struct {
-	rnd  *random
-	cov  *covOpt
-	flip bool
+	items []*workItem
+	rng   *rand.Rand
+	seed  int64
+	flip  bool
 }
 
-// NewInterleaved returns the Cloud9-style interleaved strategy.
+// NewInterleaved returns the Cloud9-style interleaved strategy. The first
+// pop is coverage-optimized, the next random, and so on.
 func NewInterleaved(seed int64) Strategy {
-	return &interleaved{
-		rnd: &random{rng: rand.New(rand.NewSource(seed)), seed: seed},
-		cov: &covOpt{},
-	}
+	return &interleaved{rng: rand.New(rand.NewSource(seed)), seed: seed}
 }
 
-func (s *interleaved) Name() string { return "interleaved" }
-func (s *interleaved) ForWorker(w int) Strategy {
-	return NewInterleaved(workerSeed(s.rnd.seed, w))
-}
-
-// Len reports the single backing store's length. (s.rnd.items is a stale
-// alias of it between random pops and must not be counted: the parallel
-// engine's rebalance and leftover accounting rely on an exact Len.)
-func (s *interleaved) Len() int { return len(s.cov.items) }
-func (s *interleaved) Push(it *workItem) {
-	// Keep one backing store; alternate which view pops.
-	s.cov.items = append(s.cov.items, it)
-}
+func (s *interleaved) Name() string             { return "interleaved" }
+func (s *interleaved) ForWorker(w int) Strategy { return NewInterleaved(workerSeed(s.seed, w)) }
+func (s *interleaved) Len() int                 { return len(s.items) }
+func (s *interleaved) Push(it *workItem)        { s.items = append(s.items, it) }
 func (s *interleaved) Pop(cov *coverage.Set) (*workItem, bool) {
-	if len(s.cov.items) == 0 {
+	if len(s.items) == 0 {
 		return nil, false
 	}
 	s.flip = !s.flip
 	if s.flip {
-		return s.cov.Pop(cov)
+		return popUncovered(&s.items, cov), true
 	}
-	// Random pop over the shared store.
-	s.rnd.items = s.cov.items
-	it, ok := s.rnd.Pop(cov)
-	s.cov.items = s.rnd.items
-	return it, ok
-}
-
-// covHasDir reports whether the direction dir of branch site is covered.
-func covHasDir(cov *coverage.Set, site coverage.BranchID, dir bool) bool {
-	// coverage.Set does not export per-direction lookup; probe via a clone
-	// merge trick is wasteful, so we extend coverage with a query method.
-	return cov.BranchDirCovered(site, dir)
+	return popRandom(&s.items, s.rng), true
 }

@@ -341,11 +341,8 @@ type workItem struct {
 // Engine explores all paths of a Handler.
 type Engine struct {
 	// Strategy orders path exploration; nil means NewInterleaved(1), the
-	// Cloud9 default strategy per the paper's §4.1. Parallel exploration
-	// needs per-worker frontier instances, so a non-nil Strategy that does
-	// not implement WorkerStrategy (the built-in strategies all do) forces
-	// the run sequential — the configured search order is honored exactly
-	// rather than silently replaced.
+	// Cloud9 default strategy per the paper's §4.1. Worker w orders its
+	// local frontier with Strategy.ForWorker(w).
 	Strategy Strategy
 	// MaxPaths caps explored paths; 0 means unlimited. The paper notes
 	// SOFT can work with partial path sets. When the cap truncates a run,
@@ -380,8 +377,8 @@ type Engine struct {
 	// this to split the frontier: diverted prefixes partition the unexplored
 	// tree, so exploring each of them with Prefix set and merging the results
 	// with the local paths reconstructs exactly the full run. A run with
-	// ShardSink is forced sequential; the sink owns the prefix slices it
-	// receives.
+	// ShardSink explores on one worker, so the sink is never called
+	// concurrently; it owns the prefix slices it receives.
 	ShardDepth int
 	ShardSink  func(prefix []bool)
 	// MaxDepth caps symbolic decisions per path; 0 means unlimited.
@@ -390,20 +387,18 @@ type Engine struct {
 	WantModels bool
 	// CovMap, when set, allocates per-path coverage sets over this universe.
 	CovMap *coverage.Map
-	// Workers is the number of parallel exploration workers. 0 means
-	// GOMAXPROCS; 1 forces sequential exploration. Exhaustive runs produce
-	// identical Results for every worker count (see doc.go).
+	// Workers is the number of parallel exploration workers; 0 means
+	// GOMAXPROCS. Every count runs the same loop, and one worker pops
+	// exactly the strategy's order. Exhaustive runs produce identical
+	// Results for every worker count (see doc.go).
 	Workers int
 	// Progress, when set, is invoked after each completed path with the
-	// cumulative number of paths kept so far. With Workers > 1 it is called
-	// from worker goroutines and must be safe for concurrent use; counts are
-	// monotonically increasing but may arrive out of order. The callback
-	// must not retain or mutate engine state — it exists to drive progress
-	// reporting for long runs and has no effect on exploration.
+	// cumulative number of paths kept so far. It is called from the worker
+	// goroutines, so with Workers > 1 it must be safe for concurrent use;
+	// counts are monotonically increasing but may arrive out of order. The
+	// callback must not retain or mutate engine state — it exists to drive
+	// progress reporting for long runs and has no effect on exploration.
 	Progress func(pathsDone int)
-
-	queue    Strategy
-	counters pathCounters
 }
 
 // Run explores h and returns all completed paths in canonical
@@ -423,16 +418,9 @@ func (e *Engine) RunContext(ctx context.Context, h Handler) *Result {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if e.Strategy != nil {
-		if _, ok := e.Strategy.(WorkerStrategy); !ok {
-			// A custom strategy without per-worker derivation cannot be
-			// split across frontiers; honor its exact order sequentially.
-			workers = 1
-		}
-	}
 	if e.ShardSink != nil {
 		// Frontier splitting is a coordinator-side operation over a shallow
-		// tree slice; keep it sequential so the sink needs no locking.
+		// tree slice; keep it on one worker so the sink needs no locking.
 		workers = 1
 	}
 
@@ -442,11 +430,7 @@ func (e *Engine) RunContext(ctx context.Context, h Handler) *Result {
 	}
 
 	start := time.Now()
-	if workers == 1 {
-		e.runSequential(ctx, h, res)
-	} else {
-		e.runParallel(ctx, h, workers, res)
-	}
+	e.run(ctx, h, workers, res)
 	canonicalizePaths(res.Paths)
 	if res.Cancelled {
 		res.PathsTruncated = true
@@ -504,76 +488,6 @@ func (e *Engine) completePath(ctx *Context) *Path {
 		}
 	}
 	return p
-}
-
-// runSequential is the single-threaded exploration loop. cancel is the
-// run's context.Context (named to keep ctx free for the per-path execution
-// Context).
-func (e *Engine) runSequential(cancel context.Context, h Handler, res *Result) {
-	e.queue = e.Strategy
-	if e.queue == nil {
-		e.queue = NewInterleaved(1)
-	}
-	e.counters = pathCounters{}
-	sess := bitblast.NewSession()
-	cut := e.newCanonCut()
-
-	enqueue := func(it *workItem) {
-		if e.ShardSink != nil && len(it.decisions) > e.ShardDepth {
-			e.ShardSink(it.decisions)
-			return
-		}
-		e.queue.Push(it)
-	}
-	e.queue.Push(e.rootItem())
-	completed := 0
-	for e.queue.Len() > 0 {
-		if cancel.Err() != nil {
-			res.Cancelled = true
-			break
-		}
-		if cut == nil && e.MaxPaths > 0 && len(res.Paths) >= e.MaxPaths {
-			res.PathsTruncated = true
-			break
-		}
-		it, ok := e.queue.Pop(res.Cov)
-		if !ok {
-			break
-		}
-		if cut != nil && cut.prune(it.decisions) {
-			continue
-		}
-		ctx := e.newContext(it, enqueue, &e.counters, sess)
-		outcome := runOne(ctx, h)
-		for name, v := range ctx.inputs {
-			res.Inputs[name] = v
-		}
-		switch outcome {
-		case pathCompleted, pathCrashed:
-			p := e.completePath(ctx)
-			if cut != nil {
-				cut.admit(p)
-			} else {
-				res.Paths = append(res.Paths, p)
-			}
-			if res.Cov != nil {
-				res.Cov.Merge(ctx.cov)
-			}
-			completed++
-			if e.Progress != nil {
-				e.Progress(completed)
-			}
-		case pathInfeasible:
-			res.Infeasible++
-		case pathDepthTruncated:
-			res.DepthTruncated++
-			if res.Cov != nil {
-				res.Cov.Merge(ctx.cov)
-			}
-		}
-	}
-	addSolveCounters(res, &e.counters, sess)
-	e.applyCanonCut(cut, res)
 }
 
 // newCanonCut returns the canonical-truncation tracker for this run, or nil

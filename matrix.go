@@ -24,7 +24,7 @@ type (
 	// MatrixCheck is one crosschecked agent pair on one test.
 	MatrixCheck = sched.PairCheck
 	// FleetStats counts worker-fleet lifecycle events (connections,
-	// leases, coalesced batches, re-leases, stale results).
+	// leases, re-leases, stale results).
 	FleetStats = dist.FleetStats
 )
 

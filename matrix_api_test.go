@@ -20,6 +20,45 @@ func matrixReportBytes(t *testing.T, rep *soft.MatrixReport) []byte {
 	return buf.Bytes()
 }
 
+// acceptedListener accepts n connections on ln — the workers' dials —
+// and returns a listener that hands those out first and then accepts on
+// ln. A campaign started on it begins with every worker connected: when
+// one worker drains a small campaign and the fleet closes the listener, a
+// worker that had not dialed yet would be refused.
+func acceptedListener(t *testing.T, ln net.Listener, n int) net.Listener {
+	t.Helper()
+	tl := ln.(*net.TCPListener)
+	if err := tl.SetDeadline(time.Now().Add(30 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	conns := make(chan net.Conn, n)
+	for i := 0; i < n; i++ {
+		c, err := tl.Accept()
+		if err != nil {
+			t.Fatalf("accepting worker %d: %v", i, err)
+		}
+		conns <- c
+	}
+	if err := tl.SetDeadline(time.Time{}); err != nil {
+		t.Fatal(err)
+	}
+	return &preAccepted{Listener: ln, conns: conns}
+}
+
+type preAccepted struct {
+	net.Listener
+	conns chan net.Conn
+}
+
+func (l *preAccepted) Accept() (net.Conn, error) {
+	select {
+	case c := <-l.conns:
+		return c, nil
+	default:
+		return l.Listener.Accept()
+	}
+}
+
 // TestRunMatrixAPI drives a campaign through the public API: fleetless
 // first, then the same campaign over a worker fleet plus a warm store
 // re-run, asserting canonical-report byte-identity throughout.
@@ -58,7 +97,7 @@ func TestRunMatrixAPI(t *testing.T) {
 	var events []soft.Event
 	fleet, err := soft.RunMatrix(ctx, agents, tests,
 		soft.WithModels(true),
-		soft.WithFleetListener(ln),
+		soft.WithFleetListener(acceptedListener(t, ln, 2)),
 		soft.WithStore(storeDir),
 		soft.WithCodeVersion("test-v1"),
 		soft.WithProgress(func(ev soft.Event) {

@@ -49,7 +49,7 @@ func newConfig(opts []Option) *config {
 
 // WithWorkers sets the number of parallel workers: exploration workers for
 // Explore/ExploreHandler, solver-query workers for CrossCheck (0 =
-// GOMAXPROCS, 1 = sequential). Exhaustive explorations and full
+// GOMAXPROCS). Exhaustive explorations and full
 // crosschecks are deterministic for every worker count.
 func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
 

@@ -127,10 +127,10 @@ func TestScenarioDeterminismAcrossLayouts(t *testing.T) {
 
 		// A one-cell campaign on a 2-worker fleet resolves the scenario by
 		// name on each worker, exercising the registered-test-source path
-		// end to end. The workers dial before the coordinator starts (the
-		// listener already queues connections), and shard depth 1 keeps the
-		// coordinator from consuming these small trees inline — the shards
-		// must flow through the workers.
+		// end to end. Both workers are connected before the campaign
+		// starts, and shard depth 1 keeps the coordinator from consuming
+		// these small trees inline — the shards must flow through the
+		// workers.
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -145,11 +145,12 @@ func TestScenarioDeterminismAcrossLayouts(t *testing.T) {
 			rep *soft.MatrixReport
 			err error
 		}
+		fleetLn := acceptedListener(t, ln, 2)
 		fleetDone := make(chan outcome, 1)
 		go func() {
 			rep, err := soft.RunMatrix(ctx, []string{"ref"}, []string{name},
 				soft.WithModels(true), soft.WithShardDepth(1),
-				soft.WithCrossCheck(false), soft.WithFleetListener(ln))
+				soft.WithCrossCheck(false), soft.WithFleetListener(fleetLn))
 			fleetDone <- outcome{rep, err}
 		}()
 		var rep *soft.MatrixReport

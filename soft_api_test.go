@@ -357,18 +357,26 @@ func TestProgressEventStats(t *testing.T) {
 
 // TestExploreHandlerTimeout exercises deadline-based cancellation (the
 // form a coordinator would use): a deadline in the past must return
-// immediately with an empty truncated result rather than exploring.
+// immediately with an empty truncated result rather than exploring, at
+// every worker count. Each case repeats, since a worker that starts a path
+// before looking at the context would only fail some of the time.
 func TestExploreHandlerTimeout(t *testing.T) {
-	ctx, cancel := context.WithTimeout(context.Background(), -time.Second)
-	defer cancel()
-	res, err := ExploreHandler(ctx, explodingHandler, WithWorkers(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Cancelled || !res.PathsTruncated {
-		t.Fatalf("expired-deadline run: Cancelled=%t PathsTruncated=%t", res.Cancelled, res.PathsTruncated)
-	}
-	if len(res.Paths) != 0 {
-		t.Fatalf("expired-deadline run explored %d paths", len(res.Paths))
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers-%d", workers), func(t *testing.T) {
+			for i := 0; i < 50; i++ {
+				ctx, cancel := context.WithTimeout(context.Background(), -time.Second)
+				res, err := ExploreHandler(ctx, explodingHandler, WithWorkers(workers))
+				cancel()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !res.Cancelled || !res.PathsTruncated {
+					t.Fatalf("run %d: expired-deadline run: Cancelled=%t PathsTruncated=%t", i, res.Cancelled, res.PathsTruncated)
+				}
+				if len(res.Paths) != 0 {
+					t.Fatalf("run %d: expired-deadline run explored %d paths", i, len(res.Paths))
+				}
+			}
+		})
 	}
 }
