@@ -24,7 +24,6 @@ import (
 	"github.com/soft-testing/soft/internal/report"
 	"github.com/soft-testing/soft/internal/solver"
 	"github.com/soft-testing/soft/internal/sym"
-	"github.com/soft-testing/soft/internal/symexec"
 )
 
 // benchAgents returns fresh agent models (construction is cheap; agents
@@ -237,34 +236,6 @@ func BenchmarkFigure4CoverageVsMessages(b *testing.B) {
 				cov = r.InstrPct
 			}
 			b.ReportMetric(cov, "instr%")
-		})
-	}
-}
-
-// BenchmarkAblationSearchStrategy compares the engine's search strategies
-// on the same exhaustive exploration — §4.1 claims the choice has small
-// impact because exploration runs to exhaustion.
-func BenchmarkAblationSearchStrategy(b *testing.B) {
-	t, _ := harness.TestByName("Packet Out")
-	strategies := []struct {
-		name string
-		mk   func() symexec.Strategy
-	}{
-		{"dfs", symexec.NewDFS},
-		{"bfs", symexec.NewBFS},
-		{"random", func() symexec.Strategy { return symexec.NewRandom(1) }},
-		{"cov-opt", symexec.NewCoverageOptimized},
-		{"interleaved", func() symexec.Strategy { return symexec.NewInterleaved(1) }},
-	}
-	for _, s := range strategies {
-		s := s
-		b.Run(s.name, func(b *testing.B) {
-			var paths int
-			for i := 0; i < b.N; i++ {
-				r := harness.Explore(refswitch.New(), t, harness.Options{Strategy: s.mk()})
-				paths = len(r.Paths)
-			}
-			b.ReportMetric(float64(paths), "paths")
 		})
 	}
 }

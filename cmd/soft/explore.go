@@ -39,6 +39,9 @@ func runExplore(e *env, args []string) error {
 	if fs.NArg() != 0 {
 		return usagef("unexpected arguments %q", fs.Args())
 	}
+	if *maxPaths < 0 {
+		return usagef("-max-paths must not be negative (got %d)", *maxPaths)
+	}
 
 	a, err := soft.AgentByName(*agentName)
 	if err != nil {

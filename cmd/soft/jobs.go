@@ -65,6 +65,9 @@ func runSubmit(e *env, args []string) error {
 	if *out != "" && !*watch {
 		return usagef("-o needs -watch (or use 'soft fetch' once the job is done)")
 	}
+	if *maxPaths < 0 {
+		return usagef("-max-paths must not be negative (got %d)", *maxPaths)
+	}
 	// Validate names client-side so typos are usage errors (exit 2) like
 	// everywhere else; the service re-validates on submission.
 	agents := splitList(*agentsFlag)

@@ -93,6 +93,9 @@ func runMatrix(e *env, args []string) error {
 			}
 		}
 	}
+	if *maxPaths < 0 {
+		return usagef("-max-paths must not be negative (got %d)", *maxPaths)
+	}
 	if *shardDepth < 0 {
 		return usagef("-shard-depth must not be negative (got %d)", *shardDepth)
 	}

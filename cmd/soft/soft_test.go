@@ -18,6 +18,24 @@ func runCLI(t *testing.T, args ...string) (stdout, stderr string, code int) {
 	return out.String(), errb.String(), code
 }
 
+// TestNegativeMaxPathsUsageError: the engine reads a cap <= 0 as
+// unbounded, so a negative -max-paths is a usage error (exit 2) that names
+// the flag, on every command that takes it, rather than an unbounded run.
+func TestNegativeMaxPathsUsageError(t *testing.T) {
+	for _, args := range [][]string{
+		{"explore", "-test", "Concrete", "-max-paths", "-1"},
+		{"matrix", "-agents", "ref", "-tests", "Concrete", "-crosscheck=false", "-max-paths", "-1"},
+		{"submit", "-service", "http://127.0.0.1:1", "-max-paths", "-1"},
+	} {
+		t.Run(args[0], func(t *testing.T) {
+			_, stderr, code := runCLI(t, args...)
+			if code != 2 || !strings.Contains(stderr, "-max-paths must not be negative") {
+				t.Fatalf("soft %v: exit %d, want 2 naming -max-paths (stderr %q)", args, code, stderr)
+			}
+		})
+	}
+}
+
 // TestExploreDiffE2E mirrors the quickstart_e2e_test pipeline through the
 // binary surface: soft explore on the ref/modified agent pair, then soft
 // diff, asserting the known injected inconsistencies are reported.

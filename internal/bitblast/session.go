@@ -105,9 +105,6 @@ func (s *Session) Reset() {
 	clear(s.pathVars)
 }
 
-// StackLen returns the number of activation literals currently assumed.
-func (s *Session) StackLen() int { return len(s.stack) }
-
 // Encoded returns the CNF clauses and auxiliary variables the session has
 // added so far, over every query it served.
 func (s *Session) Encoded() (clauses, aux int) { return s.b.Clauses, s.b.Aux }

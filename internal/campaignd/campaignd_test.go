@@ -356,6 +356,8 @@ func TestSubmitValidation(t *testing.T) {
 		{"unknown agent", JobSpec{Agents: []string{"nope"}, Tests: []string{"Packet Out"}}, "nope"},
 		{"unknown test", JobSpec{Agents: []string{"ref"}, Tests: []string{"No Such Test"}}, "No Such Test"},
 		{"dup agent", JobSpec{Agents: []string{"ref", "ref"}, Tests: []string{"Packet Out"}}, "duplicate"},
+		{"negative max_paths", JobSpec{Agents: []string{"ref"}, Tests: []string{"Concrete"}, MaxPaths: -1}, "max_paths"},
+		{"negative max_depth", JobSpec{Agents: []string{"ref"}, Tests: []string{"Concrete"}, MaxDepth: -1}, "max_depth"},
 	}
 	for _, tc := range cases {
 		if _, err := cl.Submit(ctx, tc.spec); err == nil || !strings.Contains(err.Error(), tc.want) {

@@ -244,6 +244,14 @@ func (s *Server) dequeueLocked(j *Job) {
 // agent / the whole suite at submission time, so the journal pins the
 // concrete matrix.
 func (s *Server) Submit(spec JobSpec) (*Job, error) {
+	// 0 selects the default cap, but the engine reads any cap <= 0 as
+	// unbounded, so a negative one would silently lift the bound.
+	if spec.MaxPaths < 0 {
+		return nil, fmt.Errorf("campaignd: max_paths must not be negative (got %d)", spec.MaxPaths)
+	}
+	if spec.MaxDepth < 0 {
+		return nil, fmt.Errorf("campaignd: max_depth must not be negative (got %d)", spec.MaxDepth)
+	}
 	if len(spec.Agents) == 0 {
 		spec.Agents = agents.Names()
 	}

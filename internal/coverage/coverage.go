@@ -106,26 +106,6 @@ func (m *Map) TotalInstructions() int {
 	return m.total
 }
 
-// NumBlocks returns the number of registered blocks.
-func (m *Map) NumBlocks() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.blocks)
-}
-
-// NumBranchSites returns the number of registered branch sites.
-func (m *Map) NumBranchSites() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.branches)
-}
-
-// BlockName returns the name of a block.
-func (m *Map) BlockName(id BlockID) string { return m.blocks[id].name }
-
-// BranchName returns the name of a branch site.
-func (m *Map) BranchName(id BranchID) string { return m.branches[id] }
-
 // NewSet creates an empty per-run coverage set over this universe.
 func (m *Map) NewSet() *Set {
 	return &Set{
@@ -163,7 +143,7 @@ func (s *Set) CoverBranch(id BranchID, taken bool) {
 }
 
 // BranchDirCovered reports whether the given direction of a branch site has
-// been covered. Coverage-guided search strategies use it to prioritize
+// been covered. The engine's coverage-optimized pops use it to prioritize
 // pending paths.
 func (s *Set) BranchDirCovered(id BranchID, taken bool) bool {
 	if int(id) >= len(s.branches) {

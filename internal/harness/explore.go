@@ -21,8 +21,6 @@ type Options struct {
 	MaxPaths int
 	// MaxDepth caps symbolic decisions per path (0 = DefaultMaxDepth).
 	MaxDepth int
-	// Strategy overrides the engine search strategy.
-	Strategy symexec.Strategy
 	// WantModels extracts a concrete input example per path.
 	WantModels bool
 	// Workers is the number of parallel exploration workers (0 =
@@ -153,7 +151,6 @@ func ExploreContext(ctx context.Context, a agents.Agent, t Test, o Options) *Res
 	internHitsBefore, _ := sym.InternStats()
 
 	eng := &symexec.Engine{
-		Strategy:     o.Strategy,
 		MaxPaths:     o.MaxPaths,
 		MaxDepth:     o.MaxDepth,
 		WantModels:   o.WantModels,

@@ -2,6 +2,8 @@ package harness
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"sync"
 	"testing"
 
@@ -53,6 +55,26 @@ func TestParallelExploreDeterminism(t *testing.T) {
 					len(seq.Paths), len(par.Paths))
 			}
 		})
+	}
+}
+
+// TestTruncatedExploreOrderPinned pins the interleaved order end to end. A
+// non-canonical MaxPaths truncation keeps the first paths its one worker
+// completes, so its bytes depend on every pop; a change to the order or to
+// worker 0's seed moves this hash.
+func TestTruncatedExploreOrderPinned(t *testing.T) {
+	tt, ok := TestByName("Packet Out")
+	if !ok {
+		t.Fatal("missing test Packet Out")
+	}
+	r := Explore(ovs.New(), tt, Options{MaxPaths: 100, Workers: 1})
+	if !r.Truncated || len(r.Paths) != 100 {
+		t.Fatalf("want a truncated 100-path run, got truncated=%t with %d paths", r.Truncated, len(r.Paths))
+	}
+	sum := sha256.Sum256(serializeCanonical(t, r))
+	const want = "78b53f7732b541bcb90a5249eeedd2b6b14efdadb61f166ad03ca59495f2b70e"
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Fatalf("truncated results hash %s, want %s", got, want)
 	}
 }
 

@@ -327,10 +327,3 @@ func parsePathHeader(s string, p *SerializedPath) error {
 	}
 	return err
 }
-
-// TraceOf rebuilds a trace-comparison view for a serialized path. (The
-// events themselves are not reconstructed — grouping and crosschecking
-// only need the canonical string, template, and expressions.)
-func (p *SerializedPath) TraceOf() (template, canonical string, exprs []*sym.Expr) {
-	return p.Template, p.Canonical, p.Exprs
-}

@@ -117,12 +117,3 @@ func (s HistogramSnapshot) Quantile(q float64) int64 {
 	}
 	return BucketBound(histBuckets - 1)
 }
-
-// Mean returns the snapshot's arithmetic mean (0 when empty).
-func (s HistogramSnapshot) Mean() float64 {
-	n := s.Count()
-	if n == 0 {
-		return 0
-	}
-	return float64(s.Sum) / float64(n)
-}

@@ -261,12 +261,11 @@ func writeChromeJSON(w io.Writer, events []traceEvent, names map[int64]string) e
 // Span is one phase under measurement. The zero Span (tracing off) is
 // valid and End is a no-op on it.
 type Span struct {
-	t      *Tracer
-	start  time.Time
-	name   string
-	tid    int64
-	id     uint64
-	parent uint64
+	t     *Tracer
+	start time.Time
+	name  string
+	tid   int64
+	id    uint64
 }
 
 // StartSpan begins a span against the active tracer, or returns a no-op
@@ -292,12 +291,6 @@ func (s Span) WithTID(tid int) Span {
 	return s
 }
 
-// WithParent tags the span as a child of another span's id.
-func (s Span) WithParent(id uint64) Span {
-	s.parent = id
-	return s
-}
-
 // End completes the span and records it.
 func (s Span) End() { s.EndMin(0) }
 
@@ -313,12 +306,11 @@ func (s Span) EndMin(min time.Duration) {
 		return
 	}
 	s.t.record(traceEvent{
-		name:   s.name,
-		ts:     s.start.Sub(s.t.start).Microseconds(),
-		dur:    dur.Microseconds(),
-		pid:    LocalPid,
-		tid:    s.tid,
-		id:     s.id,
-		parent: s.parent,
+		name: s.name,
+		ts:   s.start.Sub(s.t.start).Microseconds(),
+		dur:  dur.Microseconds(),
+		pid:  LocalPid,
+		tid:  s.tid,
+		id:   s.id,
 	})
 }

@@ -83,9 +83,6 @@ func (m *Match) NWDstWildBits() uint32 {
 	return (m.Wildcards & FWNWDstMask) >> FWNWDstShift
 }
 
-// IsExact reports whether no field is wildcarded.
-func (m *Match) IsExact() bool { return m.Wildcards&FWAll == 0 }
-
 // Subsumes reports whether every packet matching n also matches m (m is
 // equal or more general). Used for DELETE (non-strict) semantics.
 func (m *Match) Subsumes(n *Match) bool {

@@ -510,6 +510,3 @@ func LNot(e *Expr) *Expr {
 	}
 	return mk(OpLNot, 0, 0, 0, "", e)
 }
-
-// Implies returns the boolean a => b.
-func Implies(a, b *Expr) *Expr { return LOr(LNot(a), b) }

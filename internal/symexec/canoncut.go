@@ -4,11 +4,11 @@ import "sync"
 
 // canonCut implements canonical MaxPaths truncation (Engine.CanonicalCut):
 // instead of keeping the first N paths that happen to complete — a set that
-// depends on strategy order and, with several workers, on scheduling — it
-// keeps the N canonically smallest completed paths (lexicographic
-// decision-prefix order, false before true). That set is a pure function of
-// the execution tree, so truncated runs become reproducible across worker
-// counts and across distributed process layouts.
+// depends on the interleaved order and, with several workers, on
+// scheduling — it keeps the N canonically smallest completed paths
+// (lexicographic decision-prefix order, false before true). That set is a
+// pure function of the execution tree, so truncated runs become
+// reproducible across worker counts and across distributed process layouts.
 //
 // The tracker doubles as a pruning oracle. Decision-vector order is
 // subtree-monotone: every path below an unexplored prefix q sorts after q,

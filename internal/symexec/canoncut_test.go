@@ -2,6 +2,7 @@ package symexec
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/soft-testing/soft/internal/sym"
@@ -32,8 +33,8 @@ func fmtDecisions(d []bool) string {
 }
 
 // TestCanonicalCutDeterminism is the satellite property behind deterministic
-// MaxPaths truncation: for every handler, cap, worker count, and strategy,
-// a CanonicalCut run keeps exactly the cap's worth of canonically smallest
+// MaxPaths truncation: for every handler, cap, and worker count, a
+// CanonicalCut run keeps exactly the cap's worth of canonically smallest
 // paths — the same set a full exploration would sort first.
 func TestCanonicalCutDeterminism(t *testing.T) {
 	for name, h := range parallelHandlers() {
@@ -46,24 +47,21 @@ func TestCanonicalCutDeterminism(t *testing.T) {
 			cap := len(full.Paths) / 2
 			wantPaths := fingerprintPrefix(full, cap)
 
-			for _, workers := range []int{1, 2, 4} {
-				for _, strat := range []Strategy{nil, NewDFS(), NewBFS(), NewRandom(7)} {
-					eng := &Engine{
-						Workers: workers, WantModels: true,
-						MaxPaths: cap, CanonicalCut: true,
-						Strategy: strat,
-					}
-					res := eng.Run(h)
-					if !res.PathsTruncated {
-						t.Fatalf("workers=%d: canonical cut did not mark truncation", workers)
-					}
-					if len(res.Paths) != cap {
-						t.Fatalf("workers=%d: kept %d paths, want %d", workers, len(res.Paths), cap)
-					}
-					if got := pathFingerprint(res); got != wantPaths {
-						t.Fatalf("workers=%d strategy=%v: canonical cut kept\n%s\nwant\n%s",
-							workers, strat, got, wantPaths)
-					}
+			for _, workers := range []int{1, 2, 4, 8} {
+				eng := &Engine{
+					Workers: workers, WantModels: true,
+					MaxPaths: cap, CanonicalCut: true,
+				}
+				res := eng.Run(h)
+				if !res.PathsTruncated {
+					t.Fatalf("workers=%d: canonical cut did not mark truncation", workers)
+				}
+				if len(res.Paths) != cap {
+					t.Fatalf("workers=%d: kept %d paths, want %d", workers, len(res.Paths), cap)
+				}
+				if got := pathFingerprint(res); got != wantPaths {
+					t.Fatalf("workers=%d: canonical cut kept\n%s\nwant\n%s",
+						workers, got, wantPaths)
 				}
 			}
 		})
@@ -93,6 +91,38 @@ func TestCanonicalCutExhaustive(t *testing.T) {
 	}
 	if got := fingerprint(res); got != want {
 		t.Fatalf("canonical cut altered an exhaustive run:\n%s\nwant\n%s", got, want)
+	}
+}
+
+// TestCanonicalCutProgress: under a canonical cut, Progress counts paths
+// kept, not paths completed — the cut discards completed paths that sort
+// after the MaxPaths smallest — so no report exceeds the cap and the last
+// one equals the kept count.
+func TestCanonicalCutProgress(t *testing.T) {
+	h := func(ctx *Context) {
+		x := ctx.NewSym("x", 8)
+		for i := 0; i < 6; i++ {
+			ctx.Branch(sym.EqConst(sym.Extract(x, i, i), 1))
+		}
+	}
+	for _, workers := range []int{1, 2, 4, 8} {
+		var mu sync.Mutex
+		var most int
+		eng := &Engine{
+			Workers: workers, MaxPaths: 10, CanonicalCut: true,
+			Progress: func(n int) {
+				mu.Lock()
+				most = max(most, n)
+				mu.Unlock()
+			},
+		}
+		res := eng.Run(h)
+		if len(res.Paths) != 10 {
+			t.Fatalf("workers=%d: kept %d paths, want 10", workers, len(res.Paths))
+		}
+		if most != len(res.Paths) {
+			t.Fatalf("workers=%d: Progress reached %d, want the %d kept paths", workers, most, len(res.Paths))
+		}
 	}
 }
 

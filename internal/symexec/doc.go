@@ -26,17 +26,18 @@
 // the path granularity. Engine.Workers (default GOMAXPROCS) workers run the
 // following scheme, the reproduction's stand-in for the paper's Cloud9
 // cluster (§3.2). It is the engine's only exploration loop: one worker is
-// the same loop with nobody to donate to, and pops exactly the configured
-// strategy's order.
+// the same loop with nobody to donate to, and pops exactly the interleaved
+// order seeded with 1.
 //
 //   - Each worker owns a local frontier of unexplored branch-decision
-//     prefixes, ordered by its own instance of the configured search
-//     strategy (Strategy.ForWorker derives the per-worker instances;
-//     randomized strategies get deterministic per-worker seeds, and worker
-//     0 keeps the base seed). The root seeds worker 0's frontier.
+//     prefixes in the interleaved order, Cloud9's default the paper uses
+//     (§4.1): coverage-optimized and random picks alternate. Each worker's
+//     random picks follow its own deterministic seed, and worker 0 keeps
+//     the base seed 1. The root seeds worker 0's frontier.
 //   - The hot path is share-nothing: path execution uses a worker-private
 //     constraint encoding and CDCL core, forks push onto the worker-local
-//     frontier, and the branch-query counter is worker-local. No locks, no atomics while a path runs.
+//     frontier, and the branch-query counter is worker-local. No locks, no
+//     atomics while a path runs.
 //   - A shared steal pool balances load. A worker that drains its local
 //     frontier blocks in the pool; busy workers observe the (lock-free)
 //     idle count at fork time and donate forks — or half their backlog —
@@ -98,14 +99,14 @@
 // fork point, every completed path, and every infeasible or depth-truncated
 // prefix is determined by the handler alone, not by the order the tree is
 // walked. An exhaustive exploration therefore discovers the same path set
-// under any strategy, worker count, and scheduling. The engine makes the
-// *reported* result identical too by canonicalizing afterwards: completed
-// paths are sorted by their branch-decision vector (lexicographically,
-// false before true) and path IDs are assigned in that order. Runs of the
-// same handler at any worker count produce byte-identical results —
-// the property the determinism regression tests in parallel_test.go and
-// harness's parallel_test.go pin, and the foundation of the paper's
-// no-false-positive guarantee under concurrency.
+// under any exploration order, worker count, and scheduling. The engine
+// makes the *reported* result identical too by canonicalizing afterwards:
+// completed paths are sorted by their branch-decision vector
+// (lexicographically, false before true) and path IDs are assigned in that
+// order. Runs of the same handler at any worker count produce byte-identical
+// results — the property the determinism regression tests in
+// parallel_test.go and harness's parallel_test.go pin, and the foundation of
+// the paper's no-false-positive guarantee under concurrency.
 //
 // Sessions change no answer, so the guarantee holds whatever path mix each
 // worker's session has seen: an exhaustive run serializes to the same
@@ -114,18 +115,18 @@
 //
 // MaxPaths truncation comes in two flavors. The default keeps the first
 // MaxPaths paths that happen to complete — cheap, but *which* paths those
-// are depends on strategy order and, with several workers, on scheduling,
-// so truncated runs are not canonical. Engine.CanonicalCut closes that
-// caveat: the run keeps the MaxPaths canonically *smallest* completed
-// paths instead. The kept set converges because decision-prefix order is
-// subtree-monotone — every path below a pending prefix sorts after it — so
-// once MaxPaths paths at or below some bound have completed, any pending
-// prefix sorting after the current MaxPaths-th smallest path can be pruned
-// outright (canoncut.go). The result is a pure function of the execution
-// tree: byte-identical for every worker count, strategy, and distributed
-// shard layout, which is why distributed runs default to it. In a
-// truncated canonical run, coverage is rebuilt from exactly the kept paths
-// (which other attempts executed before pruning kicked in is
+// are depends on the interleaved order and, with several workers, on
+// scheduling, so truncated runs are not canonical. Engine.CanonicalCut
+// closes that caveat: the run keeps the MaxPaths canonically *smallest*
+// completed paths instead. The kept set converges because decision-prefix
+// order is subtree-monotone — every path below a pending prefix sorts after
+// it — so once MaxPaths paths at or below some bound have completed, any
+// pending prefix sorting after the current MaxPaths-th smallest path can be
+// pruned outright (canoncut.go). The result is a pure function of the
+// execution tree: byte-identical for every worker count, exploration order,
+// and distributed shard layout, which is why distributed runs default to it.
+// In a truncated canonical run, coverage is rebuilt from exactly the kept
+// paths (which other attempts executed before pruning kicked in is
 // schedule-dependent), and the Infeasible/DepthTruncated/BranchQueries
 // counters remain approximate; cancelled runs are still non-canonical.
 //

@@ -7,22 +7,22 @@ import (
 	"github.com/soft-testing/soft/internal/coverage"
 )
 
-// TestInterleavedPopOrder pins the interleaved strategy's pop order for a
-// fixed seed: alternating coverage-guided and random picks over one item
+// TestInterleavedPopOrder pins the interleaved frontier's pop order for a
+// fixed seed: alternating coverage-optimized and random picks over one item
 // set, with coverage growing mid-run. The literal was recorded from the
 // two-view implementation this one replaced, so one-worker explorations
-// (and their truncated results) keep their order. ForWorker(0) keeps the
-// seed, so worker 0 of a run pops the same order.
+// (and their truncated results) keep their order. workerSeed keeps the
+// base seed for worker 0, so worker 0 of a run pops the same order.
 func TestInterleavedPopOrder(t *testing.T) {
-	for name, s := range map[string]Strategy{
-		"base":     NewInterleaved(7),
-		"worker-0": NewInterleaved(7).ForWorker(0),
+	for name, s := range map[string]*interleaved{
+		"base":     newInterleaved(7),
+		"worker-0": newInterleaved(workerSeed(7, 0)),
 	} {
 		t.Run(name, func(t *testing.T) { checkPopOrder(t, s) })
 	}
 }
 
-func checkPopOrder(t *testing.T, s Strategy) {
+func checkPopOrder(t *testing.T, s *interleaved) {
 	m := coverage.NewMap()
 	sites := make([]coverage.BranchID, 4)
 	for i := range sites {
@@ -65,7 +65,7 @@ func checkPopOrder(t *testing.T, s Strategy) {
 	push(4)
 	pop(s.Len())
 	if _, ok := s.Pop(cov); ok {
-		t.Fatal("pop succeeded on an empty strategy")
+		t.Fatal("pop succeeded on an empty frontier")
 	}
 	want := []int{2, 7, 3, 0, 8, 13, 10, 4, 15, 11, 12, 6, 1, 16, 17, 14, 5, 9}
 	if fmt.Sprint(got) != fmt.Sprint(want) {

@@ -22,10 +22,10 @@ var (
 )
 
 // frontier is the shared work pool of the parallel engine. Workers keep
-// their own strategy-ordered local frontiers and touch this structure only
-// to donate work when someone is starving, to steal when their local
-// frontier runs dry, and to detect global termination — so the hot path
-// (execute path, fork locally) takes no locks.
+// their own local frontiers in the interleaved order and touch this
+// structure only to donate work when someone is starving, to steal when
+// their local frontier runs dry, and to detect global termination — so the
+// hot path (execute path, fork locally) takes no locks.
 type frontier struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -121,17 +121,18 @@ type workerState struct {
 	counters   pathCounters
 	sess       *bitblast.Session // persistent incremental session
 	inputs     map[string]*sym.Expr
-	cov        *coverage.Set // worker-cumulative; feeds coverage-guided Pop
+	cov        *coverage.Set // worker-cumulative; feeds coverage-optimized pops
 }
 
 // run explores h with the given number of workers over a shared
 // work-stealing frontier; one worker is simply the degenerate case. Workers
-// own every piece of hot-path state — the strategy-ordered local frontier,
-// the per-path constraint encodings, the branch-query counter — and
-// synchronize only to balance work. The root seeds worker 0's local
-// frontier, so a one-worker run pops exactly the configured strategy's
-// order. The merged result is canonicalized by the caller, so exhaustive
-// runs produce the same Result at every worker count.
+// own every piece of hot-path state — the local frontier in the interleaved
+// order (worker w's random picks follow workerSeed(1, w)), the per-path
+// constraint encodings, the branch-query counter — and synchronize only to
+// balance work. The root seeds worker 0's local frontier, so a one-worker
+// run pops exactly newInterleaved(1)'s order. The merged result is
+// canonicalized by the caller, so exhaustive runs produce the same Result
+// at every worker count.
 //
 // Each worker checks the run's context before every pop: on cancellation
 // it halts the frontier, which wakes blocked stealers and makes every
@@ -146,10 +147,6 @@ type workerState struct {
 // process).
 func (e *Engine) run(cancel context.Context, h Handler, workers int, res *Result) {
 	f := newFrontier(workers)
-	strategy := e.Strategy
-	if strategy == nil {
-		strategy = NewInterleaved(1)
-	}
 
 	cut := e.newCanonCut()
 	maxPaths := int64(e.MaxPaths)
@@ -171,7 +168,7 @@ func (e *Engine) run(cancel context.Context, h Handler, workers int, res *Result
 			ws.cov = e.CovMap.NewSet()
 		}
 		states[w] = ws
-		local := strategy.ForWorker(w)
+		local := newInterleaved(workerSeed(1, w))
 		if w == 0 {
 			local.Push(e.rootItem())
 		}
@@ -184,7 +181,7 @@ func (e *Engine) run(cancel context.Context, h Handler, workers int, res *Result
 				if r := recover(); r != nil {
 					p, ok := r.(*pathPanic)
 					if !ok {
-						// Outside runOne (strategy or callback code).
+						// Outside runOne (frontier or callback code).
 						p = &pathPanic{value: r, stack: debug.Stack()}
 					}
 					failure.CompareAndSwap(nil, p)
@@ -264,7 +261,13 @@ func (e *Engine) run(cancel context.Context, h Handler, workers int, res *Result
 						ws.cov.Merge(ctx.cov)
 					}
 					if e.Progress != nil {
-						e.Progress(int(progressDone.Add(1)))
+						n := progressDone.Add(1)
+						if cut != nil {
+							// The cut keeps at most MaxPaths of the paths
+							// completed so far.
+							n = min(n, int64(e.MaxPaths))
+						}
+						e.Progress(int(n))
 					}
 				case pathInfeasible:
 					ws.infeasible++

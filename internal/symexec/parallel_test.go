@@ -84,44 +84,23 @@ func parallelHandlers() map[string]Handler {
 }
 
 // TestParallelMatchesSequential is the core determinism property: for
-// exhaustive exploration, any worker count produces a byte-identical Result.
+// exhaustive exploration, any worker count produces a byte-identical Result,
+// with models on and off.
 func TestParallelMatchesSequential(t *testing.T) {
 	for name, h := range parallelHandlers() {
 		t.Run(name, func(t *testing.T) {
-			seq := (&Engine{Workers: 1, WantModels: true}).Run(h)
-			want := fingerprint(seq)
-			for _, workers := range []int{2, 4, 8} {
-				par := (&Engine{Workers: workers, WantModels: true}).Run(h)
-				if got := fingerprint(par); got != want {
-					t.Fatalf("workers=%d diverged from sequential:\n--- sequential\n%s--- parallel\n%s",
-						workers, want, got)
+			for _, models := range []bool{true, false} {
+				seq := (&Engine{Workers: 1, WantModels: models}).Run(h)
+				want := fingerprint(seq)
+				for _, workers := range []int{1, 2, 4, 8} {
+					par := (&Engine{Workers: workers, WantModels: models}).Run(h)
+					if got := fingerprint(par); got != want {
+						t.Fatalf("models=%t workers=%d diverged from one worker:\n--- one worker\n%s--- workers=%d\n%s",
+							models, workers, want, workers, got)
+					}
 				}
 			}
 		})
-	}
-}
-
-// TestParallelMatchesSequentialAllStrategies checks canonical ordering makes
-// the result independent of both the strategy and the worker count.
-func TestParallelMatchesSequentialAllStrategies(t *testing.T) {
-	mks := map[string]func() Strategy{
-		"dfs":         NewDFS,
-		"bfs":         NewBFS,
-		"random":      func() Strategy { return NewRandom(42) },
-		"cov-opt":     NewCoverageOptimized,
-		"interleaved": func() Strategy { return NewInterleaved(7) },
-	}
-	base := (&Engine{Workers: 1}).Run(paperExample)
-	want := fingerprint(base)
-	for name, mk := range mks {
-		for _, workers := range []int{1, 4} {
-			e := &Engine{Workers: workers, Strategy: mk()}
-			res := e.Run(paperExample)
-			if got := fingerprint(res); got != want {
-				t.Errorf("strategy=%s workers=%d diverged:\n--- want\n%s--- got\n%s",
-					name, workers, want, got)
-			}
-		}
 	}
 }
 
@@ -257,28 +236,20 @@ func TestConcurrentRunsShareEngine(t *testing.T) {
 	}
 }
 
-// TestWorkerStrategyDerivation: every built-in strategy yields independent
-// per-worker instances; randomized ones derive distinct seeds.
-func TestWorkerStrategyDerivation(t *testing.T) {
-	for _, mk := range []func() Strategy{
-		NewDFS, NewBFS,
-		func() Strategy { return NewRandom(3) },
-		NewCoverageOptimized,
-		func() Strategy { return NewInterleaved(3) },
-	} {
-		s := mk()
-		a, b := s.ForWorker(0), s.ForWorker(1)
-		if a == s || b == s || a == b {
-			t.Fatalf("strategy %s: ForWorker must return fresh instances", s.Name())
+// TestWorkerSeeds: worker 0 keeps the base seed 1, so a one-worker run pops
+// exactly newInterleaved(1)'s order, and every worker's random picks follow
+// a seed of its own.
+func TestWorkerSeeds(t *testing.T) {
+	if got := workerSeed(1, 0); got != 1 {
+		t.Fatalf("workerSeed(1, 0) = %d, want 1", got)
+	}
+	seen := map[int64]int{}
+	for w := 0; w < 64; w++ {
+		s := workerSeed(1, w)
+		if prev, dup := seen[s]; dup {
+			t.Fatalf("workers %d and %d share seed %d", prev, w, s)
 		}
-		if a.Name() != s.Name() {
-			t.Fatalf("strategy %s: ForWorker changed kind to %s", s.Name(), a.Name())
-		}
-		// The derived instance must be usable in isolation.
-		a.Push(&workItem{decisions: []bool{true}, site: -1})
-		if it, ok := a.Pop(nil); !ok || len(it.decisions) != 1 {
-			t.Fatalf("strategy %s: derived instance broken", s.Name())
-		}
+		seen[s] = w
 	}
 }
 
@@ -286,7 +257,7 @@ func TestWorkerStrategyDerivation(t *testing.T) {
 // coverage-guided and random pops (the engine's rebalance and leftover
 // accounting depend on it).
 func TestInterleavedLenExact(t *testing.T) {
-	s := NewInterleaved(1)
+	s := newInterleaved(1)
 	for i := 0; i < 4; i++ {
 		s.Push(&workItem{decisions: []bool{true}, site: -1})
 	}
@@ -299,7 +270,7 @@ func TestInterleavedLenExact(t *testing.T) {
 		}
 	}
 	if _, ok := s.Pop(nil); ok {
-		t.Fatal("pop succeeded on empty strategy")
+		t.Fatal("pop succeeded on an empty frontier")
 	}
 }
 

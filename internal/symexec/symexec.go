@@ -125,7 +125,7 @@ func (c *Context) Assume(cond *sym.Expr) {
 // Branch evaluates a two-way branch on cond. Concrete conditions do not
 // fork. Symbolic conditions consult the decision prefix (replay) or the
 // solver (exploration); when both arms are feasible the unexplored arm is
-// enqueued with the engine's search strategy.
+// enqueued on the worker's frontier (see interleaved).
 func (c *Context) Branch(cond *sym.Expr) bool {
 	return c.BranchSite(-1, cond)
 }
@@ -248,7 +248,7 @@ type Path struct {
 	// ID is the path's index in canonical decision-prefix order (see
 	// Decisions): IDs are assigned after exploration by sorting the decision
 	// vectors lexicographically (false < true), so the same handler always
-	// yields the same IDs regardless of search strategy or worker count.
+	// yields the same IDs regardless of exploration order or worker count.
 	ID       int
 	PC       []*sym.Expr // conjuncts in branch order
 	Outputs  []any
@@ -269,13 +269,9 @@ type Path struct {
 // Condition returns the path condition as a single expression.
 func (p *Path) Condition() *sym.Expr { return sym.LAnd(p.PC...) }
 
-// ConstraintSize returns the paper's Table 2 metric: the number of boolean
-// operations in the path condition.
-func (p *Path) ConstraintSize() int { return p.Condition().Size() }
-
 // Result is the outcome of exploring a handler exhaustively (or up to the
 // engine's limits). Paths are in canonical decision-prefix order, so for
-// exhaustive runs the Result is identical whatever the search strategy or
+// exhaustive runs the Result is identical whatever the exploration order or
 // worker count.
 type Result struct {
 	Paths []*Path
@@ -306,29 +302,6 @@ type Result struct {
 	ConstraintsReused int64
 }
 
-// AvgConstraintSize returns the mean constraint size across paths.
-func (r *Result) AvgConstraintSize() float64 {
-	if len(r.Paths) == 0 {
-		return 0
-	}
-	var sum int64
-	for _, p := range r.Paths {
-		sum += int64(p.ConstraintSize())
-	}
-	return float64(sum) / float64(len(r.Paths))
-}
-
-// MaxConstraintSize returns the largest constraint size across paths.
-func (r *Result) MaxConstraintSize() int {
-	m := 0
-	for _, p := range r.Paths {
-		if s := p.ConstraintSize(); s > m {
-			m = s
-		}
-	}
-	return m
-}
-
 // workItem is a pending path: a decision prefix ending in a flipped branch,
 // with the model that proved the flipped arm feasible (nil when unknown).
 type workItem struct {
@@ -340,13 +313,9 @@ type workItem struct {
 
 // Engine explores all paths of a Handler.
 type Engine struct {
-	// Strategy orders path exploration; nil means NewInterleaved(1), the
-	// Cloud9 default strategy per the paper's §4.1. Worker w orders its
-	// local frontier with Strategy.ForWorker(w).
-	Strategy Strategy
 	// MaxPaths caps explored paths; 0 means unlimited. The paper notes
 	// SOFT can work with partial path sets. When the cap truncates a run,
-	// the set of explored paths depends on strategy order (and, with
+	// the set of explored paths depends on the interleaved order (and, with
 	// Workers > 1, on scheduling) unless CanonicalCut makes the truncation
 	// deterministic; only exhaustive and CanonicalCut runs are canonical.
 	MaxPaths int
@@ -389,7 +358,7 @@ type Engine struct {
 	CovMap *coverage.Map
 	// Workers is the number of parallel exploration workers; 0 means
 	// GOMAXPROCS. Every count runs the same loop, and one worker pops
-	// exactly the strategy's order. Exhaustive runs produce identical
+	// exactly the interleaved order seeded with 1. Exhaustive runs produce identical
 	// Results for every worker count (see doc.go).
 	Workers int
 	// Progress, when set, is invoked after each completed path with the

@@ -299,52 +299,47 @@ func TestCoverageAccumulation(t *testing.T) {
 	}
 }
 
-func TestAllStrategiesExploreSamePartition(t *testing.T) {
-	// §4.1: the search strategy has small impact because exploration is
-	// exhaustive. All strategies must find the same 3 partitions of the
-	// paper example (possibly in different orders).
-	strategies := map[string]Strategy{
-		"dfs":         NewDFS(),
-		"bfs":         NewBFS(),
-		"random":      NewRandom(42),
-		"cov-opt":     NewCoverageOptimized(),
-		"interleaved": NewInterleaved(7),
-	}
-	for name, st := range strategies {
-		e := &Engine{Strategy: st}
-		res := e.Run(paperExample)
+func TestWorkerCountsExploreSamePartition(t *testing.T) {
+	// §4.1: the search order has small impact because exploration is
+	// exhaustive. Every worker count — each a different interleaving of
+	// pops across workers — must find the same 3 partitions of the paper
+	// example.
+	for _, workers := range []int{1, 2, 4, 8} {
+		res := (&Engine{Workers: workers}).Run(paperExample)
 		if len(res.Paths) != 3 {
-			t.Errorf("strategy %s found %d paths, want 3", name, len(res.Paths))
+			t.Errorf("workers=%d found %d paths, want 3", workers, len(res.Paths))
 		}
 		outs := map[string]bool{}
 		for _, p := range res.Paths {
 			outs[p.Outputs[0].(string)] = true
 		}
 		if !outs["CTRL"] || !outs["FWD"] || !outs["ERR"] {
-			t.Errorf("strategy %s missed behaviors: %v", name, outs)
+			t.Errorf("workers=%d missed behaviors: %v", workers, outs)
 		}
 	}
 }
 
 func TestDeterministicReplay(t *testing.T) {
-	// Two runs with the same strategy/seed must produce identical path
-	// conditions in identical order.
-	run := func() []string {
-		e := &Engine{Strategy: NewRandom(99)}
-		res := e.Run(paperExample)
+	// Runs at every worker count must produce identical path conditions in
+	// identical order.
+	run := func(workers int) []string {
+		res := (&Engine{Workers: workers}).Run(paperExample)
 		var out []string
 		for _, p := range res.Paths {
 			out = append(out, p.Condition().String())
 		}
 		return out
 	}
-	a, b := run(), run()
-	if len(a) != len(b) {
-		t.Fatalf("path counts differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("path %d differs:\n%s\n%s", i, a[i], b[i])
+	a := run(1)
+	for _, workers := range []int{1, 2, 4, 8} {
+		b := run(workers)
+		if len(a) != len(b) {
+			t.Fatalf("workers=%d: path counts differ: %d vs %d", workers, len(a), len(b))
+		}
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatalf("workers=%d: path %d differs:\n%s\n%s", workers, i, a[i], b[i])
+			}
 		}
 	}
 }

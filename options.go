@@ -4,8 +4,6 @@ import (
 	"log/slog"
 	"net"
 	"time"
-
-	"github.com/soft-testing/soft/internal/symexec"
 )
 
 // Option tunes Explore, ExploreHandler, CrossCheck, or InjectedFindings.
@@ -20,7 +18,6 @@ type config struct {
 	workers  int
 	models   bool
 	budget   time.Duration
-	strategy Strategy
 	progress func(Event)
 
 	canonicalCut bool
@@ -67,12 +64,6 @@ func WithMaxDepth(n int) Option { return func(c *config) { c.maxDepth = n } }
 // context.WithTimeout instead — contexts cancel promptly, the budget is
 // only checked between solver queries.
 func WithBudget(d time.Duration) Option { return func(c *config) { c.budget = d } }
-
-// WithStrategy overrides the engine's search strategy (default:
-// Interleaved(1), the Cloud9 default per §4.1). Exhaustive runs produce
-// the same result for every strategy; partial runs explore
-// strategy-dependent prefixes.
-func WithStrategy(s Strategy) Option { return func(c *config) { c.strategy = s } }
 
 // WithModels extracts a concrete input example per explored path. Models
 // make results self-contained test suites but cost one extra solver call
@@ -207,23 +198,3 @@ type Event struct {
 	// its work completed; nil on incremental events.
 	Stats *SolverStats
 }
-
-// Search strategies for WithStrategy. All built-ins support parallel
-// exploration (per-worker frontier instances with deterministic seeds).
-
-// DFS explores depth-first.
-func DFS() Strategy { return symexec.NewDFS() }
-
-// BFS explores breadth-first.
-func BFS() Strategy { return symexec.NewBFS() }
-
-// RandomStrategy explores in deterministic pseudo-random order.
-func RandomStrategy(seed int64) Strategy { return symexec.NewRandom(seed) }
-
-// CoverageOptimized prioritizes paths whose pending branch direction is
-// not yet covered.
-func CoverageOptimized() Strategy { return symexec.NewCoverageOptimized() }
-
-// Interleaved alternates coverage-optimized and random selection — the
-// engine's default, mirroring Cloud9's (§4.1).
-func Interleaved(seed int64) Strategy { return symexec.NewInterleaved(seed) }

@@ -107,10 +107,6 @@ type (
 	HandlerResult = symexec.Result
 	Path          = symexec.Path
 
-	// Strategy orders path exploration (see DFS, BFS, RandomStrategy,
-	// CoverageOptimized, Interleaved).
-	Strategy = symexec.Strategy
-
 	// Solver is the constraint-solving façade behind CheckSat; it is safe
 	// for concurrent use.
 	Solver = solver.Solver
@@ -176,7 +172,6 @@ func Explore(ctx context.Context, a Agent, t Test, opts ...Option) (*Result, err
 	ho := harness.Options{
 		MaxPaths:     cfg.maxPaths,
 		MaxDepth:     cfg.maxDepth,
-		Strategy:     cfg.strategy,
 		WantModels:   cfg.models,
 		Workers:      cfg.workers,
 		CanonicalCut: cfg.canonicalCut,
@@ -214,7 +209,6 @@ func ExploreHandler(ctx context.Context, h Handler, opts ...Option) (*HandlerRes
 	}
 	cfg := newConfig(opts)
 	eng := &symexec.Engine{
-		Strategy:     cfg.strategy,
 		MaxPaths:     cfg.maxPaths,
 		MaxDepth:     cfg.maxDepth,
 		WantModels:   cfg.models,
