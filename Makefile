@@ -23,7 +23,7 @@
 #                      hardware for meaningful numbers
 #   make bench-smoke   every scaling bench once (CI bit-rot guard, no timing value)
 #   make fmt-check     fail if any Go file needs gofmt
-#   make fuzz          the results-file, groups-file and expression-codec
+#   make fuzz          the results-file, campaign-report and expression-codec
 #                      fuzzers, 15 s each
 #   make loc           non-test Go line count outside bench/ (the size the
 #                      ROADMAP tracks)
@@ -55,7 +55,7 @@ loc:
 FUZZTIME ?= 15s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReadResults -fuzztime $(FUZZTIME) ./internal/harness/
-	$(GO) test -run '^$$' -fuzz FuzzReadGroups -fuzztime $(FUZZTIME) ./internal/group/
+	$(GO) test -run '^$$' -fuzz FuzzReadReport -fuzztime $(FUZZTIME) ./internal/sched/
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/sym/
 
 race:

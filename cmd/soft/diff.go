@@ -48,29 +48,11 @@ func partialCause(res *soft.SerializedResult) string {
 	return "truncated"
 }
 
-// groupCached groups a result, through the store's grouping cache when a
-// store directory was given.
-func groupCached(storeDir, codeVersion string, r *soft.SerializedResult) (*soft.Grouped, bool, error) {
-	if storeDir == "" {
-		return soft.GroupSerialized(r), false, nil
-	}
-	return soft.GroupCached(storeDir, codeVersion, r)
-}
-
-func hitMiss(hit bool) string {
-	if hit {
-		return "hit"
-	}
-	return "miss"
-}
-
 func runDiff(e *env, args []string) error {
 	fs := newFlags(e, "diff")
 	budget := fs.Duration("budget", 0, "time budget for the check (0 = unlimited)")
 	reproduce := fs.Bool("reproduce", false, "render a reproducer message per inconsistency")
 	workers := fs.Int("workers", 0, "parallel crosscheck workers (0 = GOMAXPROCS, 1 = one worker)")
-	storeDir := fs.String("store", "", "result-store directory: cache each file's grouping construction, keyed by result content and code version")
-	codeVersion := fs.String("code-version", "", "override the grouping cache's code version (default: the binary's VCS build stamp; match soft matrix -code-version)")
 	timeout := fs.Duration("timeout", 0, "hard wall-clock limit; on expiry the partial report is still printed")
 	verbose := fs.Bool("v", false, "report solver statistics (queries, solve time, session reuse)")
 	if err := parse(fs, args); err != nil {
@@ -89,17 +71,7 @@ func runDiff(e *env, args []string) error {
 	}
 	warnPartial(e, fs.Arg(0), ra)
 	warnPartial(e, fs.Arg(1), rb)
-	ga, hitA, err := groupCached(*storeDir, *codeVersion, ra)
-	if err != nil {
-		return err
-	}
-	gb, hitB, err := groupCached(*storeDir, *codeVersion, rb)
-	if err != nil {
-		return err
-	}
-	if *verbose && *storeDir != "" {
-		fmt.Fprintf(e.stderr, "soft diff: grouping cache: %s / %s\n", hitMiss(hitA), hitMiss(hitB))
-	}
+	ga, gb := soft.GroupSerialized(ra), soft.GroupSerialized(rb)
 
 	ctx := context.Background()
 	if *timeout > 0 {

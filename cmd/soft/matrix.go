@@ -45,7 +45,7 @@ func runMatrix(e *env, args []string) error {
 	workers := fs.Int("workers", 0, "in-process parallelism: exploration workers per cell (fleetless) and crosscheck solver workers (0 = GOMAXPROCS)")
 	maxPaths := fs.Int("max-paths", 0, "cap on explored paths per cell (0 = default); campaign truncation is canonical")
 	models := fs.Bool("models", true, "extract a concrete input example per path")
-	storeDir := fs.String("store", "", "result-store directory: cache cell results and groupings, skip unchanged cells on re-runs")
+	storeDir := fs.String("store", "", "result-store directory: cache cell results, skip unchanged cells on re-runs")
 	codeVersion := fs.String("code-version", "", "override the cache key's code version (default: the binary's VCS build stamp)")
 	storeMigrate := fs.Bool("store-migrate", false, "re-stamp a store recorded under a different code version instead of refusing it")
 	service := fs.String("service", "", "run the campaign on this campaign service (base URL; see 'soft campaignd') instead of in-process")
@@ -236,8 +236,7 @@ func runMatrix(e *env, args []string) error {
 			c.GroupsA, c.GroupsB, c.Report.Queries, partial)
 	}
 	if *verbose {
-		fmt.Fprintf(e.stderr, "soft matrix: result store: %d hits, %d misses; grouping cache: %d hits, %d misses\n",
-			rep.CacheHits, rep.CacheMisses, rep.GroupCacheHits, rep.GroupCacheMisses)
+		fmt.Fprintf(e.stderr, "soft matrix: result store: %d hits, %d misses\n", rep.CacheHits, rep.CacheMisses)
 		if fsStats := rep.FleetStats; fsStats != nil {
 			fmt.Fprintf(e.stderr, "soft matrix: fleet: %d workers (%d rejected), %d jobs, %d leases, %d re-queues, %d expirations, %d stale results\n",
 				fsStats.WorkersJoined, fsStats.WorkersRejected, fsStats.JobsCompleted, fsStats.Leases,

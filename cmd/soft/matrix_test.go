@@ -63,7 +63,7 @@ func TestMatrixCLI(t *testing.T) {
 	if !strings.Contains(stdout, "4 cells (0 explored, 4 cached)") {
 		t.Errorf("warm run did not hit the store for every cell:\n%s", stdout)
 	}
-	if !strings.Contains(stderr, "result store: 4 hits") || !strings.Contains(stderr, "grouping cache: 4 hits") {
+	if !strings.Contains(stderr, "result store: 4 hits") {
 		t.Errorf("warm -v output misses cache statistics:\n%s", stderr)
 	}
 	cold, err := os.ReadFile(coldReport)

@@ -36,6 +36,9 @@ func runReport(e *env, args []string) error {
 	if *figure != 0 && *figure != 4 {
 		return usagef("the paper's reproducible figure is 4")
 	}
+	if *maxPaths < 0 {
+		return usagef("-max-paths must not be negative (got %d)", *maxPaths)
+	}
 
 	o := report.Options{Quick: *quick, MaxPaths: *maxPaths, CheckBudget: *budget}
 	specific := *table != 0 || *figure != 0 || *injected || *inconsistencies

@@ -26,6 +26,7 @@ func TestNegativeMaxPathsUsageError(t *testing.T) {
 		{"explore", "-test", "Concrete", "-max-paths", "-1"},
 		{"matrix", "-agents", "ref", "-tests", "Concrete", "-crosscheck=false", "-max-paths", "-1"},
 		{"submit", "-service", "http://127.0.0.1:1", "-max-paths", "-1"},
+		{"report", "-table", "2", "-quick", "-max-paths", "-1"},
 	} {
 		t.Run(args[0], func(t *testing.T) {
 			_, stderr, code := runCLI(t, args...)

@@ -25,9 +25,9 @@
 //     by the content hash of (agent, test, engine config, code version)
 //     before exploring, and stored after. A warm re-run hits the store for
 //     every unchanged cell; changing any key component — a new binary, a
-//     different MaxPaths — misses by construction. The grouping phase's
-//     BalancedOr construction (the remaining phase-2 hot spot) is cached
-//     the same way, keyed by the content hash of the source result.
+//     different MaxPaths — misses by construction. Groupings are not
+//     cached: each run regroups the results it holds, in memory, which is
+//     faster than reading a stored grouping back.
 //
 // # Multi-job protocol frames
 //
@@ -57,12 +57,10 @@
 // (agent name, test name, code version, MaxPaths, MaxDepth, models,
 // canonical cut) — every input that can change exploration output. The
 // rendering still carries a constant "clausesharing=false" for an option
-// that no longer exists, so stores written before its removal stay warm. The code version defaults to the binary's VCS build stamp
+// that no longer exists, so stores written before its removal stay warm.
+// The code version defaults to the binary's VCS build stamp
 // (store.DefaultCodeVersion) and should be pinned explicitly in
-// deployments. Grouping constructions are keyed by the SHA-256 of the
-// source result's serialized bytes with the wall-clock line zeroed
-// (store.ResultHash), so they apply to any results file regardless of how
-// it was produced. Because exploration is deterministic, a cache hit is
+// deployments. Because exploration is deterministic, a cache hit is
 // bit-for-bit indistinguishable from a fresh run — which is what makes
 // caching sound in a system whose acceptance property is byte-identity.
 package sched

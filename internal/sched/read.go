@@ -96,8 +96,10 @@ func ReadReport(r io.Reader) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	rep.Cells = make([]Cell, nCells)
+	// Cells are appended as they are read, not preallocated: the count is
+	// untrusted input, and a huge one must fail as a truncated report.
 	for i := 0; i < nCells; i++ {
+		rep.Cells = append(rep.Cells, Cell{})
 		c := &rep.Cells[i]
 		l, err := need("cell")
 		if err != nil {

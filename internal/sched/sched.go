@@ -41,9 +41,8 @@ type Options struct {
 	// ShardDepth configures fleet jobs (see dist.JobConfig).
 	ShardDepth int
 
-	// Store, when set, caches cell results and grouping constructions;
-	// CodeVersion pins the code component of the cache key (default
-	// store.DefaultCodeVersion()).
+	// Store, when set, caches cell results; CodeVersion pins the code
+	// component of the cache key (default store.DefaultCodeVersion()).
 	Store       *store.Store
 	CodeVersion string
 
@@ -104,11 +103,8 @@ type PairCheck struct {
 	// distinct-template estimate survives canonical serialization even
 	// though the templates themselves are not written.
 	RootCauses int
-	// GroupsA/GroupsB are the two sides' distinct-behavior counts;
-	// GroupCacheHits counts how many of the two grouping constructions
-	// came from the store (0–2).
+	// GroupsA/GroupsB are the two sides' distinct-behavior counts.
 	GroupsA, GroupsB int
-	GroupCacheHits   int
 }
 
 // Report is the campaign outcome: per-cell results, aggregated crosscheck
@@ -123,10 +119,8 @@ type Report struct {
 	// pairs in agent order.
 	Checks []PairCheck
 
-	// CacheHits/CacheMisses count cell-result store lookups;
-	// GroupCacheHits/GroupCacheMisses the grouping-construction lookups.
-	CacheHits, CacheMisses           int
-	GroupCacheHits, GroupCacheMisses int
+	// CacheHits/CacheMisses count cell-result store lookups.
+	CacheHits, CacheMisses int
 
 	// FleetStats snapshots the fleet's lifecycle counters at campaign end
 	// (nil for fleetless runs).
@@ -385,39 +379,16 @@ func RunMatrix(ctx context.Context, agentNames, testNames []string, o Options) (
 	}
 
 	// Phase 2: crosscheck every agent pair on every test. Groupings are
-	// built once per cell (and served from the store when possible);
+	// built once per cell, in memory;
 	// checks run with parallel solver workers but are deterministic — a
 	// full parallel report is identical to a sequential one.
 	if o.CrossCheck {
 		grouped := make([]*group.Result, len(rep.Cells))
-		groupHit := make([]bool, len(rep.Cells))
-		groupsFor := func(i int) (*group.Result, error) {
-			if grouped[i] != nil {
-				return grouped[i], nil
+		groupsFor := func(i int) *group.Result {
+			if grouped[i] == nil {
+				grouped[i] = group.Paths(rep.Cells[i].Result)
 			}
-			cell := &rep.Cells[i]
-			if o.Store != nil {
-				g, ok, err := o.Store.GetGroups(cell.ResultHash, o.CodeVersion)
-				if err != nil {
-					// Corrupt groups entry: rebuild and overwrite.
-					log.Warn("cell groups entry unreadable (re-grouping)",
-						"agent", cell.Agent, "test", cell.Test, "err", err)
-				}
-				if ok {
-					grouped[i], groupHit[i] = g, true
-					rep.GroupCacheHits++
-					return g, nil
-				}
-			}
-			g := group.Paths(cell.Result)
-			if o.Store != nil {
-				if err := o.Store.PutGroups(cell.ResultHash, o.CodeVersion, g); err != nil {
-					return nil, err
-				}
-				rep.GroupCacheMisses++
-			}
-			grouped[i] = g
-			return g, nil
+			return grouped[i]
 		}
 		for ti, test := range testNames {
 			for ai := 0; ai < len(agentNames); ai++ {
@@ -426,14 +397,7 @@ func RunMatrix(ctx context.Context, agentNames, testNames []string, o Options) (
 						return nil, err
 					}
 					ia, ib := ai*len(testNames)+ti, bi*len(testNames)+ti
-					ga, err := groupsFor(ia)
-					if err != nil {
-						return nil, err
-					}
-					gb, err := groupsFor(ib)
-					if err != nil {
-						return nil, err
-					}
+					ga, gb := groupsFor(ia), groupsFor(ib)
 					csp := obs.StartSpan("crosscheck:" + test + ":" + agentNames[ai] + "-vs-" + agentNames[bi])
 					check := crosscheck.RunOpts(ctx, ga, gb, crosscheck.Opts{
 						Budget:  o.Budget,
@@ -443,19 +407,11 @@ func RunMatrix(ctx context.Context, agentNames, testNames []string, o Options) (
 					if check.Cancelled {
 						return nil, ctx.Err()
 					}
-					hits := 0
-					if groupHit[ia] {
-						hits++
-					}
-					if groupHit[ib] {
-						hits++
-					}
 					rep.Checks = append(rep.Checks, PairCheck{
 						Test: test, AgentA: agentNames[ai], AgentB: agentNames[bi],
 						Report:     check,
 						RootCauses: check.RootCauses(),
 						GroupsA:    len(ga.Groups), GroupsB: len(gb.Groups),
-						GroupCacheHits: hits,
 					})
 					rep.SolverStats.Add(check.SolverStats)
 					log.Info("check done",

@@ -3,7 +3,11 @@ package sched
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"net"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -287,9 +291,6 @@ func TestMatrixStore(t *testing.T) {
 	if cold.CacheHits != 0 || cold.CacheMisses != 4 {
 		t.Fatalf("cold run: hits=%d misses=%d, want 0/4", cold.CacheHits, cold.CacheMisses)
 	}
-	if cold.GroupCacheHits != 0 {
-		t.Fatalf("cold run claims group cache hits: %d", cold.GroupCacheHits)
-	}
 
 	var logBuf bytes.Buffer
 	warmOpts := base
@@ -310,9 +311,6 @@ func TestMatrixStore(t *testing.T) {
 	}
 	if warm.CacheHits != 4 || warm.CacheMisses != 0 {
 		t.Fatalf("warm run: hits=%d misses=%d, want 4/0", warm.CacheHits, warm.CacheMisses)
-	}
-	if warm.GroupCacheHits != 4 {
-		t.Fatalf("warm run: group cache hits=%d, want 4", warm.GroupCacheHits)
 	}
 	if warm.SolverStats.Queries != cold.Checks[0].Report.SolverStats.Queries+cold.Checks[1].Report.SolverStats.Queries {
 		t.Errorf("warm run did exploration solver work: %+v", warm.SolverStats)
@@ -344,6 +342,75 @@ func TestMatrixStore(t *testing.T) {
 	}
 	if rep.CacheHits != 4 {
 		t.Errorf("re-run of code-version variant missed: hits=%d", rep.CacheHits)
+	}
+}
+
+// TestMatrixStoreIgnoresLegacyGroups: stores written by builds that cached
+// groupings also hold a groups/ tree, one entry per cell at
+// SHA-256(result hash + "|" + code version). A warm campaign with
+// crosscheck regroups in memory: it serves every cell from the store,
+// reports exactly what the cold run did, and neither reads, warns about nor
+// rewrites those entries, even a corrupt one.
+func TestMatrixStoreIgnoresLegacyGroups(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tests := []string{"Stats Request"}
+	opts := Options{Models: true, CrossCheck: true, Store: st, CodeVersion: "legacy-v1"}
+	cold, err := RunMatrix(context.Background(), testAgents, tests, opts)
+	if err != nil {
+		t.Fatalf("cold run: %v", err)
+	}
+
+	// ref's entry holds the bytes an older build wrote for this cell;
+	// modified's is torn after its agent line.
+	valid, err := os.ReadFile(filepath.Join("testdata", "legacy-groups", "ref--Stats_Request"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed := map[string][]byte{
+		"ref":      valid,
+		"modified": []byte("soft-groups v1\nagent \"Modified Switch\"\n"),
+	}
+	if err := os.MkdirAll(filepath.Join(dir, "groups"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	legacyPath := func(c Cell) string {
+		sum := sha256.Sum256([]byte(c.ResultHash + "|" + opts.CodeVersion))
+		return filepath.Join(dir, "groups", hex.EncodeToString(sum[:]))
+	}
+	for _, c := range cold.Cells {
+		if err := os.WriteFile(legacyPath(c), seed[c.Agent], 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var logBuf bytes.Buffer
+	warmOpts := opts
+	warmOpts.Logger = obs.NewLogger(&logBuf, obs.LogText)
+	warm, err := RunMatrix(context.Background(), testAgents, tests, warmOpts)
+	if err != nil {
+		t.Fatalf("warm run: %v", err)
+	}
+	if warm.CacheHits != len(warm.Cells) || warm.CacheMisses != 0 {
+		t.Fatalf("warm run: hits=%d misses=%d, want %d/0", warm.CacheHits, warm.CacheMisses, len(warm.Cells))
+	}
+	if !bytes.Equal(reportBytes(t, cold), reportBytes(t, warm)) {
+		t.Fatal("warm campaign report differs from cold run")
+	}
+	if strings.Contains(logBuf.String(), "groups entry unreadable") {
+		t.Errorf("warm run read the legacy groups tree:\n%s", logBuf.String())
+	}
+	for _, c := range warm.Cells {
+		got, err := os.ReadFile(legacyPath(c))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, seed[c.Agent]) {
+			t.Errorf("%s's legacy groups entry was rewritten", c.Agent)
+		}
 	}
 }
 

@@ -19,8 +19,9 @@ import (
 const (
 	manifestName = "MANIFEST"
 	// layoutVersion is bumped on any incompatible change to the store's
-	// on-disk layout or to the entry formats it holds (results files,
-	// groups files, key construction).
+	// on-disk layout or to the entry format it holds (results files, key
+	// construction). Dropping the groups/ entries left the layout as it
+	// was: older stores stay warm and their groups/ directory is ignored.
 	layoutVersion = "soft-store v1"
 )
 

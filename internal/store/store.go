@@ -1,29 +1,22 @@
 // Package store implements the campaign result store: a content-addressed
-// on-disk cache of phase-1 exploration results and phase-2 grouping
-// constructions. It is what makes re-running a campaign cheap — the
-// byte-identical determinism of explorations (any worker count, any
-// distributed layout) means a cached result is indistinguishable from a
-// fresh run, so a matrix re-run only explores cells whose inputs changed.
+// on-disk cache of phase-1 exploration results. It is what makes re-running
+// a campaign cheap — the byte-identical determinism of explorations (any
+// worker count, any distributed layout) means a cached result is
+// indistinguishable from a fresh run, so a matrix re-run only explores
+// cells whose inputs changed.
 //
-// Two kinds of entries live in a store directory:
-//
-//   - results/<hash>: one exploration result in the standard results-file
-//     format, keyed by Key.Hash() — a SHA-256 over (agent, test, engine
-//     config, code version). Changing any component (a different MaxPaths,
-//     models on/off, a new binary) misses the cache by construction.
-//     A sidecar <hash>.key file records the human-readable key.
-//
-//   - groups/<hash>: one grouped result (the §4.2 BalancedOr construction)
-//     in the groups-file format, keyed by the *content hash* of the source
-//     result (ResultHash) combined with the code version. Grouping is a
-//     pure function of (result bytes, grouping code), so the cache applies
-//     to any results file — including ones handed over from another
-//     vendor — while a binary whose grouping algorithm changed can never
-//     reuse a stale construction.
+// One kind of entry lives in a store directory: results/<hash>, one
+// exploration result in the standard results-file format, keyed by
+// Key.Hash() — a SHA-256 over (agent, test, engine config, code version).
+// Changing any component (a different MaxPaths, models on/off, a new
+// binary) misses the cache by construction. A sidecar <hash>.key file
+// records the human-readable key. Grouping is not cached: regrouping a
+// result in memory is faster than reading a stored grouping back, so a
+// groups/ directory left by older builds is ignored.
 //
 // Writes are atomic (temp file + rename), so concurrent campaign workers
 // and crashed runs can never leave a torn entry; readers verify the magic
-// line through the normal format parsers.
+// line through the results-file parser.
 package store
 
 import (
@@ -37,7 +30,6 @@ import (
 	"strings"
 	"sync"
 
-	"github.com/soft-testing/soft/internal/group"
 	"github.com/soft-testing/soft/internal/harness"
 	"github.com/soft-testing/soft/internal/obs"
 )
@@ -47,8 +39,6 @@ import (
 var (
 	mResultHits   = obs.NewCounter("soft_store_result_hits_total")
 	mResultMisses = obs.NewCounter("soft_store_result_misses_total")
-	mGroupHits    = obs.NewCounter("soft_store_group_hits_total")
-	mGroupMisses  = obs.NewCounter("soft_store_group_misses_total")
 	mBytesRead    = obs.NewCounter("soft_store_bytes_read_total")
 	mBytesWritten = obs.NewCounter("soft_store_bytes_written_total")
 )
@@ -175,8 +165,8 @@ func executableHash() string {
 // ResultHash is the content address of a serialized result: a SHA-256 over
 // its tree rendering (WriteTree) with the wall-clock Elapsed field zeroed,
 // so two runs of the same exploration hash identically, however their
-// nodes are shared and whichever format their file was read from. It keys
-// the grouping cache.
+// nodes are shared and whichever format their file was read from. It is
+// the result= field of the canonical campaign report.
 func ResultHash(r *harness.SerializedResult) (string, error) {
 	clone := *r
 	clone.Elapsed = 0
@@ -195,10 +185,8 @@ type Store struct {
 
 // Open creates (if needed) and opens a store directory.
 func Open(dir string) (*Store, error) {
-	for _, sub := range []string{"results", "groups"} {
-		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
-			return nil, fmt.Errorf("store: %w", err)
-		}
+	if err := os.MkdirAll(filepath.Join(dir, "results"), 0o755); err != nil {
+		return nil, fmt.Errorf("store: %w", err)
 	}
 	return &Store{dir: dir}, nil
 }
@@ -208,15 +196,6 @@ func (s *Store) Dir() string { return s.dir }
 
 func (s *Store) resultPath(hash string) string {
 	return filepath.Join(s.dir, "results", hash)
-}
-
-// groupsPath derives the groups entry path from the source result's
-// content hash and the code version — exploration output can be identical
-// across binaries whose grouping construction changed, so the content hash
-// alone would reuse stale constructions.
-func (s *Store) groupsPath(resultHash, codeVersion string) string {
-	sum := sha256.Sum256([]byte(resultHash + "|" + codeVersion))
-	return filepath.Join(s.dir, "groups", hex.EncodeToString(sum[:]))
 }
 
 // GetResult looks a key up, returning (nil, false, nil) on a miss. A
@@ -260,40 +239,6 @@ func (s *Store) PutResult(k Key, r *harness.SerializedResult) error {
 	// The sidecar is debugging metadata; its loss is harmless.
 	os.WriteFile(s.resultPath(hash)+".key", []byte(k.String()+"\n"), 0o644)
 	return nil
-}
-
-// GetGroups looks up a cached grouping by the source result's content
-// hash (see ResultHash) and the code version that would construct it,
-// returning (nil, false, nil) on a miss.
-func (s *Store) GetGroups(resultHash, codeVersion string) (*group.Result, bool, error) {
-	sp := obs.StartSpan("store:get-groups")
-	defer sp.End()
-	f, err := os.Open(s.groupsPath(resultHash, codeVersion))
-	if os.IsNotExist(err) {
-		mGroupMisses.Inc()
-		return nil, false, nil
-	}
-	if err != nil {
-		mGroupMisses.Inc()
-		return nil, false, fmt.Errorf("store: %w", err)
-	}
-	defer f.Close()
-	g, err := group.Read(f)
-	if err != nil {
-		mGroupMisses.Inc()
-		return nil, false, fmt.Errorf("store: corrupt groups entry %s: %w", resultHash, err)
-	}
-	mGroupHits.Inc()
-	if fi, err := f.Stat(); err == nil {
-		mBytesRead.Add(fi.Size())
-	}
-	return g, true, nil
-}
-
-// PutGroups stores a grouping under (source result content hash, code
-// version).
-func (s *Store) PutGroups(resultHash, codeVersion string, g *group.Result) error {
-	return s.writeAtomic(s.groupsPath(resultHash, codeVersion), func(f *os.File) error { return g.Write(f) })
 }
 
 // writeAtomic writes via a temp file in the same directory and renames

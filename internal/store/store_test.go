@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"github.com/soft-testing/soft/internal/agents/refswitch"
-	"github.com/soft-testing/soft/internal/group"
 	"github.com/soft-testing/soft/internal/harness"
 )
 
@@ -125,50 +124,6 @@ func TestResultHashIgnoresElapsed(t *testing.T) {
 	}
 	if h3 == h1 {
 		t.Fatal("distinct results share a content hash")
-	}
-}
-
-// TestGroupsRoundTrip: a cached grouping reads back identical to the fresh
-// construction — same groups, same balanced conditions — so a cache hit is
-// indistinguishable from re-grouping.
-func TestGroupsRoundTrip(t *testing.T) {
-	s, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := explore(t)
-	g := group.Paths(res)
-	hash, err := ResultHash(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if _, ok, err := s.GetGroups(hash, "v1"); err != nil || ok {
-		t.Fatalf("empty store returned a groups hit (ok=%t err=%v)", ok, err)
-	}
-	if err := s.PutGroups(hash, "v1", g); err != nil {
-		t.Fatal(err)
-	}
-	got, ok, err := s.GetGroups(hash, "v1")
-	if err != nil || !ok {
-		t.Fatalf("stored groups missing (ok=%t err=%v)", ok, err)
-	}
-	// A binary with different grouping code must not reuse the entry.
-	if _, ok, err := s.GetGroups(hash, "v2"); err != nil || ok {
-		t.Fatalf("changed code version still hit the groups cache (ok=%t err=%v)", ok, err)
-	}
-	var want, have bytes.Buffer
-	if err := g.Write(&want); err != nil {
-		t.Fatal(err)
-	}
-	if err := got.Write(&have); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(want.Bytes(), have.Bytes()) {
-		t.Fatal("cached grouping differs from fresh construction")
-	}
-	if len(got.Groups) != len(g.Groups) {
-		t.Fatalf("group count %d, want %d", len(got.Groups), len(g.Groups))
 	}
 }
 

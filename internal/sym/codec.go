@@ -6,8 +6,8 @@ import (
 )
 
 // The text codec. Expressions travel between SOFT's phases as
-// s-expressions, one per line: results files, groups files, store entries
-// and the fleet's shard payloads all use it (§2.4: the crosscheck works on
+// s-expressions, one per line: results files, store entries and the
+// fleet's shard payloads all use it (§2.4: the crosscheck works on
 // symbolic execution outputs, not on agent source). An expression is a
 // hash-consed DAG, and a stream (one file, one payload) writes it as one:
 // in the spirit of SMT-LIB 2 `let` and of hash-consing (Filliâtre and

@@ -57,10 +57,10 @@ func CodeVersion() string { return store.DefaultCodeVersion() }
 //     the canonical MaxPaths cut), and the campaign report is
 //     byte-identical across layouts and worker crashes.
 //
-//   - With WithStore, results and grouping constructions are cached in a
-//     content-addressed on-disk store keyed by (agent, test, engine
-//     config, code version); a warm re-run hits the store for every
-//     unchanged cell and only explores what changed.
+//   - With WithStore, cell results are cached in a content-addressed
+//     on-disk store keyed by (agent, test, engine config, code version); a
+//     warm re-run hits the store for every unchanged cell and only
+//     explores what changed.
 //
 //   - With WithCampaignService, the whole campaign is submitted as one job
 //     to an always-on `soft campaignd` coordinator and the canonical
@@ -74,6 +74,12 @@ func CodeVersion() string { return store.DefaultCodeVersion() }
 // WithProgress, WithLogger.
 func RunMatrix(ctx context.Context, agents, tests []string, opts ...Option) (*MatrixReport, error) {
 	cfg := newConfig(opts)
+	if err := cfg.checkCaps("RunMatrix"); err != nil {
+		if cfg.fleetLn != nil {
+			cfg.fleetLn.Close()
+		}
+		return nil, err
+	}
 	if len(agents) == 0 {
 		agents = Agents()
 	}
@@ -129,40 +135,4 @@ func RunMatrix(ctx context.Context, agents, tests []string, opts ...Option) (*Ma
 		}
 	}
 	return sched.RunMatrix(ctx, agents, tests, o)
-}
-
-// GroupCached is GroupSerialized backed by the campaign result store: the
-// §4.2 BalancedOr grouping construction — the remaining phase-2 hot spot —
-// is cached in storeDir keyed by (result content hash, code version), so
-// repeated crosschecks of the same results file under the same code skip
-// it. The returned flag reports a cache hit. Grouping is a pure function
-// of the result bytes and the grouping code, so a cached construction is
-// identical to a fresh one.
-//
-// codeVersion must match what populated the store — pass the same value
-// used with WithCodeVersion, or "" for this binary's CodeVersion(). Like
-// the result cache, unstamped dev builds all report "unversioned"; pin an
-// explicit version when multiple binaries share a store.
-func GroupCached(storeDir, codeVersion string, r *SerializedResult) (*Grouped, bool, error) {
-	st, err := store.Open(storeDir)
-	if err != nil {
-		return nil, false, err
-	}
-	hash, err := store.ResultHash(r)
-	if err != nil {
-		return nil, false, err
-	}
-	if codeVersion == "" {
-		codeVersion = store.DefaultCodeVersion()
-	}
-	if g, ok, err := st.GetGroups(hash, codeVersion); err != nil {
-		return nil, false, err
-	} else if ok {
-		return g, true, nil
-	}
-	g := GroupSerialized(r)
-	if err := st.PutGroups(hash, codeVersion, g); err != nil {
-		return nil, false, err
-	}
-	return g, false, nil
 }

@@ -162,46 +162,6 @@ func TestRunMatrixAPI(t *testing.T) {
 	}
 }
 
-// TestGroupCachedAPI: the cached grouping is identical to the fresh one
-// and reports its hit state correctly.
-func TestGroupCachedAPI(t *testing.T) {
-	ref, _ := soft.AgentByName("ref")
-	test, _ := soft.TestByName("Packet Out")
-	res, err := soft.Explore(context.Background(), ref, test)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ser := res.Serialized()
-	dir := t.TempDir()
-
-	g1, hit, err := soft.GroupCached(dir, "gc-v1", ser)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hit {
-		t.Fatal("first GroupCached call reported a hit")
-	}
-	g2, hit, err := soft.GroupCached(dir, "gc-v1", ser)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !hit {
-		t.Fatal("second GroupCached call missed")
-	}
-	if _, hit, err = soft.GroupCached(dir, "gc-v2", ser); err != nil || hit {
-		t.Fatalf("changed code version still hit the grouping cache (hit=%t err=%v)", hit, err)
-	}
-	if len(g1.Groups) != len(g2.Groups) {
-		t.Fatalf("cached grouping has %d groups, fresh %d", len(g2.Groups), len(g1.Groups))
-	}
-	fresh := soft.GroupSerialized(ser)
-	for i := range fresh.Groups {
-		if fresh.Groups[i].Canonical != g2.Groups[i].Canonical {
-			t.Fatalf("group %d canonical mismatch", i)
-		}
-	}
-}
-
 // TestRunMatrixDefaults: empty agent/test slices expand to the full
 // registry and suite.
 func TestRunMatrixDefaults(t *testing.T) {

@@ -1,6 +1,7 @@
 package soft
 
 import (
+	"fmt"
 	"log/slog"
 	"net"
 	"time"
@@ -44,6 +45,19 @@ func newConfig(opts []Option) *config {
 	return cfg
 }
 
+// checkCaps rejects a negative WithMaxPaths or WithMaxDepth: the engine
+// reads any cap <= 0 as "unbounded", so a negative one would silently
+// explore everything.
+func (c *config) checkCaps(fn string) error {
+	if c.maxPaths < 0 {
+		return fmt.Errorf("soft: %s: negative MaxPaths %d", fn, c.maxPaths)
+	}
+	if c.maxDepth < 0 {
+		return fmt.Errorf("soft: %s: negative MaxDepth %d", fn, c.maxDepth)
+	}
+	return nil
+}
+
 // WithWorkers sets the number of parallel workers: exploration workers for
 // Explore/ExploreHandler, solver-query workers for CrossCheck (0 =
 // GOMAXPROCS). Exhaustive explorations and full
@@ -51,11 +65,12 @@ func newConfig(opts []Option) *config {
 func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
 
 // WithMaxPaths caps the number of explored paths (0 = the harness
-// default). The paper notes SOFT works with partial path sets too; a
+// default; Explore, ExploreHandler and RunMatrix reject a negative cap). The paper notes SOFT works with partial path sets too; a
 // truncated run sets Result.Truncated.
 func WithMaxPaths(n int) Option { return func(c *config) { c.maxPaths = n } }
 
-// WithMaxDepth caps symbolic decisions per path (0 = the harness default).
+// WithMaxDepth caps symbolic decisions per path (0 = the harness default;
+// negative is rejected like WithMaxPaths).
 func WithMaxDepth(n int) Option { return func(c *config) { c.maxDepth = n } }
 
 // WithBudget bounds a crosscheck's wall-clock time; an expired budget
@@ -87,9 +102,9 @@ func WithCanonicalCut(on bool) Option { return func(c *config) { c.canonicalCut 
 func WithShardDepth(d int) Option { return func(c *config) { c.shardDepth = d } }
 
 // WithStore enables the campaign result store (RunMatrix): cell results
-// and grouping constructions are cached content-addressed in this
-// directory, keyed by (agent, test, engine config, code version), so a
-// re-run only explores cells whose inputs changed. The directory is
+// are cached content-addressed in this directory, keyed by (agent, test,
+// engine config, code version), so a re-run only explores cells whose
+// inputs changed. The directory is
 // created if needed; it may be shared by concurrent campaigns.
 func WithStore(dir string) Option { return func(c *config) { c.storeDir = dir } }
 

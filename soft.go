@@ -160,7 +160,7 @@ func NewSolver() *Solver { return solver.New() }
 // phase 1 for one (agent, test) pair. Cancelling ctx stops exploration at
 // the next path boundary; the partial Result is still returned, with
 // Truncated and Cancelled set. The error is reserved for invalid
-// arguments.
+// arguments, such as a negative WithMaxPaths or WithMaxDepth.
 func Explore(ctx context.Context, a Agent, t Test, opts ...Option) (*Result, error) {
 	if a == nil {
 		return nil, errors.New("soft: Explore: nil agent")
@@ -169,6 +169,9 @@ func Explore(ctx context.Context, a Agent, t Test, opts ...Option) (*Result, err
 		return nil, fmt.Errorf("soft: Explore: test %q has no input builder", t.Name)
 	}
 	cfg := newConfig(opts)
+	if err := cfg.checkCaps("Explore"); err != nil {
+		return nil, err
+	}
 	ho := harness.Options{
 		MaxPaths:     cfg.maxPaths,
 		MaxDepth:     cfg.maxDepth,
@@ -208,6 +211,9 @@ func ExploreHandler(ctx context.Context, h Handler, opts ...Option) (*HandlerRes
 		return nil, errors.New("soft: ExploreHandler: nil handler")
 	}
 	cfg := newConfig(opts)
+	if err := cfg.checkCaps("ExploreHandler"); err != nil {
+		return nil, err
+	}
 	eng := &symexec.Engine{
 		MaxPaths:     cfg.maxPaths,
 		MaxDepth:     cfg.maxDepth,

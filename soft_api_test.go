@@ -380,3 +380,43 @@ func TestExploreHandlerTimeout(t *testing.T) {
 		})
 	}
 }
+
+// TestNegativeCapsRejected: the engine reads a cap <= 0 as "unbounded", so
+// Explore, ExploreHandler and RunMatrix refuse a negative WithMaxPaths or
+// WithMaxDepth instead of silently exploring everything.
+func TestNegativeCapsRejected(t *testing.T) {
+	ref, _ := AgentByName("ref")
+	test, _ := TestByName("Concrete")
+	oneBranch := func(ctx *ExecContext) {
+		ctx.Emit(ctx.Branch(EqConst(ctx.NewSym("b", 1), 1)))
+	}
+	bg := context.Background()
+	calls := []struct {
+		name string
+		run  func(Option) error
+	}{
+		{"Explore", func(o Option) error { _, err := Explore(bg, ref, test, o); return err }},
+		{"ExploreHandler", func(o Option) error { _, err := ExploreHandler(bg, oneBranch, o); return err }},
+		{"RunMatrix", func(o Option) error {
+			_, err := RunMatrix(bg, []string{"ref"}, []string{"Concrete"}, WithCrossCheck(false), o)
+			return err
+		}},
+	}
+	caps := []struct {
+		name string
+		opt  Option
+	}{
+		{"MaxPaths", WithMaxPaths(-1)},
+		{"MaxDepth", WithMaxDepth(-1)},
+	}
+	for _, c := range calls {
+		for _, cp := range caps {
+			t.Run(c.name+"/"+cp.name, func(t *testing.T) {
+				err := c.run(cp.opt)
+				if err == nil || !strings.Contains(err.Error(), "negative "+cp.name) {
+					t.Fatalf("%s with a negative %s: err = %v, want a rejection naming it", c.name, cp.name, err)
+				}
+			})
+		}
+	}
+}
