@@ -23,8 +23,8 @@
 #                      hardware for meaningful numbers
 #   make bench-smoke   every scaling bench once (CI bit-rot guard, no timing value)
 #   make fmt-check     fail if any Go file needs gofmt
-#   make fuzz          the results-file, campaign-report and expression-codec
-#                      fuzzers, 15 s each
+#   make fuzz          the results-file, campaign-report, expression-codec
+#                      and shard-result-frame fuzzers, 15 s each
 #   make loc           non-test Go line count outside bench/ (the size the
 #                      ROADMAP tracks)
 #   make check         build + vet + fmt-check + test (what CI should run)
@@ -57,6 +57,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReadResults -fuzztime $(FUZZTIME) ./internal/harness/
 	$(GO) test -run '^$$' -fuzz FuzzReadReport -fuzztime $(FUZZTIME) ./internal/sched/
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/sym/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeResult -fuzztime $(FUZZTIME) ./internal/dist/
 
 race:
 	$(GO) test -race ./internal/sym/ ./internal/sat/ ./internal/bitblast/ ./internal/symexec/ ./internal/harness/ ./internal/solver/ ./internal/crosscheck/ ./internal/dist/ ./internal/sched/ ./internal/campaignd/ ./internal/scenario/ ./internal/obs/ .

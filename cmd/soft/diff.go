@@ -105,7 +105,7 @@ func runDiff(e *env, args []string) error {
 				continue
 			}
 			wires := soft.Reproduce(t, inc.Witness)
-			labels := soft.DescribeReproducer(wires)
+			labels := soft.DescribeReproducer(t, wires)
 			for i, w := range wires {
 				fmt.Fprintf(e.stdout, "  input %d (%s): %x\n", i, labels[i], w)
 			}

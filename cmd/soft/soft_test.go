@@ -118,6 +118,29 @@ func TestExploreDiffE2E(t *testing.T) {
 	}
 }
 
+// TestDiffReproduceLabels: soft diff -reproduce labels each reproducer
+// wire by the test input it concretizes, so every ref-vs-ovs Packet Out
+// input reads PACKET_OUT, the malformed-action witnesses included.
+func TestDiffReproduceLabels(t *testing.T) {
+	dir := t.TempDir()
+	var files []string
+	for _, agent := range []string{"ref", "ovs"} {
+		path := filepath.Join(dir, agent+".txt")
+		if _, stderr, code := runCLI(t, "explore", "-agent", agent, "-test", "Packet Out", "-o", path); code != 0 {
+			t.Fatalf("soft explore -agent %s: exit %d, stderr:\n%s", agent, code, stderr)
+		}
+		files = append(files, path)
+	}
+	stdout, stderr, code := runCLI(t, "diff", "-reproduce", files[0], files[1])
+	if code != 0 {
+		t.Fatalf("soft diff -reproduce: exit %d, stderr:\n%s", code, stderr)
+	}
+	inputs, packetOuts := strings.Count(stdout, "\n  input "), strings.Count(stdout, "\n  input 0 (PACKET_OUT): ")
+	if inputs != 146 || packetOuts != inputs {
+		t.Fatalf("%d of %d reproducer inputs labelled PACKET_OUT, want all 146", packetOuts, inputs)
+	}
+}
+
 // normalizeElapsed blanks the results file's only wall-clock-dependent
 // line so runs can be compared byte for byte.
 func normalizeElapsed(t *testing.T, data []byte) []byte {

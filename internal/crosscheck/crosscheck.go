@@ -22,6 +22,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -51,30 +52,8 @@ type Inconsistency struct {
 
 func (inc Inconsistency) String() string {
 	return fmt.Sprintf("inconsistency A#%d vs B#%d\n  A: %s\n  B: %s\n  witness: %v",
-		inc.AIndex, inc.BIndex, indent(inc.ACanonical), indent(inc.BCanonical), inc.Witness)
-}
-
-func indent(s string) string {
-	out := ""
-	for i, line := range splitLines(s) {
-		if i > 0 {
-			out += " | "
-		}
-		out += line
-	}
-	return out
-}
-
-func splitLines(s string) []string {
-	var out []string
-	start := 0
-	for i := 0; i < len(s); i++ {
-		if s[i] == '\n' {
-			out = append(out, s[start:i])
-			start = i + 1
-		}
-	}
-	return append(out, s[start:])
+		inc.AIndex, inc.BIndex, strings.ReplaceAll(inc.ACanonical, "\n", " | "),
+		strings.ReplaceAll(inc.BCanonical, "\n", " | "), inc.Witness)
 }
 
 // Report is the outcome of crosschecking two grouped results.
@@ -111,8 +90,11 @@ func (r *Report) RootCauses() int {
 	return len(seen)
 }
 
-// diffCond rebuilds the trace difference condition from the grouped
-// (template, exprs) pairs — the serialized mirror of trace.DiffCond.
+// diffCond returns the condition under which groups a and b (from two
+// different agents) observably differ. Different templates differ on any
+// common input, so the condition is simply true; same templates differ
+// exactly when some pair of embedded expressions evaluates differently, and
+// structurally identical expression lists give false.
 func diffCond(a, b *group.Group) *sym.Expr {
 	if a.Template != b.Template || len(a.Exprs) != len(b.Exprs) {
 		return sym.Bool(true)

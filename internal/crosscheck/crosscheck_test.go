@@ -9,9 +9,12 @@ import (
 	"github.com/soft-testing/soft/internal/agents"
 	"github.com/soft-testing/soft/internal/agents/ovs"
 	"github.com/soft-testing/soft/internal/agents/refswitch"
+	"github.com/soft-testing/soft/internal/dataplane"
 	"github.com/soft-testing/soft/internal/group"
 	"github.com/soft-testing/soft/internal/harness"
+	"github.com/soft-testing/soft/internal/openflow"
 	"github.com/soft-testing/soft/internal/sym"
+	"github.com/soft-testing/soft/internal/trace"
 )
 
 func grouped(t *testing.T, a agents.Agent, test string) *group.Result {
@@ -205,6 +208,66 @@ func TestInconsistencyString(t *testing.T) {
 	s := inc.String()
 	if !strings.Contains(s, "A#1") || !strings.Contains(s, "a | b") {
 		t.Fatalf("rendering %q", s)
+	}
+}
+
+// TestDiffCond: the difference condition of two groups, built from their
+// traces as grouping does.
+func TestDiffCond(t *testing.T) {
+	grp := func(outputs []any, crashed bool) *group.Group {
+		tr := trace.FromOutputs(outputs, crashed)
+		return &group.Group{Template: tr.Template(), Exprs: tr.Exprs()}
+	}
+	// Agent A forwards with vlan = x & 0xfff (auto-masking); agent B
+	// forwards with vlan = x. They differ exactly when x has high bits set.
+	vid := sym.Var("vid", 16)
+	masked, raw := dataplane.TCPProbe(1), dataplane.TCPProbe(1)
+	masked.VLAN = sym.And(vid, sym.Const(16, 0x0fff))
+	raw.VLAN = vid
+	port := sym.Var("x", 16)
+	for _, tc := range []struct {
+		name string
+		a, b *group.Group
+		// always and never require the constant true or false; samples
+		// maps a vid value to whether the groups differ on it.
+		always, never bool
+		samples       map[uint64]bool
+	}{
+		{name: "different templates",
+			a:      grp([]any{trace.Error(openflow.ErrBadRequest, 0)}, false),
+			b:      grp([]any{trace.Drop("probe")}, false),
+			always: true},
+		{name: "identical",
+			a:     grp([]any{trace.PacketOut(port, dataplane.TCPProbe(1))}, false),
+			b:     grp([]any{trace.PacketOut(port, dataplane.TCPProbe(1))}, false),
+			never: true},
+		{name: "semantic disequality",
+			a: grp([]any{trace.PacketOut(sym.Const(16, 2), masked)}, false),
+			b: grp([]any{trace.PacketOut(sym.Const(16, 2), raw)}, false),
+			// 0x100 fits 12 bits: no observable difference; 0x1fff is
+			// masked on one side only.
+			samples: map[uint64]bool{0x100: false, 0x1fff: true}},
+		{name: "crash vs normal",
+			a:      grp(nil, true),
+			b:      grp(nil, false),
+			always: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cond := diffCond(tc.a, tc.b)
+			switch {
+			case tc.always && !cond.IsTrue():
+				t.Fatalf("must always differ, got %v", cond)
+			case tc.never && !cond.IsFalse():
+				t.Fatalf("can never differ, got %v", cond)
+			case tc.samples != nil && (cond.IsTrue() || cond.IsFalse()):
+				t.Fatalf("expected a conditional difference, got %v", cond)
+			}
+			for v, want := range tc.samples {
+				if got := sym.EvalBool(cond, sym.Assignment{"vid": v}); got != want {
+					t.Errorf("vid=%#x: differs=%v, want %v", v, got, want)
+				}
+			}
+		})
 	}
 }
 

@@ -228,15 +228,19 @@ func Reproduce(t Test, model sym.Assignment) [][]byte {
 	return out
 }
 
-// DescribeReproducer decodes reproducer wire messages for display. Probe
-// packets (which do not parse as OpenFlow) are labeled as data plane
-// inputs.
-func DescribeReproducer(wires [][]byte) []string {
-	var out []string
-	for _, w := range wires {
-		if m, err := openflow.Decode(w); err == nil {
-			out = append(out, m.MsgType().String())
-		} else {
+// DescribeReproducer labels each wire message Reproduce built for t by
+// the kind of input it concretizes: an OpenFlow message by the type code
+// in its header, a probe packet as "dataplane-probe". Nothing is decoded,
+// so a witness with a malformed body keeps its message label.
+func DescribeReproducer(t Test, wires [][]byte) []string {
+	out := make([]string, 0, len(wires))
+	for _, input := range t.Inputs(sym.Var) {
+		if len(out) == len(wires) {
+			break
+		}
+		if input.Msg != nil {
+			out = append(out, openflow.MsgType(wires[len(out)][1]).String())
+		} else if input.Probe != nil {
 			out = append(out, "dataplane-probe")
 		}
 	}

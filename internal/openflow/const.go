@@ -1,21 +1,40 @@
-// Package openflow implements the OpenFlow 1.0 wire protocol: message
-// framing, the flow match structure, the thirteen action types, and all
-// protocol constants, with concrete encode/decode in the gopacket style
-// (DecodeFromBytes / SerializeTo on each layer-like message struct).
+// Package openflow holds the OpenFlow 1.0 protocol vocabulary: message,
+// action, error and statistics type codes with their names, reserved
+// ports, flag and wildcard bits, and the fixed wire lengths of the
+// messages the harness builds.
 //
-// SOFT tests agents "at the interface level" (§2.2), and this package is
-// that interface: the harness composes messages here, the symbuf package
-// mirrors their layout with symbolic bytes, and agents validate exactly the
-// fields defined here. The constants and struct layouts follow the OpenFlow
-// Switch Specification version 1.0.0 — the revision both the Reference
-// Switch and Open vSwitch 1.0.0 in the paper implement.
+// SOFT tests agents "at the interface level" (§2.2). The harness builds
+// every input as a symbolic symbuf buffer and the agents parse those
+// buffers field by field, so nothing here encodes or decodes a concrete
+// message: both sides share only these constants. The values follow the
+// OpenFlow Switch Specification version 1.0.0, the revision both the
+// Reference Switch and Open vSwitch 1.0.0 in the paper implement.
 package openflow
 
 // Version is the protocol version this package implements (OpenFlow 1.0).
 const Version = 0x01
 
-// HeaderLen is the length of the common ofp_header.
-const HeaderLen = 8
+// Fixed wire lengths (the parts before any variable-length action list
+// or body).
+const (
+	// HeaderLen is the length of the common ofp_header.
+	HeaderLen = 8
+	// MatchLen is the length of ofp_match.
+	MatchLen = 40
+	// SetConfigLen is the length of OFPT_SET_CONFIG.
+	SetConfigLen = HeaderLen + 4
+	// PacketOutFixedLen is the length of OFPT_PACKET_OUT up to the action
+	// list.
+	PacketOutFixedLen = HeaderLen + 8
+	// FlowModFixedLen is the length of OFPT_FLOW_MOD up to the action list.
+	FlowModFixedLen = HeaderLen + MatchLen + 24
+	// StatsRequestFixedLen is the length of OFPT_STATS_REQUEST up to the
+	// body.
+	StatsRequestFixedLen = HeaderLen + 4
+	// QueueGetConfigRequestLen is the length of
+	// OFPT_QUEUE_GET_CONFIG_REQUEST.
+	QueueGetConfigRequestLen = HeaderLen + 4
+)
 
 // MsgType enumerates the OpenFlow 1.0 message types (ofp_type).
 type MsgType uint8
@@ -65,9 +84,6 @@ func (t MsgType) String() string {
 	}
 	return "UNKNOWN"
 }
-
-// Valid reports whether t is a defined OpenFlow 1.0 message type.
-func (t MsgType) Valid() bool { return int(t) < NumTypes }
 
 // Reserved port numbers (ofp_port). Ports are 16-bit in OpenFlow 1.0.
 const (
@@ -153,19 +169,6 @@ func (t ActionType) String() string {
 		return "VENDOR"
 	}
 	return "UNKNOWN_ACTION"
-}
-
-// ActionLen returns the wire length of a standard action type, or 0 for
-// unknown types. All lengths are multiples of 8 (§3.2.1).
-func ActionLen(t ActionType) int {
-	switch t {
-	case ActOutput, ActSetVLANVID, ActSetVLANPCP, ActStripVLAN,
-		ActSetNWSrc, ActSetNWDst, ActSetNWTos, ActSetTPSrc, ActSetTPDst:
-		return 8
-	case ActSetDLSrc, ActSetDLDst, ActEnqueue:
-		return 16
-	}
-	return 0
 }
 
 // FlowModCommand enumerates ofp_flow_mod_command.

@@ -233,36 +233,3 @@ func (t Trace) Exprs() []*sym.Expr {
 	}
 	return out
 }
-
-// DiffCond returns the condition under which traces a and b (from two
-// different agents) observably differ:
-//   - different templates: any common input differs — the condition is
-//     simply true;
-//   - same templates: the traces differ exactly when some pair of embedded
-//     expressions evaluates differently.
-//
-// The second case returns false (no difference possible) for structurally
-// identical expression lists.
-func DiffCond(a, b Trace) *sym.Expr {
-	if a.Template() != b.Template() {
-		return sym.Bool(true)
-	}
-	ae, be := a.Exprs(), b.Exprs()
-	if len(ae) != len(be) {
-		return sym.Bool(true)
-	}
-	var dis []*sym.Expr
-	for i := range ae {
-		if sym.Equal(ae[i], be[i]) {
-			continue
-		}
-		if ae[i].Width() != be[i].Width() {
-			return sym.Bool(true)
-		}
-		dis = append(dis, sym.Ne(ae[i], be[i]))
-	}
-	if len(dis) == 0 {
-		return sym.Bool(false)
-	}
-	return sym.LOr(dis...)
-}

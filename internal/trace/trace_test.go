@@ -68,56 +68,6 @@ func TestCrashAppended(t *testing.T) {
 	}
 }
 
-func TestDiffCondDifferentTemplates(t *testing.T) {
-	a := FromOutputs([]any{Error(openflow.ErrBadRequest, 0)}, false)
-	b := FromOutputs([]any{Drop("probe")}, false)
-	if !DiffCond(a, b).IsTrue() {
-		t.Fatal("different templates must always differ")
-	}
-}
-
-func TestDiffCondIdentical(t *testing.T) {
-	p := dataplane.TCPProbe(1)
-	port := sym.Var("x", 16)
-	a := FromOutputs([]any{PacketOut(port, p)}, false)
-	b := FromOutputs([]any{PacketOut(port, p)}, false)
-	if !DiffCond(a, b).IsFalse() {
-		t.Fatal("identical traces can never differ")
-	}
-}
-
-func TestDiffCondSemanticDisequality(t *testing.T) {
-	// Agent A forwards with vlan = x & 0xfff (auto-masking); agent B
-	// forwards with vlan = x. They differ exactly when x has high bits set.
-	x := sym.Var("vid", 16)
-	pa := dataplane.TCPProbe(1)
-	pa.VLAN = sym.And(x, sym.Const(16, 0x0fff))
-	pb := dataplane.TCPProbe(1)
-	pb.VLAN = x
-	a := FromOutputs([]any{PacketOut(sym.Const(16, 2), pa)}, false)
-	b := FromOutputs([]any{PacketOut(sym.Const(16, 2), pb)}, false)
-	cond := DiffCond(a, b)
-	if cond.IsTrue() || cond.IsFalse() {
-		t.Fatalf("expected conditional difference, got %v", cond)
-	}
-	// x = 0x100 (fits 12 bits): no observable difference.
-	if sym.EvalBool(cond, sym.Assignment{"vid": 0x100}) {
-		t.Fatal("in-range vid must not be a difference")
-	}
-	// x = 0x1fff: masked vs raw differ.
-	if !sym.EvalBool(cond, sym.Assignment{"vid": 0x1fff}) {
-		t.Fatal("out-of-range vid must be a difference")
-	}
-}
-
-func TestDiffCondCrashVsNormal(t *testing.T) {
-	a := FromOutputs(nil, true)
-	b := FromOutputs(nil, false)
-	if !DiffCond(a, b).IsTrue() {
-		t.Fatal("crash vs silence must differ")
-	}
-}
-
 func TestPacketInEvent(t *testing.T) {
 	p := dataplane.TCPProbe(1)
 	msl := sym.Var("cfg.miss_send_len", 16)

@@ -314,8 +314,12 @@ func WriteResults(w io.Writer, r *Result) error { return r.Write(w) }
 // constructs per inconsistency (§2.3).
 func Reproduce(t Test, witness Assignment) [][]byte { return harness.Reproduce(t, witness) }
 
-// DescribeReproducer labels reproducer wire messages for display.
-func DescribeReproducer(wires [][]byte) []string { return harness.DescribeReproducer(wires) }
+// DescribeReproducer labels the wire messages Reproduce built for t, one
+// label per wire: an OpenFlow message input by the type name in its header
+// ("PACKET_OUT", "FLOW_MOD", ...), a probe packet as "dataplane-probe".
+func DescribeReproducer(t Test, wires [][]byte) []string {
+	return harness.DescribeReproducer(t, wires)
+}
 
 // CheckSat asks the solver whether the conjunction of conds is
 // satisfiable, returning a satisfying assignment when it is.

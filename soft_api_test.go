@@ -110,7 +110,7 @@ func TestPublicPipeline(t *testing.T) {
 	if len(wires) == 0 {
 		t.Fatal("Reproduce built no messages")
 	}
-	if labels := DescribeReproducer(wires); len(labels) != len(wires) {
+	if labels := DescribeReproducer(test, wires); len(labels) != len(wires) {
 		t.Fatalf("DescribeReproducer: %d labels for %d wires", len(labels), len(wires))
 	}
 }
