@@ -134,8 +134,8 @@ func BenchmarkExploreParallelOVSPacketOut(b *testing.B) {
 func BenchmarkCrossCheckParallel(b *testing.B) {
 	t, _ := harness.TestByName("Packet Out")
 	ref, ov := benchAgents()
-	ga := group.Paths(harness.Explore(ref, t, harness.Options{}).Serialized())
-	gb := group.Paths(harness.Explore(ov, t, harness.Options{}).Serialized())
+	ga := group.Paths(harness.Explore(ref, t, harness.Options{}))
+	gb := group.Paths(harness.Explore(ov, t, harness.Options{}))
 	for _, w := range []int{1, 2, 4, 8} {
 		w := w
 		b.Run(fmt.Sprintf("workers-%d", w), func(b *testing.B) {
@@ -156,7 +156,7 @@ func BenchmarkTable3Grouping(b *testing.B) {
 		tn := tn
 		b.Run(tn, func(b *testing.B) {
 			t, _ := harness.TestByName(tn)
-			in := harness.Explore(refswitch.New(), t, harness.Options{}).Serialized()
+			in := harness.Explore(refswitch.New(), t, harness.Options{})
 			b.ResetTimer()
 			var groups int
 			for i := 0; i < b.N; i++ {
@@ -176,8 +176,8 @@ func BenchmarkTable3Crosscheck(b *testing.B) {
 		b.Run(tn, func(b *testing.B) {
 			t, _ := harness.TestByName(tn)
 			ref, ov := benchAgents()
-			ga := group.Paths(harness.Explore(ref, t, harness.Options{}).Serialized())
-			gb := group.Paths(harness.Explore(ov, t, harness.Options{}).Serialized())
+			ga := group.Paths(harness.Explore(ref, t, harness.Options{}))
+			gb := group.Paths(harness.Explore(ov, t, harness.Options{}))
 			b.ResetTimer()
 			var found int
 			for i := 0; i < b.N; i++ {
@@ -245,12 +245,12 @@ func BenchmarkFigure4CoverageVsMessages(b *testing.B) {
 func BenchmarkAblationGrouping(b *testing.B) {
 	t, _ := harness.TestByName("Stats Request")
 	ref, ov := benchAgents()
-	ra := harness.Explore(ref, t, harness.Options{}).Serialized()
-	rb := harness.Explore(ov, t, harness.Options{}).Serialized()
+	ra := harness.Explore(ref, t, harness.Options{})
+	rb := harness.Explore(ov, t, harness.Options{})
 	ga, gb := group.Paths(ra), group.Paths(rb)
 
 	// Ungrouped: one group per path.
-	ungroup := func(in *harness.SerializedResult) *group.Result {
+	ungroup := func(in *harness.Result) *group.Result {
 		out := &group.Result{Agent: in.Agent, Test: in.Test}
 		for i := range in.Paths {
 			p := &in.Paths[i]
@@ -283,7 +283,7 @@ func BenchmarkAblationGrouping(b *testing.B) {
 // naive linear chain, measured at the solver.
 func BenchmarkAblationOrTree(b *testing.B) {
 	t, _ := harness.TestByName("Packet Out")
-	r := harness.Explore(refswitch.New(), t, harness.Options{}).Serialized()
+	r := harness.Explore(refswitch.New(), t, harness.Options{})
 	var conds []*sym.Expr
 	for i := range r.Paths {
 		conds = append(conds, r.Paths[i].Cond)

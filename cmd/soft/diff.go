@@ -19,7 +19,7 @@ func diffCmd() *command {
 }
 
 // loadResults reads one phase-1 results file.
-func loadResults(path string) (*soft.SerializedResult, error) {
+func loadResults(path string) (*soft.Result, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -34,14 +34,14 @@ func loadResults(path string) (*soft.SerializedResult, error) {
 
 // warnPartial notes on stderr when a results file holds a partial path
 // set: inconsistencies on the unexplored paths are invisible to the diff.
-func warnPartial(e *env, path string, res *soft.SerializedResult) {
+func warnPartial(e *env, path string, res *soft.Result) {
 	if res.Truncated || res.Cancelled {
 		fmt.Fprintf(e.stderr, "soft diff: note: %s is a partial result (%s exploration); inconsistencies on unexplored paths cannot be reported\n",
 			path, partialCause(res))
 	}
 }
 
-func partialCause(res *soft.SerializedResult) string {
+func partialCause(res *soft.Result) string {
 	if res.Cancelled {
 		return "cancelled"
 	}
@@ -71,7 +71,7 @@ func runDiff(e *env, args []string) error {
 	}
 	warnPartial(e, fs.Arg(0), ra)
 	warnPartial(e, fs.Arg(1), rb)
-	ga, gb := soft.GroupSerialized(ra), soft.GroupSerialized(rb)
+	ga, gb := soft.Group(ra), soft.Group(rb)
 
 	ctx := context.Background()
 	if *timeout > 0 {
@@ -131,16 +131,11 @@ func runGroup(e *env, args []string) error {
 	if fs.NArg() != 1 {
 		return usagef("want exactly one results file, got %d (usage: soft group [-v] results.txt)", fs.NArg())
 	}
-	f, err := os.Open(fs.Arg(0))
+	res, err := loadResults(fs.Arg(0))
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	res, err := soft.ReadResults(f)
-	if err != nil {
-		return fmt.Errorf("%s: %w", fs.Arg(0), err)
-	}
-	g := soft.GroupSerialized(res)
+	g := soft.Group(res)
 	partial := ""
 	if res.Truncated || res.Cancelled {
 		partial = fmt.Sprintf(" [%s exploration: partial]", partialCause(res))

@@ -126,13 +126,13 @@ func runExplore(e *env, args []string) error {
 	}
 
 	if *out == "" {
-		return soft.WriteResults(e.stdout, res)
+		return res.Write(e.stdout)
 	}
 	f, err := os.Create(*out)
 	if err != nil {
 		return err
 	}
-	if err := soft.WriteResults(f, res); err != nil {
+	if err := res.Write(f); err != nil {
 		f.Close()
 		return err
 	}

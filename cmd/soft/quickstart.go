@@ -44,14 +44,14 @@ func figure1Agent2(ctx *soft.ExecContext) {
 	}
 }
 
-// figure1Serialize converts a toy handler run into the phase-1 result
-// shape the grouping and crosscheck stages consume: one path per entry,
-// the emitted string doubling as the normalized trace.
-func figure1Serialize(agent string, res *soft.HandlerResult) *soft.SerializedResult {
-	out := &soft.SerializedResult{Agent: agent, Test: "Figure 1"}
+// figure1Result converts a toy handler run into the phase-1 result the
+// grouping and crosscheck stages consume: one path per entry, the emitted
+// string doubling as the normalized trace.
+func figure1Result(agent string, res *soft.HandlerResult) *soft.Result {
+	out := &soft.Result{Agent: agent, Test: "Figure 1"}
 	for _, p := range res.Paths {
 		behavior := p.Outputs[0].(string)
-		out.Paths = append(out.Paths, soft.SerializedPath{
+		out.Paths = append(out.Paths, soft.PathResult{
 			ID:        p.ID,
 			Cond:      p.Condition(),
 			Template:  behavior,
@@ -75,7 +75,7 @@ func runQuickstart(e *env, args []string) error {
 	fmt.Fprintln(e.stdout)
 
 	ctx := context.Background()
-	results := make([]*soft.SerializedResult, 2)
+	results := make([]*soft.Result, 2)
 	for i, h := range []soft.Handler{figure1Agent1, figure1Agent2} {
 		name := fmt.Sprintf("Agent %d", i+1)
 		res, err := soft.ExploreHandler(ctx, h, soft.WithModels(true))
@@ -86,12 +86,12 @@ func runQuickstart(e *env, args []string) error {
 		for _, p := range res.Paths {
 			fmt.Fprintf(e.stdout, "  path: output=%-4s condition=%v\n", p.Outputs[0], p.Condition())
 		}
-		results[i] = figure1Serialize(name, res)
+		results[i] = figure1Result(name, res)
 	}
 
 	fmt.Fprintln(e.stdout, "\nCrosschecking result groups (different outputs, intersecting subspaces):")
 	rep, err := soft.CrossCheck(ctx,
-		soft.GroupSerialized(results[0]), soft.GroupSerialized(results[1]))
+		soft.Group(results[0]), soft.Group(results[1]))
 	if err != nil {
 		return err
 	}

@@ -52,15 +52,15 @@ func explore(ctx context.Context, name string, h soft.Handler) *soft.Grouped {
 		log.Fatal(err)
 	}
 	fmt.Printf("%s: %d paths\n", name, len(res.Paths))
-	sr := &soft.SerializedResult{Agent: name, Test: "Figure 1"}
+	r := &soft.Result{Agent: name, Test: "Figure 1"}
 	for _, p := range res.Paths {
 		out := p.Outputs[0].(string)
 		fmt.Printf("  path: output=%-4s condition=%v\n", out, p.Condition())
-		sr.Paths = append(sr.Paths, soft.SerializedPath{
+		r.Paths = append(r.Paths, soft.PathResult{
 			ID: p.ID, Cond: p.Condition(), Template: out, Canonical: out, Model: p.Model,
 		})
 	}
-	return soft.GroupSerialized(sr)
+	return soft.Group(r)
 }
 
 func main() {

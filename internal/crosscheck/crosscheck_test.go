@@ -24,7 +24,7 @@ func grouped(t *testing.T, a agents.Agent, test string) *group.Result {
 		t.Fatalf("missing test %s", test)
 	}
 	r := harness.Explore(a, tt, harness.Options{WantModels: true})
-	return group.Paths(r.Serialized())
+	return group.Paths(r)
 }
 
 func TestSelfCrosscheckIsClean(t *testing.T) {
@@ -143,8 +143,8 @@ func TestWitnessReplayDiffers(t *testing.T) {
 		if len(ra.Paths) != 1 || len(rb.Paths) != 1 {
 			t.Fatalf("concrete replay forked: %d / %d paths", len(ra.Paths), len(rb.Paths))
 		}
-		ca := ra.Paths[0].Trace.Canonical()
-		cb := rb.Paths[0].Trace.Canonical()
+		ca := ra.Paths[0].Canonical
+		cb := rb.Paths[0].Canonical
 		if ca == cb {
 			t.Fatalf("witness %v replays identically on both agents: %s", inc.Witness, ca)
 		}
@@ -275,8 +275,8 @@ func BenchmarkCrosscheckStatsRequest(b *testing.B) {
 	tt, _ := harness.TestByName("Stats Request")
 	ra := harness.Explore(refswitch.New(), tt, harness.Options{})
 	rb := harness.Explore(ovs.New(), tt, harness.Options{})
-	ga := group.Paths(ra.Serialized())
-	gb := group.Paths(rb.Serialized())
+	ga := group.Paths(ra)
+	gb := group.Paths(rb)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

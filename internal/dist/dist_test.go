@@ -13,9 +13,9 @@ import (
 
 // serializeCanonical renders a merged result with the wall-clock line
 // zeroed so runs compare byte for byte.
-func serializeCanonical(t *testing.T, r *harness.MergedResult) []byte {
+func serializeCanonical(t *testing.T, r *harness.Result) []byte {
 	t.Helper()
-	clone := *r.SerializedResult
+	clone := *r
 	clone.Elapsed = 0
 	var buf bytes.Buffer
 	if err := clone.Write(&buf); err != nil {
@@ -44,7 +44,7 @@ func singleProcessBytes(t *testing.T, o harness.Options) []byte {
 
 // serveOutcome is what a job run by runAsync returned.
 type serveOutcome struct {
-	res *harness.MergedResult
+	res *harness.Result
 	err error
 }
 
@@ -67,7 +67,7 @@ func runAsync(ctx context.Context, f *Fleet, jc JobConfig) <-chan serveOutcome {
 	return out
 }
 
-func waitServe(t *testing.T, out <-chan serveOutcome) *harness.MergedResult {
+func waitServe(t *testing.T, out <-chan serveOutcome) *harness.Result {
 	t.Helper()
 	select {
 	case o := <-out:

@@ -176,7 +176,7 @@ func (f *Fleet) closeAll() {
 // configuration. Cancelling ctx aborts this job with ctx's error (a
 // partial distributed run has no deterministic meaning, so nothing is
 // returned); other jobs on the fleet are unaffected.
-func (f *Fleet) Run(ctx context.Context, cfg JobConfig) (*harness.MergedResult, error) {
+func (f *Fleet) Run(ctx context.Context, cfg JobConfig) (*harness.Result, error) {
 	agent, err := agents.ByName(cfg.AgentName)
 	if err != nil {
 		return nil, fmt.Errorf("dist: %w", err)
@@ -202,7 +202,7 @@ func (f *Fleet) Run(ctx context.Context, cfg JobConfig) (*harness.MergedResult, 
 	// deeper fork — the root of an unexplored subtree — into the shard
 	// queue.
 	var prefixes [][]bool
-	j.local = harness.ExploreContext(ctx, agent, test, harness.Options{
+	j.local = harness.ExploreShard(ctx, agent, test, harness.Options{
 		MaxPaths:     cfg.MaxPaths,
 		MaxDepth:     cfg.MaxDepth,
 		WantModels:   cfg.WantModels,
@@ -275,7 +275,7 @@ func (f *Fleet) Run(ctx context.Context, cfg JobConfig) (*harness.MergedResult, 
 	}
 	var shards []*harness.Shard
 	if err == nil {
-		shards = append(shards, j.local.Shard())
+		shards = append(shards, j.local)
 		for _, s := range j.shards {
 			shards = append(shards, s.result)
 		}

@@ -68,7 +68,7 @@ func TestFleetMultiJob(t *testing.T) {
 	ws := startJoinedWorkers(t, f, addr, 2)
 
 	type outcome struct {
-		res *harness.MergedResult
+		res *harness.Result
 		err error
 	}
 	runJob := func(agent string) <-chan outcome {
@@ -145,7 +145,7 @@ func TestFleetZeroShards(t *testing.T) {
 	want := agentBytes(t, "ref", harness.Options{WantModels: true, Workers: 4})
 	f, _ := newTestFleet(t, FleetConfig{})
 	done := make(chan struct{})
-	var res *harness.MergedResult
+	var res *harness.Result
 	var err error
 	go func() {
 		defer close(done)
@@ -179,7 +179,7 @@ func TestCompleteRemovesExpiredShardFromQueue(t *testing.T) {
 	s.lease = 1
 	s.status = shardPending
 	// The original worker's result now arrives.
-	f.completeShard(s, 1, &harness.Shard{})
+	f.completeShard(s, 1, &harness.Shard{Result: &harness.Result{}})
 	if s.status != shardDone {
 		t.Fatalf("shard status %d, want done", s.status)
 	}

@@ -63,7 +63,7 @@ type jobRun struct {
 	id    uint64
 	cfg   JobConfig
 	agent agents.Agent
-	local *harness.Result
+	local *harness.Shard
 
 	shards  []*shard // one per frontier prefix, in split order
 	pending []*shard

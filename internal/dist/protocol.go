@@ -543,12 +543,12 @@ func (e *enc) shard(sh *harness.Shard) {
 	e.i64(int64(sh.Infeasible))
 	e.i64(int64(sh.DepthTruncated))
 	e.i64(sh.BranchQueries)
-	e.stats(sh.Stats)
+	e.stats(sh.SolverStats)
 	e.cov(sh.Cov)
 	e.u64(uint64(len(sh.Paths)))
 	for i := range sh.Paths {
 		p := &sh.Paths[i]
-		e.bits(p.Decisions)
+		e.bits(sh.Decisions[i])
 		e.boolean(p.Crashed)
 		e.i64(int64(p.Branches))
 		e.expr(p.Cond)
@@ -568,7 +568,7 @@ func (e *enc) shard(sh *harness.Shard) {
 			e.str(n)
 			e.u64(p.Model[n])
 		}
-		e.cov(p.Cov)
+		e.cov(sh.PathCov[i])
 	}
 }
 
@@ -593,18 +593,17 @@ func decodeResult(payload []byte, covMap *coverage.Map) (resultMsg, error) {
 
 // shard rebuilds one shard payload.
 func (d *dec) shard(covMap *coverage.Map) *harness.Shard {
-	sh := &harness.Shard{}
+	sh := &harness.Shard{Result: &harness.Result{}}
 	sh.Truncated = d.boolean()
 	sh.Infeasible = int(d.i64())
 	sh.DepthTruncated = int(d.i64())
 	sh.BranchQueries = d.i64()
-	sh.Stats = d.stats()
+	sh.SolverStats = d.stats()
 	sh.Cov = d.cov(covMap)
 	npaths := d.count("path", 8)
 	for i := 0; i < npaths && d.err == nil; i++ {
-		var p harness.ShardPath
-		p.ID = i
-		p.Decisions = d.bits()
+		p := harness.PathResult{ID: i}
+		decisions := d.bits()
 		p.Crashed = d.boolean()
 		p.Branches = int(d.i64())
 		p.Cond = d.expr("cond")
@@ -622,8 +621,9 @@ func (d *dec) shard(covMap *coverage.Map) *harness.Shard {
 				p.Model[name] = d.u64()
 			}
 		}
-		p.Cov = d.cov(covMap)
 		sh.Paths = append(sh.Paths, p)
+		sh.Decisions = append(sh.Decisions, decisions)
+		sh.PathCov = append(sh.PathCov, d.cov(covMap))
 	}
 	return sh
 }

@@ -2,12 +2,16 @@ package dist
 
 import (
 	"bytes"
+	"context"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"io"
 	"strings"
 	"testing"
 	"time"
 
+	"github.com/soft-testing/soft/internal/agents/refswitch"
 	"github.com/soft-testing/soft/internal/coverage"
 	"github.com/soft-testing/soft/internal/harness"
 	"github.com/soft-testing/soft/internal/obs"
@@ -160,13 +164,12 @@ func buildShard(covMap *coverage.Map, out1, out2 string, crashed bool, bound, mo
 	cum.Merge(cov1)
 	cum.Merge(cov2)
 
-	sh := &harness.Shard{
-		Cov:            cum,
+	res := &harness.Result{
 		Truncated:      truncated,
 		Infeasible:     int(stats & 0xff),
 		DepthTruncated: int(stats >> 8 & 0xff),
 		BranchQueries:  stats,
-		Stats: solver.Stats{
+		SolverStats: solver.Stats{
 			Queries:       stats,
 			CacheHits:     stats / 2,
 			SatQueries:    stats / 3,
@@ -177,27 +180,24 @@ func buildShard(covMap *coverage.Map, out1, out2 string, crashed bool, bound, mo
 			AuxVarsTotal:  stats / 7,
 			FastPathConst: stats / 8,
 		},
+		Paths: []harness.PathResult{{
+			ID: 0, Cond: cond1, Template: out1, Canonical: out1,
+			Exprs: []*sym.Expr{x}, Branches: 1,
+		}, {
+			ID: 1, Cond: cond2, Template: out1 + "\n" + out2, Canonical: out2,
+			Exprs: []*sym.Expr{x, y}, Crashed: crashed, Branches: 2,
+			Model: sym.Assignment{"x": bound & 0xffff, "po.port": modelVal & 0xffff},
+		}},
 	}
-	sh.Paths = append(sh.Paths,
-		harness.ShardPath{
-			SerializedPath: harness.SerializedPath{
-				ID: 0, Cond: cond1, Template: out1, Canonical: out1,
-				Exprs: []*sym.Expr{x}, Branches: 1,
-			},
-			Decisions: bitsFromSeed(uint8(decisionSeed), decisionSeed),
-			Cov:       cov1,
+	return &harness.Shard{
+		Result: res,
+		Decisions: [][]bool{
+			bitsFromSeed(uint8(decisionSeed), decisionSeed),
+			bitsFromSeed(uint8(decisionSeed>>8), ^decisionSeed),
 		},
-		harness.ShardPath{
-			SerializedPath: harness.SerializedPath{
-				ID: 1, Cond: cond2, Template: out1 + "\n" + out2, Canonical: out2,
-				Exprs: []*sym.Expr{x, y}, Crashed: crashed, Branches: 2,
-				Model: sym.Assignment{"x": bound & 0xffff, "po.port": modelVal & 0xffff},
-			},
-			Decisions: bitsFromSeed(uint8(decisionSeed>>8), ^decisionSeed),
-			Cov:       cov2,
-		},
-	)
-	return sh
+		PathCov: []*coverage.Set{cov1, cov2},
+		Cov:     cum,
+	}
 }
 
 // FuzzShardResultRoundTrip is the partial-result payload property: any
@@ -232,6 +232,29 @@ func FuzzShardResultRoundTrip(f *testing.F) {
 	})
 }
 
+// TestShardResultFramePinned pins the shard-result frame of protocol v9
+// byte for byte: the encoding of a whole ref Packet Out exploration (models
+// on, one worker) hashes to the digest recorded for v9. A change to the
+// frame's field order or encoding must bump protocolVersion and re-record
+// the digest. InternHits counts hits on the process-global intern table,
+// which earlier tests fill, so it is set to a constant.
+func TestShardResultFramePinned(t *testing.T) {
+	const want = "9eaa3c982c06899146e3356d0b72cae1228972aafb0ca15e5d67981d58c72872"
+	if protocolVersion != 9 {
+		t.Fatalf("protocolVersion is %d: re-record the frame digest for it", protocolVersion)
+	}
+	tt, _ := harness.TestByName("Packet Out")
+	sh := harness.ExploreShard(context.Background(), refswitch.New(), tt, harness.Options{
+		WantModels: true, CanonicalCut: true, Workers: 1,
+	})
+	sh.SolverStats.InternHits = 12345
+	frame := encodeResult(resultMsg{job: 7, lease: 3, shard: sh})
+	sum := sha256.Sum256(frame)
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Fatalf("shard-result frame (%d bytes, %d paths) hashes to %s, want %s", len(frame), len(sh.Paths), got, want)
+	}
+}
+
 // compareShard asserts two shard payloads are field-for-field identical.
 func compareShard(t *testing.T, gs, want *harness.Shard) {
 	t.Helper()
@@ -239,8 +262,8 @@ func compareShard(t *testing.T, gs, want *harness.Shard) {
 		gs.DepthTruncated != want.DepthTruncated || gs.BranchQueries != want.BranchQueries {
 		t.Fatalf("shard counters mismatch: %+v vs %+v", gs, want)
 	}
-	if gs.Stats != want.Stats {
-		t.Fatalf("stats mismatch: %+v vs %+v", gs.Stats, want.Stats)
+	if gs.SolverStats != want.SolverStats {
+		t.Fatalf("stats mismatch: %+v vs %+v", gs.SolverStats, want.SolverStats)
 	}
 	if !covEqual(gs.Cov, want.Cov) {
 		t.Fatal("cumulative coverage mismatch")
@@ -252,7 +275,7 @@ func compareShard(t *testing.T, gs, want *harness.Shard) {
 		gp, wp := &gs.Paths[i], &want.Paths[i]
 		if gp.Crashed != wp.Crashed || gp.Branches != wp.Branches ||
 			gp.Template != wp.Template || gp.Canonical != wp.Canonical {
-			t.Fatalf("path %d header mismatch: %+v vs %+v", i, gp.SerializedPath, wp.SerializedPath)
+			t.Fatalf("path %d header mismatch: %+v vs %+v", i, *gp, *wp)
 		}
 		if !sym.Equal(gp.Cond, wp.Cond) {
 			t.Fatalf("path %d condition mismatch: %s vs %s", i, gp.Cond, wp.Cond)
@@ -265,11 +288,12 @@ func compareShard(t *testing.T, gs, want *harness.Shard) {
 				t.Fatalf("path %d expr %d mismatch", i, j)
 			}
 		}
-		if len(gp.Decisions) != len(wp.Decisions) {
+		gd, wd := gs.Decisions[i], want.Decisions[i]
+		if len(gd) != len(wd) {
 			t.Fatalf("path %d decisions length mismatch", i)
 		}
-		for j := range wp.Decisions {
-			if gp.Decisions[j] != wp.Decisions[j] {
+		for j := range wd {
+			if gd[j] != wd[j] {
 				t.Fatalf("path %d decision %d flipped", i, j)
 			}
 		}
@@ -281,7 +305,7 @@ func compareShard(t *testing.T, gs, want *harness.Shard) {
 				t.Fatalf("path %d model[%q] = %d, want %d", i, k, gp.Model[k], v)
 			}
 		}
-		if !covEqual(gp.Cov, wp.Cov) {
+		if !covEqual(gs.PathCov[i], want.PathCov[i]) {
 			t.Fatalf("path %d coverage mismatch", i)
 		}
 	}

@@ -163,7 +163,7 @@ func Work(ctx context.Context, addr string, cfg WorkerConfig) error {
 				tr.Drain()
 			}
 			sp := obs.StartSpan("shard:" + symexec.FormatDecisions(l.prefix))
-			res := harness.ExploreContext(ctx, job.agent, job.test, harness.Options{
+			res := harness.ExploreShard(ctx, job.agent, job.test, harness.Options{
 				MaxPaths:     job.cfg.maxPaths,
 				MaxDepth:     job.cfg.maxDepth,
 				WantModels:   job.cfg.models,
@@ -188,7 +188,7 @@ func Work(ctx context.Context, addr string, cfg WorkerConfig) error {
 					}
 				}
 			}
-			if err := send(msgResult, encodeResult(resultMsg{job: l.job, lease: l.id, shard: res.Shard()})); err != nil {
+			if err := send(msgResult, encodeResult(resultMsg{job: l.job, lease: l.id, shard: res})); err != nil {
 				return fmt.Errorf("dist: send result: %w", err)
 			}
 			log.Info("lease done",

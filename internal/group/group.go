@@ -50,8 +50,9 @@ type Result struct {
 	Elapsed time.Duration
 }
 
-// Paths groups a serialized phase-1 result by canonical output.
-func Paths(in *harness.SerializedResult) *Result {
+// Paths groups a phase-1 result by canonical output: an explored one, one
+// read from a results file or the store, or a fleet merge.
+func Paths(in *harness.Result) *Result {
 	start := time.Now()
 	byCanon := make(map[string]*Group)
 	conds := make(map[string][]*sym.Expr)

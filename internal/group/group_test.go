@@ -9,13 +9,13 @@ import (
 	"github.com/soft-testing/soft/internal/sym"
 )
 
-func exploreStats(t *testing.T) *harness.SerializedResult {
+func exploreStats(t *testing.T) *harness.Result {
 	t.Helper()
 	tt, ok := harness.TestByName("Stats Request")
 	if !ok {
 		t.Fatal("missing test")
 	}
-	return harness.Explore(refswitch.New(), tt, harness.Options{}).Serialized()
+	return harness.Explore(refswitch.New(), tt, harness.Options{})
 }
 
 func TestGroupingReducesCount(t *testing.T) {
@@ -114,7 +114,7 @@ func TestBalancedOrEdgeCases(t *testing.T) {
 
 func TestGroupKeepsCrashFlagAndModel(t *testing.T) {
 	tt, _ := harness.TestByName("Packet Out")
-	in := harness.Explore(refswitch.New(), tt, harness.Options{WantModels: true}).Serialized()
+	in := harness.Explore(refswitch.New(), tt, harness.Options{WantModels: true})
 	g := Paths(in)
 	foundCrash := false
 	for _, gr := range g.Groups {
@@ -132,7 +132,7 @@ func TestGroupKeepsCrashFlagAndModel(t *testing.T) {
 
 func BenchmarkGroupingStatsRequest(b *testing.B) {
 	tt, _ := harness.TestByName("Stats Request")
-	in := harness.Explore(refswitch.New(), tt, harness.Options{}).Serialized()
+	in := harness.Explore(refswitch.New(), tt, harness.Options{})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

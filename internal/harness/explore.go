@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"github.com/soft-testing/soft/internal/agents"
-	"github.com/soft-testing/soft/internal/coverage"
 	"github.com/soft-testing/soft/internal/obs"
 	"github.com/soft-testing/soft/internal/openflow"
 	"github.com/soft-testing/soft/internal/solver"
@@ -55,38 +54,32 @@ const DefaultMaxPaths = 60000
 // DefaultMaxDepth bounds decisions per path.
 const DefaultMaxDepth = 256
 
-// PathResult is one explored path: its condition and normalized trace.
+// PathResult is one explored path as the crosscheck phase sees it: its
+// condition, its normalized trace and, when models were asked for, a
+// concrete input taking it. It carries nothing of the agent or the engine.
 type PathResult struct {
-	ID   int
-	Cond *sym.Expr
-	// ConstraintOps is the Table 2 metric: boolean operations in the path
-	// condition.
-	ConstraintOps int
-	Trace         trace.Trace
-	Model         sym.Assignment
-	Crashed       bool
-	Branches      int
-	// Decisions is the branch-decision vector identifying the path in the
-	// execution tree — the canonical merge key for distributed shards. It
-	// never enters the results file (IDs already encode the canonical
-	// order there).
-	Decisions []bool
-	// Cov is this path's own coverage set (nil when the agent has no
-	// coverage universe). Distributed merges need per-path coverage so a
-	// canonically truncated merge can rebuild coverage from exactly the
-	// kept paths.
-	Cov *coverage.Set
+	ID       int
+	Crashed  bool
+	Branches int
+	Cond     *sym.Expr
+	// Template is the normalized trace's structural shape (expressions
+	// elided); Canonical is its full rendering, the group key; Exprs are
+	// the expressions embedded in it.
+	Template  string
+	Canonical string
+	Exprs     []*sym.Expr
+	Model     sym.Assignment
 }
 
 // Result is the phase-1 output for one (agent, test) pair — the
 // "intermediate result" a vendor ships to the crosscheck phase (§2.4).
+// Explore returns it, Write and ReadResults carry it through the results
+// file, the store keeps it and a fleet merge rebuilds it; all of them give
+// the same value, apart from the run counters below.
 type Result struct {
-	Agent    string
-	Test     string
-	MsgCount int
-
-	Paths []PathResult
-
+	Agent     string
+	Test      string
+	MsgCount  int
 	Elapsed   time.Duration
 	InstrPct  float64
 	BranchPct float64
@@ -95,26 +88,36 @@ type Result struct {
 	Truncated bool
 	// Cancelled reports that the exploration context was cancelled (its
 	// paths are the partial set completed before the cancellation).
-	Cancelled      bool
+	Cancelled bool
+	Paths     []PathResult
+
+	// The run counters never enter the results file: they read zero on a
+	// result read from a file or the store.
 	Infeasible     int
 	DepthTruncated int
 	BranchQueries  int64
 	SolverStats    solver.Stats
-	// Cov is the run's cumulative coverage set (nil when the agent has no
-	// coverage universe); InstrPct/BranchPct are derived from it. Shards of
-	// a distributed run ship it so the coordinator can union coverage
-	// exactly as a single-process run would.
-	Cov *coverage.Set
 }
 
-// AvgConstraintOps returns the mean constraint size over paths.
+// SerializedResult is Result.
+//
+// Deprecated: use Result.
+type SerializedResult = Result
+
+// Serialized returns r itself.
+//
+// Deprecated: a Result is already what the results file carries.
+func (r *Result) Serialized() *Result { return r }
+
+// AvgConstraintOps returns the mean constraint size over paths: the
+// Table 2 metric, boolean operations in the path condition.
 func (r *Result) AvgConstraintOps() float64 {
 	if len(r.Paths) == 0 {
 		return 0
 	}
 	var sum int64
 	for _, p := range r.Paths {
-		sum += int64(p.ConstraintOps)
+		sum += int64(p.Cond.Size())
 	}
 	return float64(sum) / float64(len(r.Paths))
 }
@@ -123,9 +126,7 @@ func (r *Result) AvgConstraintOps() float64 {
 func (r *Result) MaxConstraintOps() int {
 	m := 0
 	for _, p := range r.Paths {
-		if p.ConstraintOps > m {
-			m = p.ConstraintOps
-		}
+		m = max(m, p.Cond.Size())
 	}
 	return m
 }
@@ -140,6 +141,13 @@ func Explore(a agents.Agent, t Test, o Options) *Result {
 // engine stops at the next path boundary and the Result comes back with
 // Cancelled and Truncated set, carrying the paths completed so far.
 func ExploreContext(ctx context.Context, a agents.Agent, t Test, o Options) *Result {
+	res, _ := explore(ctx, a, t, o)
+	return res
+}
+
+// explore runs the engine and renders its paths into a Result; the
+// engine's own result is returned too, for ExploreShard's merge keys.
+func explore(ctx context.Context, a agents.Agent, t Test, o Options) (*Result, *symexec.Result) {
 	sp := obs.StartSpan("explore:" + a.Name() + "/" + t.Name)
 	defer sp.End()
 	if o.MaxPaths == 0 {
@@ -162,7 +170,7 @@ func ExploreContext(ctx context.Context, a agents.Agent, t Test, o Options) *Res
 		ShardSink:    o.ShardSink,
 		Progress:     o.Progress,
 	}
-	res := eng.RunContext(ctx, func(ctx *symexec.Context) {
+	run := eng.RunContext(ctx, func(ctx *symexec.Context) {
 		in := a.NewInstance()
 		in.Handshake(ctx)
 		for _, input := range t.Inputs(ctx.NewSym) {
@@ -178,39 +186,38 @@ func ExploreContext(ctx context.Context, a agents.Agent, t Test, o Options) *Res
 		Agent:          a.Name(),
 		Test:           t.Name,
 		MsgCount:       t.MsgCount,
-		Elapsed:        res.Elapsed,
-		Truncated:      res.PathsTruncated,
-		Cancelled:      res.Cancelled,
-		Infeasible:     res.Infeasible,
-		DepthTruncated: res.DepthTruncated,
-		BranchQueries:  res.BranchQueries,
+		Elapsed:        run.Elapsed,
+		Truncated:      run.PathsTruncated,
+		Cancelled:      run.Cancelled,
+		Infeasible:     run.Infeasible,
+		DepthTruncated: run.DepthTruncated,
+		BranchQueries:  run.BranchQueries,
 	}
-	if res.Cov != nil {
-		out.InstrPct = res.Cov.InstructionPct()
-		out.BranchPct = res.Cov.BranchPct()
-		out.Cov = res.Cov
+	if run.Cov != nil {
+		out.InstrPct = run.Cov.InstructionPct()
+		out.BranchPct = run.Cov.BranchPct()
 	}
 	internHitsAfter, _ := sym.InternStats()
 	out.SolverStats = solver.Stats{
-		AssumptionSolves:  res.AssumptionSolves,
-		ConstraintsReused: res.ConstraintsReused,
+		AssumptionSolves:  run.AssumptionSolves,
+		ConstraintsReused: run.ConstraintsReused,
 		InternHits:        int64(internHitsAfter - internHitsBefore),
 	}
-	for _, p := range res.Paths {
-		cond := p.Condition()
-		out.Paths = append(out.Paths, PathResult{
-			ID:            p.ID,
-			Cond:          cond,
-			ConstraintOps: cond.Size(),
-			Trace:         trace.FromOutputs(p.Outputs, p.Crashed),
-			Model:         p.Model,
-			Crashed:       p.Crashed,
-			Branches:      p.Branches,
-			Decisions:     p.Decisions,
-			Cov:           p.Cov,
-		})
+	out.Paths = make([]PathResult, len(run.Paths))
+	for i, p := range run.Paths {
+		tr := trace.FromOutputs(p.Outputs, p.Crashed)
+		out.Paths[i] = PathResult{
+			ID:        p.ID,
+			Crashed:   p.Crashed,
+			Branches:  p.Branches,
+			Cond:      p.Condition(),
+			Template:  tr.Template(),
+			Canonical: tr.Canonical(),
+			Exprs:     tr.Exprs(),
+			Model:     p.Model,
+		}
 	}
-	return out
+	return out, run
 }
 
 // Reproduce renders the test's input sequence under a solver model into

@@ -38,7 +38,7 @@ func TestDescribeReproducerLabels(t *testing.T) {
 			ra := harness.Explore(refswitch.New(), tt, opts)
 			rb := harness.Explore(ovs.New(), tt, opts)
 			rep := crosscheck.RunOpts(context.Background(),
-				group.Paths(ra.Serialized()), group.Paths(rb.Serialized()), crosscheck.Opts{})
+				group.Paths(ra), group.Paths(rb), crosscheck.Opts{})
 			if len(rep.Inconsistencies) < tc.minInc {
 				t.Fatalf("%d inconsistencies, want at least %d", len(rep.Inconsistencies), tc.minInc)
 			}

@@ -14,8 +14,9 @@ import (
 
 // The results file format carries phase-1 output between the two SOFT
 // phases (§2.4: vendors run symbolic execution privately and ship only
-// these intermediate results — path conditions and normalized traces — to
-// the crosscheck). The format is line-oriented text: path conditions and
+// these intermediate results — path conditions, normalized traces and
+// models — to the crosscheck). It carries every field of a Result except
+// the run counters. The format is line-oriented text: path conditions and
 // trace expressions are sym s-expressions, one sharing stream per file
 // (each distinct subterm written once, "#n" after that; see sym.Printer),
 // templates and canonicals are quoted strings.
@@ -30,16 +31,10 @@ const (
 	resultsMagicV2 = "soft-results v2"
 )
 
-// Write serializes r to the results file format.
+// Write serializes r to the results file format. The run counters are not
+// written, so an explored result, a fleet merge of the same tree and the
+// result read back from either file all write the same bytes.
 func (r *Result) Write(w io.Writer) error {
-	return r.Serialized().Write(w)
-}
-
-// Write serializes r to the results file format. It is the same writer
-// Result.Write uses (Result.Write goes through the Serialized view), so a
-// result merged from distributed shards — which exists only in serialized
-// form — produces byte-identical files to an in-process exploration.
-func (r *SerializedResult) Write(w io.Writer) error {
 	return r.write(w, sym.NewPrinter())
 }
 
@@ -47,12 +42,12 @@ func (r *SerializedResult) Write(w io.Writer) error {
 // tree, the format before references: text that depends on the
 // expressions' structure alone, never on how their nodes are shared.
 // store.ResultHash hashes it.
-func (r *SerializedResult) WriteTree(w io.Writer) error {
+func (r *Result) WriteTree(w io.Writer) error {
 	return r.write(w, sym.NewTreePrinter())
 }
 
 // write renders r with pr, one Printer for the whole file.
-func (r *SerializedResult) write(w io.Writer, pr *sym.Printer) error {
+func (r *Result) write(w io.Writer, pr *sym.Printer) error {
 	bw := bufio.NewWriter(w)
 	if r.Truncated || r.Cancelled {
 		fmt.Fprintln(bw, resultsMagicV2)
@@ -119,66 +114,13 @@ func (r *SerializedResult) write(w io.Writer, pr *sym.Printer) error {
 	return bw.Flush()
 }
 
-// SerializedPath is the crosscheck-phase view of one path: everything the
-// second phase needs, with no access to agent source or engine state.
-type SerializedPath struct {
-	ID       int
-	Crashed  bool
-	Branches int
-	Cond     *sym.Expr
-	Template string
-	// Canonical is the full normalized trace rendering (the group key).
-	Canonical string
-	Exprs     []*sym.Expr
-	Model     sym.Assignment
-}
-
-// SerializedResult mirrors Result after a round trip through the file
-// format.
-type SerializedResult struct {
-	Agent     string
-	Test      string
-	MsgCount  int
-	Elapsed   time.Duration
-	InstrPct  float64
-	BranchPct float64
-	// Truncated/Cancelled mirror the source Result's partial-run flags, so
-	// the crosscheck phase can tell a partial path set from an exhaustive
-	// one (inconsistencies on unexplored paths are invisible).
-	Truncated bool
-	Cancelled bool
-	Paths     []SerializedPath
-}
-
-// Serialized converts an in-memory Result into the crosscheck-phase view
-// without a file round trip.
-func (r *Result) Serialized() *SerializedResult {
-	out := &SerializedResult{
-		Agent: r.Agent, Test: r.Test, MsgCount: r.MsgCount,
-		Elapsed: r.Elapsed, InstrPct: r.InstrPct, BranchPct: r.BranchPct,
-		Truncated: r.Truncated, Cancelled: r.Cancelled,
-	}
-	for i := range r.Paths {
-		p := &r.Paths[i]
-		out.Paths = append(out.Paths, SerializedPath{
-			ID:        p.ID,
-			Crashed:   p.Crashed,
-			Branches:  p.Branches,
-			Cond:      p.Cond,
-			Template:  p.Trace.Template(),
-			Canonical: p.Trace.Canonical(),
-			Exprs:     p.Trace.Exprs(),
-			Model:     p.Model,
-		})
-	}
-	return out
-}
-
-// ReadResults parses a results file. Besides malformed lines it rejects a
-// file whose records disagree with its counts: a path without exactly one
-// cond line, an nexprs line that does not match the path's expr lines, or
-// a paths line that does not match the number of paths.
-func ReadResults(r io.Reader) (*SerializedResult, error) {
+// ReadResults parses a results file into a Result whose run counters are
+// zero. Besides malformed lines it rejects a file whose records disagree
+// with its counts: a path without exactly one cond, template and canonical
+// line, a path with more than one model line, an nexprs line that does not
+// match the path's expr lines, or a paths line that does not match the
+// number of paths.
+func ReadResults(r io.Reader) (*Result, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 64*1024*1024)
 	line := func() (string, bool) {
@@ -195,16 +137,28 @@ func ReadResults(r io.Reader) (*SerializedResult, error) {
 		return nil, fmt.Errorf("harness: not a results file: expected %q (or %q) header, got %q",
 			resultsMagic, resultsMagicV2, l)
 	}
-	out := &SerializedResult{}
-	var cur *SerializedPath
-	// npaths is the paths line's count; conds and nexprs count cur's cond
-	// lines and hold its nexprs line's count (-1: no such line yet).
-	npaths, conds, nexprs := -1, 0, -1
+	out := &Result{}
+	var cur *PathResult
+	// npaths is the paths line's count; nexprs holds cur's nexprs line's
+	// count (-1: no such line yet), and the others count cur's lines of
+	// their kind.
+	npaths, nexprs := -1, -1
+	var conds, templates, canonicals, models int
 	checkPath := func() error {
+		if cur == nil {
+			return nil
+		}
+		for _, c := range [...]struct {
+			field string
+			n     int
+		}{{"cond", conds}, {"template", templates}, {"canonical", canonicals}} {
+			if c.n != 1 {
+				return fmt.Errorf("harness: path %d has %d %s lines, want 1", cur.ID, c.n, c.field)
+			}
+		}
 		switch {
-		case cur == nil:
-		case conds != 1:
-			return fmt.Errorf("harness: path %d has %d cond lines, want 1", cur.ID, conds)
+		case models > 1:
+			return fmt.Errorf("harness: path %d has %d model lines, want at most 1", cur.ID, models)
 		case nexprs != len(cur.Exprs):
 			return fmt.Errorf("harness: path %d has %d expr lines, its nexprs line says %d", cur.ID, len(cur.Exprs), nexprs)
 		}
@@ -260,21 +214,24 @@ func ReadResults(r io.Reader) (*SerializedResult, error) {
 			if err == nil {
 				// The count is checked at the end and only a capacity
 				// hint here: a corrupt one must not size the allocation.
-				out.Paths = make([]SerializedPath, 0, min(npaths, 1<<12))
+				out.Paths = make([]PathResult, 0, min(npaths, 1<<12))
 			}
 		case "path":
 			if err := checkPath(); err != nil {
 				return nil, err
 			}
-			out.Paths = append(out.Paths, SerializedPath{})
-			cur, conds, nexprs = &out.Paths[len(out.Paths)-1], 0, -1
+			out.Paths = append(out.Paths, PathResult{})
+			cur, nexprs = &out.Paths[len(out.Paths)-1], -1
+			conds, templates, canonicals, models = 0, 0, 0, 0
 			err = parsePathHeader(rest, cur)
 		case "cond":
 			conds++
 			cur.Cond, err = rd.Parse(rest)
 		case "template":
+			templates++
 			cur.Template, err = strconv.Unquote(rest)
 		case "canonical":
+			canonicals++
 			cur.Canonical, err = strconv.Unquote(rest)
 		case "nexprs":
 			if nexprs, err = strconv.Atoi(rest); err == nil && nexprs < 0 {
@@ -286,6 +243,7 @@ func ReadResults(r io.Reader) (*SerializedResult, error) {
 				cur.Exprs = append(cur.Exprs, e)
 			}
 		case "model":
+			models++
 			cur.Model = sym.Assignment{}
 			for _, kv := range strings.Fields(rest) {
 				k, v, ok := strings.Cut(kv, "=")
@@ -309,7 +267,7 @@ func ReadResults(r io.Reader) (*SerializedResult, error) {
 
 // parsePathHeader parses what follows "path": "N crashed=B branches=N",
 // nothing more.
-func parsePathHeader(s string, p *SerializedPath) error {
+func parsePathHeader(s string, p *PathResult) error {
 	id, rest, _ := strings.Cut(s, " ")
 	crashed, branches, _ := strings.Cut(rest, " ")
 	crashed, ok1 := strings.CutPrefix(crashed, "crashed=")

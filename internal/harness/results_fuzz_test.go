@@ -2,6 +2,8 @@ package harness
 
 import (
 	"bytes"
+	"fmt"
+	"maps"
 	"math"
 	"slices"
 	"strings"
@@ -32,9 +34,9 @@ func buildResult(agent, test, out1, out2 string, msgCount uint16, crashed bool, 
 	tr1 := trace.FromOutputs([]any{out1}, false)
 	tr2 := trace.FromOutputs([]any{out1, out2}, crashed)
 	r.Paths = append(r.Paths,
-		PathResult{ID: 0, Cond: cond1, ConstraintOps: cond1.Size(), Trace: tr1, Branches: 1},
-		PathResult{ID: 1, Cond: cond2, ConstraintOps: cond2.Size(), Trace: tr2, Crashed: crashed, Branches: 2,
-			Model: sym.Assignment{"x": bound & 0xffff, "po.port": modelVal & 0xffff}},
+		PathResult{ID: 0, Cond: cond1, Template: tr1.Template(), Canonical: tr1.Canonical(), Exprs: tr1.Exprs(), Branches: 1},
+		PathResult{ID: 1, Cond: cond2, Template: tr2.Template(), Canonical: tr2.Canonical(), Exprs: tr2.Exprs(),
+			Crashed: crashed, Branches: 2, Model: sym.Assignment{"x": bound & 0xffff, "po.port": modelVal & 0xffff}},
 	)
 	return r
 }
@@ -59,51 +61,58 @@ func FuzzResultsRoundTrip(f *testing.F) {
 			t.Fatalf("ReadResults of own output: %v\n--- file ---\n%s", err, buf.Bytes())
 		}
 
-		want := r.Serialized()
-		if got.Agent != want.Agent || got.Test != want.Test || got.MsgCount != want.MsgCount {
-			t.Fatalf("header mismatch: got (%q, %q, %d), want (%q, %q, %d)",
-				got.Agent, got.Test, got.MsgCount, want.Agent, want.Test, want.MsgCount)
-		}
-		if got.Elapsed != want.Elapsed {
-			t.Fatalf("elapsed mismatch: %v vs %v", got.Elapsed, want.Elapsed)
-		}
-		if got.Truncated != want.Truncated || got.Cancelled != want.Cancelled {
-			t.Fatalf("partial flags mismatch: got (%t, %t), want (%t, %t)",
-				got.Truncated, got.Cancelled, want.Truncated, want.Cancelled)
-		}
-		if len(got.Paths) != len(want.Paths) {
-			t.Fatalf("path count mismatch: %d vs %d", len(got.Paths), len(want.Paths))
-		}
-		for i := range want.Paths {
-			gp, wp := &got.Paths[i], &want.Paths[i]
-			if gp.ID != wp.ID || gp.Crashed != wp.Crashed || gp.Branches != wp.Branches {
-				t.Fatalf("path %d header mismatch: %+v vs %+v", i, gp, wp)
-			}
-			if !sym.Equal(gp.Cond, wp.Cond) {
-				t.Fatalf("path %d condition mismatch: %s vs %s", i, gp.Cond, wp.Cond)
-			}
-			if gp.Template != wp.Template || gp.Canonical != wp.Canonical {
-				t.Fatalf("path %d trace mismatch: (%q, %q) vs (%q, %q)",
-					i, gp.Template, gp.Canonical, wp.Template, wp.Canonical)
-			}
-			if len(gp.Exprs) != len(wp.Exprs) {
-				t.Fatalf("path %d expr count mismatch: %d vs %d", i, len(gp.Exprs), len(wp.Exprs))
-			}
-			for j := range wp.Exprs {
-				if !sym.Equal(gp.Exprs[j], wp.Exprs[j]) {
-					t.Fatalf("path %d expr %d mismatch", i, j)
-				}
-			}
-			if len(gp.Model) != len(wp.Model) {
-				t.Fatalf("path %d model size mismatch: %v vs %v", i, gp.Model, wp.Model)
-			}
-			for k, v := range wp.Model {
-				if gp.Model[k] != v {
-					t.Fatalf("path %d model[%q] = %d, want %d", i, k, gp.Model[k], v)
-				}
-			}
+		if err := roundTripMismatch(got, r); err != nil {
+			t.Fatal(err)
 		}
 	})
+}
+
+// roundTripMismatch compares a result read back from a results file with
+// the result written, on every field the file carries: coverage at the
+// file's six decimals, and models up to a missing versus an empty map.
+func roundTripMismatch(got, want *Result) error {
+	if got.Agent != want.Agent || got.Test != want.Test || got.MsgCount != want.MsgCount {
+		return fmt.Errorf("header mismatch: got (%q, %q, %d), want (%q, %q, %d)",
+			got.Agent, got.Test, got.MsgCount, want.Agent, want.Test, want.MsgCount)
+	}
+	if got.Elapsed != want.Elapsed {
+		return fmt.Errorf("elapsed mismatch: %v vs %v", got.Elapsed, want.Elapsed)
+	}
+	if g, w := fmt.Sprintf("%f %f", got.InstrPct, got.BranchPct), fmt.Sprintf("%f %f", want.InstrPct, want.BranchPct); g != w {
+		return fmt.Errorf("coverage mismatch: %s vs %s", g, w)
+	}
+	if got.Truncated != want.Truncated || got.Cancelled != want.Cancelled {
+		return fmt.Errorf("partial flags mismatch: got (%t, %t), want (%t, %t)",
+			got.Truncated, got.Cancelled, want.Truncated, want.Cancelled)
+	}
+	if len(got.Paths) != len(want.Paths) {
+		return fmt.Errorf("path count mismatch: %d vs %d", len(got.Paths), len(want.Paths))
+	}
+	for i := range want.Paths {
+		gp, wp := &got.Paths[i], &want.Paths[i]
+		if gp.ID != wp.ID || gp.Crashed != wp.Crashed || gp.Branches != wp.Branches {
+			return fmt.Errorf("path %d header mismatch: %+v vs %+v", i, gp, wp)
+		}
+		if !sym.Equal(gp.Cond, wp.Cond) {
+			return fmt.Errorf("path %d condition mismatch: %s vs %s", i, gp.Cond, wp.Cond)
+		}
+		if gp.Template != wp.Template || gp.Canonical != wp.Canonical {
+			return fmt.Errorf("path %d trace mismatch: (%q, %q) vs (%q, %q)",
+				i, gp.Template, gp.Canonical, wp.Template, wp.Canonical)
+		}
+		if len(gp.Exprs) != len(wp.Exprs) {
+			return fmt.Errorf("path %d expr count mismatch: %d vs %d", i, len(gp.Exprs), len(wp.Exprs))
+		}
+		for j := range wp.Exprs {
+			if !sym.Equal(gp.Exprs[j], wp.Exprs[j]) {
+				return fmt.Errorf("path %d expr %d mismatch", i, j)
+			}
+		}
+		if !maps.Equal(gp.Model, wp.Model) {
+			return fmt.Errorf("path %d model mismatch: %v vs %v", i, gp.Model, wp.Model)
+		}
+	}
+	return nil
 }
 
 // FuzzReadResults throws arbitrary bytes at the parser: it must reject or
@@ -260,6 +269,11 @@ func TestReadResultsRejectsMiscounts(t *testing.T) {
 	}{
 		{"cond deleted", without(nth("cond ", 3)), "has 0 cond lines"},
 		{"cond repeated", twice(nth("cond ", 3)), "has 2 cond lines"},
+		{"template deleted", without(nth("template ", 3)), "has 0 template lines"},
+		{"template repeated", twice(nth("template ", 3)), "has 2 template lines"},
+		{"canonical deleted", without(nth("canonical ", 3)), "has 0 canonical lines"},
+		{"canonical repeated", twice(nth("canonical ", 3)), "has 2 canonical lines"},
+		{"model repeated", twice(nth("model ", 3)), "has 2 model lines"},
 		{"expr deleted", without(nth("expr ", 0)), "its nexprs line says"},
 		{"expr repeated", twice(nth("expr ", 0)), "its nexprs line says"},
 		{"nexprs deleted", without(nth("nexprs ", 0)), "its nexprs line says -1"},
@@ -293,7 +307,7 @@ func TestResultsSharedChainLinear(t *testing.T) {
 		t.Fatalf("Size() = %d, want math.MaxInt32", e.Size())
 	}
 	cond := sym.EqConst(e, 7)
-	r := &SerializedResult{Agent: "a", Test: "t", Paths: []SerializedPath{
+	r := &Result{Agent: "a", Test: "t", Paths: []PathResult{
 		{Cond: cond, Template: "out=%v", Canonical: "out=…", Exprs: []*sym.Expr{e}},
 	}}
 	var buf bytes.Buffer

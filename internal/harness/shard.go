@@ -1,12 +1,13 @@
 package harness
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
 
+	"github.com/soft-testing/soft/internal/agents"
 	"github.com/soft-testing/soft/internal/coverage"
-	"github.com/soft-testing/soft/internal/solver"
 	"github.com/soft-testing/soft/internal/symexec"
 )
 
@@ -14,70 +15,44 @@ import (
 // coordinator splits the frontier into decision-prefix subtrees
 // (Options.ShardSink), workers explore each subtree (Options.Prefix), and
 // MergeShards reassembles the per-shard outputs into exactly the result a
-// single-process run would have produced. The merge works on the serialized
-// view — the same "intermediate result" representation vendors ship between
-// the paper's two phases (§2.4) — extended with the two merge keys that
-// never enter the results file: decision vectors and per-path coverage.
-
-// ShardPath is one path of a distributed exploration shard: the serialized
-// path plus its merge keys.
-type ShardPath struct {
-	SerializedPath
-	// Decisions is the path's branch-decision vector; shard outputs are
-	// merged by sorting all paths in canonical decision-prefix order.
-	Decisions []bool
-	// Cov is the path's own coverage set (nil without a coverage universe),
-	// so a canonically truncated merge can rebuild coverage from exactly
-	// the kept paths.
-	Cov *coverage.Set
-}
+// single-process run would have produced. A shard is the Result a vendor
+// would ship (§2.4) plus the two merge keys that never enter the results
+// file: decision vectors and per-path coverage.
 
 // Shard is one shard's contribution to a distributed exploration: the
-// subtree's paths plus the run counters the coordinator aggregates.
+// subtree's Result, whose run counters the merge sums, and its merge keys.
+// Truncated reports that the shard's canonical MaxPaths cut discarded
+// paths: the shard holds its MaxPaths canonically smallest.
 type Shard struct {
-	Paths []ShardPath
+	*Result
+	// Decisions[i] is Paths[i]'s branch-decision vector; shard outputs are
+	// merged by sorting all paths in canonical decision-prefix order.
+	Decisions [][]bool
+	// PathCov[i] is Paths[i]'s own coverage set (nil without a coverage
+	// universe), so a canonically truncated merge can rebuild coverage
+	// from exactly the kept paths.
+	PathCov []*coverage.Set
 	// Cov is the shard run's cumulative coverage (including attempts that
 	// were depth-truncated inside the subtree); exhaustive merges union it.
 	Cov *coverage.Set
-	// Truncated reports that the shard's canonical MaxPaths cut discarded
-	// paths — the shard holds its MaxPaths canonically smallest.
-	Truncated      bool
-	Infeasible     int
-	DepthTruncated int
-	BranchQueries  int64
-	Stats          solver.Stats
 }
 
-// Shard converts an exploration Result into its distributed-merge form.
-func (r *Result) Shard() *Shard {
-	s := &Shard{
-		Cov:            r.Cov,
-		Truncated:      r.Truncated,
-		Infeasible:     r.Infeasible,
-		DepthTruncated: r.DepthTruncated,
-		BranchQueries:  r.BranchQueries,
-		Stats:          r.SolverStats,
+// ExploreShard is ExploreContext keeping the merge keys: the dist worker
+// explores its leased subtree with it, and the coordinator its frontier
+// split.
+func ExploreShard(ctx context.Context, a agents.Agent, t Test, o Options) *Shard {
+	res, run := explore(ctx, a, t, o)
+	sh := &Shard{
+		Result:    res,
+		Decisions: make([][]bool, len(run.Paths)),
+		PathCov:   make([]*coverage.Set, len(run.Paths)),
+		Cov:       run.Cov,
 	}
-	ser := r.Serialized()
-	for i := range ser.Paths {
-		s.Paths = append(s.Paths, ShardPath{
-			SerializedPath: ser.Paths[i],
-			Decisions:      r.Paths[i].Decisions,
-			Cov:            r.Paths[i].Cov,
-		})
+	for i, p := range run.Paths {
+		sh.Decisions[i] = p.Decisions
+		sh.PathCov[i] = p.Cov
 	}
-	return s
-}
-
-// MergedResult is the outcome of a distributed exploration: the serialized
-// result (byte-identical to a single-process run of the same tree) plus the
-// aggregated run counters that never enter the results file.
-type MergedResult struct {
-	*SerializedResult
-	Infeasible     int
-	DepthTruncated int
-	BranchQueries  int64
-	SolverStats    solver.Stats
+	return sh
 }
 
 // MergeShards reassembles per-shard exploration outputs into one result.
@@ -98,26 +73,32 @@ type MergedResult struct {
 //
 // The caller stamps Elapsed on the returned result (wall-clock time is the
 // coordinator's to measure).
-func MergeShards(agent, test string, msgCount int, covMap *coverage.Map, shards []*Shard, maxPaths int) (*MergedResult, error) {
-	merged := &MergedResult{SerializedResult: &SerializedResult{
-		Agent: agent, Test: test, MsgCount: msgCount,
-	}}
-	var all []ShardPath
+func MergeShards(agent, test string, msgCount int, covMap *coverage.Map, shards []*Shard, maxPaths int) (*Result, error) {
+	merged := &Result{Agent: agent, Test: test, MsgCount: msgCount}
+	// keyed is one shard path with its merge keys.
+	type keyed struct {
+		p         *PathResult
+		decisions []bool
+		cov       *coverage.Set
+	}
+	var all []keyed
 	truncated := false
 	for _, sh := range shards {
-		all = append(all, sh.Paths...)
+		for i := range sh.Paths {
+			all = append(all, keyed{&sh.Paths[i], sh.Decisions[i], sh.PathCov[i]})
+		}
 		truncated = truncated || sh.Truncated
 		merged.Infeasible += sh.Infeasible
 		merged.DepthTruncated += sh.DepthTruncated
 		merged.BranchQueries += sh.BranchQueries
-		merged.SolverStats.Add(sh.Stats)
+		merged.SolverStats.Add(sh.SolverStats)
 	}
 	sort.Slice(all, func(i, j int) bool {
-		return symexec.LessDecisions(all[i].Decisions, all[j].Decisions)
+		return symexec.LessDecisions(all[i].decisions, all[j].decisions)
 	})
 	for i := 1; i < len(all); i++ {
-		if !symexec.LessDecisions(all[i-1].Decisions, all[i].Decisions) {
-			return nil, fmt.Errorf("harness: shards overlap: duplicate path decision vector %v", all[i].Decisions)
+		if !symexec.LessDecisions(all[i-1].decisions, all[i].decisions) {
+			return nil, fmt.Errorf("harness: shards overlap: duplicate path decision vector %v", all[i].decisions)
 		}
 	}
 	if maxPaths > 0 && len(all) > maxPaths {
@@ -143,7 +124,7 @@ func MergeShards(agent, test string, msgCount int, covMap *coverage.Map, shards 
 		var err error
 		if truncated {
 			for i := range all {
-				err = errors.Join(err, union(all[i].Cov))
+				err = errors.Join(err, union(all[i].cov))
 			}
 		} else {
 			for _, sh := range shards {
@@ -157,9 +138,9 @@ func MergeShards(agent, test string, msgCount int, covMap *coverage.Map, shards 
 		merged.BranchPct = cov.BranchPct()
 	}
 
-	merged.Paths = make([]SerializedPath, len(all))
+	merged.Paths = make([]PathResult, len(all))
 	for i := range all {
-		merged.Paths[i] = all[i].SerializedPath
+		merged.Paths[i] = *all[i].p
 		merged.Paths[i].ID = i
 	}
 	return merged, nil

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"github.com/soft-testing/soft/internal/agents/refswitch"
@@ -18,8 +19,9 @@ func TestShardSplitMergeRoundTrip(t *testing.T) {
 	}
 	want := serializeCanonical(t, Explore(refswitch.New(), tt, Options{WantModels: true, Workers: 4}))
 
+	ctx := context.Background()
 	var prefixes [][]bool
-	local := Explore(refswitch.New(), tt, Options{
+	local := ExploreShard(ctx, refswitch.New(), tt, Options{
 		WantModels: true,
 		ShardDepth: 2,
 		ShardSink:  func(p []bool) { prefixes = append(prefixes, p) },
@@ -29,10 +31,9 @@ func TestShardSplitMergeRoundTrip(t *testing.T) {
 	}
 	t.Logf("split: %d local paths, %d shards", len(local.Paths), len(prefixes))
 
-	shards := []*Shard{local.Shard()}
+	shards := []*Shard{local}
 	for _, p := range prefixes {
-		r := Explore(refswitch.New(), tt, Options{WantModels: true, Prefix: p, Workers: 2})
-		shards = append(shards, r.Shard())
+		shards = append(shards, ExploreShard(ctx, refswitch.New(), tt, Options{WantModels: true, Prefix: p, Workers: 2}))
 	}
 	agent := refswitch.New()
 	merged, err := MergeShards(local.Agent, local.Test, local.MsgCount, agent.CovMap(), shards, DefaultMaxPaths)
@@ -40,7 +41,7 @@ func TestShardSplitMergeRoundTrip(t *testing.T) {
 		t.Fatalf("MergeShards: %v", err)
 	}
 	var buf bytes.Buffer
-	if err := merged.SerializedResult.Write(&buf); err != nil {
+	if err := merged.Write(&buf); err != nil {
 		t.Fatalf("write: %v", err)
 	}
 	if !bytes.Equal(buf.Bytes(), want) {

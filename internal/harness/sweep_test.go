@@ -36,7 +36,7 @@ func TestCrossCheckByteIdentityAcrossWorkerCounts(t *testing.T) {
 		opts := harness.Options{WantModels: true, Workers: workers}
 		ra := harness.Explore(refswitch.New(), tt, opts)
 		rb := harness.Explore(ovs.New(), tt, opts)
-		rep := crosscheck.RunOpts(context.Background(), group.Paths(ra.Serialized()), group.Paths(rb.Serialized()), crosscheck.Opts{Workers: 1})
+		rep := crosscheck.RunOpts(context.Background(), group.Paths(ra), group.Paths(rb), crosscheck.Opts{Workers: 1})
 		return renderReport(rep)
 	}
 	want := run(1)

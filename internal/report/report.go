@@ -179,8 +179,8 @@ func Table3Data(o Options) []Row3 {
 		}
 		ra := harness.Explore(ref, t, harness.Options{MaxPaths: o.MaxPaths})
 		rb := harness.Explore(ov, t, harness.Options{MaxPaths: o.MaxPaths})
-		ga := group.Paths(ra.Serialized())
-		gb := group.Paths(rb.Serialized())
+		ga := group.Paths(ra)
+		gb := group.Paths(rb)
 		rep := o.runCheck(ga, gb)
 		rows = append(rows, Row3{
 			Test:            name,
@@ -352,7 +352,7 @@ func InjectedData(o Options) []InjectedFinding {
 		}
 		ra := harness.Explore(ref, t, harness.Options{MaxPaths: o.MaxPaths})
 		rb := harness.Explore(mod, t, harness.Options{MaxPaths: o.MaxPaths})
-		rep := o.runCheck(group.Paths(ra.Serialized()), group.Paths(rb.Serialized()))
+		rep := o.runCheck(group.Paths(ra), group.Paths(rb))
 		all = append(all, rep.Inconsistencies...)
 	}
 	has := func(pred func(inc crosscheck.Inconsistency) bool) bool {
@@ -478,7 +478,7 @@ func InconsistencyClasses(o Options) []ClassifiedInconsistency {
 		}
 		ra := harness.Explore(ref, t, harness.Options{MaxPaths: o.MaxPaths})
 		rb := harness.Explore(ov, t, harness.Options{MaxPaths: o.MaxPaths})
-		rep := o.runCheck(group.Paths(ra.Serialized()), group.Paths(rb.Serialized()))
+		rep := o.runCheck(group.Paths(ra), group.Paths(rb))
 		for _, inc := range rep.Inconsistencies {
 			counts[Classify(inc)]++
 		}

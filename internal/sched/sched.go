@@ -74,9 +74,11 @@ type Cell struct {
 	Agent string
 	Test  string
 	// Result is the cell's phase-1 result — cached or freshly explored,
-	// the bytes are identical. It is nil in reports parsed back from the
-	// canonical format (ReadReport), which carries only the summary below.
-	Result *harness.SerializedResult
+	// the bytes are identical. Its run counters count the exploration work
+	// (zero for cache hits — that is the point). It is nil in reports
+	// parsed back from the canonical format (ReadReport), which carries
+	// only the summary below.
+	Result *harness.Result
 	// ResultHash is the content address of Result (wall clock excluded).
 	ResultHash string
 	// Paths/Truncated/InstrPct/BranchPct summarize Result — the canonical
@@ -86,11 +88,7 @@ type Cell struct {
 	InstrPct, BranchPct float64
 	// CacheHit reports the result came from the store.
 	CacheHit bool
-	// SolverStats/BranchQueries count the exploration work (zero for cache
-	// hits — that is the point).
-	SolverStats   solver.Stats
-	BranchQueries int64
-	Elapsed       time.Duration
+	Elapsed  time.Duration
 }
 
 // PairCheck is one crosscheck — two agents compared on one test.
@@ -283,7 +281,7 @@ func RunMatrix(ctx context.Context, agentNames, testNames []string, o Options) (
 		}
 
 		if o.Fleet != nil {
-			merged, err := o.Fleet.Run(runCtx, dist.JobConfig{
+			res, err := o.Fleet.Run(runCtx, dist.JobConfig{
 				AgentName: cell.Agent, TestName: cell.Test,
 				MaxPaths: o.MaxPaths, MaxDepth: o.MaxDepth,
 				WantModels: o.Models,
@@ -293,9 +291,7 @@ func RunMatrix(ctx context.Context, agentNames, testNames []string, o Options) (
 				fail(err)
 				return
 			}
-			cell.Result = merged.SerializedResult
-			cell.SolverStats = merged.SolverStats
-			cell.BranchQueries = merged.BranchQueries
+			cell.Result = res
 		} else {
 			agent, err := agents.ByName(cell.Agent)
 			if err != nil {
@@ -313,9 +309,7 @@ func RunMatrix(ctx context.Context, agentNames, testNames []string, o Options) (
 				fail(context.Cause(runCtx))
 				return
 			}
-			cell.Result = res.Serialized()
-			cell.SolverStats = res.SolverStats
-			cell.BranchQueries = res.BranchQueries
+			cell.Result = res
 		}
 		cell.Elapsed = time.Since(cellStart)
 		log.Info("cell explored", "agent", cell.Agent, "test", cell.Test,
@@ -374,8 +368,10 @@ func RunMatrix(ctx context.Context, agentNames, testNames []string, o Options) (
 		} else {
 			rep.CacheMisses++
 		}
-		rep.SolverStats.Add(cell.SolverStats)
-		rep.BranchQueries += cell.BranchQueries
+		// A cached result's counters read zero, so this sums the fresh
+		// cells' work.
+		rep.SolverStats.Add(cell.Result.SolverStats)
+		rep.BranchQueries += cell.Result.BranchQueries
 	}
 
 	// Phase 2: crosscheck every agent pair on every test. Groupings are

@@ -52,10 +52,9 @@ func cellReference(t *testing.T, agentName, testName string) []byte {
 	default:
 		t.Fatalf("unknown agent %q", agentName)
 	}
-	ser := r.Serialized()
-	ser.Elapsed = 0
+	r.Elapsed = 0
 	var buf bytes.Buffer
-	if err := ser.Write(&buf); err != nil {
+	if err := r.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -194,9 +193,9 @@ func TestMatrixExploresOnSessions(t *testing.T) {
 			t.Fatalf("%s RunMatrix: %v", layout.name, err)
 		}
 		for _, c := range rep.Cells {
-			if c.SolverStats.AssumptionSolves == 0 {
+			if c.Result.SolverStats.AssumptionSolves == 0 {
 				t.Errorf("%s cell %s / %s: no assumption solves (%+v)",
-					layout.name, c.Agent, c.Test, c.SolverStats)
+					layout.name, c.Agent, c.Test, c.Result.SolverStats)
 			}
 		}
 	}

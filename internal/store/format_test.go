@@ -85,7 +85,7 @@ func TestSharedRoundTrip(t *testing.T) {
 			t.Fatalf("missing test %s", name)
 		}
 		for _, agent := range all {
-			res := harness.Explore(agent, tt, harness.Options{WantModels: true, MaxPaths: 500}).Serialized()
+			res := harness.Explore(agent, tt, harness.Options{WantModels: true, MaxPaths: 500})
 			var buf bytes.Buffer
 			if err := res.Write(&buf); err != nil {
 				t.Fatal(err)

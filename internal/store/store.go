@@ -6,7 +6,7 @@
 // cells whose inputs changed.
 //
 // One kind of entry lives in a store directory: results/<hash>, one
-// exploration result in the standard results-file format, keyed by
+// harness.Result in the standard results-file format, keyed by
 // Key.Hash() — a SHA-256 over (agent, test, engine config, code version).
 // Changing any component (a different MaxPaths, models on/off, a new
 // binary) misses the cache by construction. A sidecar <hash>.key file
@@ -162,12 +162,12 @@ func executableHash() string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// ResultHash is the content address of a serialized result: a SHA-256 over
-// its tree rendering (WriteTree) with the wall-clock Elapsed field zeroed,
+// ResultHash is the content address of a result: a SHA-256 over its tree
+// rendering (WriteTree) with the wall-clock Elapsed field zeroed,
 // so two runs of the same exploration hash identically, however their
 // nodes are shared and whichever format their file was read from. It is
 // the result= field of the canonical campaign report.
-func ResultHash(r *harness.SerializedResult) (string, error) {
+func ResultHash(r *harness.Result) (string, error) {
 	clone := *r
 	clone.Elapsed = 0
 	h := sha256.New()
@@ -200,8 +200,9 @@ func (s *Store) resultPath(hash string) string {
 
 // GetResult looks a key up, returning (nil, false, nil) on a miss. A
 // stored entry that fails to parse is treated as a miss (and the error
-// returned), never as a result.
-func (s *Store) GetResult(k Key) (*harness.SerializedResult, bool, error) {
+// returned), never as a result. The result's run counters read zero: the
+// file does not carry them.
+func (s *Store) GetResult(k Key) (*harness.Result, bool, error) {
 	sp := obs.StartSpan("store:get-result")
 	defer sp.End()
 	f, err := os.Open(s.resultPath(k.Hash()))
@@ -228,7 +229,7 @@ func (s *Store) GetResult(k Key) (*harness.SerializedResult, bool, error) {
 
 // PutResult stores a result under k, atomically. A concurrent Put of the
 // same key is harmless — determinism makes the contents identical.
-func (s *Store) PutResult(k Key, r *harness.SerializedResult) error {
+func (s *Store) PutResult(k Key, r *harness.Result) error {
 	sp := obs.StartSpan("store:put-result")
 	defer sp.End()
 	hash := k.Hash()

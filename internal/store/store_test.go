@@ -10,13 +10,13 @@ import (
 )
 
 // explore produces a real serialized result to cache.
-func explore(t *testing.T) *harness.SerializedResult {
+func explore(t *testing.T) *harness.Result {
 	t.Helper()
 	tt, ok := harness.TestByName("Packet Out")
 	if !ok {
 		t.Fatal("missing test Packet Out")
 	}
-	return harness.Explore(refswitch.New(), tt, harness.Options{WantModels: true, Workers: 1}).Serialized()
+	return harness.Explore(refswitch.New(), tt, harness.Options{WantModels: true, Workers: 1})
 }
 
 func baseKey() Key {

@@ -1,6 +1,7 @@
 package symexec_test
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -53,7 +54,8 @@ func TestPrefixRunMatchesSubtree(t *testing.T) {
 		t.Fatal("missing test Packet Out")
 	}
 	agent := agents.MustByName("ovs")
-	full := harness.Explore(agent, test, harness.Options{WantModels: true, Workers: 1})
+	ctx := context.Background()
+	full := harness.ExploreShard(ctx, agent, test, harness.Options{WantModels: true, Workers: 1})
 	var prefixes [][]bool
 	harness.Explore(agent, test, harness.Options{
 		WantModels: true,
@@ -64,22 +66,23 @@ func TestPrefixRunMatchesSubtree(t *testing.T) {
 		t.Fatal("split produced no shards")
 	}
 	for _, prefix := range prefixes {
-		var want []harness.PathResult
-		for _, p := range full.Paths {
-			if hasPrefix(p.Decisions, prefix) {
-				want = append(want, p)
+		var want []int
+		for i, d := range full.Decisions {
+			if hasPrefix(d, prefix) {
+				want = append(want, i)
 			}
 		}
-		got := harness.Explore(agent, test, harness.Options{WantModels: true, Prefix: prefix, Workers: 1}).Paths
-		if len(got) != len(want) || len(got) == 0 {
-			t.Fatalf("prefix %v: %d paths, full run has %d below it", prefix, len(got), len(want))
+		got := harness.ExploreShard(ctx, agent, test, harness.Options{WantModels: true, Prefix: prefix, Workers: 1})
+		if len(got.Paths) != len(want) || len(want) == 0 {
+			t.Fatalf("prefix %v: %d paths, full run has %d below it", prefix, len(got.Paths), len(want))
 		}
-		for i := range got {
-			g, w := got[i], want[i]
-			if !reflect.DeepEqual(g.Decisions, w.Decisions) || g.Cond.String() != w.Cond.String() ||
-				g.Trace.Canonical() != w.Trace.Canonical() || !reflect.DeepEqual(g.Model, w.Model) {
+		for i, wi := range want {
+			g, w := &got.Paths[i], &full.Paths[wi]
+			gd, wd := got.Decisions[i], full.Decisions[wi]
+			if !reflect.DeepEqual(gd, wd) || g.Cond.String() != w.Cond.String() ||
+				g.Canonical != w.Canonical || !reflect.DeepEqual(g.Model, w.Model) {
 				t.Fatalf("prefix %v, path %d: shard and full run differ:\n%v %v %v\n%v %v %v",
-					prefix, i, g.Decisions, g.Cond, g.Model, w.Decisions, w.Cond, w.Model)
+					prefix, i, gd, g.Cond, g.Model, wd, w.Cond, w.Model)
 			}
 		}
 	}

@@ -98,7 +98,7 @@ func exploreGrouped(t *testing.T, a agents.Agent, test string) *group.Result {
 		t.Fatalf("missing test %s", test)
 	}
 	r := harness.Explore(a, tt, harness.Options{WantModels: true, Workers: 4})
-	return group.Paths(r.Serialized())
+	return group.Paths(r)
 }
 
 // TestQuickstartFullPipeline explores both real agent models in parallel,

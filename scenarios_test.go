@@ -17,7 +17,7 @@ func resultBytes(t *testing.T, res *soft.Result) []byte {
 	t.Helper()
 	res.Elapsed = 0
 	var buf bytes.Buffer
-	if err := soft.WriteResults(&buf, res); err != nil {
+	if err := res.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

@@ -73,17 +73,13 @@ type (
 	Input = harness.Input
 
 	// Result is a phase-1 exploration result for one (agent, test) pair —
-	// the "intermediate result" a vendor ships to the crosscheck. Write
-	// serializes it to the versioned results-file format; ReadResults
-	// parses it back as a SerializedResult.
+	// the "intermediate result" a vendor ships to the crosscheck: per path,
+	// a condition, a normalized trace and a model. Write serializes it to
+	// the versioned results-file format and ReadResults parses it back as
+	// the same type, with the run counters (Infeasible, DepthTruncated,
+	// BranchQueries, SolverStats) reading zero.
 	Result     = harness.Result
 	PathResult = harness.PathResult
-
-	// SerializedResult is the crosscheck-phase view of a Result after a
-	// round trip through the results-file format; SerializedPath is one of
-	// its paths.
-	SerializedResult = harness.SerializedResult
-	SerializedPath   = harness.SerializedPath
 
 	// Grouped is a phase-1 result grouped by distinct output behavior;
 	// OutputGroup is one behavior and the input subspace producing it.
@@ -247,11 +243,7 @@ func ExploreHandler(ctx context.Context, h Handler, opts ...Option) (*HandlerRes
 // path conditions with the same normalized trace become one disjunction
 // (§3.4). Grouping is what makes the crosscheck tractable — the solver
 // query count drops from |paths_A|·|paths_B| to |groups_A|·|groups_B|.
-func Group(r *Result) *Grouped { return group.Paths(r.Serialized()) }
-
-// GroupSerialized is Group for a result read back from the results-file
-// format (the vendor hand-off path).
-func GroupSerialized(r *SerializedResult) *Grouped { return group.Paths(r) }
+func Group(r *Result) *Grouped { return group.Paths(r) }
 
 // CrossCheck is SOFT's phase 2: for every pair of groups from a and b with
 // different outputs it asks the solver whether both conditions can hold on
@@ -302,12 +294,9 @@ func CrossCheck(ctx context.Context, a, b *Grouped, opts ...Option) (*Report, er
 	return rep, nil
 }
 
-// ReadResults parses a serialized phase-1 results file (the soft-results
-// v1 format produced by Result.Write / WriteResults).
-func ReadResults(r io.Reader) (*SerializedResult, error) { return harness.ReadResults(r) }
-
-// WriteResults serializes a phase-1 result to the results-file format.
-func WriteResults(w io.Writer, r *Result) error { return r.Write(w) }
+// ReadResults parses a phase-1 results file (the soft-results format
+// Result.Write produces).
+func ReadResults(r io.Reader) (*Result, error) { return harness.ReadResults(r) }
 
 // Reproduce renders a test's input sequence under a witness assignment
 // into concrete OpenFlow wire messages — the ready-made test case SOFT

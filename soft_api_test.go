@@ -208,7 +208,7 @@ func TestExploreCancellation(t *testing.T) {
 	}
 	// A cancelled partial result still serializes and reloads.
 	var buf bytes.Buffer
-	if err := WriteResults(&buf, res); err != nil {
+	if err := res.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
 	rt, err := ReadResults(&buf)
@@ -237,7 +237,7 @@ func TestExploreDeterminismPublicAPI(t *testing.T) {
 		}
 		res.Elapsed = 0 // the only wall-clock-dependent field in the format
 		var buf bytes.Buffer
-		if err := WriteResults(&buf, res); err != nil {
+		if err := res.Write(&buf); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
