@@ -85,7 +85,8 @@ func TestCanonicalModel(t *testing.T) {
 	}
 
 	// A blaster with a different history (extra feasibility probes that
-	// steer VSIDS elsewhere) must still land on the same canonical model.
+	// reorder the decision queue) must still land on the same canonical
+	// model.
 	b2 := New()
 	b2.Assert(cond)
 	b2.SolveAssuming(sym.EqConst(x, 77))

@@ -21,9 +21,10 @@ import (
 // later path just pushes a_c onto the session's assumption stack; solving a
 // path is one SAT solve under the assumptions (a_1..a_k, extras...).
 // Sibling paths in the decision tree — which share their whole constraint
-// prefix — therefore share CNF, learned clauses, and VSIDS activity, which
-// is where the paths/sec win comes from; crosscheck queries sharing a group
-// condition share its encoding the same way.
+// prefix — therefore share CNF, learned clauses, and the SAT core's
+// decision-queue order, which is where the paths/sec win comes from;
+// crosscheck queries sharing a group condition share its encoding the same
+// way.
 //
 // Answer preservation: assumptions are exact (sat.Solver decides the same
 // formula a fresh solver would), learned clauses are resolvents of database

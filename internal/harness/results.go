@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -114,12 +115,19 @@ func (r *Result) write(w io.Writer, pr *sym.Printer) error {
 	return bw.Flush()
 }
 
+// headerFields are the lines a results file carries before its paths
+// line, each exactly once, except that partial appears in a v2 file and
+// only there.
+var headerFields = [...]string{"agent", "test", "msgcount", "elapsed", "coverage", "partial"}
+
 // ReadResults parses a results file into a Result whose run counters are
-// zero. Besides malformed lines it rejects a file whose records disagree
-// with its counts: a path without exactly one cond, template and canonical
-// line, a path with more than one model line, an nexprs line that does not
-// match the path's expr lines, or a paths line that does not match the
-// number of paths.
+// zero. Besides malformed lines it rejects a file whose header is not one
+// of each header line (plus, in a v2 file, one partial line marking the
+// run truncated or cancelled, and none in a v1 file) before the paths
+// line, and a file whose records disagree with its counts: a path without
+// exactly one cond, template and canonical line, a path with more than one
+// model line, an nexprs line that does not match the path's expr lines, or
+// a paths line that does not match the number of paths.
 func ReadResults(r io.Reader) (*Result, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 64*1024*1024)
@@ -137,7 +145,10 @@ func ReadResults(r io.Reader) (*Result, error) {
 		return nil, fmt.Errorf("harness: not a results file: expected %q (or %q) header, got %q",
 			resultsMagic, resultsMagicV2, l)
 	}
+	v2 := l == resultsMagicV2
 	out := &Result{}
+	// seen[h] is set once headerFields[h] has been read.
+	var seen [len(headerFields)]bool
 	var cur *PathResult
 	// npaths is the paths line's count; nexprs holds cur's nexprs line's
 	// count (-1: no such line yet), and the others count cur's lines of
@@ -178,6 +189,11 @@ func ReadResults(r io.Reader) (*Result, error) {
 			if npaths != len(out.Paths) {
 				return nil, fmt.Errorf("harness: %d paths, the paths line says %d", len(out.Paths), npaths)
 			}
+			for h, f := range headerFields {
+				if !seen[h] && (f != "partial" || v2) {
+					return nil, fmt.Errorf("harness: no %s line", f)
+				}
+			}
 			return out, nil
 		}
 		field, rest, _ := strings.Cut(l, " ")
@@ -186,6 +202,17 @@ func ReadResults(r io.Reader) (*Result, error) {
 			if cur == nil {
 				return nil, fmt.Errorf("harness: %s before path", field)
 			}
+		}
+		if h := slices.Index(headerFields[:], field); h >= 0 {
+			switch {
+			case npaths >= 0 || cur != nil:
+				return nil, fmt.Errorf("harness: bad %s line: after the paths line", field)
+			case seen[h]:
+				return nil, fmt.Errorf("harness: bad %s line: repeated", field)
+			case field == "partial" && !v2:
+				return nil, fmt.Errorf("harness: bad partial line: in a %q file", resultsMagic)
+			}
+			seen[h] = true
 		}
 		var err error
 		switch field {
@@ -203,6 +230,10 @@ func ReadResults(r io.Reader) (*Result, error) {
 			_, err = fmt.Sscanf(rest, "%f %f", &out.InstrPct, &out.BranchPct)
 		case "partial":
 			_, err = fmt.Sscanf(rest, "truncated=%t cancelled=%t", &out.Truncated, &out.Cancelled)
+			if err == nil && !out.Truncated && !out.Cancelled {
+				// Write marks only partial results with this line.
+				err = fmt.Errorf("neither truncated nor cancelled")
+			}
 		case "paths":
 			if npaths >= 0 || cur != nil {
 				err = fmt.Errorf("repeated, or after a path")

@@ -115,20 +115,49 @@ func roundTripMismatch(got, want *Result) error {
 	return nil
 }
 
+// readResultsSeeds are FuzzReadResults's seeds and whether ReadResults
+// accepts each one. TestReadResultsSeeds checks the accept column, so a
+// plain go test reaches the fuzz target's round-trip assertion.
+var readResultsSeeds = []struct {
+	data   string
+	accept bool
+}{
+	{"soft-results v1\n" + seedHead + "paths 0\nend\n", true},
+	{"soft-results v2\n" + seedHead + "partial truncated=true cancelled=false\npaths 0\nend\n", true},
+	{"soft-results v1\n" + seedHead + "paths 1\n" + seedPath + "cond (ult (var x 8) (const 8 9))\nnexprs 2\nexpr #0\nexpr (add #0 #1)\nend\n", true},
+	{"soft-results v1\nagent \"a\"\ntest \"t\"\npaths 0\nend\n", false}, // no msgcount, elapsed, coverage
+	{"soft-results v2\nend\n", false},
+	{"", false},
+	{"agent \"a\"\n", false},
+	{"soft-results v1\n" + seedHead + "paths 1\n" + seedPath + "cond (ult (var x 8) #2)\nnexprs 0\nend\n", false},       // forward
+	{"soft-results v1\n" + seedHead + "paths 1\n" + seedPath + "cond #0\nnexprs 0\nend\n", false},                       // dangling
+	{"soft-results v1\n" + seedHead + "paths 1\n" + seedPath + "cond (lnot (eq #1 (var x 8)))\nnexprs 0\nend\n", false}, // self
+}
+
+// seedHead and seedPath are a results file's header lines and a path's
+// first lines, for readResultsSeeds.
+const (
+	seedHead = "agent \"a\"\ntest \"t\"\nmsgcount 1\nelapsed 5\ncoverage 1.000000 2.000000\n"
+	seedPath = "path 0 crashed=false branches=1\ntemplate \"t\"\ncanonical \"c\"\n"
+)
+
+// TestReadResultsSeeds: ReadResults accepts exactly the seeds marked so.
+func TestReadResultsSeeds(t *testing.T) {
+	for i, s := range readResultsSeeds {
+		if _, err := ReadResults(strings.NewReader(s.data)); (err == nil) != s.accept {
+			t.Errorf("seed %d: got error %v, want accept=%t\n%s", i, err, s.accept, s.data)
+		}
+	}
+}
+
 // FuzzReadResults throws arbitrary bytes at the parser: it must reject or
 // accept without panicking, never accept input that does not start with
 // the versioned magic line, and whatever it accepts must write and read
 // back to the same bytes.
 func FuzzReadResults(f *testing.F) {
-	const path = "path 0 crashed=false branches=1\ntemplate \"t\"\ncanonical \"c\"\n"
-	f.Add([]byte("soft-results v1\nagent \"a\"\ntest \"t\"\npaths 0\nend\n"))
-	f.Add([]byte("soft-results v2\nend\n"))
-	f.Add([]byte(""))
-	f.Add([]byte("agent \"a\"\n"))
-	f.Add([]byte("soft-results v1\npaths 1\n" + path + "cond (ult (var x 8) (const 8 9))\nnexprs 2\nexpr #0\nexpr (add #0 #1)\nend\n"))
-	f.Add([]byte("soft-results v1\npaths 1\n" + path + "cond (ult (var x 8) #2)\nnexprs 0\nend\n"))       // forward
-	f.Add([]byte("soft-results v1\npaths 1\n" + path + "cond #0\nnexprs 0\nend\n"))                       // dangling
-	f.Add([]byte("soft-results v1\npaths 1\n" + path + "cond (lnot (eq #1 (var x 8)))\nnexprs 0\nend\n")) // self
+	for _, s := range readResultsSeeds {
+		f.Add([]byte(s.data))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		res, err := ReadResults(bytes.NewReader(data))
 		if err != nil {
@@ -292,6 +321,59 @@ func TestReadResultsRejectsMiscounts(t *testing.T) {
 				t.Fatalf("got error %v, want one containing %q", err, c.want)
 			}
 		})
+	}
+}
+
+// TestReadResultsRejectsBadHeaders: each header line appears exactly once,
+// before the paths line, and the partial line appears in a v2 file and
+// only there, marking a truncated or cancelled run. A file that breaks
+// this is an error, not a result with another agent's name or a partial
+// flag an exhaustive file never carries.
+func TestReadResultsRejectsBadHeaders(t *testing.T) {
+	tt, _ := TestByName("Concrete")
+	var buf bytes.Buffer
+	if err := Explore(refswitch.New(), tt, Options{}).Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(buf.String(), "\n")
+	if lines[0] != resultsMagic+"\n" {
+		t.Fatalf("exhaustive file starts with %q", lines[0])
+	}
+	at := func(prefix string) int {
+		return slices.IndexFunc(lines, func(l string) bool { return strings.HasPrefix(l, prefix) })
+	}
+	paths := at("paths ")
+	insert := func(i int, l string) []string { return slices.Insert(slices.Clone(lines), i, l) }
+	without := func(prefix string) []string { return slices.Delete(slices.Clone(lines), at(prefix), at(prefix)+1) }
+	v2 := func(ls []string) []string { return append([]string{resultsMagicV2 + "\n"}, ls[1:]...) }
+	cases := []struct {
+		name  string
+		lines []string
+		want  string
+	}{
+		{"second agent line", insert(1, "agent \"Other Switch\"\n"), "bad agent line: repeated"},
+		{"partial in v1", insert(paths, "partial truncated=true cancelled=false\n"), "bad partial line: in a \"soft-results v1\" file"},
+		{"v2 without partial", v2(lines), "no partial line"},
+		{"partial repeated", v2(insert(paths, "partial truncated=true cancelled=false\npartial truncated=true cancelled=false\n")), "bad partial line: repeated"},
+		{"bad partial", v2(insert(paths, "partial truncated=maybe cancelled=false\n")), "bad partial line"},
+		{"partial marking an exhaustive run", v2(insert(paths, "partial truncated=false cancelled=false\n")), "bad partial line: neither truncated nor cancelled"},
+		{"test after paths", insert(paths+1, "test \"Concrete\"\n"), "bad test line: after the paths line"},
+		{"coverage after a path", insert(at("end"), "coverage 1.0 2.0\n"), "bad coverage line: after the paths line"},
+		{"agent deleted", without("agent "), "no agent line"},
+		{"elapsed deleted", without("elapsed "), "no elapsed line"},
+		{"msgcount deleted", without("msgcount "), "no msgcount line"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := ReadResults(strings.NewReader(strings.Join(c.lines, "")))
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("got error %v, want one containing %q", err, c.want)
+			}
+		})
+	}
+	partial := v2(insert(paths, "partial truncated=true cancelled=false\n"))
+	if res, err := ReadResults(strings.NewReader(strings.Join(partial, ""))); err != nil || !res.Truncated {
+		t.Fatalf("v2 file with one partial line: got %v, truncated %t", err, err == nil && res.Truncated)
 	}
 }
 

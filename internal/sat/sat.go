@@ -2,13 +2,14 @@
 // solver over propositional CNF. It is the decision-procedure core on which
 // the bitvector solver (the reproduction's STP substitute) is built.
 //
-// Features: two-watched-literal unit propagation, VSIDS-style decision
-// activity with exponential decay, first-UIP conflict analysis with clause
-// learning and non-chronological backjumping, Luby-sequence restarts,
-// phase saving, and an optional preferred-decision list (SolvePreferring)
-// that yields lexicographically minimal models in one search. The solver is
-// deterministic: the same clause set always produces the same answer and,
-// when satisfiable, the same model.
+// Features: two-watched-literal unit propagation, a VMTF (variable
+// move-to-front) decision queue (Biere and Fröhlich, "Evaluating CDCL
+// Variable Scoring Schemes", SAT 2015), first-UIP conflict analysis with
+// clause learning and non-chronological backjumping, Luby-sequence
+// restarts, phase saving, and an optional preferred-decision list
+// (SolvePreferring) that yields lexicographically minimal models in one
+// search. The solver is deterministic: the same sequence of calls always
+// produces the same answers and, when satisfiable, the same models.
 package sat
 
 import "fmt"
@@ -54,7 +55,6 @@ const (
 type clause struct {
 	lits    []Lit
 	learnt  bool
-	act     float64
 	deleted bool
 }
 
@@ -94,15 +94,21 @@ type Solver struct {
 	prefHead int
 	prefLim  []int
 
-	activity []float64
-	varInc   float64
-	order    *varHeap
-	phase    []bool // saved phases
-	// touched marks variables that occur in at least one clause.
-	// Unconstrained variables must not soak up branch decisions; an
-	// untouched variable can never affect satisfiability, and it reads as
-	// false from Value either way.
-	touched []bool
+	// The decision queue: a doubly linked list of the variables that occur
+	// in at least one clause, in bump order. prev points toward older
+	// variables, next toward newer ones, -1 ends the list; last is the most
+	// recently bumped. stamp[v] is v's position in bump order (0: never
+	// queued). Every queued variable newer than the search cursor is
+	// assigned, so pickBranchVar walks from search toward older variables.
+	// Unconstrained variables are never queued: an untouched variable can
+	// never affect satisfiability, and it reads as false from Value either
+	// way.
+	prev, next   []int32
+	stamp        []uint64
+	last, search int
+	stamps       uint64
+
+	phase []bool // saved phases
 
 	seen          []bool
 	model         []lbool // snapshot of the last satisfying assignment
@@ -113,9 +119,7 @@ type Solver struct {
 
 // New creates a solver with no variables or clauses.
 func New() *Solver {
-	s := &Solver{varInc: 1}
-	s.order = &varHeap{s: s}
-	return s
+	return &Solver{last: -1, search: -1}
 }
 
 // NewVar adds a fresh variable and returns its index.
@@ -126,22 +130,19 @@ func (s *Solver) NewVar() int {
 	s.assign = append(s.assign, lUndef)
 	s.level = append(s.level, 0)
 	s.reason = append(s.reason, nil)
-	s.activity = append(s.activity, 0)
+	s.prev = append(s.prev, -1)
+	s.next = append(s.next, -1)
+	s.stamp = append(s.stamp, 0)
 	s.phase = append(s.phase, false)
 	s.seen = append(s.seen, false)
-	s.touched = append(s.touched, false)
-	s.order.push(v)
 	return v
 }
 
-// markTouched records that v occurs in a clause, re-entering it into the
-// decision heap if a previous pickBranchVar discarded it as unconstrained.
+// markTouched records that v occurs in a clause: the first time, v enters
+// the decision queue at the front.
 func (s *Solver) markTouched(v int) {
-	if !s.touched[v] {
-		s.touched[v] = true
-		if s.assign[v] == lUndef {
-			s.order.push(v)
-		}
+	if s.stamp[v] == 0 {
+		s.varBump(v)
 	}
 }
 
@@ -311,15 +312,31 @@ func (s *Solver) propagate() *clause {
 	return nil
 }
 
+// varBump moves v to the front of the decision queue, linking it in if it
+// was not queued yet. The search cursor moves to v if v is unassigned, or
+// if the queue was empty: once the queue has a variable, the cursor always
+// names one.
 func (s *Solver) varBump(v int) {
-	s.activity[v] += s.varInc
-	if s.activity[v] > 1e100 {
-		for i := range s.activity {
-			s.activity[i] *= 1e-100
-		}
-		s.varInc *= 1e-100
+	if s.last == v {
+		return
 	}
-	s.order.update(v)
+	if s.stamp[v] != 0 {
+		p, n := s.prev[v], s.next[v]
+		if p >= 0 {
+			s.next[p] = n
+		}
+		s.prev[n] = p // v is not last, so it has a newer neighbour
+	}
+	s.prev[v], s.next[v] = int32(s.last), -1
+	if s.last >= 0 {
+		s.next[s.last] = int32(v)
+	}
+	s.last = v
+	s.stamps++
+	s.stamp[v] = s.stamps
+	if s.assign[v] == lUndef || s.search < 0 {
+		s.search = v
+	}
 }
 
 // analyze performs first-UIP conflict analysis. It returns the learnt
@@ -418,7 +435,9 @@ func (s *Solver) cancelUntil(level int) {
 		v := s.trail[i].Var()
 		s.assign[v] = lUndef
 		s.reason[v] = nil
-		s.order.push(v)
+		if s.search >= 0 && s.stamp[v] > s.stamp[s.search] {
+			s.search = v
+		}
 	}
 	s.trail = s.trail[:s.trailLim[level]]
 	s.trailLim = s.trailLim[:level]
@@ -427,21 +446,16 @@ func (s *Solver) cancelUntil(level int) {
 	s.qhead = len(s.trail)
 }
 
+// pickBranchVar returns the newest unassigned variable of the decision
+// queue, or -1 when every queued variable is assigned.
 func (s *Solver) pickBranchVar() int {
-	for {
-		v, ok := s.order.pop()
-		if !ok {
-			return -1
-		}
-		// Unconstrained variables (input bits no clause mentions) are
-		// skipped: no clause can become unsatisfied by leaving them
-		// unassigned, and they default to false in the model either way.
-		// markTouched re-enters them if a later AddClause makes them
-		// relevant.
-		if s.assign[v] == lUndef && s.touched[v] {
+	for v := s.search; v >= 0; v = int(s.prev[v]) {
+		if s.assign[v] == lUndef {
+			s.search = v
 			return v
 		}
 	}
+	return -1
 }
 
 // luby computes the Luby restart sequence value for index i (1-based):
@@ -485,14 +499,14 @@ func (s *Solver) Solve(assumptions ...Lit) bool {
 
 // SolvePreferring is Solve with a preferred-decision list: once the
 // assumptions are placed, the solver decides each still-unassigned pref
-// literal in list order, with the polarity given, before it makes any VSIDS
-// decision. A backjump rewinds the cursor to the first preferred literal it
-// unassigned. When satisfiable, the model satisfies the pref literals
-// greedily in list order: each pref[i] is true unless the clauses, the
-// assumptions and the model's values of pref[0..i-1] force it false. That
-// is the lexicographically first model on the pref literals, ranking true
-// before false, and a pure function of the clauses, the assumptions and
-// pref.
+// literal in list order, with the polarity given, before it takes any
+// decision from the decision queue. A backjump rewinds the cursor to the
+// first preferred literal it unassigned. When satisfiable, the model
+// satisfies the pref literals greedily in list order: each pref[i] is true
+// unless the clauses, the assumptions and the model's values of
+// pref[0..i-1] force it false. That is the lexicographically first model
+// on the pref literals, ranking true before false, and a pure function of
+// the clauses, the assumptions and pref.
 //
 // Why one search suffices: pref literals are only ever decided with their
 // preferred polarity, and only after every earlier pref literal is
@@ -504,9 +518,10 @@ func (s *Solver) Solve(assumptions ...Lit) bool {
 // assumptions and earlier pref literals. Hence the database, the
 // assumptions and the earlier pref values force it false, which is
 // exactly the condition under which the greedy one-literal-at-a-time
-// minimization would keep it false too. Saved phases and activities only
-// steer the VSIDS decisions taken after the pref list is exhausted, so the
-// pref part of the model does not depend on the solver's history.
+// minimization would keep it false too. Saved phases and the decision
+// queue's order only steer the decisions taken after the pref list is
+// exhausted, so the pref part of the model does not depend on the solver's
+// history.
 func (s *Solver) SolvePreferring(assumptions, pref []Lit) bool {
 	if s.unsatisfiable {
 		return false
@@ -539,7 +554,6 @@ func (s *Solver) SolvePreferring(assumptions, pref []Lit) bool {
 				s.Stats.Learnt++
 			}
 			s.uncheckedEnqueue(learnt[0], c)
-			s.varInc *= 1.0 / 0.95
 			continue
 		}
 
@@ -605,22 +619,16 @@ func (s *Solver) SolvePreferring(assumptions, pref []Lit) bool {
 	}
 }
 
-// reduceDB removes half of the learnt clauses (the least active, keeping
-// reason clauses).
+// reduceDB deletes the learnt clauses longer than the mean learnt clause
+// length, keeping reason clauses and binary clauses.
 func (s *Solver) reduceDB() {
 	if len(s.learnts) < 16 {
 		return
 	}
-	// Partial selection: keep the more active half.
-	acts := make([]float64, len(s.learnts))
-	for i, c := range s.learnts {
-		acts[i] = float64(len(c.lits)) // approximate: prefer short clauses
-	}
-	// Threshold at median length.
-	med := medianF(acts)
+	mean := meanLen(s.learnts)
 	kept := s.learnts[:0]
 	for _, c := range s.learnts {
-		if s.isReason(c) || float64(len(c.lits)) <= med || len(c.lits) <= 2 {
+		if s.isReason(c) || float64(len(c.lits)) <= mean || len(c.lits) <= 2 {
 			kept = append(kept, c)
 		} else {
 			c.deleted = true
@@ -637,16 +645,13 @@ func (s *Solver) isReason(c *clause) bool {
 	return s.assign[v] != lUndef && s.reason[v] == c
 }
 
-func medianF(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
+// meanLen returns the mean length of cs, which is not empty.
+func meanLen(cs []*clause) float64 {
+	sum := 0
+	for _, c := range cs {
+		sum += len(c.lits)
 	}
-	// Counting-based approximate median over small integer lengths.
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
+	return float64(sum) / float64(len(cs))
 }
 
 // Value returns the model value of variable v after a satisfiable Solve.
@@ -659,84 +664,3 @@ func (s *Solver) Value(v int) bool {
 
 // Okay reports whether the solver has not yet derived level-0 unsatisfiability.
 func (s *Solver) Okay() bool { return !s.unsatisfiable }
-
-// varHeap is a max-heap over variable activity used for VSIDS decisions.
-type varHeap struct {
-	s       *Solver
-	heap    []int
-	indices []int // var -> position+1 (0 = absent)
-}
-
-func (h *varHeap) less(a, b int) bool {
-	return h.s.activity[h.heap[a]] > h.s.activity[h.heap[b]]
-}
-
-func (h *varHeap) swap(a, b int) {
-	h.heap[a], h.heap[b] = h.heap[b], h.heap[a]
-	h.indices[h.heap[a]] = a + 1
-	h.indices[h.heap[b]] = b + 1
-}
-
-func (h *varHeap) up(i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if !h.less(i, p) {
-			break
-		}
-		h.swap(i, p)
-		i = p
-	}
-}
-
-func (h *varHeap) down(i int) {
-	n := len(h.heap)
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && h.less(l, smallest) {
-			smallest = l
-		}
-		if r < n && h.less(r, smallest) {
-			smallest = r
-		}
-		if smallest == i {
-			return
-		}
-		h.swap(i, smallest)
-		i = smallest
-	}
-}
-
-func (h *varHeap) push(v int) {
-	for v >= len(h.indices) {
-		h.indices = append(h.indices, 0)
-	}
-	if h.indices[v] != 0 {
-		return
-	}
-	h.heap = append(h.heap, v)
-	h.indices[v] = len(h.heap)
-	h.up(len(h.heap) - 1)
-}
-
-func (h *varHeap) pop() (int, bool) {
-	if len(h.heap) == 0 {
-		return 0, false
-	}
-	v := h.heap[0]
-	last := len(h.heap) - 1
-	h.heap[0] = h.heap[last]
-	h.indices[h.heap[0]] = 1
-	h.heap = h.heap[:last]
-	h.indices[v] = 0
-	if len(h.heap) > 0 {
-		h.down(0)
-	}
-	return v, true
-}
-
-func (h *varHeap) update(v int) {
-	if v < len(h.indices) && h.indices[v] != 0 {
-		h.up(h.indices[v] - 1)
-	}
-}

@@ -105,8 +105,8 @@ func prefMask(pref []Lit) uint32 {
 }
 
 // TestSolvePreferringIsLexMin: on random CNFs of at most 12 variables, a
-// solver whose saved phases, activities and learnt clauses were warmed by an
-// unrelated solve must answer SolvePreferring like brute force, and its
+// solver whose saved phases, decision queue and learnt clauses were warmed
+// by an unrelated solve must answer SolvePreferring like brute force, and its
 // model must equal the brute-force lexicographic minimum on the preferred
 // literals (mixed polarity, random order) while satisfying every clause and
 // assumption.

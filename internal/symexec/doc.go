@@ -55,12 +55,12 @@
 // by an activation literal a_c via the clause (¬a_c ∨ lit(c)), and a path's
 // feasibility query becomes one solve under the assumption stack
 // (a_1..a_k) of its conjuncts. Sibling paths — which share their entire
-// constraint prefix — therefore share CNF, learned clauses, and VSIDS
-// activity instead of re-blasting and re-learning it per path; that reuse
-// is where the paths/sec win on conflict-rich workloads comes from
-// (internal/sym's hash-consed interning makes the per-conjunct cache a
-// pointer lookup on the hot path, and rebuilding an interned condition
-// during replay allocates nothing).
+// constraint prefix — therefore share CNF, learned clauses, and the SAT
+// core's decision-queue order instead of re-blasting and re-learning it
+// per path; that reuse is where the paths/sec win on conflict-rich
+// workloads comes from (internal/sym's hash-consed interning makes the
+// per-conjunct cache a pointer lookup on the hot path, and rebuilding an
+// interned condition during replay allocates nothing).
 //
 // A frontier branch costs one solve, not two (witness reuse, KLEE's
 // counterexample cache in its simplest form). Every path carries a witness:
