@@ -60,7 +60,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeResult -fuzztime $(FUZZTIME) ./internal/dist/
 
 race:
-	$(GO) test -race ./internal/sym/ ./internal/sat/ ./internal/bitblast/ ./internal/symexec/ ./internal/harness/ ./internal/solver/ ./internal/crosscheck/ ./internal/dist/ ./internal/sched/ ./internal/campaignd/ ./internal/scenario/ ./internal/obs/ .
+	$(GO) test -race ./internal/sym/ ./internal/flowtable/ ./internal/sat/ ./internal/bitblast/ ./internal/symexec/ ./internal/harness/ ./internal/solver/ ./internal/crosscheck/ ./internal/dist/ ./internal/sched/ ./internal/campaignd/ ./internal/scenario/ ./internal/obs/ .
 
 e2e-dist:
 	$(GO) test -run TestDistE2E -v ./cmd/soft/

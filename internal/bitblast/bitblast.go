@@ -13,7 +13,6 @@ package bitblast
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"github.com/soft-testing/soft/internal/sat"
 	"github.com/soft-testing/soft/internal/sym"
@@ -146,11 +145,8 @@ func (b *Blaster) SolveAssuming(es ...*sym.Expr) bool {
 
 // solve runs one SAT decision and records it in the solve metrics.
 func (b *Blaster) solve(assumptions, pref []sat.Lit) bool {
-	start := time.Now()
-	ok := b.S.SolvePreferring(assumptions, pref)
 	MSolves.Inc()
-	MSolveLatency.ObserveSince(start)
-	return ok
+	return solvePreferring(b.S, assumptions, pref)
 }
 
 // Model extracts the assignment of every bitvector variable mentioned in

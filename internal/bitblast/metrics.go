@@ -1,7 +1,10 @@
 package bitblast
 
 import (
+	"time"
+
 	"github.com/soft-testing/soft/internal/obs"
+	"github.com/soft-testing/soft/internal/sat"
 )
 
 // SAT-core metrics. Observation only — nothing here feeds back into
@@ -20,4 +23,23 @@ var (
 	// MConstraintsReused counts conjunct encodings served from a session's
 	// activation cache instead of being re-bitblasted.
 	MConstraintsReused = obs.NewCounter("soft_sat_constraints_reused_total")
+	// MDecisions, MPropagations and MConflicts add up the SAT core's
+	// search effort (its Stats delta) over every blaster and session
+	// decision.
+	MDecisions    = obs.NewCounter("soft_sat_decisions_total")
+	MPropagations = obs.NewCounter("soft_sat_propagations_total")
+	MConflicts    = obs.NewCounter("soft_sat_conflicts_total")
 )
+
+// solvePreferring runs one SolvePreferring on s, timing it and adding its
+// search effort to the counters above.
+func solvePreferring(s *sat.Solver, assumptions, pref []sat.Lit) bool {
+	before := s.Stats
+	start := time.Now()
+	ok := s.SolvePreferring(assumptions, pref)
+	MSolveLatency.ObserveSince(start)
+	MDecisions.Add(s.Stats.Decisions - before.Decisions)
+	MPropagations.Add(s.Stats.Propagations - before.Propagations)
+	MConflicts.Add(s.Stats.Conflicts - before.Conflicts)
+	return ok
+}

@@ -1,8 +1,6 @@
 package bitblast
 
 import (
-	"time"
-
 	"github.com/soft-testing/soft/internal/sat"
 	"github.com/soft-testing/soft/internal/sym"
 )
@@ -208,9 +206,7 @@ func (s *Session) solve(extra, pref []sat.Lit) bool {
 	MAssumptionSolves.Inc()
 	MAssumptionDepth.Observe(int64(len(s.stack)))
 	s.lits = append(append(s.lits[:0], s.stack...), extra...)
-	start := time.Now()
-	ok := s.b.S.SolvePreferring(s.lits, pref)
-	MSolveLatency.ObserveSince(start)
+	ok := solvePreferring(s.b.S, s.lits, pref)
 	if !ok && !s.b.S.Okay() {
 		panic("bitblast: incremental session database became unsatisfiable (engine bug)")
 	}

@@ -4,10 +4,16 @@
 // concrete probe packet against a symbolic entry produces a boolean
 // expression the agent branches on — this is exactly how SOFT's concrete
 // probes externalize symbolic switch state (§3.3).
+//
+// Replay re-runs the agent from the root on every path, so it asks for
+// the same match, subsumption, identity and overlap conditions path after
+// path. Each distinct condition is built once per process and then served
+// from a memo keyed by the interned expression pointers it reads.
 package flowtable
 
 import (
 	"fmt"
+	"sync"
 
 	"github.com/soft-testing/soft/internal/dataplane"
 	"github.com/soft-testing/soft/internal/openflow"
@@ -121,6 +127,12 @@ func (e *Entry) addrCond(shift uint32, field, pktField *sym.Expr) *sym.Expr {
 
 // MatchCond returns the boolean expression "packet p matches entry e".
 func (e *Entry) MatchCond(p *dataplane.Packet) *sym.Expr {
+	k := condKey{kind: condMatch, a: e.operands(false), b: packetOperands(p)}
+	return memoized(&k, func() *sym.Expr { return e.matchCond(p) })
+}
+
+// matchCond builds MatchCond without the memo.
+func (e *Entry) matchCond(p *dataplane.Packet) *sym.Expr {
 	return sym.LAnd(
 		e.fieldCond(openflow.FWInPort, e.InPort, p.MatchInPort()),
 		e.fieldCond(openflow.FWDLSrc, e.DLSrc, p.MatchDLSrc()),
@@ -162,6 +174,12 @@ func subsumeField(a, b *Entry, bit uint32, af, bf *sym.Expr) *sym.Expr {
 // SubsumesCond returns the boolean expression "every packet matching b also
 // matches a" — the non-strict DELETE / MODIFY applicability test.
 func (a *Entry) SubsumesCond(b *Entry) *sym.Expr {
+	k := condKey{kind: condSubsumes, a: a.operands(false), b: b.operands(false)}
+	return memoized(&k, func() *sym.Expr { return a.subsumesCond(b) })
+}
+
+// subsumesCond builds SubsumesCond without the memo.
+func (a *Entry) subsumesCond(b *Entry) *sym.Expr {
 	conds := []*sym.Expr{
 		subsumeField(a, b, openflow.FWInPort, a.InPort, b.InPort),
 		subsumeField(a, b, openflow.FWDLSrc, a.DLSrc, b.DLSrc),
@@ -225,6 +243,12 @@ func (a *Entry) IdenticalConds(b *Entry) []*sym.Expr {
 // the strict-command applicability test (OFPFC_MODIFY_STRICT /
 // DELETE_STRICT) and the duplicate test on ADD.
 func (a *Entry) IdenticalCond(b *Entry) *sym.Expr {
+	k := condKey{kind: condIdentical, a: a.operands(true), b: b.operands(true)}
+	return memoized(&k, func() *sym.Expr { return a.identicalCond(b) })
+}
+
+// identicalCond builds IdenticalCond without the memo.
+func (a *Entry) identicalCond(b *Entry) *sym.Expr {
 	same := func(bit uint32, af, bf *sym.Expr) *sym.Expr {
 		// Both wildcarded, or neither and equal.
 		return sym.LOr(
@@ -270,6 +294,12 @@ func (a *Entry) IdenticalCond(b *Entry) *sym.Expr {
 // — the OFPFF_CHECK_OVERLAP test. Two field-wise matches overlap iff for
 // every field at least one side wildcards it or the values agree.
 func (a *Entry) OverlapCond(b *Entry) *sym.Expr {
+	k := condKey{kind: condOverlap, a: a.operands(true), b: b.operands(true)}
+	return memoized(&k, func() *sym.Expr { return a.overlapCond(b) })
+}
+
+// overlapCond builds OverlapCond without the memo.
+func (a *Entry) overlapCond(b *Entry) *sym.Expr {
 	f := func(bit uint32, af, bf *sym.Expr) *sym.Expr {
 		return sym.LOr(a.wildBit(bit), b.wildBit(bit), sym.Eq(af, bf))
 	}
@@ -310,6 +340,96 @@ func (a *Entry) OverlapCond(b *Entry) *sym.Expr {
 		conds = append(conds, c)
 	}
 	return sym.LAnd(conds...)
+}
+
+// The condition builders above are pure functions of the expression
+// pointers they read, and replay hands them the same pointers on every
+// path: entry fields and probe fields are interned, so the entry a path
+// installs from a symbolic FlowMod has the same fields on every replay.
+// So each distinct condition is built once per process and served from a
+// memo keyed by those pointers after that — the computed table of BDD
+// packages (Brace, Rudell and Bryant, DAC 1990), with the intern table in
+// the unique table's role. It is exact: Expr is immutable, and a key that
+// misses (a new entry, or an un-interned twin of a field) only builds a
+// condition structurally equal to the one a hit would return.
+
+// condKind names the builder a memo entry caches.
+type condKind uint8
+
+const (
+	condMatch condKind = iota
+	condSubsumes
+	condIdentical
+	condOverlap
+)
+
+// condOperands is what a builder reads of one side: the wildcards, the 12
+// match fields in match-field order, and the priority. A packet has no
+// wildcards, and builders that do not read the priority leave it nil.
+type condOperands [14]*sym.Expr
+
+// operands returns e's operands, with its priority when withPriority.
+func (e *Entry) operands(withPriority bool) condOperands {
+	o := condOperands{e.Wildcards, e.InPort, e.DLSrc, e.DLDst, e.DLVLAN,
+		e.DLVLANPCP, e.DLType, e.NWTos, e.NWProto, e.NWSrc, e.NWDst,
+		e.TPSrc, e.TPDst}
+	if withPriority {
+		o[13] = e.Priority
+	}
+	return o
+}
+
+// packetOperands returns the match values MatchCond reads of p.
+func packetOperands(p *dataplane.Packet) condOperands {
+	return condOperands{nil, p.MatchInPort(), p.MatchDLSrc(), p.MatchDLDst(),
+		p.MatchDLVLAN(), p.MatchDLVLANPCP(), p.MatchDLType(), p.MatchNWTos(),
+		p.MatchNWProto(), p.MatchNWSrc(), p.MatchNWDst(), p.MatchTPSrc(),
+		p.MatchTPDst()}
+}
+
+// condKey identifies one built condition: the builder and both sides'
+// operand pointers.
+type condKey struct {
+	a, b condOperands
+	kind condKind
+}
+
+// condMemoCap bounds the memo's entries. Like internal/sym's intern table
+// cap it only guards pathological runs: past it, conditions are built
+// without caching.
+const condMemoCap = 1 << 12
+
+// condMemo is the process-wide condition memo, shared by every
+// exploration worker. Entries are written once and then only read.
+var condMemo struct {
+	mu sync.RWMutex
+	m  map[condKey]*sym.Expr
+}
+
+// memoized returns the memo's condition for k, building it with build and
+// caching it (while the memo is under its cap) on a miss. Two workers
+// missing on the same key both build; the first to store wins, and the
+// other returns its node.
+func memoized(k *condKey, build func() *sym.Expr) *sym.Expr {
+	condMemo.mu.RLock()
+	c, ok := condMemo.m[*k]
+	condMemo.mu.RUnlock()
+	if ok {
+		return c
+	}
+	c = build()
+	condMemo.mu.Lock()
+	defer condMemo.mu.Unlock()
+	if prev, ok := condMemo.m[*k]; ok {
+		return prev
+	}
+	if len(condMemo.m) < condMemoCap {
+		if condMemo.m == nil {
+			condMemo.m = make(map[condKey]*sym.Expr)
+		}
+		condMemo.m[*k] = c
+	}
+	return c
 }
 
 // Table is a flow table: a normal entry list plus the emergency cache

@@ -286,6 +286,9 @@ func TestMatchSpecializationProperty(t *testing.T) {
 	}
 }
 
+// BenchmarkMatchCondConcrete and BenchmarkMatchCondSymbolicWildcards time
+// MatchCond as replay calls it: every iteration after the first is a memo
+// hit. BenchmarkMatchCondUncached times the builder behind the memo.
 func BenchmarkMatchCondConcrete(b *testing.B) {
 	e := concreteEntry()
 	p := dataplane.TCPProbe(1)
@@ -302,5 +305,23 @@ func BenchmarkMatchCondSymbolicWildcards(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		e.MatchCond(p)
+	}
+}
+
+func BenchmarkMatchCondUncached(b *testing.B) {
+	symWild := NewWildcardEntry()
+	symWild.Wildcards = sym.Var("w", 32)
+	for _, c := range []struct {
+		name string
+		e    *Entry
+	}{{"Concrete", concreteEntry()}, {"SymbolicWildcards", symWild}} {
+		e := c.e
+		b.Run(c.name, func(b *testing.B) {
+			p := dataplane.TCPProbe(1)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				e.matchCond(p)
+			}
+		})
 	}
 }

@@ -59,8 +59,10 @@
 // core's decision-queue order instead of re-blasting and re-learning it
 // per path; that reuse is where the paths/sec win on conflict-rich
 // workloads comes from (internal/sym's hash-consed interning makes the
-// per-conjunct cache a pointer lookup on the hot path, and rebuilding an
-// interned condition during replay allocates nothing).
+// per-conjunct cache a pointer lookup on the hot path). Replay still
+// rebuilds each path's conditions, one intern-table lookup per node,
+// allocating nothing; the flow-table conditions, the largest of them, are
+// not rebuilt at all: internal/flowtable memoizes each one per process.
 //
 // A frontier branch costs one solve, not two (witness reuse, KLEE's
 // counterexample cache in its simplest form). Every path carries a witness:
