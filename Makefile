@@ -10,8 +10,8 @@
 #   make e2e-matrix    multi-process campaign e2e (2×2 matrix on a 2-worker
 #                      fleet, worker kill mid-campaign, byte-identity vs a
 #                      fleetless run, warm store re-run)
-#   make e2e-serve     campaign-service e2e (submit to soft campaignd,
-#                      SIGKILL the daemon mid-campaign, restart on the same
+#   make e2e-resume    resumable-campaign e2e (SIGKILL soft matrix -store
+#                      after its first explored cell, re-run on the same
 #                      store, byte-identity of the resumed report)
 #   make e2e-scenario  scenario determinism e2e (sequential vs 4 workers vs a
 #                      2-worker fleet, byte-identity) plus the pinned stateful
@@ -35,7 +35,7 @@
 
 GO ?= go
 
-.PHONY: build vet fmt-check fuzz loc test race e2e-dist e2e-matrix e2e-serve e2e-scenario dist-demo bench bench-solver bench-smoke check
+.PHONY: build vet fmt-check fuzz loc test race e2e-dist e2e-matrix e2e-resume e2e-scenario dist-demo bench bench-solver bench-smoke check
 
 build:
 	$(GO) build ./...
@@ -60,7 +60,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeResult -fuzztime $(FUZZTIME) ./internal/dist/
 
 race:
-	$(GO) test -race ./internal/sym/ ./internal/flowtable/ ./internal/sat/ ./internal/bitblast/ ./internal/symexec/ ./internal/harness/ ./internal/solver/ ./internal/crosscheck/ ./internal/dist/ ./internal/sched/ ./internal/campaignd/ ./internal/scenario/ ./internal/obs/ .
+	$(GO) test -race ./internal/sym/ ./internal/flowtable/ ./internal/sat/ ./internal/bitblast/ ./internal/symexec/ ./internal/harness/ ./internal/solver/ ./internal/crosscheck/ ./internal/dist/ ./internal/sched/ ./internal/scenario/ ./internal/obs/ .
 
 e2e-dist:
 	$(GO) test -run TestDistE2E -v ./cmd/soft/
@@ -68,8 +68,8 @@ e2e-dist:
 e2e-matrix:
 	$(GO) test -run TestMatrixE2E -v ./cmd/soft/
 
-e2e-serve:
-	$(GO) test -run TestCampaignServeE2E -v ./cmd/soft/
+e2e-resume:
+	$(GO) test -run TestMatrixStoreResumeE2E -v ./cmd/soft/
 
 e2e-scenario:
 	$(GO) test -run 'TestScenarioDeterminismAcrossLayouts|TestScenarioExposesStatefulInconsistency' -v .

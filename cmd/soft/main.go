@@ -5,11 +5,7 @@
 //
 //	soft explore     run phase 1 for one agent and one test
 //	soft matrix      run a whole (agents × tests) campaign on one fleet
-//	soft campaignd   run the durable always-on campaign service
-//	soft submit      submit a campaign job to a campaign service
-//	soft jobs        list a campaign service's jobs
-//	soft fetch       fetch a finished job's canonical report
-//	soft stats       fetch a running service's live metrics
+//	soft stats       fetch a live campaign's metrics (soft matrix -metrics-addr)
 //	soft work        explore shard leases for a coordinator fleet
 //	soft group       group a results file by output behavior
 //	soft diff        crosscheck two results files (phase 2)
@@ -17,6 +13,7 @@
 //	soft quickstart  the paper's Figure 1 worked example
 //	soft agents      list registered agents
 //	soft tests       list the evaluation test suite
+//	soft scenarios   list the registered stateful scenarios
 //
 // Exit codes: 0 on success, 1 on runtime errors, 2 on usage errors.
 // Errors are reported as "soft <subcommand>: <error>" on stderr.
@@ -47,10 +44,6 @@ func commands() []*command {
 	return []*command{
 		exploreCmd(),
 		matrixCmd(),
-		campaigndCmd(),
-		submitCmd(),
-		jobsCmd(),
-		fetchCmd(),
 		statsCmd(),
 		workCmd(),
 		groupCmd(),

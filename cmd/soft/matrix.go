@@ -48,7 +48,6 @@ func runMatrix(e *env, args []string) error {
 	storeDir := fs.String("store", "", "result-store directory: cache cell results, skip unchanged cells on re-runs")
 	codeVersion := fs.String("code-version", "", "override the cache key's code version (default: the binary's VCS build stamp)")
 	storeMigrate := fs.Bool("store-migrate", false, "re-stamp a store recorded under a different code version instead of refusing it")
-	service := fs.String("service", "", "run the campaign on this campaign service (base URL; see 'soft campaignd') instead of in-process")
 	shardDepth := fs.Int("shard-depth", 0, "fleet frontier split depth: forks deeper than this become worker shards (0 = default)")
 	leaseTimeout := fs.Duration("lease-timeout", 0, "re-offer a fleet shard not completed in this long (0 = default, negative = never)")
 	crossCheck := fs.Bool("crosscheck", true, "run phase 2 over every agent pair per test (false: explore and cache cells only)")
@@ -102,17 +101,6 @@ func runMatrix(e *env, args []string) error {
 	if *pprofFlag && *metricsAddr == "" {
 		return usagef("-pprof needs -metrics-addr: the profiler rides the metrics endpoint")
 	}
-	if *service != "" {
-		// A service-side campaign owns its own store and fleet; the
-		// client-side equivalents would silently do nothing.
-		for flagName, set := range map[string]bool{
-			"-store": *storeDir != "", "-addr": *addr != "", "-results-dir": *resultsDir != "",
-		} {
-			if set {
-				return usagef("%s cannot be combined with -service: the campaign service owns the store and fleet (and reports carry no raw results)", flagName)
-			}
-		}
-	}
 
 	ctx := context.Background()
 	if *timeout > 0 {
@@ -150,9 +138,6 @@ func runMatrix(e *env, args []string) error {
 	}
 	if *codeVersion != "" {
 		opts = append(opts, soft.WithCodeVersion(*codeVersion))
-	}
-	if *service != "" {
-		opts = append(opts, soft.WithCampaignService(*service))
 	}
 	if *metricsAddr != "" {
 		// The observability endpoint lives on its own listener so the
@@ -220,8 +205,6 @@ func runMatrix(e *env, args []string) error {
 		if c.Truncated {
 			mark += " [truncated]"
 		}
-		// The cell's summary fields work for local and service runs alike;
-		// service reports carry no raw Result.
 		fmt.Fprintf(e.stdout, "cell %s / %s: %d paths (coverage %.1f%% instr, %.1f%% branch)%s\n",
 			c.Agent, c.Test, c.Paths, c.InstrPct, c.BranchPct, mark)
 	}
@@ -270,6 +253,23 @@ func runMatrix(e *env, args []string) error {
 		if err := f.Close(); err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// ensureStoreVersion refuses a store stamped for different code — silently
+// reusing it would either miss every cache entry or, for stores populated
+// by unstamped binaries, collide on the "unversioned" pseudo-version.
+// Version skew is a usage error (exit 2): the fix is a flag, not a rerun.
+func ensureStoreVersion(st *store.Store, codeVersion string, migrate bool) error {
+	if migrate {
+		return st.SetCodeVersion(codeVersion)
+	}
+	if err := st.EnsureCodeVersion(codeVersion); err != nil {
+		if store.IsVersionSkew(err) {
+			return usageError{err}
+		}
+		return err
 	}
 	return nil
 }

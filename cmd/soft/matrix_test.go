@@ -117,8 +117,6 @@ func TestMatrixCLIUsageErrors(t *testing.T) {
 		{"matrix", "-shard-depth", "auto"},
 		{"matrix", "-shard-depth", "-1"},
 		{"matrix", "-pprof"},
-		{"matrix", "-service", "http://127.0.0.1:1", "-store", "somewhere"},
-		{"matrix", "-service", "http://127.0.0.1:1", "-addr", ":0"},
 		{"matrix", "extra-arg"},
 	} {
 		_, stderr, code := runCLI(t, args...)

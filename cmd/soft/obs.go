@@ -2,7 +2,6 @@ package main
 
 import (
 	"bufio"
-	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -12,9 +11,7 @@ import (
 	"os"
 	"strings"
 	"text/tabwriter"
-	"time"
 
-	"github.com/soft-testing/soft"
 	"github.com/soft-testing/soft/internal/obs"
 )
 
@@ -88,15 +85,14 @@ func addPprof(mux *http.ServeMux) {
 func statsCmd() *command {
 	return &command{
 		name:     "stats",
-		synopsis: "fetch a running service's live metrics (service-wide or per job)",
+		synopsis: "fetch a live campaign's metrics (serve them with soft matrix -metrics-addr)",
 		run:      runStats,
 	}
 }
 
 func runStats(e *env, args []string) error {
 	fs := newFlags(e, "stats")
-	service := serviceFlag(fs)
-	job := fs.String("job", "", "print this job's timing metrics (GET /api/v1/jobs/<id>/metrics) instead of the service-wide registry")
+	service := fs.String("service", "", "base URL of a metrics endpoint, e.g. http://127.0.0.1:9090 for 'soft matrix -metrics-addr 127.0.0.1:9090' (required)")
 	raw := fs.Bool("raw", false, "print the Prometheus exposition body verbatim (histogram buckets included)")
 	if err := parse(fs, args); err != nil {
 		return err
@@ -104,32 +100,10 @@ func runStats(e *env, args []string) error {
 	if fs.NArg() != 0 {
 		return usagef("unexpected arguments %q", fs.Args())
 	}
-	if *job != "" {
-		if *raw {
-			return usagef("-raw applies to the service-wide registry, not -job JSON")
-		}
-		cl := soft.NewCampaignClient(*service)
-		m, err := cl.Metrics(context.Background(), *job)
-		if err != nil {
-			return err
-		}
-		return printJobMetrics(e, m)
+	if *service == "" {
+		return usagef("a -service URL is required: start the campaign with 'soft matrix -metrics-addr' and pass the address it prints")
 	}
 	return printServiceMetrics(e, *service, *raw)
-}
-
-func printJobMetrics(e *env, m *soft.CampaignJobMetrics) error {
-	tw := tabwriter.NewWriter(e.stdout, 2, 8, 2, ' ', 0)
-	fmt.Fprintf(tw, "job\t%s\n", m.Job)
-	fmt.Fprintf(tw, "state\t%s\n", m.State)
-	fmt.Fprintf(tw, "queue-wait\t%s\n", time.Duration(m.QueueWaitSeconds*float64(time.Second)).Round(time.Second))
-	fmt.Fprintf(tw, "run\t%s\n", time.Duration(m.RunSeconds*float64(time.Second)).Round(time.Second))
-	fmt.Fprintf(tw, "restarts\t%d\n", m.Restarts)
-	if m.Total > 0 {
-		fmt.Fprintf(tw, "progress\t%d/%d work units\n", m.Done, m.Total)
-	}
-	fmt.Fprintf(tw, "inconsistencies\t%d\n", m.Inconsistencies)
-	return tw.Flush()
 }
 
 // printServiceMetrics fetches <service>/metrics and renders it. The pretty

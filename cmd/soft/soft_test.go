@@ -25,7 +25,6 @@ func TestNegativeMaxPathsUsageError(t *testing.T) {
 	for _, args := range [][]string{
 		{"explore", "-test", "Concrete", "-max-paths", "-1"},
 		{"matrix", "-agents", "ref", "-tests", "Concrete", "-crosscheck=false", "-max-paths", "-1"},
-		{"submit", "-service", "http://127.0.0.1:1", "-max-paths", "-1"},
 		{"report", "-table", "2", "-quick", "-max-paths", "-1"},
 	} {
 		t.Run(args[0], func(t *testing.T) {
@@ -242,6 +241,8 @@ func TestCLIExitCodes(t *testing.T) {
 		{"missing file", []string{"group", "/nonexistent/x.txt"}, 1,
 			[]string{"soft group:"}},
 		{"bad flag", []string{"explore", "-nosuchflag"}, 2, nil},
+		{"stats without url", []string{"stats"}, 2,
+			[]string{"soft stats:", "-service", "soft matrix -metrics-addr"}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

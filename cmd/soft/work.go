@@ -11,7 +11,7 @@ import (
 func workCmd() *command {
 	return &command{
 		name:     "work",
-		synopsis: "explore shard leases for a soft matrix -addr or soft campaignd -fleet-addr fleet",
+		synopsis: "explore shard leases for a soft matrix -addr fleet",
 		run:      runWork,
 	}
 }

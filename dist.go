@@ -8,9 +8,8 @@ import (
 
 // Work runs a distributed exploration worker: it connects to a fleet
 // coordinator at addr — a RunMatrix campaign with WithFleetListener
-// (`soft matrix -addr`) or the campaign service's fleet (`soft campaignd
-// -fleet-addr`) — explores the shard leases it is handed (each with the
-// in-process parallel engine — WithWorkers sets the per-shard
+// (`soft matrix -addr`) — explores the shard leases it is handed (each
+// with the in-process parallel engine — WithWorkers sets the per-shard
 // parallelism), streams solver metrics back, and returns nil when the
 // coordinator shuts its fleet down. Cancelling ctx abandons the current
 // shard without shipping a partial result; the coordinator re-leases it

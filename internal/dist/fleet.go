@@ -60,8 +60,8 @@ type FleetStats struct {
 // Fleet is a persistent distributed-exploration coordinator: workers
 // connect once and stay hot while any number of jobs — (agent, test)
 // exploration cells — are run through the same fleet, concurrently or in
-// sequence. It is the transport layer of the campaign scheduler, both
-// in-process (soft matrix -addr) and in the campaign service.
+// sequence. It is the transport layer of the campaign scheduler (soft
+// matrix -addr).
 //
 // The zero value is not usable; create fleets with NewFleet. All methods
 // are safe for concurrent use; Run may be called from many goroutines at
@@ -220,8 +220,7 @@ func (f *Fleet) Run(ctx context.Context, cfg JobConfig) (*harness.Result, error)
 	// every lease so workers buffer and ship their spans back; the id is
 	// a pure correlation label for logs.
 	j.traced = obs.Tracing()
-	j.traceID = cfg.TraceID
-	if j.traceID == 0 && j.traced {
+	if j.traced {
 		j.traceID = obs.NewTraceID()
 	}
 

@@ -27,11 +27,6 @@ type JobConfig struct {
 	// ShardDepth bounds the frontier split (default
 	// DefaultShardDepth).
 	ShardDepth int
-
-	// TraceID is the campaign's correlation id, threaded through log
-	// lines and wire frames (pure observability). Zero with tracing
-	// active makes the fleet mint one per job.
-	TraceID uint64
 }
 
 // shardStatus tracks one shard through the lease state machine.

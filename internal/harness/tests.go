@@ -368,8 +368,8 @@ func Tests() []Test {
 
 // testSources are extra name resolvers consulted by TestByName after the
 // built-in Table 1 suite (registered by the scenario subsystem, so every
-// layer that resolves tests by name — the scheduler, distributed workers,
-// the campaign service — resolves scenarios with no further plumbing).
+// layer that resolves tests by name — the scheduler, distributed
+// workers — resolves scenarios with no further plumbing).
 var (
 	testSourcesMu sync.RWMutex
 	testSources   []func(name string) (Test, bool)

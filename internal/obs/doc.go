@@ -12,8 +12,7 @@
 // creation and exposition, never on the update path, so instrumenting a
 // hot loop costs the atomics and nothing else. WritePrometheus renders
 // every registered metric in the Prometheus text exposition format;
-// `soft campaignd` and `soft matrix -metrics-addr` mount it at GET
-// /metrics.
+// `soft matrix -metrics-addr` mounts it at GET /metrics.
 //
 // Histograms bucket by the bit length of the observed value, i.e. bucket
 // i holds values in [2^(i-1), 2^i). That trades resolution for a fixed
@@ -36,7 +35,7 @@
 // control flow; they must never steer it. Concretely:
 //
 //   - Metric and span state is write-only from the instrumented code's
-//     point of view: the engine, solver, fleet, and daemon never read a
+//     point of view: the engine, solver, fleet, and scheduler never read a
 //     metric back to make a decision.
 //   - Instrumentation records wall-clock durations and queue depths,
 //     which differ run to run; none of that feeds result serialization.
@@ -52,26 +51,24 @@
 // # Cross-process traces
 //
 // One traced campaign yields one timeline even when the work spans a
-// coordinator, fleet workers, and the campaign daemon. The unit of
-// exchange is the Segment: one process's buffered spans plus the
-// wall-clock base (BaseUnixMicro) that lets a receiver rebase them, the
-// originating process's name, and an optional Parent span id. Drain
-// empties a tracer into segments (local spans first); MergeSegment
-// rebases a foreign segment onto the receiving tracer's clock, assigns
-// it a fresh pid (one track per remote process in the rendered trace),
-// and re-parents its parentless spans under Segment.Parent — the
-// coordinator lease span that granted the work — while spans with
-// explicit in-segment parents keep them. Bundle is just a set of
-// segments (the campaignd trace download); MergeBundle merges each onto
-// its own track.
+// coordinator and fleet workers. The unit of exchange is the Segment: one
+// process's buffered spans plus the wall-clock base (BaseUnixMicro) that
+// lets a receiver rebase them, the originating process's name, and an
+// optional Parent span id. Drain empties a tracer into segments (local
+// spans first); MergeSegment rebases a foreign segment onto the receiving
+// tracer's clock, assigns it a fresh pid (one track per remote process in
+// the rendered trace), and re-parents its parentless spans under
+// Segment.Parent — the coordinator lease span that granted the work —
+// while spans with explicit in-segment parents keep them. Bundle is just
+// a set of segments; WriteChromeJSON renders it as one timeline, each
+// segment on its own track.
 //
 // Trace identity crosses process boundaries as a 64-bit id: hex
-// (FormatTraceID) in log fields and job specs, traceparent-style
-// (FormatTraceparent, the Soft-Traceparent header) over HTTP, and a raw
-// uint64 on the dist wire. Propagation is always context + ship-back:
-// the caller sends the id (and parent span) down with the work, the
-// callee traces locally and ships segments up, the caller merges. No
-// process ever blocks on another's trace state.
+// (FormatTraceID) in log fields and a raw uint64 on the dist wire.
+// Propagation is always context + ship-back: the caller sends the id (and
+// parent span) down with the work, the callee traces locally and ships
+// segments up, the caller merges. No process ever blocks on another's
+// trace state.
 //
 // # Structured-logging conventions
 //
@@ -79,12 +76,10 @@
 // handler). Field names are shared across processes so one grep
 // reassembles a distributed run:
 //
-//   - component: the emitting subsystem ("dist", "worker", "sched",
-//     "campaignd")
+//   - component: the emitting subsystem ("dist", "worker", "sched")
 //   - job, lease, shard: the dist work-unit ids, outermost first
 //   - worker: the worker's self-reported name
 //   - agent, test (agent_a, agent_b for a pair check): campaign cells
-//   - was: a cancelled campaign-service job's state before the cancel
 //   - trace: the hex trace id (TraceAttr; omitted when untraced)
 //
 // Lines are emitted at Info for lifecycle transitions (lease granted,

@@ -7,12 +7,12 @@ import (
 )
 
 // Structured-logging conventions (see doc.go for the full field table):
-// the fleet, workers, and campaignd log through *slog.Logger handles
-// built here. Text output is the human default (no timestamp — these are
-// terminal lines; a collector adds its own), JSON output carries the
-// standard slog time field for ingestion. Every line about a unit of
-// work carries that unit's ids as attributes: job, lease, shard, worker,
-// trace.
+// the fleet, workers, and campaign scheduler log through *slog.Logger
+// handles built here. Text output is the human default (no timestamp —
+// these are terminal lines; a collector adds its own), JSON output
+// carries the standard slog time field for ingestion. Every line about a
+// unit of work carries that unit's ids as attributes: job, lease, shard,
+// worker, trace.
 
 // Log format names accepted by NewLogger and the CLI -log-format flags.
 const (

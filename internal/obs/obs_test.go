@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -200,7 +201,7 @@ func TestTracerBufferBound(t *testing.T) {
 func TestDrainGroupsByPid(t *testing.T) {
 	tr := StartTracing()
 	defer tr.Stop()
-	tr.SetProcessName(LocalPid, "coordinator")
+	tr.names[LocalPid] = "coordinator"
 	sp := StartSpan("job:1")
 	sp.End()
 	tr.MergeSegment(Segment{
@@ -262,49 +263,15 @@ func TestMergeSegmentNesting(t *testing.T) {
 	}
 }
 
-// TestMergeBundleAssignsPids: each bundle segment gets the next free pid
-// so two downloads never collide tracks.
-func TestMergeBundleAssignsPids(t *testing.T) {
-	tr := StartTracing()
-	defer tr.Stop()
-	b := &Bundle{Segments: []Segment{
-		{Process: "campaignd", BaseUnixMicro: tr.baseMicro, Events: []SegmentEvent{{Name: "job:j1"}}},
-		{Process: "worker/a", BaseUnixMicro: tr.baseMicro, Events: []SegmentEvent{{Name: "shard:0"}}},
-	}}
-	tr.MergeBundle(b)
-	if len(tr.events) != 2 {
-		t.Fatalf("merged %d events, want 2", len(tr.events))
-	}
-	if tr.events[0].pid == tr.events[1].pid {
-		t.Fatalf("bundle segments share pid %d", tr.events[0].pid)
-	}
-	for _, ev := range tr.events {
-		if ev.pid <= LocalPid {
-			t.Fatalf("bundle segment landed on local pid %d", ev.pid)
-		}
-	}
-}
-
-// TestBundleJSONRoundTrip: encode → parse → Chrome JSON stays one valid
-// trace with every segment's events present.
+// TestBundleJSONRoundTrip: a bundle renders as one valid Chrome JSON
+// trace with every segment's events present, one track per segment.
 func TestBundleJSONRoundTrip(t *testing.T) {
 	in := &Bundle{Segments: []Segment{
 		{Process: "coordinator", Pid: 1, BaseUnixMicro: 100, Events: []SegmentEvent{{Name: "lease:1", ID: 3}}},
 		{Process: "worker/a", Pid: 2, BaseUnixMicro: 150, Parent: 3, Events: []SegmentEvent{{Name: "shard:0", TS: 1, Dur: 2}}},
 	}}
-	data, err := EncodeBundle(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := ParseBundle(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out.Segments) != 2 || out.Segments[1].Parent != 3 {
-		t.Fatalf("round trip lost fields: %+v", out)
-	}
 	var buf bytes.Buffer
-	if err := out.WriteChromeJSON(&buf); err != nil {
+	if err := in.WriteChromeJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var parsed struct {
@@ -332,28 +299,21 @@ func TestBundleJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTraceIDFormats pins the id and traceparent round trips.
+// TestTraceIDFormats pins the id's log-field form: fixed-width hex that
+// reads back to the id.
 func TestTraceIDFormats(t *testing.T) {
 	id := NewTraceID()
 	if id == 0 {
 		t.Fatal("NewTraceID returned zero")
 	}
-	got, err := ParseTraceID(FormatTraceID(id))
-	if err != nil || got != id {
+	hex := FormatTraceID(id)
+	if len(hex) != 16 {
+		t.Fatalf("FormatTraceID(%x) = %q, want 16 hex digits", id, hex)
+	}
+	if got, err := strconv.ParseUint(hex, 16, 64); err != nil || got != id {
 		t.Fatalf("trace id round trip: got %x, %v; want %x", got, err, id)
 	}
-	got, err = ParseTraceparent(FormatTraceparent(id))
-	if err != nil || got != id {
-		t.Fatalf("traceparent round trip: got %x, %v; want %x", got, err, id)
-	}
-	if _, err := ParseTraceID("not hex"); err == nil {
-		t.Fatal("ParseTraceID accepted garbage")
-	}
-	if _, err := ParseTraceparent(""); err == nil {
-		t.Fatal("ParseTraceparent accepted empty value")
-	}
-	// A bare hex id is accepted where a header value is expected.
-	if got, err := ParseTraceparent(FormatTraceID(id)); err != nil || got != id {
-		t.Fatalf("bare hex traceparent: got %x, %v", got, err)
+	if got := FormatTraceID(0xab); got != "00000000000000ab" {
+		t.Fatalf("FormatTraceID(0xab) = %q, want zero-padded", got)
 	}
 }

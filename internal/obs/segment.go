@@ -3,64 +3,46 @@ package obs
 import (
 	"crypto/rand"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
 )
 
 // SegmentEvent is one completed span inside a shipped segment.
 // Timestamps are microseconds relative to the segment's BaseUnixMicro,
 // exactly as the originating tracer recorded them.
 type SegmentEvent struct {
-	Name   string `json:"name"`
-	TS     int64  `json:"ts"`
-	Dur    int64  `json:"dur"`
-	TID    int64  `json:"tid"`
-	ID     uint64 `json:"id,omitempty"`
-	Parent uint64 `json:"parent,omitempty"`
+	Name   string
+	TS     int64
+	Dur    int64
+	TID    int64
+	ID     uint64
+	Parent uint64
 }
 
 // Segment is one process's slice of a distributed trace: the spans one
 // tracer buffered, stamped with the wall-clock base that lets a
 // receiving tracer rebase them into its own timeline. Workers ship
-// segments to the coordinator over the dist protocol; campaignd bundles
-// drained segments per job for download.
+// segments to the coordinator over the dist protocol.
 type Segment struct {
-	// Process names the originating process ("workerA", "campaignd");
+	// Process names the originating process ("workerA", "coordinator");
 	// it becomes the pid's track name in the merged trace.
-	Process string `json:"process,omitempty"`
+	Process string
 	// Pid is the pid the draining tracer had assigned (informational;
 	// receivers remap pids wholesale).
-	Pid int64 `json:"pid,omitempty"`
+	Pid int64
 	// BaseUnixMicro is the originating tracer's start in wall-clock µs.
-	BaseUnixMicro int64 `json:"base_unix_micro"`
+	BaseUnixMicro int64
 	// Parent, when set, is the span id (in the receiving process) every
 	// parentless event of this segment nests under — the coordinator
 	// lease span that granted the work.
-	Parent uint64         `json:"parent,omitempty"`
-	Events []SegmentEvent `json:"events"`
+	Parent uint64
+	Events []SegmentEvent
 }
 
-// Bundle is a set of segments forming one job's distributed trace. It is
-// the payload of GET /api/v1/jobs/<id>/trace?format=segments.
+// Bundle is a set of segments forming one run's distributed trace, such
+// as everything a coordinator drained after its workers shipped theirs.
 type Bundle struct {
-	Segments []Segment `json:"segments"`
-}
-
-// MarshalJSON-friendly parse of a bundle download.
-func ParseBundle(data []byte) (*Bundle, error) {
-	var b Bundle
-	if err := json.Unmarshal(data, &b); err != nil {
-		return nil, fmt.Errorf("obs: bad trace bundle: %w", err)
-	}
-	return &b, nil
-}
-
-// EncodeBundle renders b as JSON.
-func EncodeBundle(b *Bundle) ([]byte, error) {
-	return json.Marshal(b)
+	Segments []Segment
 }
 
 // WriteChromeJSON renders the bundle as one merged Chrome trace-event
@@ -103,42 +85,5 @@ func NewTraceID() uint64 {
 }
 
 // FormatTraceID renders a trace id in the fixed-width hex form used in
-// log fields and HTTP headers.
+// log fields.
 func FormatTraceID(id uint64) string { return fmt.Sprintf("%016x", id) }
-
-// ParseTraceID parses FormatTraceID output (leniently: any hex string up
-// to 16 digits).
-func ParseTraceID(s string) (uint64, error) {
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return 0, fmt.Errorf("obs: empty trace id")
-	}
-	id, err := strconv.ParseUint(s, 16, 64)
-	if err != nil {
-		return 0, fmt.Errorf("obs: bad trace id %q: %w", s, err)
-	}
-	return id, nil
-}
-
-// FormatTraceparent renders a W3C traceparent-style header value for a
-// 64-bit trace id (zero-padded into the 128-bit trace-id field; the
-// parent-id field carries the same value for want of a per-request
-// span).
-func FormatTraceparent(id uint64) string {
-	return fmt.Sprintf("00-%032x-%016x-01", id, id)
-}
-
-// ParseTraceparent extracts the trace id from a traceparent-style header
-// value (the low 64 bits of the trace-id field). A bare hex id is also
-// accepted.
-func ParseTraceparent(v string) (uint64, error) {
-	parts := strings.Split(strings.TrimSpace(v), "-")
-	if len(parts) >= 2 {
-		field := parts[1]
-		if len(field) > 16 {
-			field = field[len(field)-16:]
-		}
-		return ParseTraceID(field)
-	}
-	return ParseTraceID(v)
-}

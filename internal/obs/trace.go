@@ -44,10 +44,9 @@ type Tracer struct {
 	baseMicro int64 // wall-clock µs at start; rebases cross-process segments
 	limit     int
 
-	mu      sync.Mutex
-	events  []traceEvent
-	names   map[int64]string // pid → process name ("M" metadata on write)
-	nextPid int64            // next pid MergeBundle hands out
+	mu     sync.Mutex
+	events []traceEvent
+	names  map[int64]string // pid → process name ("M" metadata on write)
 }
 
 // activeTracer is the installed tracer, nil when tracing is off.
@@ -64,7 +63,6 @@ func newTracer() *Tracer {
 		baseMicro: time.Now().UnixMicro(),
 		limit:     DefaultTraceEvents,
 		names:     make(map[int64]string),
-		nextPid:   LocalPid + 1,
 	}
 }
 
@@ -100,14 +98,6 @@ func (t *Tracer) record(ev traceEvent) {
 		return
 	}
 	t.events = append(t.events, ev)
-	t.mu.Unlock()
-}
-
-// SetProcessName names a pid's track in the rendered trace (a
-// "process_name" metadata event). Naming the same pid again overwrites.
-func (t *Tracer) SetProcessName(pid int64, name string) {
-	t.mu.Lock()
-	t.names[pid] = name
 	t.mu.Unlock()
 }
 
@@ -147,24 +137,10 @@ func (t *Tracer) MergeSegment(seg Segment, pid int64) {
 	t.mu.Unlock()
 }
 
-// MergeBundle splices every segment of a downloaded bundle into t,
-// assigning each segment the next free pid (the bundle's own pid
-// numbering is relative to the process that drained it, so it is
-// remapped wholesale).
-func (t *Tracer) MergeBundle(b *Bundle) {
-	for _, seg := range b.Segments {
-		t.mu.Lock()
-		pid := t.nextPid
-		t.nextPid++
-		t.mu.Unlock()
-		t.MergeSegment(seg, pid)
-	}
-}
-
 // Drain removes the buffered events and returns them grouped by pid as
 // serializable segments (sorted by pid, the local process first). The
-// tracer keeps collecting afterwards — campaignd drains once per traced
-// job while the shared tracer lives on.
+// tracer keeps collecting afterwards — a fleet worker drains once per
+// traced lease while its tracer lives on.
 func (t *Tracer) Drain() []Segment {
 	t.mu.Lock()
 	events := t.events

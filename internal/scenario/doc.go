@@ -16,8 +16,8 @@
 // Scenarios compile down to harness.Test via (*Scenario).Test(), and the
 // package registers a harness test source at init, so every layer that
 // resolves tests by name — soft.Explore, the campaign scheduler,
-// distributed fleet workers, the campaign service — resolves scenario
-// names with no further plumbing. Two scenario families exist:
+// distributed fleet workers — resolves scenario names with no further
+// plumbing. Two scenario families exist:
 //
 //   - The curated seed library (seeds.go): hand-written sequences aimed
 //     at the §5.1.2 divergence classes (silent drops vs auto-masking,

@@ -9,8 +9,8 @@ import (
 
 // GenPrefix names generated scenarios: "gen:<index>". The index into the
 // bounded template enumeration below is the scenario's entire identity —
-// no clock, no randomness — so any process (a fleet worker, the campaign
-// service, a warm store) resolves the same name to the same definition.
+// no clock, no randomness — so any process (a fleet worker, a warm
+// store's reader) resolves the same name to the same definition.
 const GenPrefix = "gen:"
 
 // genOp is one element of the generator's operation alphabet. Each op is

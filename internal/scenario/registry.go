@@ -88,8 +88,8 @@ func All() []*Scenario {
 }
 
 func init() {
-	// Every layer that resolves tests by name (scheduler, fleet workers,
-	// campaign service) now resolves scenarios too.
+	// Every layer that resolves tests by name (scheduler, fleet workers)
+	// now resolves scenarios too.
 	harness.RegisterTestSource(func(name string) (harness.Test, bool) {
 		s, ok := ByName(name)
 		if !ok {

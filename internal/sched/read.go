@@ -17,8 +17,8 @@ import (
 // parsed checks carry every inconsistency (indices, canonical behaviors,
 // witness models, crash flags) but not the unserialized trace templates —
 // RootCauses preserves the template-derived count. Write∘ReadReport is the
-// identity on canonical bytes, which is what lets a remote campaign
-// service ship reports by their canonical form alone.
+// identity on canonical bytes, so a report file read back renders the
+// same bytes again.
 func ReadReport(r io.Reader) (*Report, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 64*1024*1024)

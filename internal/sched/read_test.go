@@ -9,8 +9,8 @@ import (
 
 // TestReportReadRoundTrip: Write∘ReadReport is the identity on canonical
 // report bytes, for a real campaign with inconsistencies (ref vs modified)
-// — the invariant the remote campaign service relies on to ship reports by
-// their canonical form alone.
+// — the invariant that lets soft.ReadMatrixReport stand in for the
+// campaign that wrote a `soft matrix -o` file.
 func TestReportReadRoundTrip(t *testing.T) {
 	rep, err := RunMatrix(context.Background(), testAgents, testTests, Options{
 		Models: true, Workers: 2, CrossCheck: true,
@@ -74,9 +74,9 @@ func TestReadReportRejectsGarbage(t *testing.T) {
 }
 
 // FuzzReadReport throws arbitrary bytes at the canonical-report reader,
-// which parses reports fetched over HTTP (soft fetch, RunMatrix against a
-// campaign service): it must never panic, and whatever it accepts must
-// re-render to a Write∘ReadReport fixed point.
+// which parses `soft matrix -o` files from disk (soft.ReadMatrixReport):
+// it must never panic, and whatever it accepts must re-render to a
+// Write∘ReadReport fixed point.
 func FuzzReadReport(f *testing.F) {
 	f.Add([]byte(matrixMagic + "\nagents 0\ntests 0\ncells 0\nchecks 0\nend\n"))
 	f.Add([]byte(matrixMagic + "\nagents 2\nagent \"ref\"\nagent \"modified\"\ntests 1\ntest \"Packet Out\"\n" +

@@ -61,12 +61,6 @@ type Options struct {
 	// carrying agent/test (or agent_a/agent_b/test) attributes. Nil
 	// discards them.
 	Logger *slog.Logger
-
-	// TraceID is the campaign's trace correlation id, forwarded to every
-	// fleet job so coordinator, worker, and daemon log lines (and the
-	// merged span timeline) share one id. Zero means untraced (fleet jobs
-	// mint their own when a tracer is active). Pure observability.
-	TraceID uint64
 }
 
 // Cell is one (agent, test) entry of the campaign matrix.
@@ -228,7 +222,7 @@ func RunMatrix(ctx context.Context, agentNames, testNames []string, o Options) (
 	if log == nil {
 		log = obs.NopLogger()
 	}
-	log = log.With("component", "sched", obs.TraceAttr(o.TraceID))
+	log = log.With("component", "sched")
 
 	// Phase 1: the cells. With a fleet, all cells run concurrently as jobs
 	// and the fleet interleaves their shards over the shared workers;
@@ -285,7 +279,7 @@ func RunMatrix(ctx context.Context, agentNames, testNames []string, o Options) (
 				AgentName: cell.Agent, TestName: cell.Test,
 				MaxPaths: o.MaxPaths, MaxDepth: o.MaxDepth,
 				WantModels: o.Models,
-				ShardDepth: o.ShardDepth, TraceID: o.TraceID,
+				ShardDepth: o.ShardDepth,
 			})
 			if err != nil {
 				fail(err)
@@ -312,13 +306,16 @@ func RunMatrix(ctx context.Context, agentNames, testNames []string, o Options) (
 			cell.Result = res
 		}
 		cell.Elapsed = time.Since(cellStart)
-		log.Info("cell explored", "agent", cell.Agent, "test", cell.Test,
-			"paths", len(cell.Result.Paths), "elapsed", cell.Elapsed.Round(time.Millisecond))
+		// Store before logging: a "cell explored" line means the cell is
+		// durable, so a campaign killed after it resumes with the cell cached.
 		if o.Store != nil {
 			if err := o.Store.PutResult(key, cell.Result); err != nil {
 				fail(err)
+				return
 			}
 		}
+		log.Info("cell explored", "agent", cell.Agent, "test", cell.Test,
+			"paths", len(cell.Result.Paths), "elapsed", cell.Elapsed.Round(time.Millisecond))
 	}
 
 	if o.Fleet != nil {

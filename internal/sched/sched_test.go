@@ -167,10 +167,10 @@ func TestMatrixFleetMatchesLocal(t *testing.T) {
 	}
 }
 
-// TestMatrixExploresOnSessions runs cells with campaignd's option shape
-// (nothing solver-related set) in-process and on a loopback fleet: every
-// explored cell must have been answered by the per-worker incremental
-// sessions.
+// TestMatrixExploresOnSessions runs cells with `soft matrix`'s option
+// shape (nothing solver-related set) in-process and on a loopback fleet:
+// every explored cell must have been answered by the per-worker
+// incremental sessions.
 func TestMatrixExploresOnSessions(t *testing.T) {
 	ctx := context.Background()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

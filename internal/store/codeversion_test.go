@@ -28,7 +28,9 @@ func TestCodeVersionFallbackChain(t *testing.T) {
 		want string
 	}{
 		{"vcs wins", buildInfo(map[string]string{"vcs.revision": "deadbeef"}, "v1.2.3"), hash, "deadbeef"},
-		{"vcs dirty", buildInfo(map[string]string{"vcs.revision": "deadbeef", "vcs.modified": "true"}, ""), hash, "deadbeef+dirty"},
+		{"vcs dirty", buildInfo(map[string]string{"vcs.revision": "deadbeef", "vcs.modified": "true"}, ""), hash, "deadbeef+dirty-abababababababab"},
+		{"vcs dirty when unhashable", buildInfo(map[string]string{"vcs.revision": "deadbeef", "vcs.modified": "true"}, ""), noHash, "deadbeef+dirty"},
+		{"vcs clean ignores exe hash", buildInfo(map[string]string{"vcs.revision": "deadbeef", "vcs.modified": "false"}, ""), hash, "deadbeef"},
 		{"exe hash before module version", buildInfo(nil, "v1.2.3"), hash, "exe-abababababababab"},
 		{"exe hash without build info", nil, hash, "exe-abababababababab"},
 		{"module version when unhashable", buildInfo(nil, "v1.2.3"), noHash, "v1.2.3"},
@@ -83,6 +85,23 @@ func TestUnstampedBinariesCannotCollide(t *testing.T) {
 	}
 	if _, ok, err := s.GetResult(keyA); err != nil || !ok {
 		t.Fatalf("binary A missed its own entry (ok=%t err=%v)", ok, err)
+	}
+}
+
+// TestDirtyBuildsCannotCollide: two builds from the same revision with
+// different uncommitted edits differ in executable bytes, so they derive
+// different code versions and never serve each other's cached cells.
+func TestDirtyBuildsCannotCollide(t *testing.T) {
+	dirty := buildInfo(map[string]string{"vcs.revision": "deadbeef", "vcs.modified": "true"}, "")
+	buildA := codeVersionFrom(dirty, func() string { return strings.Repeat("aa", 32) })
+	buildB := codeVersionFrom(dirty, func() string { return strings.Repeat("bb", 32) })
+	if buildA == buildB {
+		t.Fatalf("distinct dirty builds derived the same code version %q", buildA)
+	}
+	for _, v := range []string{buildA, buildB} {
+		if !strings.HasPrefix(v, "deadbeef+dirty-") {
+			t.Errorf("dirty code version %q does not keep the revision and marker", v)
+		}
 	}
 }
 

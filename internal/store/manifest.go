@@ -71,7 +71,7 @@ func (s *Store) Manifest() (Manifest, bool, error) {
 // EnsureCodeVersion stamps a fresh store with (layout, codeVersion), and on
 // an already-stamped store verifies both match — a mismatch returns an
 // error wrapping ErrVersionSkew that names the two versions. It is the
-// guard `soft matrix` and the campaign daemon run before touching a store,
+// guard `soft matrix -store` runs before touching a store,
 // so a stale store can never silently mix results of different code.
 func (s *Store) EnsureCodeVersion(codeVersion string) error {
 	m, ok, err := s.Manifest()

@@ -93,13 +93,15 @@ func (k Key) Hash() string {
 }
 
 // DefaultCodeVersion derives a code-version string for the running binary
-// from, in order: the VCS revision in its build info (plus a +dirty marker
-// for modified trees); a SHA-256 of the executable file itself ("exe-" +
-// the first 16 hex digits) when there is no VCS stamp, so two different
-// unstamped binaries — go test binaries, go run artifacts, vendored
-// builds — can never share cache entries; the main module version; and
-// only when the executable cannot even be read, "unversioned". The value
-// is computed once per process.
+// from, in order: the VCS revision in its build info; a SHA-256 of the
+// executable file itself ("exe-" + the first 16 hex digits) when there is
+// no VCS stamp, so two different unstamped binaries — go test binaries, go
+// run artifacts, vendored builds — can never share cache entries; the main
+// module version; and only when the executable cannot even be read,
+// "unversioned". A revision built from a modified tree gets "+dirty-" and
+// the same 16 hash digits, because the revision alone does not say which
+// edits were built (a bare "+dirty" only when the executable cannot be
+// read). The value is computed once per process.
 func DefaultCodeVersion() string {
 	codeVersionOnce.Do(func() {
 		bi, _ := debug.ReadBuildInfo()
@@ -117,19 +119,24 @@ var (
 // injectable inputs so every tier is unit-testable.
 func codeVersionFrom(bi *debug.BuildInfo, exeHash func() string) string {
 	if bi != nil {
-		var rev, modified string
+		var rev string
+		var modified bool
 		for _, s := range bi.Settings {
 			switch s.Key {
 			case "vcs.revision":
 				rev = s.Value
 			case "vcs.modified":
-				if s.Value == "true" {
-					modified = "+dirty"
-				}
+				modified = s.Value == "true"
 			}
 		}
+		if rev != "" && modified {
+			if h := exeHash(); h != "" {
+				return rev + "+dirty-" + h[:16]
+			}
+			return rev + "+dirty"
+		}
 		if rev != "" {
-			return rev + modified
+			return rev
 		}
 	}
 	if h := exeHash(); h != "" {
@@ -190,9 +197,6 @@ func Open(dir string) (*Store, error) {
 	}
 	return &Store{dir: dir}, nil
 }
-
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
 
 func (s *Store) resultPath(hash string) string {
 	return filepath.Join(s.dir, "results", hash)

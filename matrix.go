@@ -1,6 +1,7 @@
 package soft
 
 import (
+	"bytes"
 	"context"
 
 	"github.com/soft-testing/soft/internal/dist"
@@ -34,8 +35,9 @@ type (
 var ErrProtocolMismatch = dist.ErrVersionMismatch
 
 // CodeVersion is the running binary's code-version string as used in
-// campaign cache keys: the VCS revision it was built from (with a +dirty
-// marker for modified trees) when available. Cached campaign cells are
+// campaign cache keys: the VCS revision it was built from (for a modified
+// tree with a +dirty marker and the executable's hash, so two different
+// dirty builds never share keys) when available. Cached campaign cells are
 // keyed by it, so rebuilding from new code re-explores every cell; pin it
 // explicitly with WithCodeVersion in deployments with their own build
 // identifiers.
@@ -61,16 +63,16 @@ func CodeVersion() string { return store.DefaultCodeVersion() }
 //     on-disk store keyed by (agent, test, engine config, code version); a
 //     warm re-run hits the store for every unchanged cell and only
 //     explores what changed.
-//
-//   - With WithCampaignService, the whole campaign is submitted as one job
-//     to an always-on `soft campaignd` coordinator and the canonical
-//     report is fetched back — byte-identical to running it here.
+//     Determinism plus the store make a campaign resumable: one killed
+//     mid-run and re-run on the same store explores only the cells it had
+//     not stored, and its report is byte-identical to an uninterrupted
+//     run.
 //
 // Cancelling ctx aborts the campaign with ctx's error (a partial campaign
 // has no deterministic meaning). Options: WithMaxPaths, WithMaxDepth,
 // WithModels, WithWorkers, WithBudget, WithStore,
 // WithCodeVersion, WithFleetListener, WithShardDepth, WithLeaseTimeout,
-// WithCrossCheck, WithCampaignService, WithScenarios,
+// WithCrossCheck, WithScenarios,
 // WithProgress, WithLogger.
 func RunMatrix(ctx context.Context, agents, tests []string, opts ...Option) (*MatrixReport, error) {
 	cfg := newConfig(opts)
@@ -91,11 +93,8 @@ func RunMatrix(ctx context.Context, agents, tests []string, opts ...Option) (*Ma
 	if len(cfg.scenarios) > 0 {
 		// Scenario columns ride the tests axis: cells become
 		// agent × test∪scenario, and every downstream layer (store,
-		// fleet, campaign service) schedules them identically.
+		// fleet) schedules them identically.
 		tests = append(append([]string(nil), tests...), cfg.scenarios...)
-	}
-	if cfg.campaignURL != "" {
-		return runMatrixRemote(ctx, cfg, agents, tests)
 	}
 	o := sched.Options{
 		MaxPaths:    cfg.maxPaths,
@@ -135,4 +134,13 @@ func RunMatrix(ctx context.Context, agents, tests []string, opts ...Option) (*Ma
 		}
 	}
 	return sched.RunMatrix(ctx, agents, tests, o)
+}
+
+// ReadMatrixReport parses a canonical campaign report (what
+// MatrixReport.Write renders and `soft matrix -o` writes) back into a
+// MatrixReport. Parsed reports carry the canonical surface only — cell
+// summaries, pair checks, inconsistencies — not the full per-cell results;
+// Write∘ReadMatrixReport is the identity on canonical bytes.
+func ReadMatrixReport(data []byte) (*MatrixReport, error) {
+	return sched.ReadReport(bytes.NewReader(data))
 }

@@ -32,8 +32,6 @@ type config struct {
 	fleetLn      net.Listener
 	noCrossCheck bool
 
-	campaignURL string
-
 	scenarios []string
 }
 
@@ -124,22 +122,10 @@ func WithFleetListener(ln net.Listener) Option { return func(c *config) { c.flee
 // pairs.
 func WithCrossCheck(on bool) Option { return func(c *config) { c.noCrossCheck = !on } }
 
-// WithCampaignService routes RunMatrix through an always-on campaign
-// service (`soft campaignd`) at baseURL instead of running in-process: the
-// matrix is submitted as one job, progress streams back through
-// WithProgress, and the returned report is parsed from the service's
-// canonical bytes — byte-identical to a local run of the same campaign,
-// but carrying the canonical surface only (no in-memory cell results).
-// Store, fleet, and worker options then live with the service;
-// WithFleetListener is mutually exclusive with this option.
-func WithCampaignService(baseURL string) Option {
-	return func(c *config) { c.campaignURL = baseURL }
-}
-
 // WithScenarios appends the named scenarios (registered via
 // RegisterScenario, or generated "gen:<index>" names) as extra columns of
 // a RunMatrix campaign: cells become agent × test∪scenario. Scenario
-// cells run through the same store/fleet/service machinery as Table 1
+// cells run through the same store and fleet machinery as Table 1
 // cells and carry their definition hash in the cache key, so editing a
 // scenario invalidates exactly its own cells.
 func WithScenarios(names ...string) Option {

@@ -8,8 +8,8 @@ import (
 // multi-message test case (install → modify/delete → probe) whose steps
 // thread one agent instance's flow-table state. Scenarios compile to the
 // same Test shape as the Table 1 suite and run through every layer of
-// the pipeline: Explore, RunMatrix cells, the result store, worker
-// fleets, and the campaign service.
+// the pipeline: Explore, RunMatrix cells, the result store, and worker
+// fleets.
 type Scenario = scenario.Scenario
 
 // ScenarioStep is one step of a Scenario. Its builder receives a NewSym

@@ -25,8 +25,7 @@ func resultBytes(t *testing.T, res *soft.Result) []byte {
 
 // TestScenarioRegistryPublicAPI covers the scenario surface of the root
 // package: listing, lookup, generated resolution, and the compiled Test's
-// resolution through TestByName (what sched, dist workers, and campaignd
-// all use).
+// resolution through TestByName (what sched and dist workers both use).
 func TestScenarioRegistryPublicAPI(t *testing.T) {
 	names := soft.ScenarioNames()
 	if len(names) < 8 {
