@@ -26,10 +26,13 @@ import (
 //
 // Answer preservation: assumptions are exact (sat.Solver decides the same
 // formula a fresh solver would), learned clauses are resolvents of database
-// clauses only (never of assumptions), and CanonicalModel's ordered solve
-// fixes the path's variables independently of the solver's history (see
-// sat.SolvePreferring), so a Session returns bit-for-bit the answers and
-// canonical models a fresh Blaster per path returns. The determinism sweep
+// clauses only (never of assumptions), and the ordered solve of
+// CanonicalModel and SolveCanonical fixes the path's variables
+// independently of the solver's history (see sat.SolvePreferring), so a
+// Session returns bit-for-bit the answers and canonical models a fresh
+// Blaster per path returns. SolveCanonical is what a models-on exploration
+// asks at each frontier branch: it decides one more arm and returns that
+// arm's canonical model in the same solve. The determinism sweep
 // tests in internal/symexec and the probe-loop oracle tests here pin this.
 //
 // The guarded clause database is satisfiable by construction (every guard is
@@ -71,9 +74,9 @@ type Session struct {
 
 	// ConstraintsNew / ConstraintsReused count conjunct encodings performed
 	// vs served from the activation cache; AssumptionSolves counts
-	// satisfiability decisions (SolveAssuming and CanonicalModel calls,
-	// one solve each). The engine and the solver façade aggregate
-	// these into solver.Stats.
+	// satisfiability decisions (SolveAssuming, SolveCanonical and
+	// CanonicalModel calls, one solve each). The engine and the solver
+	// façade aggregate these into solver.Stats.
 	ConstraintsNew    int64
 	ConstraintsReused int64
 	AssumptionSolves  int64
@@ -224,12 +227,38 @@ func (s *Session) SolveAssuming(es ...*sym.Expr) bool {
 	return s.solve(extra, nil)
 }
 
+// SolveCanonical decides the current path's constraints plus e, without
+// asserting e, and on sat returns the canonical witness of that conjunction
+// over every variable the path mentioned, e's included: the same model
+// CanonicalModel would return after asserting e, from the same single
+// ordered solve.
+func (s *Session) SolveCanonical(e *sym.Expr) (sym.Assignment, bool) {
+	s.touchVars(e)
+	extra := []sat.Lit{s.b.enc1(e)}
+	s.order, s.names = canonicalOrder(s.order[:0], s.names[:0], s.pathVars)
+	if !s.solve(extra, s.order) {
+		return nil, false
+	}
+	return modelOf(s.b.S, s.pathVars), true
+}
+
 // Witness returns the last satisfiable solve's model over every variable
 // the current path mentioned (asserted or queried). It satisfies the path's
 // constraints and the extra assumptions of that solve, and it is only
 // meaningful right after a solve that reported true. Unlike CanonicalModel
 // it costs no solve, and its values depend on the search history.
 func (s *Session) Witness() sym.Assignment { return modelOf(s.b.S, s.pathVars) }
+
+// FillModel returns w over exactly the variables the current path
+// mentioned (the domain of CanonicalModel's models), reading a variable w
+// leaves out as 0, as sym.Eval does. It costs no solve.
+func (s *Session) FillModel(w sym.Assignment) sym.Assignment {
+	m := make(sym.Assignment, len(s.pathVars))
+	for name := range s.pathVars {
+		m[name] = w[name]
+	}
+	return m
+}
 
 // CanonicalModel decides the current path's constraints and returns their
 // canonical witness over every variable the path mentioned, reporting false

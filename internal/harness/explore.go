@@ -146,8 +146,15 @@ func ExploreContext(ctx context.Context, a agents.Agent, t Test, o Options) *Res
 }
 
 // explore runs the engine and renders its paths into a Result; the
-// engine's own result is returned too, for ExploreShard's merge keys.
+// engine's own result is returned too, for ExploreShard's merge keys. The
+// test's input sequence is built once, before the run.
 func explore(ctx context.Context, a agents.Agent, t Test, o Options) (*Result, *symexec.Result) {
+	return exploreInputs(ctx, a, t, o, buildInputs(t).forPath)
+}
+
+// exploreInputs is explore with each path's input sequence coming from
+// inputs, called once per replayed path after the agent's handshake.
+func exploreInputs(ctx context.Context, a agents.Agent, t Test, o Options, inputs func(*symexec.Context) []Input) (*Result, *symexec.Result) {
 	sp := obs.StartSpan("explore:" + a.Name() + "/" + t.Name)
 	defer sp.End()
 	if o.MaxPaths == 0 {
@@ -173,7 +180,7 @@ func explore(ctx context.Context, a agents.Agent, t Test, o Options) (*Result, *
 	run := eng.RunContext(ctx, func(ctx *symexec.Context) {
 		in := a.NewInstance()
 		in.Handshake(ctx)
-		for _, input := range t.Inputs(ctx.NewSym) {
+		for _, input := range inputs(ctx) {
 			if input.Msg != nil {
 				in.HandleMessage(ctx, input.Msg)
 			} else if input.Probe != nil {
@@ -218,6 +225,39 @@ func explore(ctx context.Context, a agents.Agent, t Test, o Options) (*Result, *
 		}
 	}
 	return out, run
+}
+
+// builtInputs is a test's input sequence built once for a whole
+// exploration, with the variables it declared in the order it declared
+// them. Every replayed path declares the same variables and hands the agent
+// the same buffers and probes, which agents only read (see Test.Inputs), so
+// building them once per explore call explores exactly what building them
+// per path did.
+type builtInputs struct {
+	inputs []Input
+	vars   []*sym.Expr
+}
+
+// buildInputs builds t's input sequence. A name declared twice is recorded
+// twice, so a width conflict panics on the path in Declare, as it did in
+// symexec.Context.NewSym.
+func buildInputs(t Test) *builtInputs {
+	b := &builtInputs{}
+	b.inputs = t.Inputs(func(name string, w int) *sym.Expr {
+		v := sym.Var(name, w)
+		b.vars = append(b.vars, v)
+		return v
+	})
+	return b
+}
+
+// forPath declares the inputs' variables on the path and returns the
+// shared input sequence.
+func (b *builtInputs) forPath(ctx *symexec.Context) []Input {
+	for _, v := range b.vars {
+		ctx.Declare(v)
+	}
+	return b.inputs
 }
 
 // Reproduce renders the test's input sequence under a solver model into

@@ -34,7 +34,7 @@ func TestTableOneSuiteComplete(t *testing.T) {
 }
 
 func TestInputsDeterministic(t *testing.T) {
-	// The engine re-executes Inputs per path; two invocations must build
+	// Every explore call builds Inputs again; two invocations must build
 	// byte-identical buffers and identical variable names.
 	for _, tt := range Tests() {
 		names1 := map[string]int{}

@@ -39,8 +39,12 @@ type Test struct {
 	Desc string
 	// MsgCount is the "Message count" column of Table 2.
 	MsgCount int
-	// Inputs builds the input sequence. It must be deterministic: the
-	// engine re-executes it on every path.
+	// Inputs builds the input sequence. It must be deterministic, declaring
+	// the same variables on every call. An exploration builds it once per
+	// explore call and hands the same buffers and probes to the agent on
+	// every replayed path, so agents must never write to them: no Put,
+	// PutConst or SetByte on a Msg buffer and no assignment to a Probe's
+	// fields or payload. An agent that rewrites a packet clones it first.
 	Inputs func(newSym NewSymFn) []Input
 	// DefHash identifies the input-sequence *definition* for result
 	// caching. Empty for the built-in suite (whose definitions are pinned

@@ -1,6 +1,7 @@
 package symexec
 
 import (
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -172,6 +173,9 @@ func TestPrefixSeededExploration(t *testing.T) {
 				}
 				if sym.LAnd(merged[i].PC...).String() != sym.LAnd(full.Paths[i].PC...).String() {
 					t.Fatalf("path %d: condition differs", i)
+				}
+				if !reflect.DeepEqual(merged[i].Model, full.Paths[i].Model) {
+					t.Fatalf("path %d: model %v, full run %v", i, merged[i].Model, full.Paths[i].Model)
 				}
 			}
 		})

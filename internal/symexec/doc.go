@@ -63,6 +63,9 @@
 // rebuilds each path's conditions, one intern-table lookup per node,
 // allocating nothing; the flow-table conditions, the largest of them, are
 // not rebuilt at all: internal/flowtable memoizes each one per process.
+// Nor is the handler's symbolic input: internal/harness builds a test's
+// input sequence once per exploration and registers its variables on each
+// path with Context.Declare, one map insert each.
 //
 // A frontier branch costs one solve, not two (witness reuse, KLEE's
 // counterexample cache in its simplest form). Every path carries a witness:
@@ -75,25 +78,33 @@
 // when the witness satisfies the assumption. A prefix-seeded run (a fleet
 // shard) starts without a witness, so its first frontier branch solves both
 // arms as before. Witnesses only choose which arm is solved: feasibility is
-// a property of the formula, so every fork, path and canonical model is the
-// same whichever model the witness happens to be (Context.BranchSite states
-// the invariant).
+// a property of the formula, so every fork and path is the same whichever
+// model the witness happens to be (Context.BranchSite states the
+// invariant).
 //
 // Sessions preserve answers exactly: assumptions are decided on the same
 // formula a fresh solver would decide, and learned clauses are resolvents of
-// database clauses only (never of assumptions). Witness models stay
-// identical too because the engine extracts the canonical model
-// (bitblast.CanonicalModel): the numerically smallest satisfying
-// assignment, a pure function of the path condition rather than of the
-// CDCL search trajectory. A completed path's model costs one solve under
-// its assumption stack: sat.SolvePreferring decides the path's input bits
-// at 0 in canonical order (variables by name, each MSB first) before any
-// other variable, and that same solve confirms the path is feasible, so
-// no separate Solve precedes it. bitblast's
-// TestCanonicalModelMatchesProbesOnPaths checks every explored path of
-// two agents against a fresh solver per path (feasibility and canonical
-// model), and the determinism tests pin byte-identical output across
-// worker counts.
+// database clauses only (never of assumptions). Path models stay identical
+// too because each is the canonical model (bitblast.CanonicalModel): the
+// numerically smallest satisfying assignment, a pure function of the path
+// condition rather than of the CDCL search trajectory. With models on, a
+// path's model costs no solve of its own. Every frontier and Assume solve
+// is then ordered (Session.SolveCanonical): sat.SolvePreferring decides the
+// path's input bits at 0 in canonical order (variables by name, each MSB
+// first) before any other variable, so the solve that proves an arm
+// feasible also returns its canonical model. That makes every witness
+// canonical, by minimality: if the lexicographic minimum M of a path
+// condition satisfies an arm, M is that arm's minimum too; variables the
+// condition never mentioned read as 0 in M, and 0 is their minimum; and
+// name order restricted to the condition's variables is its own order. A
+// completed path's model is its witness, filled out to the path's
+// variables with 0. Only a shard that never finds a feasible true arm has
+// no witness; its single path falls back to one Session.CanonicalModel
+// solve. With models off, solves stay unordered and witnesses arbitrary.
+// bitblast's TestCanonicalModelMatchesProbesOnPaths checks explored paths
+// (full runs and shards) against a fresh solver per path (feasibility and
+// canonical model), and the determinism tests pin byte-identical output
+// across worker counts.
 //
 // # Determinism
 //

@@ -74,6 +74,16 @@ func parallelHandlers() map[string]Handler {
 				ctx.Emit("hi")
 			}
 		},
+		"assume-before-fork": func(ctx *Context) {
+			// A shard seeded at tf replays the assumption before its
+			// second decision; x = 0 satisfies everything up to the
+			// assumption but not the replayed x > 50.
+			x := ctx.NewSym("x", 8)
+			ctx.Branch(sym.Ult(x, sym.Const(8, 128)))
+			ctx.Assume(sym.Ne(x, sym.Const(8, 1)))
+			ctx.Branch(sym.Ule(x, sym.Const(8, 50)))
+			ctx.Emit(ctx.Branch(sym.EqConst(x, 0)))
+		},
 		"correlated": func(ctx *Context) {
 			a := ctx.NewSym("a", 8)
 			lt10 := ctx.Branch(sym.Ult(a, sym.Const(8, 10)))

@@ -50,6 +50,7 @@ type Context struct {
 	sess      *bitblast.Session // the worker's session, reset for this path
 	decisions []bool            // prescribed prefix (replay), then grown by new decisions
 	w         sym.Assignment    // satisfies pc, or nil when unknown (see BranchSite)
+	canonical bool              // solves are ordered, so w is pc's canonical model
 	ev        sym.Evaluator
 	sites     []coverage.BranchID
 	depth     int // next decision index
@@ -74,6 +75,21 @@ func (c *Context) NewSym(name string, w int) *sym.Expr {
 	v := sym.Var(name, w)
 	c.inputs[name] = v
 	return v
+}
+
+// Declare registers v, a variable built outside the path (by sym.Var), as
+// a symbolic input of the path, as NewSym(v.Name, v.Width()) would have
+// built it. A caller that builds a handler's inputs once declares them on
+// every path this way, so Inputs and Result.Inputs stay what NewSym would
+// have made them.
+func (c *Context) Declare(v *sym.Expr) {
+	if old, ok := c.inputs[v.Name]; ok {
+		if old.Width() != v.Width() {
+			panic(fmt.Sprintf("symexec: input %q redeclared with width %d != %d", v.Name, v.Width(), old.Width()))
+		}
+		return
+	}
+	c.inputs[v.Name] = v
 }
 
 // Inputs returns the symbolic input variables created so far, keyed by name.
@@ -111,7 +127,10 @@ func (c *Context) Assume(cond *sym.Expr) {
 	if cond.IsFalse() {
 		panic(abortPanic{kind: abortInfeasible, msg: "assumption is false"})
 	}
-	if !c.satisfied(cond) {
+	// An assumption the replayed prefix still has to pass was checked
+	// feasible when the prefix was recorded; solving it now would leave a
+	// prefix root's witness satisfying only part of the prefix.
+	if !c.satisfied(cond) && c.depth >= len(c.decisions) {
 		ok, w := c.solve(cond)
 		if !ok {
 			panic(abortPanic{kind: abortInfeasible, msg: "assumption contradicts path condition"})
@@ -142,10 +161,20 @@ func (c *Context) Branch(cond *sym.Expr) bool {
 // path has mentioned, becomes that arm's witness, carried by the forked
 // work item or kept by this path. w is empty at an unprefixed root (it
 // satisfies the empty pc) and unknown (nil) at a shard's prefix root, where
-// the first frontier branch falls back to solving both arms. No answer
+// the first frontier branch falls back to solving both arms. No fork
 // depends on which model w is: feasibility is a fact about the formula,
-// not about the witness, and a path's canonical model comes from its own
-// ordered solve.
+// not about the witness.
+//
+// When models are wanted every solve is ordered (Session.SolveCanonical),
+// which makes w the canonical model of pc: its lexicographic minimum, over
+// pc's variables in name order, reading absent variables as 0. It stays
+// canonical as the path grows. If the minimum M of pc satisfies an arm,
+// M is also the minimum of pc ∧ arm, since that arm's solutions are a
+// subset of pc's that contains M. Variables pc never mentioned read as 0
+// in M, and 0 is their minimum. Name order restricted to pc's variables is
+// pc's own order. The arm M does not satisfy gets its minimum from its
+// ordered solve. So a completed path's model is its witness, with no solve
+// (see Engine.completePath).
 func (c *Context) BranchSite(site coverage.BranchID, cond *sym.Expr) bool {
 	if cond.IsTrue() || cond.IsFalse() {
 		taken := cond.IsTrue()
@@ -214,8 +243,13 @@ func (c *Context) satisfied(e *sym.Expr) bool {
 }
 
 // solve decides the path condition plus e, returning on sat the model as
-// a witness for the path extended by e.
+// a witness for the path extended by e: its canonical model when models
+// are wanted (see BranchSite), any model otherwise.
 func (c *Context) solve(e *sym.Expr) (bool, sym.Assignment) {
+	if c.canonical {
+		w, ok := c.sess.SolveCanonical(e)
+		return ok, w
+	}
 	if !c.sess.SolveAssuming(e) {
 		return false, nil
 	}
@@ -419,6 +453,7 @@ func (e *Engine) newContext(it *workItem, enqueue func(*workItem), counters *pat
 		sess:      sess,
 		decisions: it.decisions,
 		w:         it.w,
+		canonical: e.WantModels,
 		inputs:    make(map[string]*sym.Expr),
 	}
 	if e.CovMap != nil {
@@ -451,8 +486,12 @@ func (e *Engine) completePath(ctx *Context) *Path {
 		// Canonical extraction keeps the model a pure function of the path
 		// condition: the same path yields the same witness bytes whatever
 		// the worker count or encoding layout did to the CDCL search
-		// trajectory. The ordered solve decides satisfiability itself.
-		if m, ok := ctx.sess.CanonicalModel(); ok {
+		// trajectory. The witness is already the canonical model (see
+		// BranchSite); only a shard that never found a feasible true arm
+		// lacks one, and then it is the shard's only path.
+		if ctx.w != nil {
+			p.Model = ctx.sess.FillModel(ctx.w)
+		} else if m, ok := ctx.sess.CanonicalModel(); ok {
 			p.Model = m
 		}
 	}

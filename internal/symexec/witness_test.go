@@ -4,19 +4,22 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/soft-testing/soft/internal/agents"
 	_ "github.com/soft-testing/soft/internal/agents/ovs"       // register "ovs"
 	_ "github.com/soft-testing/soft/internal/agents/refswitch" // register "ref"
 	"github.com/soft-testing/soft/internal/harness"
+	"github.com/soft-testing/soft/internal/symexec"
 )
 
 // TestOneSolvePerFrontierBranch pins witness reuse on real agents: every
 // frontier branch of a full run costs exactly one assumption solve (the
-// path's witness proves one arm), and each completed path's canonical
-// model one more. Without the witness a branch whose true arm is feasible
-// costs two.
+// path's witness proves one arm). With models on that solve is ordered, so
+// every witness is its path's canonical model and a completed path's model
+// costs no solve at all. Without the witness a branch whose true arm is
+// feasible costs two.
 func TestOneSolvePerFrontierBranch(t *testing.T) {
 	test, ok := harness.TestByName("Packet Out")
 	if !ok {
@@ -27,20 +30,78 @@ func TestOneSolvePerFrontierBranch(t *testing.T) {
 			for _, workers := range []int{1, 2} {
 				name := fmt.Sprintf("%s models=%v workers=%d", agent, models, workers)
 				res := harness.Explore(agents.MustByName(agent), test, harness.Options{WantModels: models, Workers: workers})
-				want := res.BranchQueries
-				if models {
-					want += int64(len(res.Paths))
-				}
-				if res.Infeasible != 0 || res.DepthTruncated != 0 || res.Truncated {
-					t.Fatalf("%s: want a complete run with no abandoned paths, got %d infeasible, %d cut, truncated %v",
-						name, res.Infeasible, res.DepthTruncated, res.Truncated)
-				}
-				if got := res.SolverStats.AssumptionSolves; got != want {
+				checkComplete(t, name, res)
+				if got := res.SolverStats.AssumptionSolves; got != res.BranchQueries {
 					t.Errorf("%s: %d assumption solves for %d branch queries and %d paths, want %d",
-						name, got, res.BranchQueries, len(res.Paths), want)
+						name, got, res.BranchQueries, len(res.Paths), res.BranchQueries)
 				}
 			}
 		}
+	}
+}
+
+// TestOneSolvePerFrontierBranchPrefixRun is the shard version. A
+// prefix-seeded run starts without a witness, and it has none until its
+// first frontier branch with a feasible true arm, which solves both arms;
+// every other frontier branch costs one solve. A shard with no such branch
+// is a single path that never gets a witness, so with models on its
+// canonical model costs one solve of its own (the fallback in
+// completePath). So a shard pays one solve more than its branch queries,
+// except a models-off shard that never takes a true arm, which pays none
+// more. Packet Out on ovs split at depth 5 has such shards.
+func TestOneSolvePerFrontierBranchPrefixRun(t *testing.T) {
+	test, ok := harness.TestByName("Packet Out")
+	if !ok {
+		t.Fatal("missing test Packet Out")
+	}
+	fallbacks := 0
+	for _, agent := range []string{"ref", "ovs"} {
+		a := agents.MustByName(agent)
+		for _, depth := range []int{3, 5} {
+			var prefixes [][]bool
+			harness.Explore(a, test, harness.Options{
+				ShardDepth: depth,
+				ShardSink:  func(p []bool) { prefixes = append(prefixes, p) },
+			})
+			if len(prefixes) == 0 {
+				t.Fatalf("%s depth %d: split produced no shards", agent, depth)
+			}
+			for _, prefix := range prefixes {
+				for _, models := range []bool{true, false} {
+					name := fmt.Sprintf("%s prefix %s models=%v", agent, symexec.FormatDecisions(prefix), models)
+					sh := harness.ExploreShard(context.Background(), a, test, harness.Options{WantModels: models, Prefix: prefix, Workers: 1})
+					checkComplete(t, name, sh.Result)
+					tookTrue := slices.ContainsFunc(sh.Decisions, func(d []bool) bool {
+						return slices.Contains(d[len(prefix):], true)
+					})
+					want := sh.BranchQueries
+					switch {
+					case tookTrue:
+						want++
+					case len(sh.Paths) != 1:
+						t.Fatalf("%s: %d paths, none taking a true arm", name, len(sh.Paths))
+					case models:
+						fallbacks++
+						want++
+					}
+					if got := sh.SolverStats.AssumptionSolves; got != want {
+						t.Errorf("%s: %d assumption solves for %d branch queries and %d paths, want %d",
+							name, got, sh.BranchQueries, len(sh.Paths), want)
+					}
+				}
+			}
+		}
+	}
+	if fallbacks == 0 {
+		t.Error("every shard took a true arm: the canonical-model fallback went untested")
+	}
+}
+
+func checkComplete(t *testing.T, name string, res *harness.Result) {
+	t.Helper()
+	if res.Infeasible != 0 || res.DepthTruncated != 0 || res.Truncated {
+		t.Fatalf("%s: want a complete run with no abandoned paths, got %d infeasible, %d cut, truncated %v",
+			name, res.Infeasible, res.DepthTruncated, res.Truncated)
 	}
 }
 
