@@ -21,7 +21,8 @@
 #   make bench-solver  solver-stack scaling benches (parallel explore,
 #                      per-worker-session crosscheck) — run on multicore
 #                      hardware for meaningful numbers
-#   make bench-smoke   every root benchmark once (CI bit-rot guard, no timing value)
+#   make bench-smoke   every root and SAT-core benchmark once (CI bit-rot guard,
+#                      no timing value)
 #   make fmt-check     fail if any Go file needs gofmt
 #   make fuzz          the results-file, campaign-report, expression-codec
 #                      and shard-result-frame fuzzers, 15 s each
@@ -100,7 +101,7 @@ bench-solver:
 	$(GO) test -run NONE -bench 'ExploreParallel|CrossCheck' -benchmem .
 
 bench-smoke:
-	$(GO) test -run NONE -bench . -benchtime=1x .
+	$(GO) test -run NONE -bench . -benchtime=1x . ./internal/sat/
 	$(GO) build -o /tmp/soft-bench-smoke-bin ./cmd/soft
 	@/tmp/soft-bench-smoke-bin explore -scenario "Add Modify" -o /dev/null
 

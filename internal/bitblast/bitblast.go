@@ -176,34 +176,33 @@ func modelOf(s *sat.Solver, vars map[string][]sat.Lit) sym.Assignment {
 // search trajectory (and hence on learned clauses, restarts, and encoding
 // layout), the canonical model is a pure function of the constraint
 // semantics — the property the pipeline's byte-for-byte determinism
-// guarantees rest on. It costs one solve (see canonicalOrder).
+// guarantees rest on. It costs one solve (see orderOf).
 func (b *Blaster) CanonicalModel() sym.Assignment {
-	pref, _ := canonicalOrder(nil, nil, b.vars)
-	if !b.solve(nil, pref) {
+	names := make([]string, 0, len(b.vars))
+	for name := range b.vars {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	if !b.solve(nil, orderOf(nil, names, b.vars)) {
 		return nil
 	}
 	return b.Model()
 }
 
-// canonicalOrder appends to pref the preferred-decision list whose
+// orderOf appends to pref the preferred-decision list whose
 // sat.SolvePreferring model is the canonical witness over vars: every bit
-// at 0, variables in name order, each MSB first. SolvePreferring makes each
-// bit 0 unless the constraints and the bits before it force it to 1, which
-// is the definition of the lexicographic minimum, so one ordered solve
-// yields the witness. names is scratch space for the sorted variable
-// names; both slices are returned for reuse.
-func canonicalOrder(pref []sat.Lit, names []string, vars map[string][]sat.Lit) ([]sat.Lit, []string) {
-	for name := range vars {
-		names = append(names, name)
-	}
-	sort.Strings(names)
+// at 0, variables in the order of names (vars' names, sorted), each MSB
+// first. SolvePreferring makes each bit 0 unless the constraints and the
+// bits before it force it to 1, which is the definition of the
+// lexicographic minimum, so one ordered solve yields the witness.
+func orderOf(pref []sat.Lit, names []string, vars map[string][]sat.Lit) []sat.Lit {
 	for _, name := range names {
 		bits := vars[name]
 		for i := len(bits) - 1; i >= 0; i-- {
 			pref = append(pref, bits[i].Not())
 		}
 	}
-	return pref, names
+	return pref
 }
 
 // enc encodes a bitvector expression to its bit literals (booleans to a

@@ -1,6 +1,8 @@
 package bitblast
 
 import (
+	"slices"
+
 	"github.com/soft-testing/soft/internal/sat"
 	"github.com/soft-testing/soft/internal/sym"
 )
@@ -67,10 +69,13 @@ type Session struct {
 	// would have registered, which is what CanonicalModel must cover.
 	pathVars map[string][]sat.Lit
 
-	// lits, order and names are scratch buffers every solve reuses.
+	// names holds pathVars' keys, kept sorted as touchVars adds them, so
+	// an ordered solve only walks them (see orderOf).
+	names []string
+
+	// lits and order are scratch buffers every solve reuses.
 	lits  []sat.Lit
 	order []sat.Lit
-	names []string
 
 	// ConstraintsNew / ConstraintsReused count conjunct encodings performed
 	// vs served from the activation cache; AssumptionSolves counts
@@ -105,6 +110,7 @@ type varRef struct {
 func (s *Session) Reset() {
 	s.stack = s.stack[:0]
 	clear(s.pathVars)
+	s.names = s.names[:0]
 }
 
 // Encoded returns the CNF clauses and auxiliary variables the session has
@@ -142,6 +148,8 @@ func (s *Session) touchVars(e *sym.Expr) {
 	for _, r := range refs {
 		if _, ok := s.pathVars[r.name]; !ok {
 			s.pathVars[r.name] = s.b.VarBits(r.name, r.w)
+			i, _ := slices.BinarySearch(s.names, r.name)
+			s.names = slices.Insert(s.names, i, r.name)
 		}
 	}
 }
@@ -235,7 +243,7 @@ func (s *Session) SolveAssuming(es ...*sym.Expr) bool {
 func (s *Session) SolveCanonical(e *sym.Expr) (sym.Assignment, bool) {
 	s.touchVars(e)
 	extra := []sat.Lit{s.b.enc1(e)}
-	s.order, s.names = canonicalOrder(s.order[:0], s.names[:0], s.pathVars)
+	s.order = orderOf(s.order[:0], s.names, s.pathVars)
 	if !s.solve(extra, s.order) {
 		return nil, false
 	}
@@ -266,7 +274,7 @@ func (s *Session) FillModel(w sym.Assignment) sym.Assignment {
 // activation stack, with the same semantics (and bytes) as
 // Blaster.CanonicalModel on a fresh per-path blaster.
 func (s *Session) CanonicalModel() (sym.Assignment, bool) {
-	s.order, s.names = canonicalOrder(s.order[:0], s.names[:0], s.pathVars)
+	s.order = orderOf(s.order[:0], s.names, s.pathVars)
 	if !s.solve(nil, s.order) {
 		return nil, false
 	}

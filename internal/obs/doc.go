@@ -1,5 +1,5 @@
 // Package obs is SOFT's dependency-free observability layer: a sharded
-// registry of counters, gauges, and power-of-two histograms, plus
+// registry of counters, gauges, and log-bucketed histograms, plus
 // lightweight span tracing that renders to the Chrome trace-event JSON
 // format (loadable in Perfetto or chrome://tracing).
 //
@@ -14,12 +14,13 @@
 // every registered metric in the Prometheus text exposition format;
 // `soft matrix -metrics-addr` mounts it at GET /metrics.
 //
-// Histograms bucket by the bit length of the observed value, i.e. bucket
-// i holds values in [2^(i-1), 2^i). That trades resolution for a fixed
-// 64-slot layout with no configuration: one histogram type covers
-// nanosecond latencies, stack depths, and byte counts alike, and
-// snapshots subtract cleanly so a caller can diff before/after a run to
-// get per-run quantiles (the bench JSON's p50/p99 solve latency).
+// Histograms split each power of two [2^e, 2^(e+1)) into eight buckets
+// whose bounds grow by 2^(1/8), so a quantile read as its bucket's upper
+// bound is within 1.1× of the exact one. The layout is fixed (505 slots,
+// no configuration): one histogram type covers nanosecond latencies,
+// stack depths, and byte counts alike, and snapshots subtract cleanly so
+// a caller can diff before/after a run to get per-run quantiles (the
+// bench JSON's p50/p99 solve latency).
 //
 // Tracing is opt-in per run: StartTracing installs a process-wide
 // tracer, StartSpan/End record phase spans into a bounded in-memory

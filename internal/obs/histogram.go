@@ -1,20 +1,37 @@
 package obs
 
 import (
+	"math"
 	"math/bits"
 	"sync/atomic"
 	"time"
 )
 
-// histBuckets is the fixed bucket count: bucket i holds observations v
-// with bits.Len64(v) == i, i.e. v in [2^(i-1), 2^i), with v == 0 in
-// bucket 0. A non-negative int64 always lands in [0, 63].
-const histBuckets = 64
+// subBuckets is the number of buckets per octave [2^e, 2^(e+1)). Their
+// bounds grow geometrically, by 2^(1/8) ≈ 1.09 (the layout of a
+// Prometheus native histogram of schema 3), so a bucket's upper bound is
+// within 1.1× of every value in the bucket.
+const subBuckets = 8
 
-// Histogram is a fixed-layout power-of-two histogram. Observe is two
-// atomic adds; there is no configuration and no locking. One type serves
-// nanosecond latencies, frontier depths, and byte counts — the unit is
-// part of the metric name (_ns, _depth, _bytes).
+// histBuckets is the fixed bucket count: bucket 0 holds v <= 0, and
+// bucket 1 + e*subBuckets + j holds the values of octave e (0 <= e <= 62)
+// whose mantissa v<<(63-e) lies in [subBound[j], subBound[j+1]).
+const histBuckets = 1 + 63*subBuckets
+
+// subBound[j] is 2^63 · 2^(j/subBuckets), rounded up: the least mantissa
+// of sub-bucket j (subBound[0] = 2^63, sub-bucket j+1 starts where j
+// ends).
+var subBound = func() (b [subBuckets]uint64) {
+	for j := range b {
+		b[j] = uint64(math.Ceil(math.Ldexp(math.Exp2(float64(j)/subBuckets), 63)))
+	}
+	return b
+}()
+
+// Histogram is a fixed-layout histogram with eight geometric buckets per
+// power of two. Observe is two atomic adds; there is no configuration and
+// no locking. One type serves nanosecond latencies, frontier depths, and
+// byte counts — the unit is part of the metric name (_ns, _depth, _bytes).
 type Histogram struct {
 	counts [histBuckets]atomic.Int64
 	sum    atomic.Int64
@@ -25,18 +42,30 @@ func bucketOf(v int64) int {
 	if v <= 0 {
 		return 0
 	}
-	return bits.Len64(uint64(v))
+	e := bits.Len64(uint64(v)) - 1
+	m := uint64(v) << (63 - e)
+	j := 0
+	for j+1 < subBuckets && m >= subBound[j+1] {
+		j++
+	}
+	return 1 + e*subBuckets + j
 }
 
-// BucketBound returns the inclusive upper bound of bucket i (2^i - 1).
+// BucketBound returns the inclusive upper bound of bucket i: the largest
+// value bucketOf maps to i. Below 16 some buckets can hold no integer;
+// such a bucket's bound equals its predecessor's.
 func BucketBound(i int) int64 {
 	if i <= 0 {
 		return 0
 	}
-	if i >= 63 {
-		return 1<<63 - 1
+	if i >= histBuckets-1 {
+		return math.MaxInt64
 	}
-	return 1<<i - 1
+	e, j := (i-1)/subBuckets, (i-1)%subBuckets
+	if j == subBuckets-1 {
+		return 1<<(e+1) - 1
+	}
+	return int64((subBound[j+1] - 1) >> (63 - e))
 }
 
 // Observe records one value.
@@ -94,8 +123,8 @@ func (s HistogramSnapshot) Sub(earlier HistogramSnapshot) HistogramSnapshot {
 
 // Quantile returns an upper bound on the q-quantile (0 ≤ q ≤ 1) of the
 // snapshot: the bound of the first bucket whose cumulative count reaches
-// rank q. With power-of-two buckets the answer is within 2× of the true
-// quantile — plenty for trend tracking. Returns 0 for an empty snapshot.
+// rank q. The answer is at least the true sample quantile and within 1.1×
+// of it. Returns 0 for an empty snapshot.
 func (s HistogramSnapshot) Quantile(q float64) int64 {
 	total := s.Count()
 	if total == 0 {

@@ -3,6 +3,9 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"math"
+	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -50,9 +53,10 @@ func TestHistogramBuckets(t *testing.T) {
 	if got := s.Count(); got != 7 {
 		t.Fatalf("count = %d, want 7", got)
 	}
-	// -5 clamps to 0; 0 → bucket 0, 1 → bucket 1, 2,3 → bucket 2,
-	// 4 → bucket 3, 1000 → bucket 10.
-	wantCounts := map[int]int64{0: 2, 1: 1, 2: 2, 3: 1, 10: 1}
+	// -5 clamps to 0; 0 → bucket 0, 1 → bucket 1 (octave 0), 2 → bucket 9
+	// and 3 → bucket 13 (octave 1), 4 → bucket 17 (octave 2), 1000 →
+	// bucket 80 (octave 9, last sub-bucket).
+	wantCounts := map[int]int64{0: 2, 1: 1, 9: 1, 13: 1, 17: 1, 80: 1}
 	for i, c := range s.Counts {
 		if c != wantCounts[i] {
 			t.Fatalf("bucket %d = %d, want %d", i, c, wantCounts[i])
@@ -67,23 +71,88 @@ func TestHistogramQuantileAndSub(t *testing.T) {
 	var h Histogram
 	before := h.Snapshot()
 	for i := 0; i < 90; i++ {
-		h.Observe(100) // bucket 7, bound 127
+		h.Observe(100) // bucket 54, bound 107
 	}
 	for i := 0; i < 10; i++ {
-		h.Observe(100000) // bucket 17, bound 131071
+		h.Observe(100000) // bucket 133, bound 101070
 	}
 	d := h.Snapshot().Sub(before)
 	if got := d.Count(); got != 100 {
 		t.Fatalf("diff count = %d, want 100", got)
 	}
-	if p50 := d.Quantile(0.5); p50 != 127 {
-		t.Fatalf("p50 = %d, want 127", p50)
+	if p50 := d.Quantile(0.5); p50 != 107 {
+		t.Fatalf("p50 = %d, want 107", p50)
 	}
-	if p99 := d.Quantile(0.99); p99 != 131071 {
-		t.Fatalf("p99 = %d, want 131071", p99)
+	if p99 := d.Quantile(0.99); p99 != 101070 {
+		t.Fatalf("p99 = %d, want 101070", p99)
 	}
 	if empty := (HistogramSnapshot{}).Quantile(0.5); empty != 0 {
 		t.Fatalf("empty quantile = %d, want 0", empty)
+	}
+}
+
+// TestHistogramBucketBounds: BucketBound(i) is the largest value bucketOf
+// maps to i, the bounds never decrease, and each exposition bound is
+// distinct.
+func TestHistogramBucketBounds(t *testing.T) {
+	for i := 1; i < histBuckets; i++ {
+		if BucketBound(i) < BucketBound(i-1) {
+			t.Fatalf("bound %d = %d below bound %d = %d", i, BucketBound(i), i-1, BucketBound(i-1))
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	vs := []int64{math.MaxInt64, math.MaxInt64 - 1}
+	for v := int64(0); v < 5000; v++ {
+		vs = append(vs, v)
+	}
+	for i := 0; i < histBuckets-1; i++ {
+		vs = append(vs, BucketBound(i), BucketBound(i)+1)
+	}
+	for i := 0; i < 10000; i++ {
+		vs = append(vs, rng.Int63()>>rng.Intn(63))
+	}
+	for _, v := range vs {
+		b := bucketOf(v)
+		if BucketBound(b) < v || (b > 0 && BucketBound(b-1) >= v) {
+			t.Fatalf("v=%d in bucket %d with bounds (%d, %d]", v, b, BucketBound(b-1), BucketBound(b))
+		}
+	}
+	r := NewRegistry()
+	for v := int64(0); v < 40; v++ {
+		r.Histogram("t_small").Observe(v)
+	}
+	var buf bytes.Buffer
+	r.WritePrometheus(&buf)
+	seen := map[string]bool{}
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if strings.HasPrefix(line, "t_small_bucket") {
+			le := strings.Fields(line)[0]
+			if seen[le] {
+				t.Fatalf("bound %s written twice:\n%s", le, buf.String())
+			}
+			seen[le] = true
+		}
+	}
+}
+
+// TestHistogramQuantilePrecision: on log-uniform samples spanning nine
+// decades, every quantile is an upper bound on the exact sample quantile
+// and within 1.1× of it.
+func TestHistogramQuantilePrecision(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var h Histogram
+	samples := make([]int64, 20000)
+	for i := range samples {
+		samples[i] = int64(math.Exp(rng.Float64() * math.Log(1e9)))
+		h.Observe(samples[i])
+	}
+	slices.Sort(samples)
+	s := h.Snapshot()
+	for q := 0.0; q <= 1; q += 0.01 {
+		exact := samples[int(q*float64(len(samples)-1))]
+		if got := s.Quantile(q); got < exact || float64(got) > 1.1*float64(exact) {
+			t.Fatalf("q=%.2f: quantile %d, exact %d", q, got, exact)
+		}
 	}
 }
 
@@ -122,7 +191,7 @@ func TestWritePrometheus(t *testing.T) {
 		"# TYPE t_active gauge\nt_active 2\n",
 		"# TYPE t_latency_ns histogram\n",
 		"t_latency_ns_bucket{le=\"1\"} 1\n",
-		"t_latency_ns_bucket{le=\"7\"} 2\n",
+		"t_latency_ns_bucket{le=\"5\"} 2\n",
 		"t_latency_ns_bucket{le=\"+Inf\"} 2\n",
 		"t_latency_ns_sum 6\n",
 		"t_latency_ns_count 2\n",
@@ -132,7 +201,7 @@ func TestWritePrometheus(t *testing.T) {
 		}
 	}
 	// Bucket series must be cumulative and monotone.
-	if strings.Index(out, "le=\"1\"") > strings.Index(out, "le=\"7\"") {
+	if strings.Index(out, "le=\"1\"") > strings.Index(out, "le=\"5\"") {
 		t.Fatal("bucket order not ascending")
 	}
 }

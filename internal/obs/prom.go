@@ -11,9 +11,9 @@ import (
 func WritePrometheus(w io.Writer) error { return Default.WritePrometheus(w) }
 
 // WritePrometheus renders every registered metric, sorted by name.
-// Histograms emit cumulative _bucket series with power-of-two `le`
-// bounds (only up to the highest non-empty bucket, then +Inf), plus the
-// conventional _sum and _count series.
+// Histograms emit cumulative _bucket series with the buckets' `le`
+// bounds (only up to the highest non-empty bucket, each distinct bound
+// once, then +Inf), plus the conventional _sum and _count series.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	for _, m := range r.snapshot() {
@@ -34,6 +34,9 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			var cum int64
 			for i := 0; i <= top; i++ {
 				cum += s.Counts[i]
+				if i < top && BucketBound(i+1) == BucketBound(i) {
+					continue // emit each bound once, after the last bucket with it
+				}
 				fmt.Fprintf(bw, "%s_bucket{le=\"%d\"} %d\n", m.name, BucketBound(i), cum)
 			}
 			fmt.Fprintf(bw, "%s_bucket{le=\"+Inf\"} %d\n", m.name, s.Count())

@@ -2,7 +2,10 @@
 // solver over propositional CNF. It is the decision-procedure core on which
 // the bitvector solver (the reproduction's STP substitute) is built.
 //
-// Features: two-watched-literal unit propagation, a VMTF (variable
+// Features: two-watched-literal unit propagation over a pointer-free
+// clause arena (MiniSat's clause references, Eén and Sörensson, "An
+// Extensible SAT-solver", SAT 2003) that compacts itself once deleted
+// learnt clauses fill half of it, a VMTF (variable
 // move-to-front) decision queue (Biere and Fröhlich, "Evaluating CDCL
 // Variable Scoring Schemes", SAT 2015), first-UIP conflict analysis with
 // clause learning and non-chronological backjumping, Luby-sequence
@@ -52,14 +55,23 @@ const (
 	lFalse
 )
 
-type clause struct {
-	lits    []Lit
-	learnt  bool
-	deleted bool
-}
+// cref is a clause reference: the offset of the clause's header word in
+// Solver.arena. A clause is its header, len<<2 | hdrLearnt | hdrDeleted,
+// followed by its len literals, so the clause database holds no Go
+// pointers for the garbage collector to scan or guard with write barriers.
+type cref uint32
+
+// noClause is the reason of a decision, an assumption or an unassigned
+// variable.
+const noClause cref = 1<<32 - 1
+
+const (
+	hdrDeleted = 1
+	hdrLearnt  = 2
+)
 
 type watcher struct {
-	c       *clause
+	c       cref
 	blocker Lit // quick check: if blocker true, clause already satisfied
 }
 
@@ -75,13 +87,16 @@ type Stats struct {
 // Solver is a CDCL SAT solver. The zero value is not usable; create with New.
 type Solver struct {
 	nVars   int
-	clauses []*clause
-	learnts []*clause
+	arena   []Lit // every clause, header then literals (see cref)
+	wasted  int   // arena words held by deleted clauses
+	clauses []cref
+	learnts []cref
 	watches [][]watcher // indexed by literal
+	scratch []Lit       // AddClause's normalized clause
 
 	assign   []lbool // by variable
 	level    []int32 // decision level of assignment
-	reason   []*clause
+	reason   []cref
 	trail    []Lit
 	trailLim []int
 	qhead    int
@@ -129,7 +144,7 @@ func (s *Solver) NewVar() int {
 	s.watches = append(s.watches, nil, nil)
 	s.assign = append(s.assign, lUndef)
 	s.level = append(s.level, 0)
-	s.reason = append(s.reason, nil)
+	s.reason = append(s.reason, noClause)
 	s.prev = append(s.prev, -1)
 	s.next = append(s.next, -1)
 	s.stamp = append(s.stamp, 0)
@@ -175,7 +190,7 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 	}
 	// Normalize: drop duplicate and false literals, detect tautology and
 	// already-satisfied clauses at level 0.
-	norm := make([]Lit, 0, len(lits))
+	norm := s.scratch[:0]
 	for _, l := range lits {
 		if l.Var() >= s.nVars {
 			panic(fmt.Sprintf("sat: literal %v references unknown variable", l))
@@ -204,6 +219,7 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 			norm = append(norm, l)
 		}
 	}
+	s.scratch = norm
 	for _, l := range norm {
 		s.markTouched(l.Var())
 	}
@@ -212,25 +228,39 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 		s.unsatisfiable = true
 		return false
 	case 1:
-		s.uncheckedEnqueue(norm[0], nil)
-		if s.propagate() != nil {
+		s.uncheckedEnqueue(norm[0], noClause)
+		if s.propagate() != noClause {
 			s.unsatisfiable = true
 			return false
 		}
 		return true
 	}
-	c := &clause{lits: norm}
-	s.clauses = append(s.clauses, c)
-	s.attach(c)
+	s.clauses = append(s.clauses, s.newClause(norm, false))
 	return true
 }
 
-func (s *Solver) attach(c *clause) {
-	s.watches[c.lits[0].Not()] = append(s.watches[c.lits[0].Not()], watcher{c, c.lits[1]})
-	s.watches[c.lits[1].Not()] = append(s.watches[c.lits[1].Not()], watcher{c, c.lits[0]})
+// newClause appends lits to the arena as one clause and watches its first
+// two literals.
+func (s *Solver) newClause(lits []Lit, learnt bool) cref {
+	c := cref(len(s.arena))
+	h := Lit(len(lits) << 2)
+	if learnt {
+		h |= hdrLearnt
+	}
+	s.arena = append(append(s.arena, h), lits...)
+	s.watches[lits[0].Not()] = append(s.watches[lits[0].Not()], watcher{c, lits[1]})
+	s.watches[lits[1].Not()] = append(s.watches[lits[1].Not()], watcher{c, lits[0]})
+	return c
 }
 
-func (s *Solver) uncheckedEnqueue(l Lit, from *clause) {
+// lits returns clause c's literals, aliasing the arena: valid until the
+// next clause is added or the arena is compacted.
+func (s *Solver) lits(c cref) []Lit {
+	n := cref(s.arena[c] >> 2)
+	return s.arena[c+1 : c+1+n]
+}
+
+func (s *Solver) uncheckedEnqueue(l Lit, from cref) {
 	v := l.Var()
 	if l.Neg() {
 		s.assign[v] = lFalse
@@ -250,18 +280,19 @@ func (s *Solver) newDecisionLevel() {
 	s.prefLim = append(s.prefLim, s.prefHead)
 }
 
-// propagate performs unit propagation; returns a conflicting clause or nil.
-func (s *Solver) propagate() *clause {
+// propagate performs unit propagation; returns a conflicting clause or
+// noClause.
+func (s *Solver) propagate() cref {
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead]
 		s.qhead++
 		s.Stats.Propagations++
 		ws := s.watches[p]
 		kept := ws[:0]
-		var confl *clause
+		confl := noClause
 		for i := 0; i < len(ws); i++ {
 			w := ws[i]
-			if confl != nil {
+			if confl != noClause {
 				kept = append(kept, w)
 				continue
 			}
@@ -270,24 +301,26 @@ func (s *Solver) propagate() *clause {
 				continue
 			}
 			c := w.c
-			if c.deleted {
+			if s.arena[c]&hdrDeleted != 0 {
 				continue
 			}
+			lits := s.lits(c)
 			// Ensure the false literal (p.Not()) is at position 1.
-			if c.lits[0] == p.Not() {
-				c.lits[0], c.lits[1] = c.lits[1], c.lits[0]
+			if lits[0] == p.Not() {
+				lits[0], lits[1] = lits[1], lits[0]
 			}
-			first := c.lits[0]
+			first := lits[0]
 			if first != w.blocker && s.litValue(first) == lTrue {
 				kept = append(kept, watcher{c, first})
 				continue
 			}
 			// Look for a new literal to watch.
 			found := false
-			for k := 2; k < len(c.lits); k++ {
-				if s.litValue(c.lits[k]) != lFalse {
-					c.lits[1], c.lits[k] = c.lits[k], c.lits[1]
-					s.watches[c.lits[1].Not()] = append(s.watches[c.lits[1].Not()], watcher{c, first})
+			for k := 2; k < len(lits); k++ {
+				if s.litValue(lits[k]) != lFalse {
+					lits[1], lits[k] = lits[k], lits[1]
+					q := lits[1].Not()
+					s.watches[q] = append(s.watches[q], watcher{c, first})
 					found = true
 					break
 				}
@@ -304,12 +337,15 @@ func (s *Solver) propagate() *clause {
 				s.uncheckedEnqueue(first, c)
 			}
 		}
-		s.watches[p] = kept
-		if confl != nil {
+		// Reslicing a list in place stores only its length; storing kept,
+		// although it shares the list's array, would be a pointer store
+		// with a GC write barrier.
+		s.watches[p] = s.watches[p][:len(kept)]
+		if confl != noClause {
 			return confl
 		}
 	}
-	return nil
+	return noClause
 }
 
 // varBump moves v to the front of the decision queue, linking it in if it
@@ -341,14 +377,14 @@ func (s *Solver) varBump(v int) {
 
 // analyze performs first-UIP conflict analysis. It returns the learnt
 // clause (with the asserting literal first) and the backjump level.
-func (s *Solver) analyze(confl *clause) ([]Lit, int) {
+func (s *Solver) analyze(confl cref) ([]Lit, int) {
 	learnt := []Lit{0} // slot 0 reserved for the asserting literal
 	pathC := 0
 	var p Lit = -1
 	idx := len(s.trail) - 1
 
 	for {
-		for _, q := range confl.lits {
+		for _, q := range s.lits(confl) {
 			if p != -1 && q == p {
 				continue
 			}
@@ -413,10 +449,10 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int) {
 // all seen).
 func (s *Solver) redundant(l Lit) bool {
 	r := s.reason[l.Var()]
-	if r == nil {
+	if r == noClause {
 		return false
 	}
-	for _, q := range r.lits {
+	for _, q := range s.lits(r) {
 		if q.Var() == l.Var() {
 			continue
 		}
@@ -434,7 +470,7 @@ func (s *Solver) cancelUntil(level int) {
 	for i := len(s.trail) - 1; i >= s.trailLim[level]; i-- {
 		v := s.trail[i].Var()
 		s.assign[v] = lUndef
-		s.reason[v] = nil
+		s.reason[v] = noClause
 		if s.search >= 0 && s.stamp[v] > s.stamp[s.search] {
 			s.search = v
 		}
@@ -483,7 +519,7 @@ func (s *Solver) DumpCNF() (nVars int, clauses [][]Lit) {
 		}
 	}
 	for _, c := range s.clauses {
-		clauses = append(clauses, append([]Lit(nil), c.lits...))
+		clauses = append(clauses, append([]Lit(nil), s.lits(c)...))
 	}
 	return s.nVars, clauses
 }
@@ -537,7 +573,7 @@ func (s *Solver) SolvePreferring(assumptions, pref []Lit) bool {
 
 	for {
 		confl := s.propagate()
-		if confl != nil {
+		if confl != noClause {
 			s.Stats.Conflicts++
 			conflictsAtRestart++
 			if s.decisionLevel() == 0 {
@@ -546,11 +582,10 @@ func (s *Solver) SolvePreferring(assumptions, pref []Lit) bool {
 			}
 			learnt, bj := s.analyze(confl)
 			s.cancelUntil(bj)
-			var c *clause
+			c := noClause
 			if len(learnt) > 1 {
-				c = &clause{lits: learnt, learnt: true}
+				c = s.newClause(learnt, true)
 				s.learnts = append(s.learnts, c)
-				s.attach(c)
 				s.Stats.Learnt++
 			}
 			s.uncheckedEnqueue(learnt[0], c)
@@ -583,7 +618,7 @@ func (s *Solver) SolvePreferring(assumptions, pref []Lit) bool {
 				return false
 			}
 			s.newDecisionLevel()
-			s.uncheckedEnqueue(p, nil)
+			s.uncheckedEnqueue(p, noClause)
 			continue
 		}
 
@@ -596,7 +631,7 @@ func (s *Solver) SolvePreferring(assumptions, pref []Lit) bool {
 			s.Stats.Decisions++
 			s.newDecisionLevel()
 			s.prefHead++
-			s.uncheckedEnqueue(p, nil)
+			s.uncheckedEnqueue(p, noClause)
 			continue
 		}
 
@@ -615,43 +650,76 @@ func (s *Solver) SolvePreferring(assumptions, pref []Lit) bool {
 		}
 		s.Stats.Decisions++
 		s.newDecisionLevel()
-		s.uncheckedEnqueue(MkLit(v, !s.phase[v]), nil)
+		s.uncheckedEnqueue(MkLit(v, !s.phase[v]), noClause)
 	}
 }
 
 // reduceDB deletes the learnt clauses longer than the mean learnt clause
-// length, keeping reason clauses and binary clauses.
+// length, keeping reason clauses and binary clauses, and compacts the
+// arena once deleted clauses hold more than half of it.
 func (s *Solver) reduceDB() {
 	if len(s.learnts) < 16 {
 		return
 	}
-	mean := meanLen(s.learnts)
+	sum := 0
+	for _, c := range s.learnts {
+		sum += len(s.lits(c))
+	}
+	mean := float64(sum) / float64(len(s.learnts))
 	kept := s.learnts[:0]
 	for _, c := range s.learnts {
-		if s.isReason(c) || float64(len(c.lits)) <= mean || len(c.lits) <= 2 {
+		n := len(s.lits(c))
+		if s.isReason(c) || float64(n) <= mean || n <= 2 {
 			kept = append(kept, c)
 		} else {
-			c.deleted = true
+			s.arena[c] |= hdrDeleted
+			s.wasted += 1 + n
 		}
 	}
 	s.learnts = kept
+	if 2*s.wasted > len(s.arena) {
+		s.compact()
+	}
 }
 
-func (s *Solver) isReason(c *clause) bool {
-	if len(c.lits) == 0 {
-		return false
-	}
-	v := c.lits[0].Var()
+func (s *Solver) isReason(c cref) bool {
+	v := s.lits(c)[0].Var()
 	return s.assign[v] != lUndef && s.reason[v] == c
 }
 
-// meanLen returns the mean length of cs, which is not empty.
-func meanLen(cs []*clause) float64 {
-	sum := 0
-	for _, c := range cs {
-		sum += len(c.lits)
+// compact copies the live clauses, in clause-list order, into a fresh
+// arena and rewrites every reference to them. Each moved clause's old
+// header becomes a forwarding header (deleted, length 0) whose next word
+// is the clause's new reference; watchers of deleted clauses are dropped,
+// and every other watcher keeps its place in its list.
+func (s *Solver) compact() {
+	old := s.arena
+	s.arena = make([]Lit, 0, len(old)-s.wasted)
+	move := func(cs []cref) {
+		for i, c := range cs {
+			n := cref(old[c] >> 2)
+			cs[i] = cref(len(s.arena))
+			s.arena = append(s.arena, old[c:c+1+n]...)
+			old[c], old[c+1] = hdrDeleted, Lit(cs[i])
+		}
 	}
-	return float64(sum) / float64(len(cs))
+	move(s.clauses)
+	move(s.learnts)
+	for p, ws := range s.watches {
+		kept := ws[:0]
+		for _, w := range ws {
+			if old[w.c] == hdrDeleted {
+				kept = append(kept, watcher{cref(old[w.c+1]), w.blocker})
+			}
+		}
+		s.watches[p] = kept
+	}
+	for _, l := range s.trail {
+		if r := s.reason[l.Var()]; r != noClause {
+			s.reason[l.Var()] = cref(old[r+1])
+		}
+	}
+	s.wasted = 0
 }
 
 // Value returns the model value of variable v after a satisfiable Solve.
