@@ -26,7 +26,7 @@ func runExplore(e *env, args []string) error {
 	scenarioName := fs.String("scenario", "", "scenario name instead of -test (see 'soft scenarios'; accepts gen:<index>)")
 	out := fs.String("o", "", "output file (default stdout)")
 	maxPaths := fs.Int("max-paths", 0, "cap on explored paths (0 = default)")
-	models := fs.Bool("models", true, "extract a concrete input example per path")
+	models := fs.Bool("models", true, "write each path's canonical model, a concrete input example, to the results (explores the same either way)")
 	workers := fs.Int("workers", 0, "parallel exploration workers (0 = GOMAXPROCS, 1 = one worker)")
 	canonicalCut := fs.Bool("canonical-cut", false, "make max-paths truncation canonical: keep the canonically smallest paths so truncated runs are reproducible across worker counts")
 	timeout := fs.Duration("timeout", 0, "wall-clock limit; on expiry the partial result is still written")

@@ -44,7 +44,7 @@ func runMatrix(e *env, args []string) error {
 	addr := fs.String("addr", "", "listen for a soft-work fleet on this TCP address (use :0 for an ephemeral port); empty explores in-process")
 	workers := fs.Int("workers", 0, "in-process parallelism: exploration workers per cell (fleetless) and crosscheck solver workers (0 = GOMAXPROCS)")
 	maxPaths := fs.Int("max-paths", 0, "cap on explored paths per cell (0 = default); campaign truncation is canonical")
-	models := fs.Bool("models", true, "extract a concrete input example per path")
+	models := fs.Bool("models", true, "write each path's canonical model, a concrete input example, to the results (explores the same either way)")
 	storeDir := fs.String("store", "", "result-store directory: cache cell results, skip unchanged cells on re-runs")
 	codeVersion := fs.String("code-version", "", "override the cache key's code version (default: the binary's VCS build stamp)")
 	storeMigrate := fs.Bool("store-migrate", false, "re-stamp a store recorded under a different code version instead of refusing it")

@@ -13,7 +13,8 @@ import "github.com/soft-testing/soft/internal/sym"
 func Const(w int, v uint64) *Expr { return sym.Const(w, v) }
 
 // SymVar builds a named w-bit symbolic variable. Inside a Handler, use
-// ExecContext.NewSym instead so the engine tracks the input.
+// ExecContext.NewSym instead, which panics when a name comes back at a
+// second width.
 func SymVar(name string, w int) *Expr { return sym.Var(name, w) }
 
 // Bool builds a boolean constant.

@@ -18,13 +18,13 @@ func TestSessionSolveFeedsSearchCounters(t *testing.T) {
 
 	// A first solve leaves the solver's Stats nonzero, so a counter fed
 	// the running totals instead of the delta would show.
-	if !s.SolveAssuming(sym.Ult(y, x)) {
-		t.Fatal("3127 = 59 * 53 must be satisfiable")
+	if _, ok := s.SolveCanonical(sym.Ult(x, y)); !ok {
+		t.Fatal("3127 = 53 * 59 must be satisfiable")
 	}
 	before := s.b.S.Stats
 	dec, prop, conf := MDecisions.Load(), MPropagations.Load(), MConflicts.Load()
-	if !s.SolveAssuming(sym.Ult(x, y)) {
-		t.Fatal("3127 = 53 * 59 must be satisfiable")
+	if _, ok := s.SolveCanonical(sym.Ult(y, x)); !ok {
+		t.Fatal("3127 = 59 * 53 must be satisfiable")
 	}
 	after := s.b.S.Stats
 	if after.Decisions == before.Decisions || after.Conflicts == before.Conflicts {

@@ -20,8 +20,8 @@ import (
 // a fresh Blaster, from one Session shared by the test's paths, and the one
 // the exploration recorded must all equal the probe loop's.
 //
-// The recorded model is the path's last witness (every models-on solve is
-// ordered, so witnesses are canonical); the FlowMod runs check it at two
+// The recorded model is the path's last witness (every exploration solve
+// is ordered, so witnesses are canonical); the FlowMod runs check it at two
 // workers against a fresh Blaster's CanonicalModel (per-bit probes are too
 // slow there), and the shard runs check the models of subtrees whose roots
 // start without a witness, including shards that never get one and fall

@@ -32,10 +32,11 @@ import (
 // CanonicalModel and SolveCanonical fixes the path's variables
 // independently of the solver's history (see sat.SolvePreferring), so a
 // Session returns bit-for-bit the answers and canonical models a fresh
-// Blaster per path returns. SolveCanonical is what a models-on exploration
-// asks at each frontier branch: it decides one more arm and returns that
-// arm's canonical model in the same solve. The determinism sweep
-// tests in internal/symexec and the probe-loop oracle tests here pin this.
+// Blaster per path returns. SolveCanonical is what exploration asks at
+// each frontier branch, with models on or off: it decides one more arm
+// and returns that arm's canonical model in the same solve. The
+// determinism sweep tests in internal/symexec and the probe-loop oracle
+// tests here pin this.
 //
 // The guarded clause database is satisfiable by construction (every guard is
 // satisfied by setting its activation variable false, and Tseitin
@@ -79,9 +80,9 @@ type Session struct {
 
 	// ConstraintsNew / ConstraintsReused count conjunct encodings performed
 	// vs served from the activation cache; AssumptionSolves counts
-	// satisfiability decisions (SolveAssuming, SolveCanonical and
-	// CanonicalModel calls, one solve each). The engine and the solver
-	// façade aggregate these into solver.Stats.
+	// satisfiability decisions (SolveCanonical and CanonicalModel calls,
+	// one solve each). The engine and the solver façade aggregate these
+	// into solver.Stats.
 	ConstraintsNew    int64
 	ConstraintsReused int64
 	AssumptionSolves  int64
@@ -224,17 +225,6 @@ func (s *Session) solve(extra, pref []sat.Lit) bool {
 	return ok
 }
 
-// SolveAssuming decides satisfiability of the current path's constraints
-// plus extra assumption expressions, without asserting them.
-func (s *Session) SolveAssuming(es ...*sym.Expr) bool {
-	extra := make([]sat.Lit, len(es))
-	for i, e := range es {
-		s.touchVars(e)
-		extra[i] = s.b.enc1(e)
-	}
-	return s.solve(extra, nil)
-}
-
 // SolveCanonical decides the current path's constraints plus e, without
 // asserting e, and on sat returns the canonical witness of that conjunction
 // over every variable the path mentioned, e's included: the same model
@@ -249,13 +239,6 @@ func (s *Session) SolveCanonical(e *sym.Expr) (sym.Assignment, bool) {
 	}
 	return modelOf(s.b.S, s.pathVars), true
 }
-
-// Witness returns the last satisfiable solve's model over every variable
-// the current path mentioned (asserted or queried). It satisfies the path's
-// constraints and the extra assumptions of that solve, and it is only
-// meaningful right after a solve that reported true. Unlike CanonicalModel
-// it costs no solve, and its values depend on the search history.
-func (s *Session) Witness() sym.Assignment { return modelOf(s.b.S, s.pathVars) }
 
 // FillModel returns w over exactly the variables the current path
 // mentioned (the domain of CanonicalModel's models), reading a variable w

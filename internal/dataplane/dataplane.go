@@ -98,7 +98,8 @@ func EthernetProbe(inPort uint16) *Packet {
 
 // SymbolicPacket builds a probe whose header fields are fresh symbolic
 // variables named with the given prefix (the Table 5 "Symbolic Probe"
-// ablation). newSym is typically symexec.Context.NewSym.
+// ablation). newSym is typically the harness.NewSymFn a test's input
+// builder receives.
 func SymbolicPacket(newSym func(name string, w int) *sym.Expr, prefix string, inPort uint16) *Packet {
 	return &Packet{
 		InPort:  sym.Const(16, uint64(inPort)),

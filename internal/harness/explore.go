@@ -2,6 +2,7 @@ package harness
 
 import (
 	"context"
+	"fmt"
 	"time"
 
 	"github.com/soft-testing/soft/internal/agents"
@@ -149,7 +150,8 @@ func ExploreContext(ctx context.Context, a agents.Agent, t Test, o Options) *Res
 // engine's own result is returned too, for ExploreShard's merge keys. The
 // test's input sequence is built once, before the run.
 func explore(ctx context.Context, a agents.Agent, t Test, o Options) (*Result, *symexec.Result) {
-	return exploreInputs(ctx, a, t, o, buildInputs(t).forPath)
+	inputs := buildInputs(t)
+	return exploreInputs(ctx, a, t, o, func(*symexec.Context) []Input { return inputs })
 }
 
 // exploreInputs is explore with each path's input sequence coming from
@@ -227,37 +229,20 @@ func exploreInputs(ctx context.Context, a agents.Agent, t Test, o Options, input
 	return out, run
 }
 
-// builtInputs is a test's input sequence built once for a whole
-// exploration, with the variables it declared in the order it declared
-// them. Every replayed path declares the same variables and hands the agent
-// the same buffers and probes, which agents only read (see Test.Inputs), so
-// building them once per explore call explores exactly what building them
-// per path did.
-type builtInputs struct {
-	inputs []Input
-	vars   []*sym.Expr
-}
-
-// buildInputs builds t's input sequence. A name declared twice is recorded
-// twice, so a width conflict panics on the path in Declare, as it did in
-// symexec.Context.NewSym.
-func buildInputs(t Test) *builtInputs {
-	b := &builtInputs{}
-	b.inputs = t.Inputs(func(name string, w int) *sym.Expr {
-		v := sym.Var(name, w)
-		b.vars = append(b.vars, v)
-		return v
+// buildInputs builds t's input sequence once for a whole exploration.
+// Every replayed path hands the agent the same buffers and probes, which
+// agents only read (see Test.Inputs), so building them once per explore
+// call explores exactly what building them per path did. It panics, before
+// any path runs, when the builder declares one name at two widths.
+func buildInputs(t Test) []Input {
+	widths := make(map[string]int)
+	return t.Inputs(func(name string, w int) *sym.Expr {
+		if old, ok := widths[name]; ok && old != w {
+			panic(fmt.Sprintf("harness: test %q declares input %q with widths %d and %d", t.Name, name, old, w))
+		}
+		widths[name] = w
+		return sym.Var(name, w)
 	})
-	return b
-}
-
-// forPath declares the inputs' variables on the path and returns the
-// shared input sequence.
-func (b *builtInputs) forPath(ctx *symexec.Context) []Input {
-	for _, v := range b.vars {
-		ctx.Declare(v)
-	}
-	return b.inputs
 }
 
 // Reproduce renders the test's input sequence under a solver model into

@@ -5,6 +5,7 @@ import (
 	"context"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"github.com/soft-testing/soft/internal/agents"
@@ -57,17 +58,17 @@ func TestAgentsNeverWriteInputs(t *testing.T) {
 		for _, agent := range []string{"ref", "ovs", "modified"} {
 			name := agent + "/" + test.Name
 			a := agents.MustByName(agent)
-			b := buildInputs(test)
-			before := snapshotInputs(b.inputs)
+			ins := buildInputs(test)
+			before := snapshotInputs(ins)
 			var shared [2][]byte
 			for i, workers := range []int{1, 2} {
-				res, _ := exploreInputs(ctx, a, test, Options{WantModels: true, Workers: workers}, b.forPath)
+				res, _ := exploreInputs(ctx, a, test, Options{WantModels: true, Workers: workers}, func(*symexec.Context) []Input { return ins })
 				if res.Truncated {
 					t.Fatalf("%s: truncated run", name)
 				}
 				shared[i] = serializeCanonical(t, res)
 			}
-			if !snapshotInputs(b.inputs).equal(before) {
+			if !snapshotInputs(ins).equal(before) {
 				t.Fatalf("%s: the agent wrote to a shared input", name)
 			}
 			if !bytes.Equal(shared[0], shared[1]) {
@@ -81,4 +82,34 @@ func TestAgentsNeverWriteInputs(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestInputWidthConflictPanicsBeforeExploring: a test whose input builder
+// declares one name at two widths panics out of Explore before any path
+// runs, naming the test, the variable and both widths.
+func TestInputWidthConflictPanicsBeforeExploring(t *testing.T) {
+	test := Test{
+		Name: "Width Conflict",
+		Inputs: func(ns NewSymFn) []Input {
+			ns("port", 16)
+			ns("port", 8)
+			return nil
+		},
+	}
+	paths := 0
+	defer func() {
+		msg, ok := recover().(string)
+		if !ok {
+			t.Fatal("Explore did not panic with a message")
+		}
+		for _, want := range []string{`"Width Conflict"`, `"port"`, "16", "8"} {
+			if !strings.Contains(msg, want) {
+				t.Errorf("panic %q does not name %s", msg, want)
+			}
+		}
+		if paths != 0 {
+			t.Errorf("%d paths ran before the panic", paths)
+		}
+	}()
+	Explore(agents.MustByName("ref"), test, Options{Workers: 1, Progress: func(int) { paths++ }})
 }

@@ -17,9 +17,10 @@ import (
 	"github.com/soft-testing/soft/internal/symbuf"
 )
 
-// NewSymFn creates (or retrieves) a named symbolic variable — either
-// symexec.Context.NewSym during exploration or sym.Var when rebuilding a
-// test's inputs to concretize a reproducer.
+// NewSymFn creates a named symbolic variable. An exploration hands a
+// test's input builder sym.Var behind a check that every name keeps one
+// width (see buildInputs); rebuilding a test's inputs to concretize a
+// reproducer hands it sym.Var itself.
 type NewSymFn func(name string, w int) *sym.Expr
 
 // Input is one element of a test's input sequence: an OpenFlow control

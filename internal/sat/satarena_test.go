@@ -144,7 +144,7 @@ func TestArenaCompactionMatchesBruteForce(t *testing.T) {
 }
 
 // BenchmarkAssumptionSolves times one ordered solve (ns/op) of the shape a
-// models-on exploration issues through bitblast.Session. Eight 16-bit
+// exploration issues through bitblast.Session. Eight 16-bit
 // input fields meet 128 random comparisons with constants (x < c or
 // x == c), each a Tseitin chain of one gate per bit whose output either
 // polarity of an activation literal asserts. A depth-first walk, as over

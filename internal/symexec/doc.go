@@ -64,8 +64,10 @@
 // allocating nothing; the flow-table conditions, the largest of them, are
 // not rebuilt at all: internal/flowtable memoizes each one per process.
 // Nor is the handler's symbolic input: internal/harness builds a test's
-// input sequence once per exploration and registers its variables on each
-// path with Context.Declare, one map insert each.
+// input sequence once per exploration and hands the same buffers and
+// probes to every path. The engine keeps no registry of a run's inputs;
+// Context.NewSym only checks that a handler declares each name at one
+// width.
 //
 // A frontier branch costs one solve, not two (witness reuse, KLEE's
 // counterexample cache in its simplest form). Every path carries a witness:
@@ -87,12 +89,12 @@
 // database clauses only (never of assumptions). Path models stay identical
 // too because each is the canonical model (bitblast.CanonicalModel): the
 // numerically smallest satisfying assignment, a pure function of the path
-// condition rather than of the CDCL search trajectory. With models on, a
-// path's model costs no solve of its own. Every frontier and Assume solve
-// is then ordered (Session.SolveCanonical): sat.SolvePreferring decides the
-// path's input bits at 0 in canonical order (variables by name, each MSB
-// first) before any other variable, so the solve that proves an arm
-// feasible also returns its canonical model. That makes every witness
+// condition rather than of the CDCL search trajectory. A path's model
+// costs no solve of its own. Every frontier and Assume solve is ordered
+// (Session.SolveCanonical), with models on or off: sat.SolvePreferring
+// decides the path's input bits at 0 in canonical order (variables by
+// name, each MSB first) before any other variable, so the solve that
+// proves an arm feasible also returns its canonical model. That makes every witness
 // canonical, by minimality: if the lexicographic minimum M of a path
 // condition satisfies an arm, M is that arm's minimum too; variables the
 // condition never mentioned read as 0 in M, and 0 is their minimum; and
@@ -100,7 +102,8 @@
 // completed path's model is its witness, filled out to the path's
 // variables with 0. Only a shard that never finds a feasible true arm has
 // no witness; its single path falls back to one Session.CanonicalModel
-// solve. With models off, solves stay unordered and witnesses arbitrary.
+// solve. Engine.WantModels only decides whether a completed path keeps its
+// model, so a models-off run makes the same solves as a models-on run.
 // bitblast's TestCanonicalModelMatchesProbesOnPaths checks explored paths
 // (full runs and shards) against a fresh solver per path (feasibility and
 // canonical model), and the determinism tests pin byte-identical output

@@ -9,7 +9,6 @@ import (
 	"github.com/soft-testing/soft/internal/bitblast"
 	"github.com/soft-testing/soft/internal/coverage"
 	"github.com/soft-testing/soft/internal/obs"
-	"github.com/soft-testing/soft/internal/sym"
 )
 
 // Work-stealing metrics: how often workers donate to and steal from the
@@ -120,8 +119,7 @@ type workerState struct {
 	depthTrunc int
 	counters   pathCounters
 	sess       *bitblast.Session // persistent incremental session
-	inputs     map[string]*sym.Expr
-	cov        *coverage.Set // worker-cumulative; feeds coverage-optimized pops
+	cov        *coverage.Set     // worker-cumulative; feeds coverage-optimized pops
 }
 
 // run explores h with the given number of workers over a shared
@@ -163,7 +161,7 @@ func (e *Engine) run(cancel context.Context, h Handler, workers int, res *Result
 	states := make([]*workerState, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		ws := &workerState{inputs: make(map[string]*sym.Expr), sess: bitblast.NewSession()}
+		ws := &workerState{sess: bitblast.NewSession()}
 		if e.CovMap != nil {
 			ws.cov = e.CovMap.NewSet()
 		}
@@ -233,11 +231,7 @@ func (e *Engine) run(cancel context.Context, h Handler, workers int, res *Result
 					continue
 				}
 				ctx := e.newContext(it, enqueue, &ws.counters, ws.sess)
-				outcome := runOne(ctx, h)
-				for name, v := range ctx.inputs {
-					ws.inputs[name] = v
-				}
-				switch outcome {
+				switch runOne(ctx, h) {
 				case pathCompleted, pathCrashed:
 					if maxPaths > 0 {
 						n := completed.Add(1)
@@ -290,9 +284,6 @@ func (e *Engine) run(cancel context.Context, h Handler, workers int, res *Result
 		res.Infeasible += ws.infeasible
 		res.DepthTruncated += ws.depthTrunc
 		addSolveCounters(res, &ws.counters, ws.sess)
-		for name, v := range ws.inputs {
-			res.Inputs[name] = v
-		}
 		if res.Cov != nil {
 			res.Cov.Merge(ws.cov)
 		}

@@ -17,12 +17,6 @@ func fingerprint(res *Result) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "paths=%d infeasible=%d depthTrunc=%d truncated=%t queries=%d\n",
 		len(res.Paths), res.Infeasible, res.DepthTruncated, res.PathsTruncated, res.BranchQueries)
-	var inputs []string
-	for name, v := range res.Inputs {
-		inputs = append(inputs, fmt.Sprintf("%s:%d", name, v.Width()))
-	}
-	sort.Strings(inputs)
-	fmt.Fprintf(&b, "inputs=%v\n", inputs)
 	if res.Cov != nil {
 		fmt.Fprintf(&b, "cov=%.4f/%.4f\n", res.Cov.InstructionPct(), res.Cov.BranchPct())
 	}

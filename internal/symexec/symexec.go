@@ -49,51 +49,36 @@ type Context struct {
 	counters  *pathCounters
 	sess      *bitblast.Session // the worker's session, reset for this path
 	decisions []bool            // prescribed prefix (replay), then grown by new decisions
-	w         sym.Assignment    // satisfies pc, or nil when unknown (see BranchSite)
-	canonical bool              // solves are ordered, so w is pc's canonical model
+	w         sym.Assignment    // pc's canonical model, or nil when unknown (see BranchSite)
 	ev        sym.Evaluator
 	sites     []coverage.BranchID
 	depth     int // next decision index
 	pc        []*sym.Expr
 	outputs   []any
 	cov       *coverage.Set
-	inputs    map[string]*sym.Expr
+	syms      map[string]*sym.Expr // NewSym's variables, allocated on first use
 	crashed   bool
 	crashMsg  string
 }
 
 // NewSym creates (or returns, when re-executed) the symbolic input variable
 // with the given name and width. Handlers must create inputs
-// deterministically: the same names in the same order on every run.
+// deterministically: the same names in the same order on every run, one
+// width per name.
 func (c *Context) NewSym(name string, w int) *sym.Expr {
-	if v, ok := c.inputs[name]; ok {
+	if v, ok := c.syms[name]; ok {
 		if v.Width() != w {
 			panic(fmt.Sprintf("symexec: input %q redeclared with width %d != %d", name, w, v.Width()))
 		}
 		return v
 	}
+	if c.syms == nil {
+		c.syms = make(map[string]*sym.Expr)
+	}
 	v := sym.Var(name, w)
-	c.inputs[name] = v
+	c.syms[name] = v
 	return v
 }
-
-// Declare registers v, a variable built outside the path (by sym.Var), as
-// a symbolic input of the path, as NewSym(v.Name, v.Width()) would have
-// built it. A caller that builds a handler's inputs once declares them on
-// every path this way, so Inputs and Result.Inputs stay what NewSym would
-// have made them.
-func (c *Context) Declare(v *sym.Expr) {
-	if old, ok := c.inputs[v.Name]; ok {
-		if old.Width() != v.Width() {
-			panic(fmt.Sprintf("symexec: input %q redeclared with width %d != %d", v.Name, v.Width(), old.Width()))
-		}
-		return
-	}
-	c.inputs[v.Name] = v
-}
-
-// Inputs returns the symbolic input variables created so far, keyed by name.
-func (c *Context) Inputs() map[string]*sym.Expr { return c.inputs }
 
 // Emit records an output event on the current path (an OpenFlow message or
 // data plane packet the agent sent, in SOFT's usage).
@@ -131,7 +116,7 @@ func (c *Context) Assume(cond *sym.Expr) {
 	// feasible when the prefix was recorded; solving it now would leave a
 	// prefix root's witness satisfying only part of the prefix.
 	if !c.satisfied(cond) && c.depth >= len(c.decisions) {
-		ok, w := c.solve(cond)
+		w, ok := c.sess.SolveCanonical(cond)
 		if !ok {
 			panic(abortPanic{kind: abortInfeasible, msg: "assumption contradicts path condition"})
 		}
@@ -165,7 +150,7 @@ func (c *Context) Branch(cond *sym.Expr) bool {
 // depends on which model w is: feasibility is a fact about the formula,
 // not about the witness.
 //
-// When models are wanted every solve is ordered (Session.SolveCanonical),
+// Every solve is ordered (Session.SolveCanonical), with models on or off,
 // which makes w the canonical model of pc: its lexicographic minimum, over
 // pc's variables in name order, reading absent variables as 0. It stays
 // canonical as the path grows. If the minimum M of pc satisfies an arm,
@@ -202,15 +187,15 @@ func (c *Context) BranchSite(site coverage.BranchID, cond *sym.Expr) bool {
 	var wTrue, wFalse sym.Assignment
 	switch {
 	case c.w == nil:
-		if satTrue, wTrue = c.solve(cond); satTrue {
-			satFalse, wFalse = c.solve(sym.LNot(cond))
+		if wTrue, satTrue = c.sess.SolveCanonical(cond); satTrue {
+			wFalse, satFalse = c.sess.SolveCanonical(sym.LNot(cond))
 		}
 	case c.satisfied(cond):
 		wTrue = c.w
-		satFalse, wFalse = c.solve(sym.LNot(cond))
+		wFalse, satFalse = c.sess.SolveCanonical(sym.LNot(cond))
 	default:
 		wFalse = c.w
-		satTrue, wTrue = c.solve(cond)
+		wTrue, satTrue = c.sess.SolveCanonical(cond)
 	}
 
 	switch {
@@ -240,20 +225,6 @@ func (c *Context) BranchSite(site coverage.BranchID, cond *sym.Expr) bool {
 // satisfied reports whether the path's witness is known and satisfies e.
 func (c *Context) satisfied(e *sym.Expr) bool {
 	return c.w != nil && c.ev.EvalBool(e, c.w)
-}
-
-// solve decides the path condition plus e, returning on sat the model as
-// a witness for the path extended by e: its canonical model when models
-// are wanted (see BranchSite), any model otherwise.
-func (c *Context) solve(e *sym.Expr) (bool, sym.Assignment) {
-	if c.canonical {
-		w, ok := c.sess.SolveCanonical(e)
-		return ok, w
-	}
-	if !c.sess.SolveAssuming(e) {
-		return false, nil
-	}
-	return true, c.sess.Witness()
 }
 
 // take commits a branch direction: extends the path condition, the
@@ -289,8 +260,8 @@ type Path struct {
 	Cov      *coverage.Set
 	Crashed  bool
 	CrashMsg string
-	// Model is a concrete input satisfying PC (a ready-made test case),
-	// populated when Engine.WantModels is set.
+	// Model is PC's canonical model, a concrete input taking the path (a
+	// ready-made test case), kept when Engine.WantModels is set.
 	Model sym.Assignment
 	// Branches is the number of symbolic decisions on the path.
 	Branches int
@@ -311,8 +282,6 @@ type Result struct {
 	Paths []*Path
 	// Cov is cumulative coverage over all explored paths.
 	Cov *coverage.Set
-	// Inputs is the union of symbolic inputs the handler declared.
-	Inputs map[string]*sym.Expr
 	// Elapsed is wall-clock exploration time (the paper's "CPU time"
 	// column; with Workers > 1 the CPU time is up to Workers × Elapsed).
 	Elapsed time.Duration
@@ -386,7 +355,9 @@ type Engine struct {
 	ShardSink  func(prefix []bool)
 	// MaxDepth caps symbolic decisions per path; 0 means unlimited.
 	MaxDepth int
-	// WantModels extracts a satisfying model per completed path.
+	// WantModels keeps each completed path's canonical model as
+	// Path.Model. Exploration is the same either way: every solve is
+	// ordered, so the model is the path's witness and costs no solve.
 	WantModels bool
 	// CovMap, when set, allocates per-path coverage sets over this universe.
 	CovMap *coverage.Map
@@ -427,7 +398,7 @@ func (e *Engine) RunContext(ctx context.Context, h Handler) *Result {
 		workers = 1
 	}
 
-	res := &Result{Inputs: make(map[string]*sym.Expr)}
+	res := &Result{}
 	if e.CovMap != nil {
 		res.Cov = e.CovMap.NewSet()
 	}
@@ -453,8 +424,6 @@ func (e *Engine) newContext(it *workItem, enqueue func(*workItem), counters *pat
 		sess:      sess,
 		decisions: it.decisions,
 		w:         it.w,
-		canonical: e.WantModels,
-		inputs:    make(map[string]*sym.Expr),
 	}
 	if e.CovMap != nil {
 		ctx.cov = e.CovMap.NewSet()
@@ -470,8 +439,8 @@ func addSolveCounters(res *Result, c *pathCounters, sess *bitblast.Session) {
 	res.ConstraintsReused += sess.ConstraintsReused
 }
 
-// completePath turns a finished context into a Path (with model extraction
-// when requested).
+// completePath turns a finished context into a Path, keeping its model
+// when models are wanted.
 func (e *Engine) completePath(ctx *Context) *Path {
 	p := &Path{
 		PC:        ctx.pc,

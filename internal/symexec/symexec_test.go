@@ -344,21 +344,6 @@ func TestDeterministicReplay(t *testing.T) {
 	}
 }
 
-func TestInputRegistry(t *testing.T) {
-	e := &Engine{}
-	res := e.Run(func(ctx *Context) {
-		ctx.NewSym("a", 8)
-		ctx.NewSym("b", 16)
-		ctx.Branch(sym.Ult(ctx.NewSym("a", 8), sym.Const(8, 4)))
-	})
-	if len(res.Inputs) != 2 {
-		t.Fatalf("inputs %v", res.Inputs)
-	}
-	if res.Inputs["b"].Width() != 16 {
-		t.Fatal("input width lost")
-	}
-}
-
 // TestWidthConflictPanics: a handler bug panics out of Run on the caller's
 // goroutine — also when it fires on a parallel worker, where an unrecovered
 // panic would kill the process — naming the path it fired on.

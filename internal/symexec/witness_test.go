@@ -1,6 +1,7 @@
 package symexec_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"reflect"
@@ -10,16 +11,17 @@ import (
 	"github.com/soft-testing/soft/internal/agents"
 	_ "github.com/soft-testing/soft/internal/agents/ovs"       // register "ovs"
 	_ "github.com/soft-testing/soft/internal/agents/refswitch" // register "ref"
+	"github.com/soft-testing/soft/internal/bitblast"
 	"github.com/soft-testing/soft/internal/harness"
 	"github.com/soft-testing/soft/internal/symexec"
 )
 
 // TestOneSolvePerFrontierBranch pins witness reuse on real agents: every
 // frontier branch of a full run costs exactly one assumption solve (the
-// path's witness proves one arm). With models on that solve is ordered, so
-// every witness is its path's canonical model and a completed path's model
-// costs no solve at all. Without the witness a branch whose true arm is
-// feasible costs two.
+// path's witness proves one arm). That solve is ordered, so every witness
+// is its path's canonical model and a completed path's model costs no
+// solve at all, with models on or off. Without the witness a branch whose
+// true arm is feasible costs two.
 func TestOneSolvePerFrontierBranch(t *testing.T) {
 	test, ok := harness.TestByName("Packet Out")
 	if !ok {
@@ -46,9 +48,10 @@ func TestOneSolvePerFrontierBranch(t *testing.T) {
 // every other frontier branch costs one solve. A shard with no such branch
 // is a single path that never gets a witness, so with models on its
 // canonical model costs one solve of its own (the fallback in
-// completePath). So a shard pays one solve more than its branch queries,
-// except a models-off shard that never takes a true arm, which pays none
-// more. Packet Out on ovs split at depth 5 has such shards.
+// completePath); with models off it keeps no model and pays nothing. So a
+// shard pays one solve more than its branch queries, except a models-off
+// shard that never takes a true arm, which pays none more. Packet Out on
+// ovs split at depth 5 has such shards.
 func TestOneSolvePerFrontierBranchPrefixRun(t *testing.T) {
 	test, ok := harness.TestByName("Packet Out")
 	if !ok {
@@ -94,6 +97,49 @@ func TestOneSolvePerFrontierBranchPrefixRun(t *testing.T) {
 	}
 	if fallbacks == 0 {
 		t.Error("every shard took a true arm: the canonical-model fallback went untested")
+	}
+}
+
+// TestModelsOffSolvesLikeModelsOn pins that WantModels only decides
+// whether a path's model is kept: a models-off run asks the SAT core the
+// same ordered solves as a models-on run, making the same decisions,
+// propagations and conflicts, and its results file is the models-on file
+// without its model lines.
+func TestModelsOffSolvesLikeModelsOn(t *testing.T) {
+	for _, name := range []string{"Packet Out", "FlowMod"} {
+		test, ok := harness.TestByName(name)
+		if !ok {
+			t.Fatalf("missing test %s", name)
+		}
+		for _, agent := range []string{"ref", "ovs"} {
+			var sat [2][3]int64
+			var files [2][]byte
+			for i, models := range []bool{true, false} {
+				dec, prop, conf := bitblast.MDecisions.Load(), bitblast.MPropagations.Load(), bitblast.MConflicts.Load()
+				res := harness.Explore(agents.MustByName(agent), test, harness.Options{WantModels: models, Workers: 1})
+				sat[i] = [3]int64{bitblast.MDecisions.Load() - dec, bitblast.MPropagations.Load() - prop, bitblast.MConflicts.Load() - conf}
+				checkComplete(t, agent+"/"+name, res)
+				res.Elapsed = 0
+				var buf bytes.Buffer
+				if err := res.Write(&buf); err != nil {
+					t.Fatal(err)
+				}
+				files[i] = buf.Bytes()
+			}
+			if sat[0] != sat[1] {
+				t.Errorf("%s/%s: decisions, propagations, conflicts %v with models on, %v with models off",
+					agent, name, sat[0], sat[1])
+			}
+			var stripped []byte
+			for _, line := range bytes.SplitAfter(files[0], []byte("\n")) {
+				if !bytes.HasPrefix(line, []byte("model ")) {
+					stripped = append(stripped, line...)
+				}
+			}
+			if !bytes.Equal(stripped, files[1]) {
+				t.Errorf("%s/%s: the models-off file is not the models-on file without its model lines", agent, name)
+			}
+		}
 	}
 }
 

@@ -78,9 +78,11 @@ func WithMaxDepth(n int) Option { return func(c *config) { c.maxDepth = n } }
 // only checked between solver queries.
 func WithBudget(d time.Duration) Option { return func(c *config) { c.budget = d } }
 
-// WithModels extracts a concrete input example per explored path. Models
-// make results self-contained test suites but cost one extra solver call
-// per path.
+// WithModels keeps a concrete input example per explored path: its
+// canonical model, which makes results self-contained test suites.
+// Exploration is the same with models on or off (every solve is ordered,
+// so the model is the path's witness and costs no solve); off only leaves
+// the models out of the result and its file.
 func WithModels(want bool) Option { return func(c *config) { c.models = want } }
 
 // WithCanonicalCut controls how a MaxPaths cap truncates Explore and
